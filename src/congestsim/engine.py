@@ -70,10 +70,14 @@ class CostLedger:
             self._current.rounds += k
 
     def add_message(self, bits):
-        self.messages += 1
+        self.add_messages(1, bits)
+
+    def add_messages(self, count, bits):
+        """Account `count` messages carrying `bits` bits in total."""
+        self.messages += count
         self.bits += bits
         if self._current is not None:
-            self._current.messages += 1
+            self._current.messages += count
             self._current.bits += bits
 
     def to_dict(self):

@@ -10,10 +10,11 @@ The pipeline, per skeleton set S:
 4. bounded-hop distances on the shortcut overlay from a chosen source,
 5. node-local combination into approximate distances / eccentricities.
 
-Steps 1 runs as real per-node programs under the bandwidth limit; steps
-2-4 are overlay computations whose round costs are charged to the ledger
-by their communication schedules (global broadcasts) without simulating
-each individual message.
+Step 1 is evaluated in closed form once its random delays are drawn and
+charged the exact cost of its per-node programs, which replay only an
+attempt that congests.  Steps 2-4 are overlay computations whose round
+costs are charged to the ledger by their communication schedules (global
+broadcasts) without simulating each individual message.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.
@@ -67,6 +68,13 @@ def rounded_weight(w, hops, eps, level):
         den = eps.numerator * 2 ** level
         return max(1, -(-num // den))
     return max(1, math.ceil(2 * Fraction(hops) * Fraction(w) / (eps * 2 ** level)))
+
+
+def _check_hops_eps(hops, eps):
+    if hops <= 0:
+        raise ValueError(f"hop bound must be > 0: {hops}")
+    if not (0 < eps <= 1):
+        raise ValueError(f"need 0 < eps <= 1: {eps}")
 
 
 def _distance_bits(n, value):
@@ -131,10 +139,7 @@ def bounded_hop_sssp(network, s, hops, eps, phase="bounded-hop-sssp"):
     within budget).  Guarantee: d <= result <= (1+eps) * d_hops.
     """
     g = network.graph
-    if hops <= 0:
-        raise ValueError(f"hop bound must be > 0: {hops}")
-    if not (0 < eps <= 1):
-        raise ValueError(f"need 0 < eps <= 1: {eps}")
+    _check_hops_eps(hops, eps)
     budget = hop_budget(hops, eps)
     top = scale_levels(g.n, g.max_weight, eps)
     best = [INFINITE] * g.n
@@ -225,14 +230,81 @@ class _SuperposedProgram(NodeProgram):
         self._flush(ctx, t0)
 
 
+def _level_adjacency(graph, hops, eps, levels):
+    """adj[level][v] = [(u, rounded_weight(w, hops, eps, level))] per neighbor u."""
+    unit = 2 * Fraction(hops) / eps
+    adj = [[[] for _ in range(graph.n)] for _ in range(levels)]
+    for u, v, w in graph.edges:
+        x = unit * w
+        for level in range(levels):
+            rw = max(1, -(-x.numerator // (x.denominator << level)))
+            adj[level][u].append((v, rw))
+            adj[level][v].append((u, rw))
+    return adj
+
+
+def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
+    """Outcome of one `_SuperposedProgram` run, without sending its messages.
+
+    Each (copy, level) pass is a budget-bounded Dijkstra on the level's
+    rounded weights.  A node broadcasts its final distance d exactly once,
+    in window delays[copy] + level*(budget+1) + d: an improvement always
+    arrives before a stale entry's window, and a window's outbox drains
+    within the window.  So the run congests exactly when some node owes
+    more than `stretch` broadcasts in one window; then this returns None.
+    Otherwise it returns (best, messages, bits), where best[copy][v] is
+    the minimum over levels of d << level (INFINITE if no level reached v).
+    """
+    n = graph.n
+    span = budget + 1
+    degree = [len(nbrs) for nbrs in graph.adj]
+    owed = {}  # window * n + node -> broadcasts due
+    best = []
+    messages = bits = 0
+    for copy, s in enumerate(sources):
+        row = [INFINITE] * n
+        sent = 0
+        for level, level_adj in enumerate(adj):
+            base = delays[copy] + level * span
+            dist = [span] * n  # span marks "beyond the budget"
+            dist[s] = 0
+            heap = [(0, s)]
+            while heap:
+                d, v = heapq.heappop(heap)
+                if d > dist[v]:
+                    continue
+                key = (base + d) * n + v
+                count = owed.get(key, 0) + 1
+                if count > stretch:
+                    return None
+                owed[key] = count
+                sent += degree[v]
+                if d << level < row[v]:
+                    row[v] = d << level
+                for u, w in level_adj[v]:
+                    nd = d + w
+                    if nd < dist[u]:
+                        dist[u] = nd
+                        heapq.heappush(heap, (nd, u))
+        best.append(row)
+        messages += sent
+        bits += sent * max(1, copy.bit_length())
+    return best, messages, bits
+
+
 def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
     """Approximate hop-bounded distances from every s in `sources` at once.
 
     Superposes one delayed bounded-hop pass per source; on congestion the
     run is retried with fresh delays (up to `retries` times).  Returns
     {s: per-node list of Fractions}.
+
+    Attempts are evaluated in closed form; a congested one is replayed on
+    `_SuperposedProgram`, the reference, so CongestionFailure surfaces in
+    the same round with the same partial ledger.
     """
     g = network.graph
+    _check_hops_eps(hops, eps)
     sources = sorted(set(sources))
     if not sources:
         raise ValueError("sources must be nonempty")
@@ -244,56 +316,47 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
     # one broadcast per window, so two copies must never be able to jam
     stretch = max(2, math.ceil(math.log2(max(2, g.n))))
     network._require_tree()
-
-    cache_key = (hops, eps, levels)
-    per_node_weights = getattr(network, "_mssp_weight_cache", {}).get(cache_key)
-    if per_node_weights is None:
-        weights_level_edge = [
-            {(u, v): rounded_weight(w, hops, eps, level) for u, v, w in g.edges}
-            for level in range(levels)
-        ]
-        per_node_weights = [
-            [{u: weights_level_edge[level][(min(v, u), max(v, u))]
-              for u, _ in g.adj[v]} for level in range(levels)]
-            for v in range(g.n)
-        ]
-        if not hasattr(network, "_mssp_weight_cache"):
-            network._mssp_weight_cache = {}
-        network._mssp_weight_cache[cache_key] = per_node_weights
+    adj = _level_adjacency(g, hops, eps, levels)
 
     last_failure = None
     for _attempt in range(retries + 1):
         delays = [network.rng_for(network.leader).randint(0, b * stretch)
                   for _ in range(b)]
+        # the pipeline rejects items wider than B bits, so every copy index
+        # fits the bandwidth and the closed form needs no bandwidth check
         network.broadcast_pipeline(
             [(i, delays[i]) for i in range(b)], phase=phase + "-delays")
         windows = levels * (budget + 1) + b * stretch + 1
-        programs = {
-            v: _SuperposedProgram(v, sources, delays, budget, levels,
-                                  per_node_weights[v], stretch, g.n)
-            for v in range(g.n)
-        }
-        start = network.round_clock
-        try:
+        outcome = _superposed_closed_form(g, adj, sources, delays, budget,
+                                          stretch)
+        if outcome is not None:
+            best, messages, bits = outcome
             with network.phase(phase):
-                network.run(programs, exact_rounds=windows * stretch)
-        except CongestionFailure as failure:
-            last_failure = failure
-            network.clear_traffic()
-            network.ledger.add_rounds(network.round_clock - start)
-            continue
-        tables = {}
-        for copy, s in enumerate(sources):
-            scales = [eps * 2 ** level / (2 * Fraction(hops))
-                      for level in range(levels)]
-            table = []
-            for v in range(g.n):
-                vals = [programs[v].dist[copy][level] * scales[level]
-                        for level in range(levels)
-                        if programs[v].dist[copy][level] is not INFINITE]
-                table.append(min(vals) if vals else INFINITE)
-            tables[s] = table
-        return tables
+                network.charge_rounds(windows * stretch)
+                network.ledger.add_messages(messages, bits)
+        else:
+            programs = {
+                v: _SuperposedProgram(v, sources, delays, budget, levels,
+                                      [dict(level_adj[v]) for level_adj in adj],
+                                      stretch, g.n)
+                for v in range(g.n)
+            }
+            start = network.round_clock
+            try:
+                with network.phase(phase):
+                    network.run(programs, exact_rounds=windows * stretch)
+            except CongestionFailure as failure:
+                last_failure = failure
+                network.clear_traffic()
+                network.ledger.add_rounds(network.round_clock - start)
+                continue
+            best = [[min((d << level
+                          for level, d in enumerate(programs[v].dist[copy])
+                          if d is not INFINITE), default=INFINITE)
+                     for v in range(g.n)] for copy in range(b)]
+        scale = eps / (2 * Fraction(hops))
+        return {s: [x if x is INFINITE else x * scale for x in best[copy]]
+                for copy, s in enumerate(sources)}
     raise last_failure
 
 
@@ -313,6 +376,9 @@ class SkeletonState:
     knear: dict = field(default_factory=dict)        # s -> list of overlay ids
     shortcut: dict = field(default_factory=dict)     # (u,v) -> weight
     overlay_tables: dict = field(default_factory=dict)  # s -> {u: value}
+    # level -> rounded adjacency of the complete overlay; independent of the
+    # probe source, so built by the first probe and reset with `shortcut`
+    overlay_levels: list = field(default_factory=list)
 
     def overlay_weight(self, u, v):
         """Base overlay weight: the approximate bounded-hop distance u-v."""
@@ -363,6 +429,7 @@ def embed_overlay(network, state, k, phase="embed"):
     state.k = k
     state.knear = {}
     state.shortcut = {}
+    state.overlay_levels = []
     if len(members) < 2 or k <= 0:
         network.charge_rounds(network.unweighted_diameter(), phase=phase)
         return state
@@ -416,26 +483,23 @@ def sssp_on_overlay(network, state, s, phase="overlay-sssp"):
     k = state.k
     hop_bound = Fraction(4 * len(members), k) if k >= 1 else Fraction(len(members))
     budget = hop_budget(hop_bound, eps)
-    finite_weights = [w for w in
-                      (state.overlay_weight(u, v)
-                       for i, u in enumerate(members) for v in members[i + 1:])
-                      if w is not INFINITE]
-    max_w = max(finite_weights, default=1)
-    top = scale_levels(len(members), max_w, eps)
+    if not state.overlay_levels:
+        pairs = [(u, v, state.overlay_weight(u, v))
+                 for i, u in enumerate(members) for v in members[i + 1:]]
+        finite = [(u, v, w) for u, v, w in pairs if w is not INFINITE]
+        max_w = max((w for _, _, w in finite), default=1)
+        for level in range(scale_levels(len(members), max_w, eps) + 1):
+            adj = {u: [] for u in members}
+            for u, v, w in finite:
+                rw = rounded_weight(w, hop_bound, eps, level)
+                adj[u].append((v, rw))
+                adj[v].append((u, rw))
+            state.overlay_levels.append(adj)
 
     d_g = network.unweighted_diameter()
     charged = 0
     best = {u: INFINITE for u in members}
-    for level in range(top + 1):
-        adj = {u: [] for u in members}
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                w = state.overlay_weight(u, v)
-                if w is INFINITE:
-                    continue
-                rw = rounded_weight(w, hop_bound, eps, level)
-                adj[u].append((v, rw))
-                adj[v].append((u, rw))
+    for level, adj in enumerate(state.overlay_levels):
         dist = _dijkstra_on(adj, s, members)
         scale = eps * 2 ** level / (2 * hop_bound)
         for u in members:

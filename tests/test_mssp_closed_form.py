@@ -1,0 +1,108 @@
+"""The closed-form superposed pass against the message-level reference.
+
+`bounded_hop_mssp` evaluates each attempt with `_superposed_closed_form`
+and replays only congested attempts on `_SuperposedProgram`.  Patching
+the helper to return None forces every attempt onto the message-level
+program, the reference.  Both paths must agree on the tables (or the
+raised exception), the ledger and the round clock.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from congestsim import toolkit
+from congestsim.engine import Network
+from congestsim.graphs import random_connected_graph
+from congestsim.search import (
+    LowConfidenceResult,
+    ParameterSchedule,
+    approx_diameter,
+    approx_radius,
+)
+from congestsim.toolkit import CongestionFailure, bounded_hop_mssp
+
+
+def _mssp_outcome(g, seed, *args, **kwargs):
+    net = Network(g, seed=seed)
+    try:
+        result = bounded_hop_mssp(net, *args, **kwargs)
+    except CongestionFailure as failure:
+        result = ("CongestionFailure", str(failure))
+    return result, net.ledger.to_dict(), net.round_clock
+
+
+def _compare(monkeypatch, run):
+    """(closed-form outcome, reference outcome, closed-form results seen)."""
+    seen = []
+    closed_form = toolkit._superposed_closed_form
+
+    def recording(*args):
+        result = closed_form(*args)
+        seen.append(result is not None)
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(toolkit, "_superposed_closed_form", recording)
+        fast = run()
+    with monkeypatch.context() as m:
+        m.setattr(toolkit, "_superposed_closed_form", lambda *args: None)
+        reference = run()
+    return fast, reference, seen
+
+
+def test_closed_form_matches_reference_on_criterion_05_configs(monkeypatch):
+    # the 200 configurations of acceptance criterion 5
+    evaluated = []
+    for seed in range(200):
+        g = random_connected_graph(16, max_weight=10, rng=random.Random(seed))
+        fast, reference, seen = _compare(monkeypatch, lambda: _mssp_outcome(
+            g, seed, list(range(16)), 16, Fraction(1, 4), retries=0))
+        assert fast == reference, f"seed {seed}"
+        evaluated += seen
+    # both the closed form and the congestion replay were exercised
+    assert any(evaluated) and not all(evaluated)
+
+
+def test_closed_form_matches_reference_on_random_configs(monkeypatch):
+    evaluated = []
+    for seed in range(200):
+        rng = random.Random(f"mssp-closed-form:{seed}")
+        n = rng.randrange(4, 41)
+        g = random_connected_graph(n, max_weight=rng.choice([1, 3, 10, 50]),
+                                   rng=rng)
+        sources = rng.sample(range(n), rng.randrange(1, n + 1))
+        hops = rng.randrange(1, n + 1)
+        if seed % 5 == 0:
+            hops = Fraction(2 * hops + 1, 2)
+        eps = Fraction(1, rng.randrange(1, 9))
+        retries = rng.randrange(0, 3)
+        fast, reference, seen = _compare(monkeypatch, lambda: _mssp_outcome(
+            g, seed, sources, hops, eps, retries=retries))
+        assert fast == reference, (
+            f"seed {seed}: n={n} |S|={len(sources)} hops={hops} eps={eps}")
+        evaluated += seen
+    assert any(evaluated) and not all(evaluated)
+
+
+@pytest.mark.parametrize("estimator", [approx_diameter, approx_radius])
+def test_closed_form_matches_reference_end_to_end(monkeypatch, estimator):
+    for t in range(3):
+        g = random_connected_graph(16 + 6 * t, max_weight=10,
+                                   rng=random.Random(t))
+        schedule = ParameterSchedule.for_graph(g)
+
+        def run():
+            net = Network(g, seed=f"closed-form:{t}")
+            sink = []
+            try:
+                estimate, trace, _ = estimator(
+                    net, schedule, rng=random.Random(t), trace_sink=sink)
+            except LowConfidenceResult as low:
+                estimate, trace = None, low.trace
+            return (estimate, trace, sink, net.ledger.to_dict(),
+                    net.round_clock)
+
+        fast, reference, _ = _compare(monkeypatch, run)
+        assert fast == reference, f"graph {t}"

@@ -166,6 +166,20 @@ def test_bounded_hop_rejects_bad_args():
         bounded_hop_sssp(net, 0, 2, Fraction(3, 2))
 
 
+@pytest.mark.parametrize("hops, eps", [
+    (0, Fraction(1, 2)), (-1, Fraction(1, 2)),
+    (2, Fraction(3, 2)), (2, Fraction(0)), (2, Fraction(-1, 2)),
+])
+def test_mssp_rejects_bad_args(hops, eps):
+    net = Network(path_graph(2))
+    with pytest.raises(ValueError) as mssp_error:
+        bounded_hop_mssp(net, [0, 1], hops, eps)
+    with pytest.raises(ValueError) as sssp_error:
+        bounded_hop_sssp(net, 0, hops, eps)
+    assert str(mssp_error.value) == str(sssp_error.value)
+    assert net.ledger.rounds == 0
+
+
 # --- multi-source pass ---------------------------------------------------
 
 
@@ -278,6 +292,19 @@ def test_overlay_probe_cost_constant():
         sssp_on_overlay(net, state, s)
         costs.append(net.ledger.rounds - before)
     assert len(set(costs)) == 1
+
+
+def test_overlay_sssp_follows_reembedding():
+    # the rounded overlay is kept on the state across probes; embedding
+    # again with another k must rebuild it
+    g = random_connected_graph(14, rng=random.Random(6))
+    members = [1, 4, 7, 10, 13]
+    net, state = pipeline_state(g, members, 6, 1)
+    sssp_on_overlay(net, state, members[0])
+    embed_overlay(net, state, 4)
+    fresh_net, fresh = pipeline_state(g, members, 6, 4)
+    assert [sssp_on_overlay(net, state, s) for s in members] == \
+        [sssp_on_overlay(fresh_net, fresh, s) for s in members]
 
 
 # --- combination ---------------------------------------------------------
