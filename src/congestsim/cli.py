@@ -2,8 +2,9 @@
 
 Reports are canonical JSON (sorted keys, fixed indentation) embedding the
 fully resolved configuration, so identical config + seed reproduces
-byte-identical output.  Exit codes: 0 ok, 1 invariant/assertion failure,
-2 usage error.
+byte-identical output.  Exit codes: 0 ok, 1 invariant/assertion failure
+or a run the model aborted (bandwidth, congestion, round limit), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .engine import Network
+from .engine import BandwidthExceeded, MaxRoundsExceeded, Network
 from .gadgets import build_gadget, verify_reduction
 from .graphs import (
     GraphError,
@@ -34,6 +35,7 @@ from .search import (
     approx_diameter,
     approx_radius,
 )
+from .toolkit import CongestionFailure
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -99,6 +101,8 @@ def _num(value):
 def cmd_approx(args):
     target = args.quantity
     delta = _parse_fraction(args.delta)
+    if args.trials < 0:
+        raise UsageError(f"--trials must be >= 0: {args.trials}")
     trials = []
     for t in range(args.trials):
         trial_seed = f"{args.seed}:{t}"
@@ -287,6 +291,9 @@ def main(argv=None):
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except (BandwidthExceeded, CongestionFailure, MaxRoundsExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -9,6 +9,7 @@ every round of the budget.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import math
@@ -55,19 +56,26 @@ class CostLedger:
     messages: int = 0
     bits: int = 0
     phases: list = field(default_factory=list)
-    _current: Phase = None
+    _open: list = field(default_factory=list)  # stack of open phases
 
-    def begin_phase(self, name):
-        self._current = Phase(name)
-        self.phases.append(self._current)
+    @contextlib.contextmanager
+    def phase(self, name):
+        """Charge the block to a new phase `name`.
 
-    def end_phase(self):
-        self._current = None
+        Phases nest: a charge goes to the innermost open phase only, so the
+        phases sum to the ledger's totals.
+        """
+        self.phases.append(Phase(name))
+        self._open.append(self.phases[-1])
+        try:
+            yield
+        finally:
+            self._open.pop()
 
     def add_rounds(self, k):
         self.rounds += k
-        if self._current is not None:
-            self._current.rounds += k
+        if self._open:
+            self._open[-1].rounds += k
 
     def add_message(self, bits):
         self.add_messages(1, bits)
@@ -76,9 +84,9 @@ class CostLedger:
         """Account `count` messages carrying `bits` bits in total."""
         self.messages += count
         self.bits += bits
-        if self._current is not None:
-            self._current.messages += count
-            self._current.bits += bits
+        if self._open:
+            self._open[-1].messages += count
+            self._open[-1].bits += bits
 
     def to_dict(self):
         return {
@@ -187,12 +195,11 @@ class Network:
     def charge_rounds(self, k, phase=None):
         """Account `k` rounds of a formula-charged stage (no per-message replay)."""
         self.round_clock += k
-        if phase is not None and self.ledger._current is None:
-            self.ledger.begin_phase(phase)
+        if phase is None:
             self.ledger.add_rounds(k)
-            self.ledger.end_phase()
         else:
-            self.ledger.add_rounds(k)
+            with self.ledger.phase(phase):
+                self.ledger.add_rounds(k)
 
     def clear_traffic(self):
         """Drop all in-flight messages and wakes (e.g. after an aborted run)."""
@@ -207,18 +214,6 @@ class Network:
             rng = random.Random(f"{self.seed}:{node}")
             self._rngs[node] = rng
         return rng
-
-    def phase(self, name):
-        network = self
-
-        class _PhaseCtx:
-            def __enter__(self):
-                network.ledger.begin_phase(name)
-
-            def __exit__(self, *exc):
-                network.ledger.end_phase()
-
-        return _PhaseCtx()
 
     # --- low-level message plumbing -------------------------------------
 
@@ -373,7 +368,7 @@ class Network:
     def build_bfs_tree(self):
         """Build and cache a BFS tree rooted at the leader (real messages)."""
         programs = {v: _TreeBuildProgram(v, self.leader) for v in range(self.n)}
-        with self.phase("bfs-tree"):
+        with self.ledger.phase("bfs-tree"):
             self.run(programs, max_rounds=2 * self.n + 2)
         parent = [programs[v].parent for v in range(self.n)]
         depth = [programs[v].depth for v in range(self.n)]
@@ -404,7 +399,7 @@ class Network:
                                         list(items) if v == self.leader else None,
                                         len(items))
                     for v in range(self.n)}
-        with self.phase(phase):
+        with self.ledger.phase(phase):
             self.run(programs, max_rounds=self.n + len(items) + 2)
         return {v: programs[v].received for v in range(self.n)}
 
@@ -416,7 +411,7 @@ class Network:
         programs = {v: _ConvergecastProgram(v, parent[v], len(children[v]),
                                             local_values[v], mode)
                     for v in range(self.n)}
-        with self.phase(phase):
+        with self.ledger.phase(phase):
             self.run(programs, max_rounds=self.n + 2)
         return programs[self.leader].value
 

@@ -126,7 +126,10 @@ class WeightedGraph:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(d["node_count"], [tuple(e) for e in d["edges"]])
+        try:
+            return cls(d["node_count"], [tuple(e) for e in d["edges"]])
+        except (KeyError, TypeError) as exc:  # a missing or mistyped field
+            raise GraphError(f"malformed JSON graph: {exc!r}") from exc
 
     @classmethod
     def from_file(cls, path):
@@ -143,22 +146,31 @@ def _check_node(g, s):
         raise GraphError(f"unknown node id {s} (n={g.n})")
 
 
-def exact_sssp(g, s):
-    """Dijkstra from s; returns list of exact distances."""
-    _check_node(g, s)
-    dist = [INFINITE] * g.n
-    dist[s] = 0
-    heap = [(0, s)]
+def dijkstra(adj, source, bound=INFINITE):
+    """Distances from `source` over adjacency lists adj[u] = [(v, w)].
+
+    The package's one shortest-path kernel.  Nodes farther than `bound`
+    (or unreachable) stay INFINITE.
+    """
+    dist = [INFINITE] * len(adj)
+    dist[source] = 0
+    heap = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, w in g.adj[u]:
+        for v, w in adj[u]:
             nd = d + w
-            if nd < dist[v]:
+            if nd < dist[v] and nd <= bound:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+def exact_sssp(g, s):
+    """Dijkstra from s; returns list of exact distances."""
+    _check_node(g, s)
+    return dijkstra(g.adj, s)
 
 
 def exact_all_pairs(g):

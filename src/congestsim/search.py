@@ -269,7 +269,7 @@ def _estimate(network, schedule, delta, rng, mode, trace_sink=None):
                                  rho=rho, delta=delta, rng=rng, mode=mode)
     if trace_sink is not None:
         trace_sink.append(trace)
-    return trace, sets
+    return trace
 
 
 def approx_diameter(network, schedule=None, delta=DEFAULT_DELTA, rng=None,
@@ -283,7 +283,7 @@ def approx_diameter(network, schedule=None, delta=DEFAULT_DELTA, rng=None,
         schedule = ParameterSchedule.for_graph(network.graph)
     if rng is None:
         rng = random.Random(network.seed)
-    trace, _ = _estimate(network, schedule, delta, rng, "max", trace_sink)
+    trace = _estimate(network, schedule, delta, rng, "max", trace_sink)
     return trace.value, trace, network.ledger
 
 
@@ -293,5 +293,5 @@ def approx_radius(network, schedule=None, delta=DEFAULT_DELTA, rng=None,
         schedule = ParameterSchedule.for_graph(network.graph)
     if rng is None:
         rng = random.Random(network.seed)
-    trace, _ = _estimate(network, schedule, delta, rng, "min", trace_sink)
+    trace = _estimate(network, schedule, delta, rng, "min", trace_sink)
     return trace.value, trace, network.ledger

@@ -22,13 +22,12 @@ the sandwich bounds can be asserted with zero tolerance.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import NodeProgram
-from .graphs import INFINITE
+from .graphs import INFINITE, dijkstra
 
 
 class CongestionFailure(RuntimeError):
@@ -127,7 +126,7 @@ def bounded_distance_sssp(network, s, budget, weights=None, phase="bounded-dista
     for v in range(g.n):
         programs[v] = BoundedDistanceProgram(
             v, s, budget, {u: edge_w(v, u, w) for u, w in g.adj[v]}, g.n)
-    with network.phase(phase):
+    with network.ledger.phase(phase):
         network.run(programs, exact_rounds=budget + 1)
     return [programs[v].dist for v in range(g.n)]
 
@@ -230,17 +229,27 @@ class _SuperposedProgram(NodeProgram):
         self._flush(ctx, t0)
 
 
-def _level_adjacency(graph, hops, eps, levels):
-    """adj[level][v] = [(u, rounded_weight(w, hops, eps, level))] per neighbor u."""
+def _level_adjacency(n, edges, hops, eps, levels):
+    """adj[level][v] = [(u, rounded_weight(w, hops, eps, level))] over the
+    edges (u, v, w) at v, for nodes 0..n-1."""
     unit = 2 * Fraction(hops) / eps
-    adj = [[[] for _ in range(graph.n)] for _ in range(levels)]
-    for u, v, w in graph.edges:
+    adj = [[[] for _ in range(n)] for _ in range(levels)]
+    for u, v, w in edges:
         x = unit * w
         for level in range(levels):
             rw = max(1, -(-x.numerator // (x.denominator << level)))
             adj[level][u].append((v, rw))
             adj[level][v].append((u, rw))
     return adj
+
+
+def _min_over_levels(dists):
+    """min over levels of d << level (INFINITE if no level reached the node).
+
+    d << level is the level's distance in units of eps / (2*hops).
+    """
+    return min((d << level for level, d in enumerate(dists)
+                if d is not INFINITE), default=INFINITE)
 
 
 def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
@@ -253,7 +262,7 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     within the window.  So the run congests exactly when some node owes
     more than `stretch` broadcasts in one window; then this returns None.
     Otherwise it returns (best, messages, bits), where best[copy][v] is
-    the minimum over levels of d << level (INFINITE if no level reached v).
+    `_min_over_levels` of v's distances in that copy.
     """
     n = graph.n
     span = budget + 1
@@ -262,16 +271,14 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     best = []
     messages = bits = 0
     for copy, s in enumerate(sources):
-        row = [INFINITE] * n
+        per_level = []
         sent = 0
         for level, level_adj in enumerate(adj):
+            dist = dijkstra(level_adj, s, budget)
+            per_level.append(dist)
             base = delays[copy] + level * span
-            dist = [span] * n  # span marks "beyond the budget"
-            dist[s] = 0
-            heap = [(0, s)]
-            while heap:
-                d, v = heapq.heappop(heap)
-                if d > dist[v]:
+            for v, d in enumerate(dist):
+                if d is INFINITE:
                     continue
                 key = (base + d) * n + v
                 count = owed.get(key, 0) + 1
@@ -279,14 +286,7 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
                     return None
                 owed[key] = count
                 sent += degree[v]
-                if d << level < row[v]:
-                    row[v] = d << level
-                for u, w in level_adj[v]:
-                    nd = d + w
-                    if nd < dist[u]:
-                        dist[u] = nd
-                        heapq.heappush(heap, (nd, u))
-        best.append(row)
+        best.append([_min_over_levels(dists) for dists in zip(*per_level)])
         messages += sent
         bits += sent * max(1, copy.bit_length())
     return best, messages, bits
@@ -316,7 +316,7 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
     # one broadcast per window, so two copies must never be able to jam
     stretch = max(2, math.ceil(math.log2(max(2, g.n))))
     network._require_tree()
-    adj = _level_adjacency(g, hops, eps, levels)
+    adj = _level_adjacency(g.n, g.edges, hops, eps, levels)
 
     last_failure = None
     for _attempt in range(retries + 1):
@@ -331,7 +331,7 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
                                           stretch)
         if outcome is not None:
             best, messages, bits = outcome
-            with network.phase(phase):
+            with network.ledger.phase(phase):
                 network.charge_rounds(windows * stretch)
                 network.ledger.add_messages(messages, bits)
         else:
@@ -342,17 +342,16 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
                 for v in range(g.n)
             }
             start = network.round_clock
-            try:
-                with network.phase(phase):
+            with network.ledger.phase(phase):
+                try:
                     network.run(programs, exact_rounds=windows * stretch)
-            except CongestionFailure as failure:
-                last_failure = failure
-                network.clear_traffic()
-                network.ledger.add_rounds(network.round_clock - start)
-                continue
-            best = [[min((d << level
-                          for level, d in enumerate(programs[v].dist[copy])
-                          if d is not INFINITE), default=INFINITE)
+                except CongestionFailure as failure:
+                    # the aborted run never reached its own charge
+                    last_failure = failure
+                    network.clear_traffic()
+                    network.ledger.add_rounds(network.round_clock - start)
+                    continue
+            best = [[_min_over_levels(programs[v].dist[copy])
                      for v in range(g.n)] for copy in range(b)]
         scale = eps / (2 * Fraction(hops))
         return {s: [x if x is INFINITE else x * scale for x in best[copy]]
@@ -376,8 +375,9 @@ class SkeletonState:
     knear: dict = field(default_factory=dict)        # s -> list of overlay ids
     shortcut: dict = field(default_factory=dict)     # (u,v) -> weight
     overlay_tables: dict = field(default_factory=dict)  # s -> {u: value}
-    # level -> rounded adjacency of the complete overlay; independent of the
-    # probe source, so built by the first probe and reset with `shortcut`
+    # level -> rounded adjacency (a list over all n nodes) of the complete
+    # overlay; independent of the probe source, so built by the first probe
+    # and reset with `shortcut`
     overlay_levels: list = field(default_factory=list)
 
     def overlay_weight(self, u, v):
@@ -398,22 +398,6 @@ def build_skeleton_state(network, index, members, hops, eps, phase="mssp"):
         state.hop_tables = bounded_hop_mssp(network, members, hops, eps,
                                             phase=phase)
     return state
-
-
-def _dijkstra_on(weights_adj, source, nodes):
-    dist = {v: INFINITE for v in nodes}
-    dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in weights_adj.get(u, []):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
 
 
 def embed_overlay(network, state, k, phase="embed"):
@@ -444,13 +428,13 @@ def embed_overlay(network, state, k, phase="embed"):
             if key not in announced or w < announced[key]:
                 announced[key] = w
 
-    adj = {s: [] for s in members}
+    adj = [[] for _ in range(network.n)]
     for (u, v), w in announced.items():
         adj[u].append((v, w))
         adj[v].append((u, w))
 
     for s in members:
-        dist = _dijkstra_on(adj, s, members)
+        dist = dijkstra(adj, s)
         ranked = sorted((dist[v], v) for v in members
                         if v != s and dist[v] is not INFINITE)
         nearest = ranked[:k]
@@ -488,30 +472,20 @@ def sssp_on_overlay(network, state, s, phase="overlay-sssp"):
                  for i, u in enumerate(members) for v in members[i + 1:]]
         finite = [(u, v, w) for u, v, w in pairs if w is not INFINITE]
         max_w = max((w for _, _, w in finite), default=1)
-        for level in range(scale_levels(len(members), max_w, eps) + 1):
-            adj = {u: [] for u in members}
-            for u, v, w in finite:
-                rw = rounded_weight(w, hop_bound, eps, level)
-                adj[u].append((v, rw))
-                adj[v].append((u, rw))
-            state.overlay_levels.append(adj)
+        state.overlay_levels = _level_adjacency(
+            network.n, finite, hop_bound, eps,
+            scale_levels(len(members), max_w, eps) + 1)
 
-    d_g = network.unweighted_diameter()
-    charged = 0
-    best = {u: INFINITE for u in members}
-    for level, adj in enumerate(state.overlay_levels):
-        dist = _dijkstra_on(adj, s, members)
-        scale = eps * 2 ** level / (2 * hop_bound)
-        for u in members:
-            if dist[u] is not INFINITE and dist[u] <= budget:
-                cand = dist[u] * scale
-                if best[u] is INFINITE or cand < best[u]:
-                    best[u] = cand
-        # per overlay round: count senders (D_G), broadcast (D_G + a); a is
-        # charged at its bound |S| so every probe costs the same (lockstep)
-        charged += (budget + 1) * (2 * d_g + 1 + len(members))
-
-    network.charge_rounds(charged, phase=phase)
+    per_level = [dijkstra(adj, s, budget) for adj in state.overlay_levels]
+    scale = eps / (2 * hop_bound)
+    best = {}
+    for u in members:
+        x = _min_over_levels([dist[u] for dist in per_level])
+        best[u] = x if x is INFINITE else x * scale
+    # per overlay round: count senders (D_G), broadcast (D_G + a); a is
+    # charged at its bound |S| so every probe costs the same (lockstep)
+    network.charge_rounds(len(per_level) * (budget + 1) * (
+        2 * network.unweighted_diameter() + 1 + len(members)), phase=phase)
     state.overlay_tables[s] = best
     return best
 

@@ -1,7 +1,12 @@
 import json
 
+import pytest
+
+from congestsim import cli
 from congestsim.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from congestsim.engine import MaxRoundsExceeded
 from congestsim.graphs import WeightedGraph
+from congestsim.toolkit import CongestionFailure
 
 
 def run(args, capsys):
@@ -126,3 +131,41 @@ def test_reports_byte_identical(tmp_path, capsys):
         assert code == EXIT_OK
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys):
+    for body in ({"edges": [[0, 1, 1]]}, {"node_count": 2},
+                 {"node_count": "2", "edges": [[0, 1, 1]]},
+                 {"node_count": 2, "edges": [["0", 1, 1]]}):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(body))
+        code, _, err = run(["oracle", "--graph", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_negative_trials_is_a_usage_error(capsys):
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",
+                          "--trials", "-2"], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:")
+
+
+def test_bandwidth_exceeded_is_a_one_line_error(capsys):
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",
+                          "--bandwidth", "1"], capsys)
+    assert code == EXIT_FAILURE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("failure", [CongestionFailure("jammed"),
+                                     MaxRoundsExceeded("no halt")])
+def test_run_failures_are_one_line_errors(monkeypatch, capsys, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "approx_diameter", fail)
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8"],
+                         capsys)
+    assert code == EXIT_FAILURE
+    assert out == "" and err == f"error: {failure}\n"

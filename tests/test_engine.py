@@ -126,6 +126,22 @@ def test_ledger_bits_match_observed():
     assert net.ledger.bits == net.ledger.messages == observed
 
 
+def test_nested_phase_takes_its_own_charge():
+    net = Network(path_graph(2))
+    with net.ledger.phase("outer"):
+        net.charge_rounds(3)
+        net.charge_rounds(5, phase="inner")
+        with net.ledger.phase("innermost"):
+            net.ledger.add_messages(2, 7)
+        net.charge_rounds(1)
+    net.charge_rounds(4)  # outside every phase
+    phases = [(p.name, p.rounds, p.messages, p.bits)
+              for p in net.ledger.phases]
+    assert phases == [("outer", 4, 0, 0), ("inner", 5, 0, 0),
+                      ("innermost", 0, 2, 7)]
+    assert (net.ledger.rounds, net.round_clock) == (13, 13)
+
+
 def test_exact_rounds_charges_whole_budget():
     net = Network(path_graph(4))
     programs = {v: Flood(v, 0) for v in range(5)}

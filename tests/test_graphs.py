@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congestsim.graphs import (
     INFINITE,
@@ -10,6 +12,7 @@ from congestsim.graphs import (
     contract_unit_edges,
     cycle_graph,
     diameter,
+    dijkstra,
     eccentricity,
     exact_bounded_hop,
     exact_sssp,
@@ -41,6 +44,31 @@ def test_sssp_matches_relaxation_oracle():
         oracle = all_pairs_relaxation(g)
         for s in range(g.n):
             assert exact_sssp(g, s) == oracle[s]
+
+
+@st.composite
+def small_graphs(draw):
+    """A random spanning tree on 1-9 nodes plus random extra edges."""
+    n = draw(st.integers(1, 9))
+    weights = st.integers(1, 12)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weights)
+             for v in range(1, n)}
+    for u, v, w in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1), weights),
+                                 max_size=12)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), w)
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_dijkstra_matches_relaxation_oracle(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    row = all_pairs_relaxation(g)[s]
+    for bound in (0, max(row) // 2, INFINITE):
+        assert dijkstra(g.adj, s, bound) == [
+            d if d <= bound else INFINITE for d in row]
 
 
 def test_bounded_hop_triangle():

@@ -13,6 +13,7 @@ from congestsim.graphs import (
     star_graph,
 )
 from congestsim.toolkit import (
+    CongestionFailure,
     approx_distance,
     approx_eccentricity,
     bounded_distance_sssp,
@@ -211,6 +212,18 @@ def test_mssp_deterministic():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("seed", [49, 56])
+def test_aborted_mssp_attempt_is_charged_to_its_phase(seed):
+    # criterion-5 configurations whose only attempt congests
+    g = random_connected_graph(16, max_weight=10, rng=random.Random(seed))
+    net = Network(g, seed=seed)
+    with pytest.raises(CongestionFailure):
+        bounded_hop_mssp(net, list(range(16)), 16, Fraction(1, 4), retries=0)
+    assert sum(p.rounds for p in net.ledger.phases) == net.ledger.rounds
+    assert net.ledger.phases[-1].name == "mssp"
+    assert net.ledger.phases[-1].rounds > net.ledger.rounds / 2
+
+
 # --- overlay stages ------------------------------------------------------
 
 
@@ -292,6 +305,37 @@ def test_overlay_probe_cost_constant():
         sssp_on_overlay(net, state, s)
         costs.append(net.ledger.rounds - before)
     assert len(set(costs)) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_overlay_sssp_matches_level_enumeration(k):
+    g = random_connected_graph(14, rng=random.Random(6))
+    members = [1, 4, 7, 10, 13]
+    net, state = pipeline_state(g, members, 6, k)
+    eps = state.eps
+    hop_bound = Fraction(4 * len(members), k)
+    budget = hop_budget(hop_bound, eps)
+    # independent recomputation: exact Dijkstra per level on a graph of the
+    # rounded overlay weights, nodes renumbered 0..|S|-1
+    edges = [(i, j, state.overlay_weight(u, v))
+             for i, u in enumerate(members)
+             for j, v in enumerate(members) if i < j]
+    top = scale_levels(len(members), max(w for _, _, w in edges), eps)
+    cut = 0
+    for i, s in enumerate(members):
+        best = {u: INFINITE for u in members}
+        for level in range(top + 1):
+            rg = WeightedGraph(len(members), [
+                (a, b, rounded_weight(w, hop_bound, eps, level))
+                for a, b, w in edges])
+            d = exact_sssp(rg, i)
+            scale = eps * 2 ** level / (2 * hop_bound)
+            for j, u in enumerate(members):
+                cut += d[j] > budget
+                if d[j] <= budget and d[j] * scale < best[u]:
+                    best[u] = d[j] * scale
+        assert sssp_on_overlay(net, state, s) == best
+    assert cut  # the distance budget cut some level short
 
 
 def test_overlay_sssp_follows_reembedding():
