@@ -41,6 +41,10 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+# Largest gadget height the tests build (acceptance criterion 9); the node
+# count grows as 2^(1.5h), so h = 8 already means cliques of 4096 nodes.
+MAX_GADGET_H = 6
+
 
 class UsageError(Exception):
     pass
@@ -173,8 +177,9 @@ def _gadget_inputs(args, size):
 
 
 def cmd_gadget(args):
-    if args.h % 2 or args.h < 2:
-        raise UsageError(f"h must be an even number >= 2: {args.h}")
+    if args.h % 2 or not 2 <= args.h <= MAX_GADGET_H:
+        raise UsageError(
+            f"h must be an even number from 2 to {MAX_GADGET_H}: {args.h}")
     s = 3 * args.h // 2
     size = 2 ** s * 2 ** (s - args.h)
     x, y = _gadget_inputs(args, size)

@@ -77,9 +77,6 @@ class CostLedger:
         if self._open:
             self._open[-1].rounds += k
 
-    def add_message(self, bits):
-        self.add_messages(1, bits)
-
     def add_messages(self, count, bits):
         """Account `count` messages carrying `bits` bits in total."""
         self.messages += count
@@ -134,23 +131,12 @@ class Context:
         """Rounds since this run() started."""
         return self.round - self._start_round
 
-    @property
-    def rng(self):
-        return self.network.rng_for(self.node)
-
     def neighbors(self):
         return [v for v, _ in self.network.graph.adj[self.node]]
 
     def send(self, neighbor, payload, bits=None):
         self.network._send(self.node, neighbor, payload,
-                           bits if bits is not None else payload_bits(payload),
-                           self.round)
-
-    def send_word(self, neighbor, payload, bits=None):
-        """Send a word of arbitrary width, fragmented over consecutive rounds."""
-        self.network._send_fragmented(
-            self.node, neighbor, payload,
-            bits if bits is not None else payload_bits(payload), self.round)
+                           bits if bits is not None else payload_bits(payload))
 
     def broadcast(self, payload, bits=None):
         for v in self.neighbors():
@@ -168,6 +154,8 @@ class Network:
         self.n = graph.n
         if bandwidth_bits is None:
             bandwidth_bits = max(4, math.ceil(4 * math.log2(max(2, graph.n))))
+        if bandwidth_bits < 1:
+            raise ValueError(f"bandwidth must be >= 1 bit: {bandwidth_bits}")
         self.bandwidth_bits = bandwidth_bits
         self.leader = leader
         self.seed = seed
@@ -176,7 +164,7 @@ class Network:
         self._rngs = {}
         # delivery round -> node -> list of (sender, payload)
         self._pending = {}
-        # (u, v, round) -> bits already claimed
+        # (u, v) -> bits claimed in the current round
         self._edge_bits = {}
         self._wakes = set()
         self._wake_heap = []
@@ -217,38 +205,18 @@ class Network:
 
     # --- low-level message plumbing -------------------------------------
 
-    def _claim_edge(self, u, v, round_no, bits):
-        key = (u, v, round_no)
-        total = self._edge_bits.get(key, 0) + bits
-        if total > self.bandwidth_bits:
-            raise BandwidthExceeded((u, v), round_no, total, self.bandwidth_bits)
-        self._edge_bits[key] = total
-
-    def _deliver(self, v, round_no, sender, payload):
-        per_node = self._pending.setdefault(round_no, {})
-        per_node.setdefault(v, []).append((sender, payload))
-
-    def _send(self, u, v, payload, bits, round_no):
-        if bits > self.bandwidth_bits:
-            raise BandwidthExceeded((u, v), round_no, bits, self.bandwidth_bits)
-        self._claim_edge(u, v, round_no, bits)
-        self.ledger.add_message(bits)
-        self._note_send(round_no)
-        self._deliver(v, round_no + 1, u, payload)
-
-    def _send_fragmented(self, u, v, payload, bits, round_no):
-        b = self.bandwidth_bits
-        nfrag = max(1, (bits + b - 1) // b)
-        for j in range(nfrag):
-            frag_bits = min(b, bits - j * b)
-            self._claim_edge(u, v, round_no + j, frag_bits)
-            self.ledger.add_message(frag_bits)
-        self._note_send(round_no + nfrag - 1)
-        self._deliver(v, round_no + nfrag, u, payload)
-
-    def _note_send(self, round_no):
-        if self._last_send_round is None or round_no > self._last_send_round:
-            self._last_send_round = round_no
+    def _send(self, u, v, payload, bits):
+        """Send in the round being processed; it is read in the next one."""
+        r, limit = self.round_clock, self.bandwidth_bits
+        if bits > limit:
+            raise BandwidthExceeded((u, v), r, bits, limit)
+        total = self._edge_bits.get((u, v), 0) + bits
+        if total > limit:
+            raise BandwidthExceeded((u, v), r, total, limit)
+        self._edge_bits[u, v] = total
+        self.ledger.add_messages(1, bits)
+        self._last_send_round = r
+        self._pending.setdefault(r + 1, {}).setdefault(v, []).append((u, payload))
 
     def _wake(self, node, round_no):
         if round_no < self.round_clock:
@@ -315,7 +283,7 @@ class Network:
                 prog.on_round(ctx)
 
             self.round_clock += 1
-            self._prune_edge_bits()
+            self._edge_bits.clear()
 
             if budget_end is None and self._quiescent(programs):
                 break
@@ -357,11 +325,6 @@ class Network:
         if self._pending or self._wake_heap:
             return False
         return all(p.halted for p in programs.values())
-
-    def _prune_edge_bits(self):
-        if len(self._edge_bits) > 4 * len(self.graph.edges):
-            r = self.round_clock
-            self._edge_bits = {k: v for k, v in self._edge_bits.items() if k[2] >= r}
 
     # --- tree primitives -------------------------------------------------
 

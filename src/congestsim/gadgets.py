@@ -284,21 +284,20 @@ def _contracted_handles(inst, mapping):
     return handles
 
 
-def check_table2(inst, contracted=None, mapping=None):
+def check_table2(inst, mapping=None, dist=None):
     """Every tabulated distance upper bound, checked on the contracted graph.
 
-    Returns (rows_checked, failures) where failures lists
+    `mapping` and `dist` are the contraction's node map and its all-pairs
+    table dist[u][v]; both are computed when not given.  Returns
+    (rows_checked, failures) where failures lists
     (description, u, v, distance, bound).
     """
-    if contracted is None:
+    if dist is None:
         contracted, mapping = contract_unit_edges(inst.graph)
+        dist = [exact_sssp(contracted, u) for u in range(contracted.n)]
     hd = _contracted_handles(inst, mapping)
     a, b = inst.alpha, inst.beta
     sel, s, l = inst.selectors, inst.s, inst.l
-    dist = {}
-    sources = {hd["t"], *hd["a"].values(), *hd["b"].values(), *hd["routers"]}
-    for u in sources:
-        dist[u] = exact_sssp(contracted, u)
 
     rows = []
     t = hd["t"]
@@ -346,12 +345,11 @@ def verify_reduction(inst):
     contracted, mapping = contract_unit_edges(g)
     sel, l = inst.selectors, inst.l
 
-    def metric(graph):
-        eccs = [max(exact_sssp(graph, u)) for u in range(graph.n)]
-        return (max(eccs) if inst.variant == "diameter" else min(eccs)), eccs
-
-    exact, _ = metric(g)
-    exact_c, eccs_c = metric(contracted)
+    extremum = max if inst.variant == "diameter" else min
+    exact = extremum(max(exact_sssp(g, u)) for u in range(n))
+    dist_c = [exact_sssp(contracted, u) for u in range(contracted.n)]
+    eccs_c = [max(row) for row in dist_c]
+    exact_c = extremum(eccs_c)
 
     if inst.variant == "diameter":
         fval = eval_F(inst.x, inst.y, sel, l)
@@ -372,7 +370,7 @@ def verify_reduction(inst):
         counterexamples.append(
             {"check": "gap-lower", "detail": f"{exact} < {lower} with F=0"})
 
-    table_rows, table_failures = check_table2(inst, contracted, mapping)
+    table_rows, table_failures = check_table2(inst, mapping, dist_c)
     for desc, u, v, d, bound in table_failures:
         counterexamples.append(
             {"check": f"table2-{desc}",

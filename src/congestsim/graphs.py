@@ -173,10 +173,6 @@ def exact_sssp(g, s):
     return dijkstra(g.adj, s)
 
 
-def exact_all_pairs(g):
-    return [exact_sssp(g, s) for s in range(g.n)]
-
-
 def exact_bounded_hop(g, s, hops):
     """Least length over paths with at most `hops` edges (Bellman-Ford rounds)."""
     _check_node(g, s)

@@ -67,13 +67,13 @@ class ParameterSchedule:
     @classmethod
     def for_graph(cls, g, eps_floor=None):
         n = g.n
-        d = max(1, diameter(g.unit_weights()))
+        d = diameter(g.unit_weights())
         eps = default_eps(n)
         if eps_floor is not None:
             floor = Fraction(eps_floor).limit_denominator(10 ** 6)
             if eps < floor:
                 eps = floor
-        r = min(n, max(1, math.ceil(n ** 0.4 * d ** -0.2)))
+        r = min(n, max(1, math.ceil(n ** 0.4 * max(1, d) ** -0.2)))
         hops = min(n, max(1, math.ceil(n * math.log2(max(2, n)) / r)))
         k = max(1, math.ceil(math.sqrt(d)))
         return cls(n=n, unweighted_diameter=d, eps=eps, r=r, hops=hops, k=k)
@@ -256,20 +256,29 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     return trace.value, trace.charged_rounds
 
 
-def _estimate(network, schedule, delta, rng, mode, trace_sink=None):
-    sets = network.sample_skeleton_sets(schedule.r, network.n)
-    cache = {}
+def _estimate(network, schedule, delta, rng, mode, trace_sink):
+    if schedule is None:
+        schedule = ParameterSchedule.for_graph(network.graph)
+    if rng is None:
+        rng = random.Random(network.seed)
+    if network.n == 1:
+        # a lone node is its own farthest and most central node: no messages
+        trace = SearchTrace(mode=mode, delta=delta, candidate_count=1,
+                            found=0, value=0)
+    else:
+        sets = network.sample_skeleton_sets(schedule.r, network.n)
+        cache = {}
 
-    def outer(i):
-        return evaluate_f_i(network, i, sets[i], schedule, delta, mode=mode,
-                            trace_sink=trace_sink, cache=cache)
+        def outer(i):
+            return evaluate_f_i(network, i, sets[i], schedule, delta, mode=mode,
+                                trace_sink=trace_sink, cache=cache)
 
-    rho = Fraction(min(schedule.r, network.n), network.n)
-    trace = amplified_max_search(list(range(network.n)), outer,
-                                 rho=rho, delta=delta, rng=rng, mode=mode)
+        rho = Fraction(min(schedule.r, network.n), network.n)
+        trace = amplified_max_search(list(range(network.n)), outer, rho=rho,
+                                     delta=delta, rng=rng, mode=mode)
     if trace_sink is not None:
         trace_sink.append(trace)
-    return trace
+    return trace.value, trace, network.ledger
 
 
 def approx_diameter(network, schedule=None, delta=DEFAULT_DELTA, rng=None,
@@ -279,19 +288,9 @@ def approx_diameter(network, schedule=None, delta=DEFAULT_DELTA, rng=None,
 
     Returns (estimate, outer SearchTrace, ledger).
     """
-    if schedule is None:
-        schedule = ParameterSchedule.for_graph(network.graph)
-    if rng is None:
-        rng = random.Random(network.seed)
-    trace = _estimate(network, schedule, delta, rng, "max", trace_sink)
-    return trace.value, trace, network.ledger
+    return _estimate(network, schedule, delta, rng, "max", trace_sink)
 
 
 def approx_radius(network, schedule=None, delta=DEFAULT_DELTA, rng=None,
                   trace_sink=None):
-    if schedule is None:
-        schedule = ParameterSchedule.for_graph(network.graph)
-    if rng is None:
-        rng = random.Random(network.seed)
-    trace = _estimate(network, schedule, delta, rng, "min", trace_sink)
-    return trace.value, trace, network.ledger
+    return _estimate(network, schedule, delta, rng, "min", trace_sink)

@@ -107,25 +107,19 @@ class BoundedDistanceProgram(NodeProgram):
             ctx.broadcast(self.dist, bits=_distance_bits(self.n, self.dist))
 
 
-def bounded_distance_sssp(network, s, budget, weights=None, phase="bounded-distance"):
+def bounded_distance_sssp(network, s, budget, adj=None, phase="bounded-distance"):
     """Each node learns its distance from s if it is <= budget, else INFINITE.
 
-    Consumes exactly budget+1 engine rounds.  `weights` optionally maps
-    canonical edge pairs to rounded weights (defaults to graph weights).
+    Consumes exactly budget+1 engine rounds.  `adj` optionally gives the
+    per-node adjacency lists [(u, w)] of rounded weights (defaults to the
+    graph's own).
     """
     g = network.graph
     if budget < 0:
         raise ValueError(f"budget must be >= 0: {budget}")
-
-    def edge_w(u, v, w):
-        if weights is None:
-            return w
-        return weights[(min(u, v), max(u, v))]
-
-    programs = {}
-    for v in range(g.n):
-        programs[v] = BoundedDistanceProgram(
-            v, s, budget, {u: edge_w(v, u, w) for u, w in g.adj[v]}, g.n)
+    adj = g.adj if adj is None else adj
+    programs = {v: BoundedDistanceProgram(v, s, budget, dict(adj[v]), g.n)
+                for v in range(g.n)}
     with network.ledger.phase(phase):
         network.run(programs, exact_rounds=budget + 1)
     return [programs[v].dist for v in range(g.n)]
@@ -140,20 +134,12 @@ def bounded_hop_sssp(network, s, hops, eps, phase="bounded-hop-sssp"):
     g = network.graph
     _check_hops_eps(hops, eps)
     budget = hop_budget(hops, eps)
-    top = scale_levels(g.n, g.max_weight, eps)
-    best = [INFINITE] * g.n
-    for level in range(top + 1):
-        weights = {(u, v): rounded_weight(w, hops, eps, level)
-                   for u, v, w in g.edges}
-        dist = bounded_distance_sssp(network, s, budget, weights=weights,
-                                     phase=phase)
-        scale = eps * 2 ** level / (2 * Fraction(hops))
-        for v in range(g.n):
-            if dist[v] is not INFINITE and dist[v] <= budget:
-                cand = dist[v] * scale
-                if best[v] is INFINITE or cand < best[v]:
-                    best[v] = cand
-    return best
+    levels = scale_levels(g.n, g.max_weight, eps) + 1
+    per_level = [bounded_distance_sssp(network, s, budget, adj=adj, phase=phase)
+                 for adj in _level_adjacency(g.n, g.edges, hops, eps, levels)]
+    scale = eps / (2 * Fraction(hops))
+    return [x if x is INFINITE else x * scale
+            for x in map(_min_over_levels, zip(*per_level))]
 
 
 class _SuperposedProgram(NodeProgram):
@@ -372,7 +358,6 @@ class SkeletonState:
     eps: Fraction
     k: int = 0
     hop_tables: dict = field(default_factory=dict)   # s -> per-node list
-    knear: dict = field(default_factory=dict)        # s -> list of overlay ids
     shortcut: dict = field(default_factory=dict)     # (u,v) -> weight
     overlay_tables: dict = field(default_factory=dict)  # s -> {u: value}
     # level -> rounded adjacency (a list over all n nodes) of the complete
@@ -411,7 +396,6 @@ def embed_overlay(network, state, k, phase="embed"):
     """
     members = state.members
     state.k = k
-    state.knear = {}
     state.shortcut = {}
     state.overlay_levels = []
     if len(members) < 2 or k <= 0:
@@ -437,9 +421,7 @@ def embed_overlay(network, state, k, phase="embed"):
         dist = dijkstra(adj, s)
         ranked = sorted((dist[v], v) for v in members
                         if v != s and dist[v] is not INFINITE)
-        nearest = ranked[:k]
-        state.knear[s] = [v for _, v in nearest]
-        for d, v in nearest:
+        for d, v in ranked[:k]:
             key = (min(s, v), max(s, v))
             if key not in state.shortcut or d < state.shortcut[key]:
                 state.shortcut[key] = d

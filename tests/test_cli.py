@@ -121,6 +121,13 @@ def test_gadget_odd_h(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("h", ["8", "40"])
+def test_gadget_h_is_capped(capsys, h):
+    code, out, err = run(["gadget", "verify", "--h", h], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     args = ["approx", "diameter", "--gen", "random-connected", "--n", "10",
             "--trials", "2", "--seed", "9"]
@@ -156,6 +163,25 @@ def test_bandwidth_exceeded_is_a_one_line_error(capsys):
                           "--bandwidth", "1"], capsys)
     assert code == EXIT_FAILURE
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bandwidth", ["0", "-5"])
+def test_nonpositive_bandwidth_is_a_usage_error(capsys, bandwidth):
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",
+                          "--bandwidth", bandwidth], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("quantity", ["diameter", "radius"])
+def test_single_node_needs_no_rounds(capsys, quantity):
+    code, out, _ = run(["approx", quantity, "--gen", "cycle", "--n", "1"],
+                       capsys)
+    assert code == EXIT_OK
+    trial = json.loads(out)["trials"][0]
+    assert trial["unweighted_diameter"] == 0 and trial["rounds"] == 0
+    assert trial["estimate"] == trial["true_value"] == 0
+    assert trial["success"] is True
 
 
 @pytest.mark.parametrize("failure", [CongestionFailure("jammed"),

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congestsim.engine import (
     BandwidthExceeded,
@@ -88,28 +90,91 @@ def test_bandwidth_accumulates_per_edge_per_round():
         net.run({0: TwoHalves()})
 
 
-def test_fragmented_word():
+class Scripted(NodeProgram):
+    """Send a fixed script: round -> [(neighbor or None for all, bits)]."""
+
+    halted = True  # pending wakes and deliveries keep the run going
+
+    def __init__(self, script, arrivals):
+        self.script = script
+        self.arrivals = arrivals
+
+    def on_round(self, ctx):
+        r = ctx.local_round
+        for sender, payload in ctx.inbox:
+            self.arrivals.append((sender, ctx.node, payload, r))
+        for i, (v, bits) in enumerate(self.script.get(r, ())):
+            if v is None:
+                ctx.broadcast((r, i), bits=bits)
+            else:
+                ctx.send(v, (r, i), bits=bits)
+        later = [t for t in self.script if t > r]
+        if later:
+            ctx.wake_at(ctx.round - r + min(later))
+
+
+def plain_model(g, scripts, bandwidth):
+    """The sends a run makes, in engine order, up to the first violation.
+
+    Returns (sends, violation) with sends a list of (u, v, payload, bits,
+    round) and violation None or the (edge, round, bits) it must report.
+    """
+    sends, load = [], {}
+    for r in sorted({t for script in scripts.values() for t in script}):
+        for u in sorted(scripts):
+            for i, (target, bits) in enumerate(scripts[u].get(r, ())):
+                targets = [v for v, _ in g.adj[u]] if target is None else [target]
+                for v in targets:
+                    load[u, v, r] = load.get((u, v, r), 0) + bits
+                    if bits > bandwidth:
+                        return sends, ((u, v), r, bits)
+                    if load[u, v, r] > bandwidth:
+                        return sends, ((u, v), r, load[u, v, r])
+                    sends.append((u, v, (r, i), bits, r))
+    return sends, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bandwidth_and_ledger_match_plain_model(data):
+    n = data.draw(st.integers(2, 6))
+    g = random_connected_graph(n, rng=random.Random(data.draw(st.integers(0, 999))))
+    bandwidth = data.draw(st.integers(1, 6))
+    width = st.integers(1, bandwidth + 1)
+    scripts = {}
+    for u in range(n):
+        send = st.tuples(st.sampled_from([None] + [v for v, _ in g.adj[u]]), width)
+        scripts[u] = data.draw(st.dictionaries(
+            st.integers(0, 5), st.lists(send, max_size=3), max_size=3))
+    budget = data.draw(st.sampled_from([None, 6, 9]))
+    net = Network(g, bandwidth_bits=bandwidth)
+    arrivals = []
+    programs = {u: Scripted(scripts[u], arrivals) for u in range(n)}
+    sends, violation = plain_model(g, scripts, bandwidth)
+    if violation is not None:
+        with pytest.raises(BandwidthExceeded) as exc:
+            net.run(programs, exact_rounds=budget)
+        assert (exc.value.edge, exc.value.round_no, exc.value.bits,
+                exc.value.limit) == violation + (bandwidth,)
+        return
+    used = net.run(programs, exact_rounds=budget)
+    last = max((r for *_, r in sends), default=None)
+    expected = budget if budget is not None else (0 if last is None else last + 1)
+    assert used == net.ledger.rounds == expected
+    assert net.ledger.messages == len(sends)
+    assert net.ledger.bits == sum(bits for *_, bits, _ in sends)
+    # a message sent in round r is read in round r + 1, if the run gets there
+    end = budget if budget is not None else expected + 1
+    assert sorted(arrivals) == sorted((u, v, p, r + 1) for u, v, p, _, r in sends
+                                      if r + 1 < end)
+
+
+def test_bandwidth_must_be_positive():
     g = WeightedGraph(2, [(0, 1, 1)])
-    net = Network(g)
-    b = net.bandwidth_bits
-
-    class Wide(NodeProgram):
-        def on_round(self, ctx):
-            ctx.send_word(1, 7, bits=3 * b)
-            self.halted = True
-
-    class Sink(NodeProgram):
-        got = None
-        halted = True
-
-        def on_round(self, ctx):
-            self.got = (ctx.local_round, ctx.inbox)
-
-    sink = Sink()
-    net.run({0: Wide(), 1: sink})
-    assert net.ledger.messages == 3
-    assert net.ledger.bits == 3 * b
-    assert sink.got == (3, [(0, 7)])
+    for bits in (0, -5):
+        with pytest.raises(ValueError, match="bandwidth"):
+            Network(g, bandwidth_bits=bits)
+    assert Network(g, bandwidth_bits=1).bandwidth_bits == 1
 
 
 def test_ledger_bits_match_observed():

@@ -47,6 +47,8 @@ def test_schedule_clamps():
     assert 1 <= sch.r <= 2
     assert 1 <= sch.hops <= 2
     assert sch.k == 1
+    lone = ParameterSchedule.for_graph(WeightedGraph(1, []))
+    assert (lone.unweighted_diameter, lone.r, lone.hops, lone.k) == (0, 1, 1, 1)
     floored = ParameterSchedule.for_graph(cycle_graph(16), eps_floor=0.5)
     assert floored.eps == Fraction(1, 2)
 

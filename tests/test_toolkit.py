@@ -122,9 +122,12 @@ def test_bounded_hop_triangle():
     assert 2 <= table[2] <= (1 + eps) * 3
 
 
-def test_bounded_hop_matches_level_enumeration():
+@pytest.mark.parametrize("hops, eps", [(3, Fraction(1, 2)),
+                                       (Fraction(7, 2), Fraction(1, 4)),
+                                       (1, Fraction(1, 3))],
+                         ids=["hops3", "hops7_2", "hops1"])
+def test_bounded_hop_matches_level_enumeration(hops, eps):
     g = random_connected_graph(8, max_weight=6, rng=random.Random(1))
-    hops, eps = 3, Fraction(1, 2)
     table = bounded_hop_sssp(Network(g), 0, hops, eps)
     budget = hop_budget(hops, eps)
     # independent recomputation: Dijkstra per level on the rounded weights
