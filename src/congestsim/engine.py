@@ -2,15 +2,15 @@
 
 Semantics: in each round every node may send at most B bits along each
 incident (directed) edge; a message sent in round r is readable in round
-r+1.  The engine fast-forwards over rounds in which no delivery or wake
-is scheduled, but the round clock and the cost ledger still account for
-every round of the budget.
+r+1.  Deliveries and wakes share one agenda (a wake is an empty delivery).
+The engine fast-forwards over rounds with nothing on the agenda, but the
+round clock and the cost ledger still account for every round of the
+budget.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import json
 import math
 import random
@@ -162,12 +162,10 @@ class Network:
         self.round_clock = 0
         self.ledger = CostLedger()
         self._rngs = {}
-        # delivery round -> node -> list of (sender, payload)
+        # round -> node -> list of (sender, payload); a wake is an empty list
         self._pending = {}
         # (u, v) -> bits claimed in the current round
         self._edge_bits = {}
-        self._wakes = set()
-        self._wake_heap = []
         self._last_send_round = None
         # BFS tree cache: (parent, children, depth) lists
         self.tree = None
@@ -192,8 +190,6 @@ class Network:
     def clear_traffic(self):
         """Drop all in-flight messages and wakes (e.g. after an aborted run)."""
         self._pending.clear()
-        self._wakes.clear()
-        self._wake_heap.clear()
         self._edge_bits.clear()
 
     def rng_for(self, node):
@@ -219,22 +215,10 @@ class Network:
         self._pending.setdefault(r + 1, {}).setdefault(v, []).append((u, payload))
 
     def _wake(self, node, round_no):
-        if round_no < self.round_clock:
-            raise ValueError(f"cannot wake in the past: {round_no} < {self.round_clock}")
-        if (round_no, node) not in self._wakes:
-            self._wakes.add((round_no, node))
-            heapq.heappush(self._wake_heap, (round_no, node))
-
-    def _pop_wakes(self, round_no):
-        # Entries below round_no are stale (registered for a round that was
-        # already being processed); drain them so they cannot clog the heap.
-        woken = []
-        while self._wake_heap and self._wake_heap[0][0] <= round_no:
-            item = heapq.heappop(self._wake_heap)
-            self._wakes.discard(item)
-            if item[0] == round_no:
-                woken.append(item[1])
-        return woken
+        if round_no <= self.round_clock:
+            raise ValueError(
+                f"a wake must name a later round: {round_no} <= {self.round_clock}")
+        self._pending.setdefault(round_no, {}).setdefault(node, [])
 
     # --- the round loop --------------------------------------------------
 
@@ -269,12 +253,8 @@ class Network:
                 break
 
             inboxes = self._pending.pop(r, {})
-            woken = self._pop_wakes(r)
-            if first:
-                active = sorted(programs.keys())
-                first = False
-            else:
-                active = sorted(set(inboxes) | set(woken))
+            active = sorted(programs if first else inboxes)
+            first = False
             for v in active:
                 prog = programs.get(v)
                 if prog is None:
@@ -288,12 +268,10 @@ class Network:
             if budget_end is None and self._quiescent(programs):
                 break
 
-            # Fast-forward to the next round with a delivery or a wake; the
-            # skipped quiet rounds still count against the budget.
-            nxt = min(self._pending) if self._pending else None
-            if self._wake_heap and (nxt is None or self._wake_heap[0][0] < nxt):
-                nxt = self._wake_heap[0][0]
-            if nxt is not None:
+            # Fast-forward to the next round on the agenda; the skipped quiet
+            # rounds still count against the budget.
+            if self._pending:
+                nxt = min(self._pending)
                 for end in (budget_end, limit_end):
                     if end is not None and nxt > end:
                         nxt = end
@@ -314,6 +292,9 @@ class Network:
         if budget_end is not None:
             used = budget_end - start
             self.round_clock = budget_end
+            # what a budget's last round sent is never read by this run;
+            # the next run's programs must not read it either
+            self._pending.clear()
         elif self._last_send_round is not None:
             used = self._last_send_round - start + 1
         else:
@@ -322,7 +303,7 @@ class Network:
         return used
 
     def _quiescent(self, programs):
-        if self._pending or self._wake_heap:
+        if self._pending:
             return False
         return all(p.halted for p in programs.values())
 

@@ -8,7 +8,10 @@ for quantum maximum finding.
 
 Charged rounds of a search are T0 + evaluations * T, where T0 is the
 one-time setup and T the per-evaluation round cost (constant across
-probes: the real protocol runs every probe in lockstep).
+probes: the real protocol runs every probe in lockstep).  The estimators
+charge the ledger exactly that: the BFS tree is the outer search's T0,
+and the rounds by which the lockstep account exceeds the phases actually
+run go to a final `lockstep` phase.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .engine import Phase
 from .graphs import INFINITE, diameter
 from .toolkit import (
     build_skeleton_state,
@@ -184,6 +188,28 @@ def reference_search(candidates, evaluate, mode="max"):
     return best_x, best_v
 
 
+def _memoized(network, memo, key, compute):
+    """(compute(), rounds charged), computing once per key.
+
+    A repeat returns the first result and replays the phases the first run
+    appended to the ledger, with their names, rounds, messages and bits,
+    so a memo hit costs what computing did.
+    """
+    ledger = network.ledger
+    mark = ledger.rounds
+    if key not in memo:
+        first = len(ledger.phases)
+        memo[key] = compute(), ledger.phases[first:]
+    else:
+        for p in memo[key][1]:
+            ledger.phases.append(Phase(p.name, p.rounds, p.messages, p.bits))
+            ledger.rounds += p.rounds
+            ledger.messages += p.messages
+            ledger.bits += p.bits
+            network.round_clock += p.rounds
+    return memo[key][0], ledger.rounds - mark
+
+
 def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
                  mode="max", trace_sink=None, cache=None):
     """f(i): extremum over skeleton sources s of the approximate
@@ -194,27 +220,22 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     charged once) + inner amplified search over sources, each probe
     paying: collect the skeleton, announce s, overlay distances, local
     combine + convergecast.
+
+    `cache` memoizes the tables and the probes across calls (None: within
+    this call only); a repeat replays the phases its first run charged.
     """
     members = sorted(members)
     if not members:
         return None, 0
     d_g = network.unweighted_diameter()
-    ledger = network.ledger
+    memo = {} if cache is None else cache
 
-    # Repeat evaluations of the same index reproduce the same tables and
-    # the same round cost; reuse the tables but charge the rounds again.
-    cached = cache.get(("init", index)) if cache is not None else None
-    if cached is not None:
-        state, init_rounds = cached
-        network.charge_rounds(init_rounds, phase="init")
-    else:
-        mark = ledger.rounds
+    def init():
         state = build_skeleton_state(network, index, members, schedule.hops,
                                      schedule.eps)
-        embed_overlay(network, state, schedule.k)
-        init_rounds = ledger.rounds - mark
-        if cache is not None:
-            cache[("init", index)] = (state, init_rounds)
+        return embed_overlay(network, state, schedule.k)
+
+    state, init_rounds = _memoized(network, memo, ("init", index), init)
 
     if len(members) == 1:
         s = members[0]
@@ -230,22 +251,16 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
         return value, init_rounds + extra
 
     def probe(s):
-        cached = cache.get(("probe", index, s)) if cache is not None else None
-        if cached is not None:
-            value, rounds = cached
-            network.charge_rounds(rounds, phase="setup")
-            return value, rounds
-        probe_mark = ledger.rounds
-        # collect the skeleton at the prober, then announce s
-        network.charge_rounds(d_g + len(members), phase="setup")
-        network.charge_rounds(d_g, phase="setup")
-        sssp_on_overlay(network, state, s)
-        value = approx_eccentricity(state, s, node_count=network.n)
-        network.charge_rounds(d_g, phase="eval")  # convergecast the extremum
-        rounds = ledger.rounds - probe_mark
-        if cache is not None:
-            cache[("probe", index, s)] = (value, rounds)
-        return value, rounds
+        def run():
+            # collect the skeleton at the prober, then announce s
+            network.charge_rounds(d_g + len(members), phase="setup")
+            network.charge_rounds(d_g, phase="setup")
+            sssp_on_overlay(network, state, s)
+            value = approx_eccentricity(state, s, node_count=network.n)
+            network.charge_rounds(d_g, phase="eval")  # convergecast the extremum
+            return value
+
+        return _memoized(network, memo, ("probe", index, s), run)
 
     trace = amplified_max_search(
         members, probe, rho=Fraction(1, len(members)), delta=delta,
@@ -273,9 +288,16 @@ def _estimate(network, schedule, delta, rng, mode, trace_sink):
             return evaluate_f_i(network, i, sets[i], schedule, delta, mode=mode,
                                 trace_sink=trace_sink, cache=cache)
 
+        start = network.ledger.rounds
+        network._require_tree()
         rho = Fraction(min(schedule.r, network.n), network.n)
         trace = amplified_max_search(list(range(network.n)), outer, rho=rho,
-                                     delta=delta, rng=rng, mode=mode)
+                                     delta=delta, rng=rng, mode=mode,
+                                     setup_rounds=network.ledger.rounds - start)
+        # every evaluation runs in lockstep at the costliest one's rounds
+        network.charge_rounds(
+            trace.charged_rounds - (network.ledger.rounds - start),
+            phase="lockstep")
     if trace_sink is not None:
         trace_sink.append(trace)
     return trace.value, trace, network.ledger

@@ -76,35 +76,31 @@ def _check_hops_eps(hops, eps):
         raise ValueError(f"need 0 < eps <= 1: {eps}")
 
 
-def _distance_bits(n, value):
-    return max(1, (n - 1).bit_length()) + max(1, int(value).bit_length())
-
-
 class BoundedDistanceProgram(NodeProgram):
     """One node of the distance-bounded relaxation pass.
 
-    A node broadcasts (id, d) exactly in the round where its distance d
-    equals the local round index; the pass takes budget+1 rounds total.
+    A node broadcasts a 1-bit pulse exactly in the round where its
+    distance d equals the local round index, so a pulse read in local
+    round t carries d = t - 1; the pass takes budget+1 rounds total.
     """
 
-    def __init__(self, node, source, budget, weights, n):
+    def __init__(self, node, source, budget, weights):
         self.node = node
         self.budget = budget
         self.weights = weights  # neighbor -> rounded weight
-        self.n = n
         self.dist = 0 if node == source else INFINITE
         self.halted = True  # driven purely by messages/wakes within the budget
 
     def on_round(self, ctx):
         t0 = ctx.round - ctx.local_round
-        for u, d_u in ctx.inbox:
-            nd = d_u + self.weights[u]
+        for u, _ in ctx.inbox:
+            nd = ctx.local_round - 1 + self.weights[u]
             if nd <= self.budget and nd < self.dist:
                 self.dist = nd
                 if nd > ctx.local_round:
                     ctx.wake_at(t0 + nd)
         if self.dist == ctx.local_round:
-            ctx.broadcast(self.dist, bits=_distance_bits(self.n, self.dist))
+            ctx.broadcast(1)
 
 
 def bounded_distance_sssp(network, s, budget, adj=None, phase="bounded-distance"):
@@ -118,7 +114,7 @@ def bounded_distance_sssp(network, s, budget, adj=None, phase="bounded-distance"
     if budget < 0:
         raise ValueError(f"budget must be >= 0: {budget}")
     adj = g.adj if adj is None else adj
-    programs = {v: BoundedDistanceProgram(v, s, budget, dict(adj[v]), g.n)
+    programs = {v: BoundedDistanceProgram(v, s, budget, dict(adj[v]))
                 for v in range(g.n)}
     with network.ledger.phase(phase):
         network.run(programs, exact_rounds=budget + 1)

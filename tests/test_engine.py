@@ -169,6 +169,16 @@ def test_bandwidth_and_ledger_match_plain_model(data):
                                       if r + 1 < end)
 
 
+def test_budget_tail_is_not_read_by_the_next_run():
+    # node 0 sends in the last round of its budget; that message is due
+    # after the run and must not reach the next run's programs
+    net = Network(path_graph(1))
+    arrivals = []
+    net.run({0: Scripted({1: [(1, 1)]}, arrivals)}, exact_rounds=2)
+    net.run({1: Scripted({}, arrivals)}, exact_rounds=2)
+    assert net.ledger.messages == 1 and arrivals == []
+
+
 def test_bandwidth_must_be_positive():
     g = WeightedGraph(2, [(0, 1, 1)])
     for bits in (0, -5):
@@ -223,6 +233,16 @@ def test_max_rounds_exceeded():
     net = Network(WeightedGraph(2, [(0, 1, 1)]))
     with pytest.raises(MaxRoundsExceeded):
         net.run({0: Restless()}, max_rounds=10)
+
+
+def test_wake_must_name_a_later_round():
+    class Now(NodeProgram):
+        def on_round(self, ctx):
+            ctx.wake_at(ctx.round)
+
+    net = Network(WeightedGraph(2, [(0, 1, 1)]))
+    with pytest.raises(ValueError, match="later round"):
+        net.run({0: Now()}, max_rounds=10)
 
 
 def test_payload_bits():

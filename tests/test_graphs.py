@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from congestsim.graphs import (
@@ -171,19 +171,24 @@ def test_contraction_sandwich():
         assert rc <= radius(g) <= rc + g.n
 
 
-def test_text_roundtrip():
-    g = random_connected_graph(9, rng=random.Random(1))
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_text_roundtrip(g):
     again = WeightedGraph.from_text(g.to_text())
     assert again.n == g.n and sorted(again.edges) == sorted(g.edges)
 
 
-def test_json_roundtrip(tmp_path):
-    g = random_connected_graph(9, rng=random.Random(2))
+# every example overwrites the same file, so sharing tmp_path is harmless
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_graphs())
+def test_json_roundtrip(tmp_path, g):
     again = WeightedGraph.from_json_dict(g.to_json_dict())
-    assert sorted(again.edges) == sorted(g.edges)
+    assert again.n == g.n and sorted(again.edges) == sorted(g.edges)
     path = tmp_path / "g.txt"
     path.write_text(g.to_text())
-    assert sorted(WeightedGraph.from_file(path).edges) == sorted(g.edges)
+    again = WeightedGraph.from_file(path)
+    assert again.n == g.n and sorted(again.edges) == sorted(g.edges)
 
 
 def test_rejects_bad_input():

@@ -153,6 +153,17 @@ def test_bounded_hop_sandwich_full_hops():
             assert exact[v] <= table[v] <= (1 + eps) * exact[v]
 
 
+def test_bounded_hop_pulse_fits_small_bandwidth():
+    # B is 4 bits here, narrower than a node id plus a distance; the round
+    # a pulse arrives in carries the distance, so one bit suffices
+    g = WeightedGraph(2, [(0, 1, 1)])
+    net = Network(g)
+    eps = Fraction(1, 8)
+    table = bounded_hop_sssp(net, 0, 2, eps)
+    assert_hop_sandwich(g, 0, table, 2, eps)
+    assert net.ledger.bits == net.ledger.messages > 0
+
+
 def test_bounded_hop_round_count():
     g = random_connected_graph(10, rng=random.Random(3))
     hops, eps = 2, Fraction(1, 2)
