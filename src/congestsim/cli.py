@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -55,6 +56,27 @@ def _parse_fraction(text):
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(text).limit_denominator(10 ** 6)
+
+
+def _fraction_text(text):
+    """argparse type: `text` itself, once it reads as a fraction."""
+    try:
+        _parse_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
+    return text
+
+
+def _finite_float(text):
+    """argparse type: a float that is neither infinite nor NaN."""
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return float(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one `error:` line
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _load_graph(args, trial_seed=None):
@@ -230,7 +252,7 @@ def _config_dict(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="congestsim",
         description="CONGEST-model diameter/radius approximation testbed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -251,9 +273,10 @@ def build_parser():
     p.add_argument("quantity", choices=["diameter", "radius"])
     add_graph_opts(p)
     add_common(p)
-    p.add_argument("--delta", default="1/12", help="failure budget (fraction)")
+    p.add_argument("--delta", type=_fraction_text, default="1/12",
+                   help="failure budget (fraction)")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--eps-floor", type=float, default=None)
+    p.add_argument("--eps-floor", type=_finite_float, default=None)
     p.add_argument("--bandwidth", type=int, default=None)
     p.set_defaults(func=cmd_approx)
 

@@ -187,11 +187,6 @@ class Network:
             with self.ledger.phase(phase):
                 self.ledger.add_rounds(k)
 
-    def clear_traffic(self):
-        """Drop all in-flight messages and wakes (e.g. after an aborted run)."""
-        self._pending.clear()
-        self._edge_bits.clear()
-
     def rng_for(self, node):
         rng = self._rngs.get(node)
         if rng is None:

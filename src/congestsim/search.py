@@ -193,20 +193,23 @@ def _memoized(network, memo, key, compute):
 
     A repeat returns the first result and replays the phases the first run
     appended to the ledger, with their names, rounds, messages and bits,
-    so a memo hit costs what computing did.
+    and advances the round clock as far as the first run did (an
+    open-ended engine run moves it past its last charged round), so a memo
+    hit costs what computing did.
     """
     ledger = network.ledger
     mark = ledger.rounds
     if key not in memo:
-        first = len(ledger.phases)
-        memo[key] = compute(), ledger.phases[first:]
+        first, clock = len(ledger.phases), network.round_clock
+        result = compute()
+        memo[key] = result, ledger.phases[first:], network.round_clock - clock
     else:
         for p in memo[key][1]:
             ledger.phases.append(Phase(p.name, p.rounds, p.messages, p.bits))
             ledger.rounds += p.rounds
             ledger.messages += p.messages
             ledger.bits += p.bits
-            network.round_clock += p.rounds
+        network.round_clock += memo[key][2]
     return memo[key][0], ledger.rounds - mark
 
 

@@ -11,8 +11,9 @@ The pipeline, per skeleton set S:
 5. node-local combination into approximate distances / eccentricities.
 
 Step 1 is evaluated in closed form once its random delays are drawn and
-charged the exact cost of its per-node programs, which replay only an
-attempt that congests.  Steps 2-4 are overlay computations whose round
+charged the exact cost of its per-node programs, up to the round it aborts
+in when an attempt congests; the message-level program is the reference in
+`tests/oracles.py`.  Steps 2-4 are overlay computations whose round
 costs are charged to the ledger by their communication schedules (global
 broadcasts) without simulating each individual message.
 
@@ -138,79 +139,6 @@ def bounded_hop_sssp(network, s, hops, eps, phase="bounded-hop-sssp"):
             for x in map(_min_over_levels, zip(*per_level))]
 
 
-class _SuperposedProgram(NodeProgram):
-    """Delayed superposition of per-source bounded-hop passes.
-
-    Logical rounds are stretched into windows of `stretch` engine rounds;
-    a node may owe at most `stretch` broadcasts per window, else the run
-    fails with CongestionFailure.  Copy and level of a message are
-    inferred from its arrival window and the (globally known) delays.
-    """
-
-    def __init__(self, node, sources, delays, budget, levels, weights_by_level,
-                 stretch, n):
-        self.node = node
-        self.sources = sources
-        self.delays = delays
-        self.budget = budget
-        self.levels = levels
-        self.weights_by_level = weights_by_level  # level -> {neighbor: w}
-        self.stretch = stretch
-        self.n = n
-        self.span = budget + 1  # windows per level
-        self.dist = [[INFINITE] * levels for _ in sources]
-        self.due = {}     # window -> list of (copy, level, dist when queued)
-        self.outbox = []  # payloads still to send in the current window
-        self.halted = True
-
-    def _window_of(self, copy, level, d):
-        return self.delays[copy] + level * self.span + d
-
-    def _queue(self, ctx, copy, level, d, t0):
-        window = self._window_of(copy, level, d)
-        self.due.setdefault(window, []).append((copy, level, d))
-        wake = t0 + window * self.stretch
-        if wake > ctx.round:
-            ctx.wake_at(wake)
-        # wake == current round: the end-of-round flush picks it up
-
-    def _flush(self, ctx, t0):
-        window = ctx.local_round // self.stretch
-        entries = self.due.pop(window, None)
-        if entries:
-            for copy, level, d in entries:
-                if self.dist[copy][level] == d:  # stale if improved since
-                    self.outbox.append((copy, d))
-            if len(self.outbox) > self.stretch:
-                raise CongestionFailure(
-                    f"node {self.node}: {len(self.outbox)} broadcasts due in "
-                    f"window {window} (limit {self.stretch})")
-        if self.outbox:
-            copy, d = self.outbox.pop(0)
-            # the arrival window plus the public delays determine (level, d),
-            # so only the copy index needs to cross the channel
-            ctx.broadcast((copy, d), bits=max(1, copy.bit_length()))
-            if self.outbox:
-                ctx.wake_at(ctx.round + 1)
-
-    def on_round(self, ctx):
-        t0 = ctx.round - ctx.local_round
-        if ctx.local_round == 0:
-            for copy, s in enumerate(self.sources):
-                if s == self.node:
-                    for level in range(self.levels):
-                        self.dist[copy][level] = 0
-                        self._queue(ctx, copy, level, 0, t0)
-        for u, (copy, d_u) in ctx.inbox:
-            sent_window = (ctx.local_round - 1) // self.stretch
-            level = (sent_window - self.delays[copy]) // self.span
-            nd = d_u + self.weights_by_level[level][u]
-            if nd <= self.budget and nd < self.dist[copy][level]:
-                self.dist[copy][level] = nd
-                self._queue(ctx, copy, level, nd, t0)
-        self._flush(ctx, t0)
-
-
 def _level_adjacency(n, edges, hops, eps, levels):
     """adj[level][v] = [(u, rounded_weight(w, hops, eps, level))] over the
     edges (u, v, w) at v, for nodes 0..n-1."""
@@ -235,22 +163,30 @@ def _min_over_levels(dists):
 
 
 def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
-    """Outcome of one `_SuperposedProgram` run, without sending its messages.
+    """Outcome (best, rounds, messages, bits, failure) of one superposed
+    attempt, computed without sending its messages.
 
     Each (copy, level) pass is a budget-bounded Dijkstra on the level's
-    rounded weights.  A node broadcasts its final distance d exactly once,
-    in window delays[copy] + level*(budget+1) + d: an improvement always
-    arrives before a stale entry's window, and a window's outbox drains
-    within the window.  So the run congests exactly when some node owes
-    more than `stretch` broadcasts in one window; then this returns None.
-    Otherwise it returns (best, messages, bits), where best[copy][v] is
+    rounded weights.  A node broadcasts its final distance d once, in
+    window delays[copy] + level*(budget+1) + d of `stretch` rounds, one
+    broadcast per round in queue order.  best[copy][v] is
     `_min_over_levels` of v's distances in that copy.
+
+    The attempt aborts (best None, failure the CongestionFailure) in the
+    first round of the window of the smallest window*n + node owing more
+    than `stretch` broadcasts.  By then it sent every broadcast due in an
+    earlier window and, nodes acting in id order, the first in queue order
+    of each lower-id node due in that window.  An entry is queued when the
+    first message with its final distance arrives, one round after the
+    predecessor's send in round window*stretch + queue position (ties to
+    the lower sender id); a source queues its own d = 0 entries first.
     """
     n = graph.n
     span = budget + 1
     degree = [len(nbrs) for nbrs in graph.adj]
     owed = {}  # window * n + node -> broadcasts due
-    best = []
+    jam = None  # smallest over-full key
+    passes, best = [], []
     messages = bits = 0
     for copy, s in enumerate(sources):
         per_level = []
@@ -264,26 +200,60 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
                     continue
                 key = (base + d) * n + v
                 count = owed.get(key, 0) + 1
-                if count > stretch:
-                    return None
                 owed[key] = count
+                if count > stretch and (jam is None or key < jam):
+                    jam = key
                 sent += degree[v]
+        passes.append(per_level)
         best.append([_min_over_levels(dists) for dists in zip(*per_level)])
         messages += sent
         bits += sent * max(1, copy.bit_length())
-    return best, messages, bits
+    if jam is None:
+        windows = len(adj) * span + len(sources) * stretch + 1
+        return best, windows * stretch, messages, bits, None
+
+    window, node = divmod(jam, n)
+    due = {}  # window * n + node -> [(copy, level, d)], before the abort
+    for copy, per_level in enumerate(passes):
+        for level, dist in enumerate(per_level):
+            base = delays[copy] + level * span
+            for v, d in enumerate(dist):
+                key = (base + d) * n + v  # INFINITE where v is unreached
+                if key < jam:
+                    due.setdefault(key, []).append((copy, level, d))
+    sent_in = {}  # (copy, level, v) -> round v broadcast in that pass
+    messages = bits = 0
+    # predecessors are due in earlier windows, so their keys come first
+    for key in sorted(due):
+        w, v = divmod(key, n)
+        queue = []
+        for copy, level, d in due[key]:
+            dist = passes[copy][level]
+            # (round, sender) of the first message carrying d
+            arrival = (0, -1) if d == 0 else min(
+                (sent_in[copy, level, u] + 1, u)
+                for u, weight in adj[level][v] if dist[u] + weight == d)
+            queue.append((arrival, copy, level))
+        queue.sort()
+        for position, (_, copy, level) in enumerate(
+                queue if w < window else queue[:1]):
+            sent_in[copy, level, v] = w * stretch + position
+            messages += degree[v]
+            bits += degree[v] * max(1, copy.bit_length())
+    failure = CongestionFailure(f"node {node}: {owed[jam]} broadcasts due "
+                                f"in window {window} (limit {stretch})")
+    return None, window * stretch, messages, bits, failure
 
 
 def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
     """Approximate hop-bounded distances from every s in `sources` at once.
 
     Superposes one delayed bounded-hop pass per source; on congestion the
-    run is retried with fresh delays (up to `retries` times).  Returns
-    {s: per-node list of Fractions}.
-
-    Attempts are evaluated in closed form; a congested one is replayed on
-    `_SuperposedProgram`, the reference, so CongestionFailure surfaces in
-    the same round with the same partial ledger.
+    run is retried with fresh delays (up to `retries` times), and the last
+    CongestionFailure is raised when every attempt congests.  Each attempt
+    is evaluated by `_superposed_closed_form` and charged, in its own
+    `phase`, what its per-node programs send up to its end or abort.
+    Returns {s: per-node list of Fractions}.
     """
     g = network.graph
     _check_hops_eps(hops, eps)
@@ -292,15 +262,13 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
         raise ValueError("sources must be nonempty")
     b = len(sources)
     budget = hop_budget(hops, eps)
-    top = scale_levels(g.n, g.max_weight, eps)
-    levels = top + 1
     # per-window allowance ceil(log2 n), floored at 2: a copy owes at most
     # one broadcast per window, so two copies must never be able to jam
     stretch = max(2, math.ceil(math.log2(max(2, g.n))))
     network._require_tree()
-    adj = _level_adjacency(g.n, g.edges, hops, eps, levels)
-
-    last_failure = None
+    adj = _level_adjacency(g.n, g.edges, hops, eps,
+                           scale_levels(g.n, g.max_weight, eps) + 1)
+    failure = None
     for _attempt in range(retries + 1):
         delays = [network.rng_for(network.leader).randint(0, b * stretch)
                   for _ in range(b)]
@@ -308,37 +276,16 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
         # fits the bandwidth and the closed form needs no bandwidth check
         network.broadcast_pipeline(
             [(i, delays[i]) for i in range(b)], phase=phase + "-delays")
-        windows = levels * (budget + 1) + b * stretch + 1
-        outcome = _superposed_closed_form(g, adj, sources, delays, budget,
-                                          stretch)
-        if outcome is not None:
-            best, messages, bits = outcome
-            with network.ledger.phase(phase):
-                network.charge_rounds(windows * stretch)
-                network.ledger.add_messages(messages, bits)
-        else:
-            programs = {
-                v: _SuperposedProgram(v, sources, delays, budget, levels,
-                                      [dict(level_adj[v]) for level_adj in adj],
-                                      stretch, g.n)
-                for v in range(g.n)
-            }
-            start = network.round_clock
-            with network.ledger.phase(phase):
-                try:
-                    network.run(programs, exact_rounds=windows * stretch)
-                except CongestionFailure as failure:
-                    # the aborted run never reached its own charge
-                    last_failure = failure
-                    network.clear_traffic()
-                    network.ledger.add_rounds(network.round_clock - start)
-                    continue
-            best = [[_min_over_levels(programs[v].dist[copy])
-                     for v in range(g.n)] for copy in range(b)]
-        scale = eps / (2 * Fraction(hops))
-        return {s: [x if x is INFINITE else x * scale for x in best[copy]]
-                for copy, s in enumerate(sources)}
-    raise last_failure
+        best, rounds, messages, bits, failure = _superposed_closed_form(
+            g, adj, sources, delays, budget, stretch)
+        with network.ledger.phase(phase):
+            network.charge_rounds(rounds)
+            network.ledger.add_messages(messages, bits)
+        if failure is None:
+            scale = eps / (2 * Fraction(hops))
+            return {s: [x if x is INFINITE else x * scale for x in best[copy]]
+                    for copy, s in enumerate(sources)}
+    raise failure
 
 
 # --- overlay stages ------------------------------------------------------

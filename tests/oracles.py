@@ -1,8 +1,14 @@
 """Independent brute-force oracles, used only by the test suite.
 
 These deliberately avoid the package's own shortest-path code so the two
-implementations cross-check each other.
+implementations cross-check each other.  `superposed_program` runs the
+superposed multi-source pass message by message on the engine: it is the
+reference for `toolkit._superposed_closed_form`.
 """
+
+from congestsim.engine import Network, NodeProgram
+from congestsim.graphs import INFINITE
+from congestsim.toolkit import CongestionFailure, _min_over_levels
 
 INF = float("inf")
 
@@ -76,3 +82,102 @@ def bfs_eccentricity(g, s):
                     nxt.append(v)
         frontier = nxt
     return max(depth.values())
+
+
+class _SuperposedProgram(NodeProgram):
+    """Delayed superposition of per-source bounded-hop passes.
+
+    Logical rounds are stretched into windows of `stretch` engine rounds;
+    a node may owe at most `stretch` broadcasts per window, else the run
+    fails with CongestionFailure.  Copy and level of a message are
+    inferred from its arrival window and the (globally known) delays.
+    """
+
+    def __init__(self, node, sources, delays, budget, levels, weights_by_level,
+                 stretch):
+        self.node = node
+        self.sources = sources
+        self.delays = delays
+        self.budget = budget
+        self.levels = levels
+        self.weights_by_level = weights_by_level  # level -> {neighbor: w}
+        self.stretch = stretch
+        self.span = budget + 1  # windows per level
+        self.dist = [[INFINITE] * levels for _ in sources]
+        self.due = {}     # window -> list of (copy, level, dist when queued)
+        self.outbox = []  # payloads still to send in the current window
+        self.halted = True
+
+    def _window_of(self, copy, level, d):
+        return self.delays[copy] + level * self.span + d
+
+    def _queue(self, ctx, copy, level, d, t0):
+        window = self._window_of(copy, level, d)
+        self.due.setdefault(window, []).append((copy, level, d))
+        wake = t0 + window * self.stretch
+        if wake > ctx.round:
+            ctx.wake_at(wake)
+        # wake == current round: the end-of-round flush picks it up
+
+    def _flush(self, ctx, t0):
+        window = ctx.local_round // self.stretch
+        entries = self.due.pop(window, None)
+        if entries:
+            for copy, level, d in entries:
+                if self.dist[copy][level] == d:  # stale if improved since
+                    self.outbox.append((copy, d))
+            if len(self.outbox) > self.stretch:
+                raise CongestionFailure(
+                    f"node {self.node}: {len(self.outbox)} broadcasts due in "
+                    f"window {window} (limit {self.stretch})")
+        if self.outbox:
+            copy, d = self.outbox.pop(0)
+            # the arrival window plus the public delays determine (level, d),
+            # so only the copy index needs to cross the channel
+            ctx.broadcast((copy, d), bits=max(1, copy.bit_length()))
+            if self.outbox:
+                ctx.wake_at(ctx.round + 1)
+
+    def on_round(self, ctx):
+        t0 = ctx.round - ctx.local_round
+        if ctx.local_round == 0:
+            for copy, s in enumerate(self.sources):
+                if s == self.node:
+                    for level in range(self.levels):
+                        self.dist[copy][level] = 0
+                        self._queue(ctx, copy, level, 0, t0)
+        for u, (copy, d_u) in ctx.inbox:
+            sent_window = (ctx.local_round - 1) // self.stretch
+            level = (sent_window - self.delays[copy]) // self.span
+            nd = d_u + self.weights_by_level[level][u]
+            if nd <= self.budget and nd < self.dist[copy][level]:
+                self.dist[copy][level] = nd
+                self._queue(ctx, copy, level, nd, t0)
+        self._flush(ctx, t0)
+
+
+def superposed_program(graph, adj, sources, delays, budget, stretch):
+    """`_superposed_closed_form`'s outcome, by running the superposed
+    program message by message on a fresh Network(graph).
+
+    Returns (best, rounds, messages, bits, failure): best is None and
+    failure the CongestionFailure when the run aborts.
+    """
+    levels = len(adj)
+    network = Network(graph)
+    programs = {
+        v: _SuperposedProgram(v, sources, delays, budget, levels,
+                              [dict(level_adj[v]) for level_adj in adj],
+                              stretch)
+        for v in range(graph.n)
+    }
+    windows = levels * (budget + 1) + len(sources) * stretch + 1
+    ledger = network.ledger
+    try:
+        network.run(programs, exact_rounds=windows * stretch)
+    except CongestionFailure as failure:
+        # aborted in the round being processed, before run() charged it
+        return None, network.round_clock, ledger.messages, ledger.bits, failure
+    best = [[_min_over_levels(programs[v].dist[copy]) for v in range(graph.n)]
+            for copy in range(len(sources))]
+    return best, network.round_clock, ledger.messages, ledger.bits, None

@@ -173,6 +173,15 @@ def test_nonpositive_bandwidth_is_a_usage_error(capsys, bandwidth):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--delta=1/0", "--eps-floor=inf",
+                                    "--eps-floor=-inf"])
+def test_unreadable_number_is_a_usage_error(capsys, option):
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",
+                          option], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("quantity", ["diameter", "radius"])
 def test_single_node_needs_no_rounds(capsys, quantity):
     code, out, _ = run(["approx", quantity, "--gen", "cycle", "--n", "1"],

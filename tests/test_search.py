@@ -220,8 +220,9 @@ def test_evaluate_cache_recharges_identically():
 
 def test_evaluate_memo_replays_what_computing_charged():
     # two evaluations of one index, memo kept across them or not: the same
-    # phases are charged; only mssp-delays bits may differ, because a
-    # re-run draws fresh delays and the pipeline sizes items by bit length
+    # phases are charged and the clock ends in the same round; only
+    # mssp-delays bits may differ, because a re-run draws fresh delays and
+    # the pipeline sizes items by bit length
     g = random_connected_graph(12, rng=random.Random(0))
     sch = ParameterSchedule.for_graph(g)
     runs = []
@@ -234,7 +235,8 @@ def test_evaluate_memo_replays_what_computing_charged():
         phases = net.ledger.phases[mark:]
         assert "bfs-tree" not in {p.name for p in phases}
         runs.append((rounds, [(p.name, p.rounds, p.messages) for p in phases],
-                     [p.bits for p in phases if p.name != "mssp-delays"]))
+                     [p.bits for p in phases if p.name != "mssp-delays"],
+                     net.round_clock))
     assert runs[0] == runs[1]
 
 
