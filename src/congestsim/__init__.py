@@ -42,7 +42,6 @@ from .toolkit import (
     sssp_on_overlay,
 )
 from .search import (
-    IterationBudgetExceeded,
     LowConfidenceResult,
     ParameterSchedule,
     SearchTrace,

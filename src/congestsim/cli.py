@@ -93,18 +93,8 @@ def _load_graph(args, trial_seed=None):
     raise UsageError("one of --graph or --gen is required")
 
 
-def _emit(report, args, csv_rows=None, csv_fields=None):
-    if args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("csv format is not available for this subcommand")
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
-        writer.writeheader()
-        for row in csv_rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _emit(text, args):
+    """Write `text` to --out, or to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -179,10 +169,17 @@ def cmd_approx(args):
         "trials": trials,
         "aggregate": aggregate,
     }
-    fields = ["trial", "seed", "n", "unweighted_diameter", "estimate",
-              "true_value", "ratio", "rounds", "evaluations", "success"]
-    rows = [{k: t[k] for k in fields} for t in trials]
-    _emit(report, args, csv_rows=rows, csv_fields=fields)
+    if args.format == "csv":
+        fields = ["trial", "seed", "n", "unweighted_diameter", "estimate",
+                  "true_value", "ratio", "rounds", "evaluations", "success"]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(trials)
+        _emit(buf.getvalue(), args)
+    else:
+        _emit(_json_text(report), args)
     return EXIT_OK
 
 
@@ -208,20 +205,13 @@ def cmd_gadget(args):
     inst = build_gadget(args.h, x=x, y=y, variant=args.variant,
                         alpha=args.alpha, beta=args.beta)
     if args.action == "build":
-        if args.format == "json":
-            text = json.dumps(inst.graph.to_json_dict(), sort_keys=True) + "\n"
-        else:
-            text = inst.graph.to_text()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(json.dumps(inst.graph.to_json_dict(), sort_keys=True) + "\n"
+              if args.format == "json" else inst.graph.to_text(), args)
         return EXIT_OK
     report = verify_reduction(inst)
     report["version"] = __version__
     report["config"] = _config_dict(args)
-    _emit(report, args)
+    _emit(_json_text(report), args)
     return EXIT_OK if report["pass"] else EXIT_FAILURE
 
 
@@ -239,11 +229,15 @@ def cmd_oracle(args):
         "hop_diameter": _num(hop_diameter(g)),
         "eccentricities": [_num(eccentricity(g, u)) for u in range(g.n)],
     }
-    _emit(report, args)
+    _emit(_json_text(report), args)
     return EXIT_OK
 
 
 # --- plumbing ------------------------------------------------------------
+
+
+def _json_text(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _config_dict(args):
@@ -267,12 +261,12 @@ def build_parser():
     def add_common(p):
         p.add_argument("--seed", default="0")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("approx", help="run approximation trials")
     p.add_argument("quantity", choices=["diameter", "radius"])
     add_graph_opts(p)
     add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--delta", type=_fraction_text, default="1/12",
                    help="failure budget (fraction)")
     p.add_argument("--trials", type=int, default=1)
@@ -289,7 +283,6 @@ def build_parser():
                    help="seed for random x,y (default: all-ones)")
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--seed", default="0")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="graph format for build (verify always emits JSON)")

@@ -149,7 +149,7 @@ class Context:
 class Network:
     """A CONGEST network over a WeightedGraph with a global round clock."""
 
-    def __init__(self, graph, bandwidth_bits=None, leader=0, seed=0):
+    def __init__(self, graph, bandwidth_bits=None, seed=0):
         self.graph = graph
         self.n = graph.n
         if bandwidth_bits is None:
@@ -157,7 +157,7 @@ class Network:
         if bandwidth_bits < 1:
             raise ValueError(f"bandwidth must be >= 1 bit: {bandwidth_bits}")
         self.bandwidth_bits = bandwidth_bits
-        self.leader = leader
+        self.leader = 0
         self.seed = seed
         self.round_clock = 0
         self.ledger = CostLedger()
@@ -342,7 +342,7 @@ class Network:
             self.run(programs, max_rounds=self.n + len(items) + 2)
         return {v: programs[v].received for v in range(self.n)}
 
-    def convergecast_extremum(self, local_values, mode="max", phase="convergecast"):
+    def convergecast_extremum(self, local_values, mode="max"):
         """Aggregate the max/min of per-node values up the BFS tree to the leader."""
         if mode not in ("max", "min"):
             raise ValueError(f"mode must be 'max' or 'min': {mode!r}")
@@ -350,7 +350,7 @@ class Network:
         programs = {v: _ConvergecastProgram(v, parent[v], len(children[v]),
                                             local_values[v], mode)
                     for v in range(self.n)}
-        with self.ledger.phase(phase):
+        with self.ledger.phase("convergecast"):
             self.run(programs, max_rounds=self.n + 2)
         return programs[self.leader].value
 

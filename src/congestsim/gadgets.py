@@ -117,40 +117,6 @@ def gdt_promise(x, y):
 
 
 @dataclass
-class SkeletonSpec:
-    """The input-independent server part: tree of height h + m paths."""
-
-    height: int
-    path_count: int
-
-    @property
-    def width(self):
-        return 2 ** self.height
-
-    def nodes(self):
-        h, m = self.height, self.path_count
-        names = [("t", i, j) for i in range(h + 1) for j in range(1, 2 ** i + 1)]
-        names += [("p", i, j) for i in range(1, m + 1)
-                  for j in range(1, self.width + 1)]
-        return names
-
-    def tree_edges(self):
-        return [(("t", i, j), ("t", i - 1, (j + 1) // 2))
-                for i in range(1, self.height + 1)
-                for j in range(1, 2 ** i + 1)]
-
-    def path_edges(self):
-        return [(("p", i, j), ("p", i, j - 1))
-                for i in range(1, self.path_count + 1)
-                for j in range(2, self.width + 1)]
-
-    def leaf_path_edges(self):
-        return [(("t", self.height, j), ("p", i, j))
-                for i in range(1, self.path_count + 1)
-                for j in range(1, self.width + 1)]
-
-
-@dataclass
 class GadgetInstance:
     variant: str
     h: int
@@ -162,8 +128,6 @@ class GadgetInstance:
     y: tuple
     graph: WeightedGraph
     node_id: dict                  # structured name -> dense id
-    names: list                    # id -> name
-    skeleton: SkeletonSpec = None
 
     @property
     def selectors(self):
@@ -194,6 +158,7 @@ def build_gadget(h, x=None, y=None, variant="diameter", alpha=None, beta=None):
     l = 2 ** (s - h)
     m = 2 * s + l
     sel = 2 ** s
+    width = 2 ** h
     if x is None:
         x = (1,) * (sel * l)
     if y is None:
@@ -202,8 +167,10 @@ def build_gadget(h, x=None, y=None, variant="diameter", alpha=None, beta=None):
     _check_input(x, sel, l)
     _check_input(y, sel, l)
 
-    skeleton = SkeletonSpec(height=h, path_count=m)
-    names = skeleton.nodes()
+    # the input-independent server part: a tree of height h and m paths
+    names = [("t", i, j) for i in range(h + 1) for j in range(1, 2 ** i + 1)]
+    names += [("p", i, j) for i in range(1, m + 1)
+              for j in range(1, width + 1)]
     names += [("a", i) for i in range(1, sel + 1)]
     names += [("abit", b, j) for j in range(1, s + 1) for b in (0, 1)]
     names += [("astar", j) for j in range(1, l + 1)]
@@ -227,11 +194,15 @@ def build_gadget(h, x=None, y=None, variant="diameter", alpha=None, beta=None):
         edges.append((node_id[u], node_id[v], w))
 
     edges = []
-    width = 2 ** h
-    for u, v in skeleton.tree_edges() + skeleton.path_edges():
-        E(u, v, 1)
-    for u, v in skeleton.leaf_path_edges():
-        E(u, v, alpha)
+    for i in range(1, h + 1):
+        for j in range(1, 2 ** i + 1):
+            E(("t", i, j), ("t", i - 1, (j + 1) // 2), 1)
+    for i in range(1, m + 1):
+        for j in range(2, width + 1):
+            E(("p", i, j), ("p", i, j - 1), 1)
+    for i in range(1, m + 1):
+        for j in range(1, width + 1):
+            E(("t", h, j), ("p", i, j), alpha)
     # path endpoints into the two halves (weight 1, contracted later)
     for i in range(1, s + 1):
         E(("abit", 0, i), ("p", 2 * i - 1, 1), 1)
@@ -258,8 +229,7 @@ def build_gadget(h, x=None, y=None, variant="diameter", alpha=None, beta=None):
 
     graph = WeightedGraph(n, edges)
     return GadgetInstance(variant=variant, h=h, s=s, l=l, alpha=alpha,
-                          beta=beta, x=x, y=y, graph=graph, node_id=node_id,
-                          names=names, skeleton=skeleton)
+                          beta=beta, x=x, y=y, graph=graph, node_id=node_id)
 
 
 # --- exact verification --------------------------------------------------

@@ -273,11 +273,14 @@ def contract_unit_edges(g):
 # --- generators ---------------------------------------------------------
 
 
-def random_connected_graph(n, max_weight=10, rng=None, extra_edge_prob=0.15):
-    """Random spanning tree plus extra edges; weights uniform in [1, max_weight]."""
+def random_connected_graph(n, max_weight=10, rng=None):
+    """Random spanning tree plus each other pair with probability 0.15;
+    weights uniform in [1, max_weight]."""
     rng = rng if rng is not None else random.Random(0)
     if n < 1:
         raise GraphError("n must be >= 1")
+    if max_weight < 1:
+        raise GraphError(f"max_weight must be >= 1: {max_weight}")
     edges = []
     present = set()
     order = list(range(n))
@@ -288,27 +291,27 @@ def random_connected_graph(n, max_weight=10, rng=None, extra_edge_prob=0.15):
         present.add((min(u, v), max(u, v)))
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in present and rng.random() < extra_edge_prob:
+            if (u, v) not in present and rng.random() < 0.15:
                 present.add((u, v))
     for u, v in sorted(present):
         edges.append((u, v, rng.randint(1, max_weight)))
     return WeightedGraph(n, edges)
 
 
-def cycle_graph(n, weight=1):
+def cycle_graph(n):
     if n == 1:
         return WeightedGraph(1, [])
     if n == 2:
-        return WeightedGraph(2, [(0, 1, weight)])
-    return WeightedGraph(n, [(i, (i + 1) % n, weight) for i in range(n)])
+        return WeightedGraph(2, [(0, 1, 1)])
+    return WeightedGraph(n, [(i, (i + 1) % n, 1) for i in range(n)])
 
 
-def star_graph(n, weight=1):
+def star_graph(n):
     """Node 0 is the center."""
-    return WeightedGraph(n, [(0, i, weight) for i in range(1, n)])
+    return WeightedGraph(n, [(0, i, 1) for i in range(1, n)])
 
 
-def grid_graph(rows, cols, weight=1):
+def grid_graph(rows, cols):
     def nid(r, c):
         return r * cols + c
 
@@ -316,9 +319,9 @@ def grid_graph(rows, cols, weight=1):
     for r in range(rows):
         for c in range(cols):
             if c + 1 < cols:
-                edges.append((nid(r, c), nid(r, c + 1), weight))
+                edges.append((nid(r, c), nid(r, c + 1), 1))
             if r + 1 < rows:
-                edges.append((nid(r, c), nid(r + 1, c), weight))
+                edges.append((nid(r, c), nid(r + 1, c), 1))
     return WeightedGraph(rows * cols, edges)
 
 

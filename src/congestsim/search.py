@@ -48,15 +48,6 @@ class LowConfidenceResult(RuntimeError):
         super().__init__("search produced no usable value")
 
 
-class IterationBudgetExceeded(RuntimeError):
-    """Threshold-mode search exhausted its budget without a good element."""
-
-    def __init__(self, trace):
-        self.trace = trace
-        super().__init__(
-            f"no element reached the threshold in {trace.evaluations} evaluations")
-
-
 @dataclass
 class ParameterSchedule:
     """The n- and diameter-driven knobs of one estimator run."""
@@ -107,20 +98,7 @@ class SearchTrace:
     charged_rounds: int = 0  # setup + evaluations * eval_rounds
     found: object = None
     value: object = None
-    success: object = None   # set post hoc against an oracle value
     probes: list = field(default_factory=list)  # (candidate, value) sampled
-
-    def check_success(self, oracle_value, slack=1):
-        """Success = found value reaches the oracle extremum (times slack)."""
-        if self.value is None:
-            self.success = False
-        elif self.mode == "max":
-            self.success = self.value >= oracle_value and \
-                self.value <= oracle_value * slack
-        else:
-            self.success = self.value <= oracle_value * slack and \
-                self.value >= oracle_value
-        return self.success
 
 
 def search_budget(rho, delta):
@@ -133,14 +111,12 @@ def search_budget(rho, delta):
 
 
 def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
-                         setup_rounds=0, threshold=None):
-    """Repeatedly sample a candidate, evaluate it, keep the extremum.
+                         setup_rounds=0):
+    """Evaluate search_budget(rho, delta) random candidates, keep the best.
 
     `evaluate(x)` returns (value, rounds); value None marks a degenerate
-    probe that contributes cost but no value.  With a `threshold`, stops
-    as soon as a probe reaches it and raises IterationBudgetExceeded if
-    none does within the budget.  Raises LowConfidenceResult when every
-    probe was degenerate.
+    probe that contributes cost but no value.  Raises LowConfidenceResult
+    when every probe was degenerate.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min': {mode!r}")
@@ -151,8 +127,6 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
                         candidate_count=len(candidates),
                         setup_rounds=setup_rounds)
     better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
-    reached = (lambda v: v >= threshold) if mode == "max" else \
-        (lambda v: v <= threshold)
     for _ in range(budget):
         x = rng.choice(candidates)
         value, rounds = evaluate(x)
@@ -164,13 +138,9 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
                                   or better(value, trace.value)):
             trace.value = value
             trace.found = x
-        if threshold is not None and value is not None and reached(value):
-            break
     trace.charged_rounds = trace.setup_rounds + trace.evaluations * trace.eval_rounds
     if trace.value is None:
         raise LowConfidenceResult(trace)
-    if threshold is not None and not reached(trace.value):
-        raise IterationBudgetExceeded(trace)
     return trace
 
 
@@ -242,7 +212,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
 
     if len(members) == 1:
         s = members[0]
-        value = approx_eccentricity(state, s, node_count=network.n)
+        value = approx_eccentricity(state, s)
         extra = 2 * d_g + 1  # announce s + convergecast the eccentricity
         network.charge_rounds(extra, phase="eval")
         if trace_sink is not None:
@@ -259,7 +229,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
             network.charge_rounds(d_g + len(members), phase="setup")
             network.charge_rounds(d_g, phase="setup")
             sssp_on_overlay(network, state, s)
-            value = approx_eccentricity(state, s, node_count=network.n)
+            value = approx_eccentricity(state, s)
             network.charge_rounds(d_g, phase="eval")  # convergecast the extremum
             return value
 

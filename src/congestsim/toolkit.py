@@ -104,12 +104,12 @@ class BoundedDistanceProgram(NodeProgram):
             ctx.broadcast(1)
 
 
-def bounded_distance_sssp(network, s, budget, adj=None, phase="bounded-distance"):
+def bounded_distance_sssp(network, s, budget, adj=None):
     """Each node learns its distance from s if it is <= budget, else INFINITE.
 
-    Consumes exactly budget+1 engine rounds.  `adj` optionally gives the
-    per-node adjacency lists [(u, w)] of rounded weights (defaults to the
-    graph's own).
+    Consumes exactly budget+1 engine rounds, in a `bounded-distance`
+    phase.  `adj` optionally gives the per-node adjacency lists [(u, w)]
+    of rounded weights (defaults to the graph's own).
     """
     g = network.graph
     if budget < 0:
@@ -117,22 +117,23 @@ def bounded_distance_sssp(network, s, budget, adj=None, phase="bounded-distance"
     adj = g.adj if adj is None else adj
     programs = {v: BoundedDistanceProgram(v, s, budget, dict(adj[v]))
                 for v in range(g.n)}
-    with network.ledger.phase(phase):
+    with network.ledger.phase("bounded-distance"):
         network.run(programs, exact_rounds=budget + 1)
     return [programs[v].dist for v in range(g.n)]
 
 
-def bounded_hop_sssp(network, s, hops, eps, phase="bounded-hop-sssp"):
+def bounded_hop_sssp(network, s, hops, eps):
     """Approximate `hops`-bounded distances from s, via all scale levels.
 
-    Returns a per-node list of Fractions (INFINITE where no level stayed
-    within budget).  Guarantee: d <= result <= (1+eps) * d_hops.
+    Each level is one `bounded_distance_sssp` pass.  Returns a per-node
+    list of Fractions (INFINITE where no level stayed within budget).
+    Guarantee: d <= result <= (1+eps) * d_hops.
     """
     g = network.graph
     _check_hops_eps(hops, eps)
     budget = hop_budget(hops, eps)
     levels = scale_levels(g.n, g.max_weight, eps) + 1
-    per_level = [bounded_distance_sssp(network, s, budget, adj=adj, phase=phase)
+    per_level = [bounded_distance_sssp(network, s, budget, adj=adj)
                  for adj in _level_adjacency(g.n, g.edges, hops, eps, levels)]
     scale = eps / (2 * Fraction(hops))
     return [x if x is INFINITE else x * scale
@@ -245,14 +246,15 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     return None, window * stretch, messages, bits, failure
 
 
-def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
+def bounded_hop_mssp(network, sources, hops, eps, retries=3):
     """Approximate hop-bounded distances from every s in `sources` at once.
 
     Superposes one delayed bounded-hop pass per source; on congestion the
     run is retried with fresh delays (up to `retries` times), and the last
     CongestionFailure is raised when every attempt congests.  Each attempt
-    is evaluated by `_superposed_closed_form` and charged, in its own
-    `phase`, what its per-node programs send up to its end or abort.
+    broadcasts its delays in an `mssp-delays` phase, is evaluated by
+    `_superposed_closed_form` and is charged, in an `mssp` phase, what its
+    per-node programs send up to its end or abort.
     Returns {s: per-node list of Fractions}.
     """
     g = network.graph
@@ -260,6 +262,8 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
     sources = sorted(set(sources))
     if not sources:
         raise ValueError("sources must be nonempty")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0: {retries}")
     b = len(sources)
     budget = hop_budget(hops, eps)
     # per-window allowance ceil(log2 n), floored at 2: a copy owes at most
@@ -275,10 +279,10 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, phase="mssp"):
         # the pipeline rejects items wider than B bits, so every copy index
         # fits the bandwidth and the closed form needs no bandwidth check
         network.broadcast_pipeline(
-            [(i, delays[i]) for i in range(b)], phase=phase + "-delays")
+            [(i, delays[i]) for i in range(b)], phase="mssp-delays")
         best, rounds, messages, bits, failure = _superposed_closed_form(
             g, adj, sources, delays, budget, stretch)
-        with network.ledger.phase(phase):
+        with network.ledger.phase("mssp"):
             network.charge_rounds(rounds)
             network.ledger.add_messages(messages, bits)
         if failure is None:
@@ -319,30 +323,29 @@ class SkeletonState:
         return self.hop_tables[u][v]
 
 
-def build_skeleton_state(network, index, members, hops, eps, phase="mssp"):
+def build_skeleton_state(network, index, members, hops, eps):
     members = sorted(members)
     state = SkeletonState(index=index, members=members, hops=hops, eps=eps)
     if members:
-        state.hop_tables = bounded_hop_mssp(network, members, hops, eps,
-                                            phase=phase)
+        state.hop_tables = bounded_hop_mssp(network, members, hops, eps)
     return state
 
 
-def embed_overlay(network, state, k, phase="embed"):
+def embed_overlay(network, state, k):
     """Populate the k-shortcut overlay: each skeleton node's k nearest
     overlay neighbors get exact overlay distances as direct edges.
 
     Every skeleton node announces its k cheapest incident overlay edges;
     shortest paths to a node's k nearest targets only use announced
-    edges, so the exact distances are computable locally.  Charged
-    rounds: D_G + |S|*k.
+    edges, so the exact distances are computable locally.  Charged to an
+    `embed` phase: D_G + |S|*k rounds.
     """
     members = state.members
     state.k = k
     state.shortcut = {}
     state.overlay_levels = []
     if len(members) < 2 or k <= 0:
-        network.charge_rounds(network.unweighted_diameter(), phase=phase)
+        network.charge_rounds(network.unweighted_diameter(), phase="embed")
         return state
 
     announced = {}
@@ -370,11 +373,11 @@ def embed_overlay(network, state, k, phase="embed"):
                 state.shortcut[key] = d
 
     network.charge_rounds(network.unweighted_diameter() + len(members) * k,
-                          phase=phase)
+                          phase="embed")
     return state
 
 
-def sssp_on_overlay(network, state, s, phase="overlay-sssp"):
+def sssp_on_overlay(network, state, s):
     """Bounded-hop distances from s on the shortcut overlay; every node
     learns the whole table (each overlay round is a global broadcast).
 
@@ -410,7 +413,8 @@ def sssp_on_overlay(network, state, s, phase="overlay-sssp"):
     # per overlay round: count senders (D_G), broadcast (D_G + a); a is
     # charged at its bound |S| so every probe costs the same (lockstep)
     network.charge_rounds(len(per_level) * (budget + 1) * (
-        2 * network.unweighted_diameter() + 1 + len(members)), phase=phase)
+        2 * network.unweighted_diameter() + 1 + len(members)),
+        phase="overlay-sssp")
     state.overlay_tables[s] = best
     return best
 
@@ -435,13 +439,11 @@ def approx_distance(state, s, v):
     return best
 
 
-def approx_eccentricity(state, s, node_count=None):
+def approx_eccentricity(state, s):
     """Max of the approximate distance from s over all physical nodes."""
-    if not state.hop_tables:
-        raise MissingTableError("hop tables absent")
-    n = node_count if node_count is not None else len(
-        next(iter(state.hop_tables.values())))
+    if s not in state.hop_tables:
+        raise MissingTableError(f"no hop table for source {s}")
+    table = state.hop_tables[s]
     if len(state.members) == 1:
-        table = state.hop_tables[s]
         return max(table)
-    return max(approx_distance(state, s, v) for v in range(n))
+    return max(approx_distance(state, s, v) for v in range(len(table)))

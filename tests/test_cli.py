@@ -24,6 +24,8 @@ def test_oracle_cycle(capsys):
     assert report["radius"] == 6
     assert report["hop_diameter"] == 6
     assert report["eccentricities"] == [6] * 12
+    assert sorted(report["config"]) == ["command", "gen", "graph",
+                                        "max_weight", "n", "seed"]
 
 
 def test_oracle_graph_file(tmp_path, capsys):
@@ -113,6 +115,7 @@ def test_gadget_verify(capsys):
     assert report["pass"] is True
     assert report["h"] == 2 and report["variant"] == "diameter"
     assert report["F"] in (0, 1)
+    assert "seed" not in report["config"]
 
 
 def test_gadget_odd_h(capsys):
@@ -149,6 +152,14 @@ def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys):
         code, _, err = run(["oracle", "--graph", str(path)], capsys)
         assert code == EXIT_USAGE
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_max_weight_below_one_is_a_usage_error(capsys):
+    code, out, err = run(["approx", "diameter", "--gen", "random-connected",
+                          "--n", "8", "--max-weight", "0"], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "max_weight" in err
 
 
 def test_negative_trials_is_a_usage_error(capsys):

@@ -207,6 +207,12 @@ def test_rejects_bad_input():
         exact_sssp(WeightedGraph(2, [(0, 1, 1)]), 5)
 
 
+@pytest.mark.parametrize("max_weight", [0, -3])
+def test_random_graph_rejects_max_weight_below_one(max_weight):
+    with pytest.raises(GraphError, match="max_weight"):
+        random_connected_graph(8, max_weight=max_weight)
+
+
 def test_generators_connected():
     for n in (1, 2, 5, 12):
         for gen in (lambda m: random_connected_graph(m, rng=random.Random(n)),
