@@ -30,6 +30,7 @@ from .engine import (
 )
 from .toolkit import (
     CongestionFailure,
+    LevelTables,
     SkeletonState,
     approx_distance,
     approx_eccentricity,

@@ -210,7 +210,9 @@ def cmd_gadget(args):
         return EXIT_OK
     report = verify_reduction(inst)
     report["version"] = __version__
-    report["config"] = _config_dict(args)
+    # verify always emits JSON, so --format is not part of its config
+    report["config"] = {k: v for k, v in _config_dict(args).items()
+                        if k != "format"}
     _emit(_json_text(report), args)
     return EXIT_OK if report["pass"] else EXIT_FAILURE
 

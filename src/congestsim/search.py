@@ -24,6 +24,7 @@ from fractions import Fraction
 from .engine import Phase
 from .graphs import INFINITE, diameter
 from .toolkit import (
+    LevelTables,
     build_skeleton_state,
     default_eps,
     embed_overlay,
@@ -196,6 +197,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
 
     `cache` memoizes the tables and the probes across calls (None: within
     this call only); a repeat replays the phases its first run charged.
+    It also holds the `LevelTables` every skeleton's tables are read from.
     """
     members = sorted(members)
     if not members:
@@ -204,8 +206,13 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     memo = {} if cache is None else cache
 
     def init():
+        # one LevelTables per (hops, eps) serves every skeleton of the memo
+        levels = ("levels", schedule.hops, schedule.eps)
+        if levels not in memo:
+            memo[levels] = LevelTables(network.graph, schedule.hops,
+                                       schedule.eps)
         state = build_skeleton_state(network, index, members, schedule.hops,
-                                     schedule.eps)
+                                     schedule.eps, memo[levels])
         return embed_overlay(network, state, schedule.k)
 
     state, init_rounds = _memoized(network, memo, ("init", index), init)

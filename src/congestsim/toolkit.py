@@ -13,17 +13,24 @@ The pipeline, per skeleton set S:
 Step 1 is evaluated in closed form once its random delays are drawn and
 charged the exact cost of its per-node programs, up to the round it aborts
 in when an attempt congests; the message-level program is the reference in
-`tests/oracles.py`.  Steps 2-4 are overlay computations whose round
-costs are charged to the ledger by their communication schedules (global
-broadcasts) without simulating each individual message.
+`tests/oracles.py`.  Its rounded levels and each source's per-level passes
+depend on neither the skeleton nor the delays, so a `LevelTables` computes
+them once for all the skeletons of an estimator.  Steps 2-4 are overlay
+computations whose round costs are charged to the ledger by their
+communication schedules (global broadcasts) without simulating each
+individual message.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
-the sandwich bounds can be asserted with zero tolerance.
+the sandwich bounds can be asserted with zero tolerance; they are kept as
+integers in their level unit too, and `approx_eccentricity` adds and
+compares those, scaling only its result.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -129,15 +136,10 @@ def bounded_hop_sssp(network, s, hops, eps):
     list of Fractions (INFINITE where no level stayed within budget).
     Guarantee: d <= result <= (1+eps) * d_hops.
     """
-    g = network.graph
-    _check_hops_eps(hops, eps)
-    budget = hop_budget(hops, eps)
-    levels = scale_levels(g.n, g.max_weight, eps) + 1
-    per_level = [bounded_distance_sssp(network, s, budget, adj=adj)
-                 for adj in _level_adjacency(g.n, g.edges, hops, eps, levels)]
-    scale = eps / (2 * Fraction(hops))
-    return [x if x is INFINITE else x * scale
-            for x in map(_min_over_levels, zip(*per_level))]
+    levels = LevelTables(network.graph, hops, eps)
+    per_level = [bounded_distance_sssp(network, s, levels.budget, adj=adj)
+                 for adj in levels]
+    return levels.scaled(s, list(map(_min_over_levels, zip(*per_level))))
 
 
 def _level_adjacency(n, edges, hops, eps, levels):
@@ -163,15 +165,72 @@ def _min_over_levels(dists):
                 if d is not INFINITE), default=INFINITE)
 
 
+_Passes = namedtuple("_Passes", "keys sent units")
+
+
+class LevelTables(list):
+    """The rounded levels of one (graph, hops, eps), adj[level][v] =
+    [(u, rounded weight)], and what each source's passes over them give.
+
+    `source(s)` runs s's budget-bounded Dijkstra on every level once and
+    keeps, as (keys, sent, units): the key (level*(budget+1) + d)*n + v of
+    each finite entry, the messages the passes send (v's degree per
+    entry), and `_min_over_levels` of each node's distances, in units of
+    eps / (2*hops).  None of it depends on the skeleton or the delays, so
+    an estimator shares one object across all its skeletons; the tables
+    it hands out are shared too, and read-only.
+    """
+
+    def __init__(self, graph, hops, eps):
+        _check_hops_eps(hops, eps)
+        super().__init__(_level_adjacency(
+            graph.n, graph.edges, hops, eps,
+            scale_levels(graph.n, graph.max_weight, eps) + 1))
+        self.graph, self.hops, self.eps = graph, hops, eps
+        self.budget = hop_budget(hops, eps)
+        self.unit = eps / (2 * Fraction(hops))  # of the integer tables
+        self.degree = [len(nbrs) for nbrs in graph.adj]
+        self._passes = {}  # s -> _Passes
+        self._scaled = {}  # s -> (units, Fractions)
+
+    def source(self, s):
+        if s not in self._passes:
+            n, span, degree = self.graph.n, self.budget + 1, self.degree
+            # an int64 array: a list of these keys for every source took
+            # peak RSS at n = 256 from 85 to 115 MB
+            keys, sent, per_level = array("q"), 0, []
+            for level, adj in enumerate(self):
+                dist = dijkstra(adj, s, self.budget)
+                per_level.append(dist)
+                for v, d in enumerate(dist):
+                    if d is not INFINITE:
+                        keys.append((level * span + d) * n + v)
+                        sent += degree[v]
+            self._passes[s] = _Passes(
+                keys, sent, list(map(_min_over_levels, zip(*per_level))))
+        return self._passes[s]
+
+    def scaled(self, s, units):
+        """`units`, a table of s in units of eps/(2*hops), as Fractions;
+        scaled once while s's table stays the same."""
+        memo = self._scaled.get(s)
+        if memo is None or memo[0] != units:
+            memo = self._scaled[s] = units, [
+                x if x is INFINITE else x * self.unit for x in units]
+        return memo[1]
+
+
 def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     """Outcome (best, rounds, messages, bits, failure) of one superposed
     attempt, computed without sending its messages.
 
-    Each (copy, level) pass is a budget-bounded Dijkstra on the level's
-    rounded weights.  A node broadcasts its final distance d once, in
-    window delays[copy] + level*(budget+1) + d of `stretch` rounds, one
-    broadcast per round in queue order.  best[copy][v] is
-    `_min_over_levels` of v's distances in that copy.
+    `adj` is the attempt's `LevelTables`.  Each (copy, level) pass is a
+    budget-bounded Dijkstra on the level's rounded weights, and a node
+    broadcasts its final distance d once, in window delays[copy] +
+    level*(budget+1) + d of `stretch` rounds, one broadcast per round in
+    queue order.  So the attempt only counts the broadcasts owed at
+    delays[copy]*n + key over each source's keys; best[copy] is the
+    source's `_min_over_levels` table, and its messages are the source's.
 
     The attempt aborts (best None, failure the CongestionFailure) in the
     first round of the window of the smallest window*n + node owing more
@@ -181,38 +240,27 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     first message with its final distance arrives, one round after the
     predecessor's send in round window*stretch + queue position (ties to
     the lower sender id); a source queues its own d = 0 entries first.
+    The abort path reruns the per-level Dijkstras it needs.
     """
     n = graph.n
     span = budget + 1
-    degree = [len(nbrs) for nbrs in graph.adj]
-    owed = {}  # window * n + node -> broadcasts due
-    jam = None  # smallest over-full key
-    passes, best = [], []
+    owed = Counter()  # window * n + node -> broadcasts due
+    best = []
     messages = bits = 0
     for copy, s in enumerate(sources):
-        per_level = []
-        sent = 0
-        for level, level_adj in enumerate(adj):
-            dist = dijkstra(level_adj, s, budget)
-            per_level.append(dist)
-            base = delays[copy] + level * span
-            for v, d in enumerate(dist):
-                if d is INFINITE:
-                    continue
-                key = (base + d) * n + v
-                count = owed.get(key, 0) + 1
-                owed[key] = count
-                if count > stretch and (jam is None or key < jam):
-                    jam = key
-                sent += degree[v]
-        passes.append(per_level)
-        best.append([_min_over_levels(dists) for dists in zip(*per_level)])
+        keys, sent, units = adj.source(s)
+        owed.update(map((delays[copy] * n).__add__, keys))
+        best.append(units)
         messages += sent
         bits += sent * max(1, copy.bit_length())
-    if jam is None:
+    if max(owed.values()) <= stretch:
         windows = len(adj) * span + len(sources) * stretch + 1
         return best, windows * stretch, messages, bits, None
 
+    degree = adj.degree
+    jam = min(key for key, count in owed.items() if count > stretch)
+    passes = [[dijkstra(level_adj, s, budget) for level_adj in adj]
+              for s in sources]
     window, node = divmod(jam, n)
     due = {}  # window * n + node -> [(copy, level, d)], before the abort
     for copy, per_level in enumerate(passes):
@@ -246,7 +294,7 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     return None, window * stretch, messages, bits, failure
 
 
-def bounded_hop_mssp(network, sources, hops, eps, retries=3):
+def bounded_hop_mssp(network, sources, hops, eps, retries=3, levels=None):
     """Approximate hop-bounded distances from every s in `sources` at once.
 
     Superposes one delayed bounded-hop pass per source; on congestion the
@@ -255,6 +303,10 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3):
     broadcasts its delays in an `mssp-delays` phase, is evaluated by
     `_superposed_closed_form` and is charged, in an `mssp` phase, what its
     per-node programs send up to its end or abort.
+    `levels` is the `LevelTables` of (network.graph, hops, eps) to read
+    each source's passes from (default: a fresh one); the rounds and
+    delays are drawn and charged per call, so sharing one object across
+    calls changes no table, charge or clock.
     Returns {s: per-node list of Fractions}.
     """
     g = network.graph
@@ -264,14 +316,15 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3):
         raise ValueError("sources must be nonempty")
     if retries < 0:
         raise ValueError(f"retries must be >= 0: {retries}")
+    if levels is None:
+        levels = LevelTables(g, hops, eps)
+    elif levels.graph is not g or (levels.hops, levels.eps) != (hops, eps):
+        raise ValueError("level tables of another graph, hop bound or eps")
     b = len(sources)
-    budget = hop_budget(hops, eps)
     # per-window allowance ceil(log2 n), floored at 2: a copy owes at most
     # one broadcast per window, so two copies must never be able to jam
     stretch = max(2, math.ceil(math.log2(max(2, g.n))))
     network._require_tree()
-    adj = _level_adjacency(g.n, g.edges, hops, eps,
-                           scale_levels(g.n, g.max_weight, eps) + 1)
     failure = None
     for _attempt in range(retries + 1):
         delays = [network.rng_for(network.leader).randint(0, b * stretch)
@@ -281,13 +334,12 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3):
         network.broadcast_pipeline(
             [(i, delays[i]) for i in range(b)], phase="mssp-delays")
         best, rounds, messages, bits, failure = _superposed_closed_form(
-            g, adj, sources, delays, budget, stretch)
+            g, levels, sources, delays, levels.budget, stretch)
         with network.ledger.phase("mssp"):
             network.charge_rounds(rounds)
             network.ledger.add_messages(messages, bits)
         if failure is None:
-            scale = eps / (2 * Fraction(hops))
-            return {s: [x if x is INFINITE else x * scale for x in best[copy]]
+            return {s: levels.scaled(s, best[copy])
                     for copy, s in enumerate(sources)}
     raise failure
 
@@ -307,6 +359,11 @@ class SkeletonState:
     hop_tables: dict = field(default_factory=dict)   # s -> per-node list
     shortcut: dict = field(default_factory=dict)     # (u,v) -> weight
     overlay_tables: dict = field(default_factory=dict)  # s -> {u: value}
+    # the same tables as integers, for approx_eccentricity: hop_units[s] in
+    # units of eps/(2*hops); overlay_units[s] = (hop bound, {u: value in
+    # units of eps/(2*hop bound)})
+    hop_units: dict = field(default_factory=dict)
+    overlay_units: dict = field(default_factory=dict)
     # level -> rounded adjacency (a list over all n nodes) of the complete
     # overlay; independent of the probe source, so built by the first probe
     # and reset with `shortcut`
@@ -323,11 +380,17 @@ class SkeletonState:
         return self.hop_tables[u][v]
 
 
-def build_skeleton_state(network, index, members, hops, eps):
+def build_skeleton_state(network, index, members, hops, eps, levels=None):
+    """Skeleton `index` with its members' hop tables, from `bounded_hop_mssp`
+    on `levels` (default: a fresh `LevelTables` of (graph, hops, eps))."""
     members = sorted(members)
     state = SkeletonState(index=index, members=members, hops=hops, eps=eps)
     if members:
-        state.hop_tables = bounded_hop_mssp(network, members, hops, eps)
+        if levels is None:
+            levels = LevelTables(network.graph, hops, eps)
+        state.hop_tables = bounded_hop_mssp(network, members, hops, eps,
+                                            levels=levels)
+        state.hop_units = {s: levels.source(s).units for s in members}
     return state
 
 
@@ -406,9 +469,9 @@ def sssp_on_overlay(network, state, s):
 
     per_level = [dijkstra(adj, s, budget) for adj in state.overlay_levels]
     scale = eps / (2 * hop_bound)
-    best = {}
+    units, best = {}, {}
     for u in members:
-        x = _min_over_levels([dist[u] for dist in per_level])
+        x = units[u] = _min_over_levels([dist[u] for dist in per_level])
         best[u] = x if x is INFINITE else x * scale
     # per overlay round: count senders (D_G), broadcast (D_G + a); a is
     # charged at its bound |S| so every probe costs the same (lockstep)
@@ -416,13 +479,15 @@ def sssp_on_overlay(network, state, s):
         2 * network.unweighted_diameter() + 1 + len(members)),
         phase="overlay-sssp")
     state.overlay_tables[s] = best
+    state.overlay_units[s] = hop_bound, units
     return best
 
 
 def approx_distance(state, s, v):
     """min over skeleton u of (overlay distance s->u) + (hop table u->v).
 
-    Node-local: both summands already live in v's memory.
+    Node-local: both summands already live in v's memory.  The definition
+    `approx_eccentricity` computes in integer units.
     """
     if s not in state.overlay_tables:
         raise MissingTableError(f"no overlay table for source {s}")
@@ -440,10 +505,26 @@ def approx_distance(state, s, v):
 
 
 def approx_eccentricity(state, s):
-    """Max of the approximate distance from s over all physical nodes."""
+    """max over physical nodes v of approx_distance(state, s, v).
+
+    Computed on the integer tables: with hops = p1/q1 and the overlay's hop
+    bound p2/q2, a hop entry a (units eps/(2*hops)) plus an overlay entry b
+    (units eps/(2*hop bound)) is a*q1*p2 + b*q2*p1 in units of
+    eps/(2*p1*p2), and only the result is scaled.
+    """
     if s not in state.hop_tables:
         raise MissingTableError(f"no hop table for source {s}")
-    table = state.hop_tables[s]
+    hops = Fraction(state.hops)
     if len(state.members) == 1:
-        return max(table)
-    return max(approx_distance(state, s, v) for v in range(len(table)))
+        top, unit = max(state.hop_units[s]), state.eps / (2 * hops)
+    else:
+        if s not in state.overlay_units:
+            raise MissingTableError(f"no overlay table for source {s}")
+        hop_bound, overlay = state.overlay_units[s]
+        a_unit = hops.denominator * hop_bound.numerator
+        b_unit = hop_bound.denominator * hops.numerator
+        rows = [[b * b_unit + a * a_unit for a in state.hop_units[u]]
+                for u, b in overlay.items() if b is not INFINITE]
+        top = max(map(min, zip(*rows)), default=INFINITE)
+        unit = state.eps / (2 * hops.numerator * hop_bound.numerator)
+    return INFINITE if top == INFINITE else top * unit

@@ -118,6 +118,13 @@ def test_gadget_verify(capsys):
     assert "seed" not in report["config"]
 
 
+def test_gadget_verify_ignores_format(capsys):
+    outputs = [run(["gadget", "verify", "--h", "2", "--format", fmt], capsys)
+               for fmt in ("text", "json")]
+    assert outputs[0] == outputs[1]
+    assert "format" not in json.loads(outputs[0][1])["config"]
+
+
 def test_gadget_odd_h(capsys):
     code, _, err = run(["gadget", "verify", "--h", "3"], capsys)
     assert code == EXIT_USAGE

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from congestsim.engine import Network
 from congestsim.graphs import (
@@ -14,6 +16,7 @@ from congestsim.graphs import (
 )
 from congestsim.toolkit import (
     CongestionFailure,
+    LevelTables,
     approx_distance,
     approx_eccentricity,
     bounded_distance_sssp,
@@ -245,6 +248,52 @@ def test_aborted_mssp_attempt_is_charged_to_its_phase(seed):
     assert net.ledger.phases[-1].rounds > net.ledger.rounds / 2
 
 
+def _mssp_sequence(g, calls, hops, eps, shared):
+    """Outcome, ledger and clock after each call, all on one Network."""
+    net = Network(g, seed="sequence")
+    levels = LevelTables(g, hops, eps) if shared else None
+    outcomes = []
+    for sources, retries in calls:
+        try:
+            result = bounded_hop_mssp(net, sources, hops, eps, retries=retries,
+                                      levels=levels)
+        except CongestionFailure as failure:
+            result = ("CongestionFailure", str(failure))
+        outcomes.append((result, net.ledger.to_dict(), net.round_clock))
+    return outcomes
+
+
+def test_shared_level_tables_are_invisible():
+    # the same calls give the same tables or exception text, ledger and
+    # clock whether they share one LevelTables or each build their own
+    raised = succeeded = 0
+    for seed in (49, 56, 3, 11):
+        g = random_connected_graph(16, max_weight=10, rng=random.Random(seed))
+        every = list(range(16))
+        calls = [(every, 0), ([0, 5, 9], 3), (every, 1), ([2, 5], 0),
+                 (every[::2], 0), (every, 0), ([0, 5, 9], 3)]
+        for hops, eps in ((16, Fraction(1, 4)),
+                          (Fraction(5, 2), Fraction(1, 2))):
+            shared = _mssp_sequence(g, calls, hops, eps, shared=True)
+            assert shared == _mssp_sequence(g, calls, hops, eps, shared=False)
+            for result, _, _ in shared:
+                raised += isinstance(result, tuple)
+                succeeded += isinstance(result, dict)
+    assert raised and succeeded
+
+
+def test_mssp_rejects_level_tables_of_another_pass():
+    g = random_connected_graph(8, rng=random.Random(0))
+    net = Network(g)
+    eps = Fraction(1, 2)
+    for other in (LevelTables(g, 3, eps), LevelTables(g, 4, Fraction(1, 4)),
+                  LevelTables(random_connected_graph(8, rng=random.Random(0)),
+                              4, eps)):
+        with pytest.raises(ValueError, match="level tables"):
+            bounded_hop_mssp(net, [0, 3], 4, eps, levels=other)
+    assert net.ledger.rounds == 0
+
+
 # --- overlay stages ------------------------------------------------------
 
 
@@ -440,3 +489,46 @@ def test_approx_eccentricity_single_node():
     net = Network(g)
     state = build_skeleton_state(net, 0, [0], 1, Fraction(1, 2))
     assert approx_eccentricity(state, 0) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eccentricity_in_integer_units_is_the_approx_distance_max(data):
+    n = data.draw(st.integers(1, 12))
+    rng = random.Random(data.draw(st.integers(0, 99)))
+    g = random_connected_graph(n, max_weight=data.draw(st.integers(1, 10)),
+                               rng=rng) if n > 1 else WeightedGraph(1, [])
+    # half-integer and small hop bounds leave far nodes INFINITE
+    hops = Fraction(data.draw(st.integers(1, 2 * n)), 2)
+    eps = Fraction(1, data.draw(st.integers(1, 4)))
+    members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    net = Network(g, seed=data.draw(st.integers(0, 3)))
+    try:
+        state = build_skeleton_state(net, 0, members, hops, eps)
+    except CongestionFailure:
+        reject()
+    for k in sorted(data.draw(st.sets(st.integers(0, len(members) + 1),
+                                      min_size=1, max_size=3))):
+        embed_overlay(net, state, k)
+        for s in members:
+            sssp_on_overlay(net, state, s)
+            assert approx_eccentricity(state, s) == max(
+                approx_distance(state, s, v) for v in range(n))
+    outside = [v for v in range(n) if v not in members]
+    if outside:
+        with pytest.raises(MissingTableError):
+            approx_eccentricity(state, outside[0])
+
+
+def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
+    # budget floor(3 * 1/2) = 1: one hop from each skeleton node
+    net = Network(path_graph(4))
+    state = build_skeleton_state(net, 0, [0, 2], Fraction(1, 2), Fraction(1))
+    embed_overlay(net, state, 1)
+    with pytest.raises(MissingTableError):
+        approx_eccentricity(state, 0)  # no overlay table yet
+    with pytest.raises(MissingTableError):
+        approx_eccentricity(state, 1)  # not a skeleton node
+    sssp_on_overlay(net, state, 0)
+    assert approx_distance(state, 0, 4) is INFINITE
+    assert approx_eccentricity(state, 0) is INFINITE
