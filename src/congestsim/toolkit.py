@@ -21,9 +21,9 @@ communication schedules (global broadcasts) without simulating each
 individual message.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
-the sandwich bounds can be asserted with zero tolerance; they are kept as
-integers in their level unit too, and `approx_eccentricity` adds and
-compares those, scaling only its result.
+the sandwich bounds can be asserted with zero tolerance.  The hop tables
+are integers in their level unit too (in the `LevelTables`), and
+`approx_eccentricity` adds and compares integers, scaling only its result.
 """
 
 from __future__ import annotations
@@ -304,8 +304,8 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, levels=None):
     `_superposed_closed_form` and is charged, in an `mssp` phase, what its
     per-node programs send up to its end or abort.
     `levels` is the `LevelTables` of (network.graph, hops, eps) to read
-    each source's passes from (default: a fresh one); the rounds and
-    delays are drawn and charged per call, so sharing one object across
+    each source's passes from (default: a fresh one); the delays are
+    drawn and the rounds charged per call, so sharing one object across
     calls changes no table, charge or clock.
     Returns {s: per-node list of Fractions}.
     """
@@ -318,8 +318,7 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, levels=None):
         raise ValueError(f"retries must be >= 0: {retries}")
     if levels is None:
         levels = LevelTables(g, hops, eps)
-    elif levels.graph is not g or (levels.hops, levels.eps) != (hops, eps):
-        raise ValueError("level tables of another graph, hop bound or eps")
+    assert levels.graph is g and (levels.hops, levels.eps) == (hops, eps)
     b = len(sources)
     # per-window allowance ceil(log2 n), floored at 2: a copy owes at most
     # one broadcast per window, so two copies must never be able to jam
@@ -359,11 +358,10 @@ class SkeletonState:
     hop_tables: dict = field(default_factory=dict)   # s -> per-node list
     shortcut: dict = field(default_factory=dict)     # (u,v) -> weight
     overlay_tables: dict = field(default_factory=dict)  # s -> {u: value}
-    # the same tables as integers, for approx_eccentricity: hop_units[s] in
-    # units of eps/(2*hops); overlay_units[s] = (hop bound, {u: value in
-    # units of eps/(2*hop bound)})
-    hop_units: dict = field(default_factory=dict)
-    overlay_units: dict = field(default_factory=dict)
+    # the LevelTables hop_tables were read from, whose integer tables
+    # approx_eccentricity adds; None for a state built by hand, whose
+    # Fraction hop tables approx_eccentricity then adds as they are
+    levels: object = field(default=None, repr=False, compare=False)
     # level -> rounded adjacency (a list over all n nodes) of the complete
     # overlay; independent of the probe source, so built by the first probe
     # and reset with `shortcut`
@@ -390,7 +388,7 @@ def build_skeleton_state(network, index, members, hops, eps, levels=None):
             levels = LevelTables(network.graph, hops, eps)
         state.hop_tables = bounded_hop_mssp(network, members, hops, eps,
                                             levels=levels)
-        state.hop_units = {s: levels.source(s).units for s in members}
+        state.levels = levels
     return state
 
 
@@ -469,9 +467,9 @@ def sssp_on_overlay(network, state, s):
 
     per_level = [dijkstra(adj, s, budget) for adj in state.overlay_levels]
     scale = eps / (2 * hop_bound)
-    units, best = {}, {}
+    best = {}
     for u in members:
-        x = units[u] = _min_over_levels([dist[u] for dist in per_level])
+        x = _min_over_levels([dist[u] for dist in per_level])
         best[u] = x if x is INFINITE else x * scale
     # per overlay round: count senders (D_G), broadcast (D_G + a); a is
     # charged at its bound |S| so every probe costs the same (lockstep)
@@ -479,7 +477,6 @@ def sssp_on_overlay(network, state, s):
         2 * network.unweighted_diameter() + 1 + len(members)),
         phase="overlay-sssp")
     state.overlay_tables[s] = best
-    state.overlay_units[s] = hop_bound, units
     return best
 
 
@@ -507,24 +504,34 @@ def approx_distance(state, s, v):
 def approx_eccentricity(state, s):
     """max over physical nodes v of approx_distance(state, s, v).
 
-    Computed on the integer tables: with hops = p1/q1 and the overlay's hop
-    bound p2/q2, a hop entry a (units eps/(2*hops)) plus an overlay entry b
-    (units eps/(2*hop bound)) is a*q1*p2 + b*q2*p1 in units of
-    eps/(2*p1*p2), and only the result is scaled.
+    Computed in integers: with the hop tables' unit e/f = eps/(2*hops) and
+    L the least common multiple of f and the denominators of s's overlay
+    entries, a hop entry a (in units e/f, from `state.levels`) plus an
+    overlay entry p/q is a*e*(L/f) + p*(L/q) in units of 1/L, and only the
+    result is scaled.  A state built by hand has no `levels`; its Fraction
+    hop tables are taken in unit 1, and the same sums stay exact.
     """
     if s not in state.hop_tables:
         raise MissingTableError(f"no hop table for source {s}")
-    hops = Fraction(state.hops)
     if len(state.members) == 1:
-        top, unit = max(state.hop_units[s]), state.eps / (2 * hops)
+        overlay = {s: 0}  # what sssp_on_overlay stores, without a probe
+    elif s in state.overlay_tables:
+        overlay = state.overlay_tables[s]
     else:
-        if s not in state.overlay_units:
-            raise MissingTableError(f"no overlay table for source {s}")
-        hop_bound, overlay = state.overlay_units[s]
-        a_unit = hops.denominator * hop_bound.numerator
-        b_unit = hop_bound.denominator * hops.numerator
-        rows = [[b * b_unit + a * a_unit for a in state.hop_units[u]]
-                for u, b in overlay.items() if b is not INFINITE]
-        top = max(map(min, zip(*rows)), default=INFINITE)
-        unit = state.eps / (2 * hops.numerator * hop_bound.numerator)
-    return INFINITE if top == INFINITE else top * unit
+        raise MissingTableError(f"no overlay table for source {s}")
+    levels = state.levels
+    if levels is None:
+        unit, tables = Fraction(1), state.hop_tables
+    else:
+        unit = levels.unit
+        tables = {u: levels.source(u).units for u in state.hop_tables}
+    finite = [(u, overlay[u]) for u in state.members
+              if u in tables and overlay.get(u, INFINITE) is not INFINITE]
+    denom = math.lcm(unit.denominator, *(b.denominator for _, b in finite))
+    a_unit = unit.numerator * (denom // unit.denominator)
+    rows = []
+    for u, b in finite:
+        offset = b.numerator * (denom // b.denominator)
+        rows.append([a * a_unit + offset for a in tables[u]])
+    top = max(map(min, zip(*rows)), default=INFINITE)
+    return INFINITE if top == INFINITE else Fraction(top, denom)

@@ -282,18 +282,6 @@ def test_shared_level_tables_are_invisible():
     assert raised and succeeded
 
 
-def test_mssp_rejects_level_tables_of_another_pass():
-    g = random_connected_graph(8, rng=random.Random(0))
-    net = Network(g)
-    eps = Fraction(1, 2)
-    for other in (LevelTables(g, 3, eps), LevelTables(g, 4, Fraction(1, 4)),
-                  LevelTables(random_connected_graph(8, rng=random.Random(0)),
-                              4, eps)):
-        with pytest.raises(ValueError, match="level tables"):
-            bounded_hop_mssp(net, [0, 3], 4, eps, levels=other)
-    assert net.ledger.rounds == 0
-
-
 # --- overlay stages ------------------------------------------------------
 
 
@@ -518,6 +506,29 @@ def test_eccentricity_in_integer_units_is_the_approx_distance_max(data):
     if outside:
         with pytest.raises(MissingTableError):
             approx_eccentricity(state, outside[0])
+
+
+def test_eccentricity_of_a_state_built_by_hand():
+    # no LevelTables: the same sums over its Fraction tables
+    g = random_connected_graph(10, rng=random.Random(9))
+    net, state = full_pipeline(g)
+    sub = [0, 2, 5, 8]
+    hop_tables = {u: state.hop_tables[u] for u in sub}
+    restricted = SkeletonState(
+        index=1, members=sub, hops=state.hops, eps=state.eps, k=state.k,
+        hop_tables=hop_tables,
+        overlay_tables={s: {u: state.overlay_tables[s][u] for u in sub}
+                        for s in sub})
+    for s in sub:
+        assert approx_eccentricity(restricted, s) == max(
+            approx_distance(restricted, s, v) for v in range(g.n))
+    single = SkeletonState(index=2, members=[3], hops=state.hops,
+                           eps=state.eps, hop_tables={3: state.hop_tables[3]})
+    assert approx_eccentricity(single, 3) == max(state.hop_tables[3])
+    unprobed = SkeletonState(index=3, members=sub, hops=state.hops,
+                             eps=state.eps, hop_tables=hop_tables)
+    with pytest.raises(MissingTableError, match="no overlay table"):
+        approx_eccentricity(unprobed, 0)
 
 
 def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
