@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -67,10 +66,10 @@ def _fraction_text(text):
     return text
 
 
-def _finite_float(text):
-    """argparse type: a float that is neither infinite nor NaN."""
-    if not math.isfinite(float(text)):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+def _eps_floor(text):
+    """argparse type: a float x with 0 < x <= 1 (so not NaN or infinite)."""
+    if not 0 < float(text) <= 1:
+        raise argparse.ArgumentTypeError(f"need 0 < x <= 1: {text!r}")
     return float(text)
 
 
@@ -272,7 +271,7 @@ def build_parser():
     p.add_argument("--delta", type=_fraction_text, default="1/12",
                    help="failure budget (fraction)")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--eps-floor", type=_finite_float, default=None)
+    p.add_argument("--eps-floor", type=_eps_floor, default=None)
     p.add_argument("--bandwidth", type=int, default=None)
     p.set_defaults(func=cmd_approx)
 

@@ -226,7 +226,8 @@ class Network:
         it stops when all programs have halted and nothing is in flight,
         or fails with MaxRoundsExceeded at `max_rounds`.
 
-        Returns the number of rounds consumed.
+        Returns the number of rounds consumed, which the run charges to the
+        ledger and advances the round clock by.
         """
         start = self.round_clock
         budget_end = None
@@ -283,10 +284,9 @@ class Network:
         # Charge rounds.  For fixed-budget runs the whole budget counts
         # (quiet tail included).  Otherwise rounds are counted through the
         # last round that carried traffic; the final delivery-only round is
-        # local computation and free.
+        # local computation and free, and the next run starts in it.
         if budget_end is not None:
             used = budget_end - start
-            self.round_clock = budget_end
             # what a budget's last round sent is never read by this run;
             # the next run's programs must not read it either
             self._pending.clear()
@@ -294,6 +294,7 @@ class Network:
             used = self._last_send_round - start + 1
         else:
             used = 0
+        self.round_clock = start + used
         self.ledger.add_rounds(used)
         return used
 

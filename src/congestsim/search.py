@@ -164,23 +164,21 @@ def _memoized(network, memo, key, compute):
 
     A repeat returns the first result and replays the phases the first run
     appended to the ledger, with their names, rounds, messages and bits,
-    and advances the round clock as far as the first run did (an
-    open-ended engine run moves it past its last charged round), so a memo
-    hit costs what computing did.
+    and advances the round clock by the rounds it replays, so a memo hit
+    costs what computing did and the clock stays the ledger's round count.
     """
     ledger = network.ledger
     mark = ledger.rounds
     if key not in memo:
-        first, clock = len(ledger.phases), network.round_clock
-        result = compute()
-        memo[key] = result, ledger.phases[first:], network.round_clock - clock
+        first = len(ledger.phases)
+        memo[key] = compute(), ledger.phases[first:]
     else:
         for p in memo[key][1]:
             ledger.phases.append(Phase(p.name, p.rounds, p.messages, p.bits))
             ledger.rounds += p.rounds
             ledger.messages += p.messages
             ledger.bits += p.bits
-        network.round_clock += memo[key][2]
+        network.round_clock += ledger.rounds - mark
     return memo[key][0], ledger.rounds - mark
 
 

@@ -15,10 +15,10 @@ charged the exact cost of its per-node programs, up to the round it aborts
 in when an attempt congests; the message-level program is the reference in
 `tests/oracles.py`.  Its rounded levels and each source's per-level passes
 depend on neither the skeleton nor the delays, so a `LevelTables` computes
-them once for all the skeletons of an estimator.  Steps 2-4 are overlay
-computations whose round costs are charged to the ledger by their
-communication schedules (global broadcasts) without simulating each
-individual message.
+them once for all the skeletons of an estimator.  Step 4 is the same pass
+on the overlay, a graph on the skeleton, read from the overlay's own
+`LevelTables`.  Steps 2-4 are charged to the ledger by their communication
+schedules (global broadcasts) without simulating each message.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  The hop tables
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import NodeProgram
-from .graphs import INFINITE, dijkstra
+from .graphs import INFINITE, WeightedGraph, dijkstra
 
 
 class CongestionFailure(RuntimeError):
@@ -142,20 +142,6 @@ def bounded_hop_sssp(network, s, hops, eps):
     return levels.scaled(s, list(map(_min_over_levels, zip(*per_level))))
 
 
-def _level_adjacency(n, edges, hops, eps, levels):
-    """adj[level][v] = [(u, rounded_weight(w, hops, eps, level))] over the
-    edges (u, v, w) at v, for nodes 0..n-1."""
-    unit = 2 * Fraction(hops) / eps
-    adj = [[[] for _ in range(n)] for _ in range(levels)]
-    for u, v, w in edges:
-        x = unit * w
-        for level in range(levels):
-            rw = max(1, -(-x.numerator // (x.denominator << level)))
-            adj[level][u].append((v, rw))
-            adj[level][v].append((u, rw))
-    return adj
-
-
 def _min_over_levels(dists):
     """min over levels of d << level (INFINITE if no level reached the node).
 
@@ -183,12 +169,17 @@ class LevelTables(list):
 
     def __init__(self, graph, hops, eps):
         _check_hops_eps(hops, eps)
-        super().__init__(_level_adjacency(
-            graph.n, graph.edges, hops, eps,
-            scale_levels(graph.n, graph.max_weight, eps) + 1))
         self.graph, self.hops, self.eps = graph, hops, eps
         self.budget = hop_budget(hops, eps)
         self.unit = eps / (2 * Fraction(hops))  # of the integer tables
+        top = scale_levels(graph.n, graph.max_weight, eps)
+        self.extend([[] for _ in range(graph.n)] for _ in range(top + 1))
+        for u, v, w in graph.edges:
+            x = w / self.unit  # level l: rounded_weight, ceil(x / 2^l)
+            for level, adj in enumerate(self):
+                rw = max(1, -(-x.numerator // (x.denominator << level)))
+                adj[u].append((v, rw))
+                adj[v].append((u, rw))
         self.degree = [len(nbrs) for nbrs in graph.adj]
         self._passes = {}  # s -> _Passes
         self._scaled = {}  # s -> (units, Fractions)
@@ -362,10 +353,10 @@ class SkeletonState:
     # approx_eccentricity adds; None for a state built by hand, whose
     # Fraction hop tables approx_eccentricity then adds as they are
     levels: object = field(default=None, repr=False, compare=False)
-    # level -> rounded adjacency (a list over all n nodes) of the complete
-    # overlay; independent of the probe source, so built by the first probe
-    # and reset with `shortcut`
-    overlay_levels: list = field(default_factory=list)
+    # the LevelTables of the overlay, a graph on members' indices 0..|S|-1;
+    # independent of the probe source, so built by the first probe and
+    # reset by `embed_overlay`
+    overlay_levels: object = field(default=None, repr=False, compare=False)
 
     def overlay_weight(self, u, v):
         """Base overlay weight: the approximate bounded-hop distance u-v."""
@@ -404,7 +395,7 @@ def embed_overlay(network, state, k):
     members = state.members
     state.k = k
     state.shortcut = {}
-    state.overlay_levels = []
+    state.overlay_levels = None
     if len(members) < 2 or k <= 0:
         network.charge_rounds(network.unweighted_diameter(), phase="embed")
         return state
@@ -419,15 +410,16 @@ def embed_overlay(network, state, k):
             if key not in announced or w < announced[key]:
                 announced[key] = w
 
-    adj = [[] for _ in range(network.n)]
+    index = {u: i for i, u in enumerate(members)}
+    adj = [[] for _ in members]
     for (u, v), w in announced.items():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+        adj[index[u]].append((index[v], w))
+        adj[index[v]].append((index[u], w))
 
-    for s in members:
-        dist = dijkstra(adj, s)
-        ranked = sorted((dist[v], v) for v in members
-                        if v != s and dist[v] is not INFINITE)
+    for i, s in enumerate(members):
+        dist = dijkstra(adj, i)
+        ranked = sorted((d, v) for v, d in zip(members, dist)
+                        if v != s and d is not INFINITE)
         for d, v in ranked[:k]:
             key = (min(s, v), max(s, v))
             if key not in state.shortcut or d < state.shortcut[key]:
@@ -442,7 +434,9 @@ def sssp_on_overlay(network, state, s):
     """Bounded-hop distances from s on the shortcut overlay; every node
     learns the whole table (each overlay round is a global broadcast).
 
-    Hop bound 4|S|/k (the shortcut overlay's hop diameter is below that).
+    Hop bound 4|S|/k (the shortcut overlay's hop diameter is below that),
+    or |S| when k = 0.  The overlay is a `WeightedGraph` on the members'
+    indices, whose `LevelTables` round and pass it as for the base graph.
     Returns {u: value} and stores it in state.overlay_tables[s].
     """
     members = state.members
@@ -452,28 +446,22 @@ def sssp_on_overlay(network, state, s):
         state.overlay_tables[s] = {s: 0}
         return state.overlay_tables[s]
 
-    eps = state.eps
-    k = state.k
-    hop_bound = Fraction(4 * len(members), k) if k >= 1 else Fraction(len(members))
-    budget = hop_budget(hop_bound, eps)
-    if not state.overlay_levels:
-        pairs = [(u, v, state.overlay_weight(u, v))
-                 for i, u in enumerate(members) for v in members[i + 1:]]
-        finite = [(u, v, w) for u, v, w in pairs if w is not INFINITE]
-        max_w = max((w for _, _, w in finite), default=1)
-        state.overlay_levels = _level_adjacency(
-            network.n, finite, hop_bound, eps,
-            scale_levels(len(members), max_w, eps) + 1)
-
-    per_level = [dijkstra(adj, s, budget) for adj in state.overlay_levels]
-    scale = eps / (2 * hop_bound)
-    best = {}
-    for u in members:
-        x = _min_over_levels([dist[u] for dist in per_level])
-        best[u] = x if x is INFINITE else x * scale
+    if state.overlay_levels is None:
+        hop_bound = Fraction(4 * len(members), state.k) if state.k >= 1 \
+            else Fraction(len(members))
+        pairs = [(i, j, state.overlay_weight(u, v))
+                 for i, u in enumerate(members)
+                 for j, v in enumerate(members) if i < j]
+        overlay = WeightedGraph(
+            len(members), [e for e in pairs if e[2] is not INFINITE],
+            check_connected=False)
+        state.overlay_levels = LevelTables(overlay, hop_bound, state.eps)
+    levels = state.overlay_levels
+    i = members.index(s)
+    best = dict(zip(members, levels.scaled(i, levels.source(i).units)))
     # per overlay round: count senders (D_G), broadcast (D_G + a); a is
     # charged at its bound |S| so every probe costs the same (lockstep)
-    network.charge_rounds(len(per_level) * (budget + 1) * (
+    network.charge_rounds(len(levels) * (levels.budget + 1) * (
         2 * network.unweighted_diameter() + 1 + len(members)),
         phase="overlay-sssp")
     state.overlay_tables[s] = best

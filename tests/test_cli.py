@@ -200,6 +200,15 @@ def test_unreadable_number_is_a_usage_error(capsys, option):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "2"])
+def test_eps_floor_outside_the_unit_interval_is_a_usage_error(capsys, value):
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",
+                          "--eps-floor", value], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "--eps-floor" in err
+
+
 @pytest.mark.parametrize("quantity", ["diameter", "radius"])
 def test_single_node_needs_no_rounds(capsys, quantity):
     code, out, _ = run(["approx", quantity, "--gen", "cycle", "--n", "1"],

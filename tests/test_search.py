@@ -277,6 +277,24 @@ def test_evaluate_memo_is_invisible_to_the_ledger(data):
         assert runs[0] == runs[1]
 
 
+def test_round_clock_is_the_ledger_round_count():
+    # open-ended runs end in their last charged round, and a memo hit
+    # advances the clock by the rounds it replays
+    g = random_connected_graph(12, rng=random.Random(0))
+    net = Network(g, seed=0)
+    net.build_bfs_tree()
+    assert net.round_clock == net.ledger.rounds
+    net.broadcast_pipeline([1, 2, 3])
+    assert net.round_clock == net.ledger.rounds
+    net.convergecast_extremum(list(range(g.n)))
+    assert net.round_clock == net.ledger.rounds
+    for run in (approx_diameter, approx_radius):
+        for seed in range(3):
+            net = Network(g, seed=seed)
+            run(net, rng=random.Random(seed))
+            assert net.round_clock == net.ledger.rounds
+
+
 def test_evaluate_empty_skeleton():
     g = random_connected_graph(8, rng=random.Random(9))
     net = Network(g, seed=9)

@@ -365,13 +365,13 @@ def test_overlay_probe_cost_constant():
     assert len(set(costs)) == 1
 
 
-@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
 def test_overlay_sssp_matches_level_enumeration(k):
     g = random_connected_graph(14, rng=random.Random(6))
     members = [1, 4, 7, 10, 13]
     net, state = pipeline_state(g, members, 6, k)
     eps = state.eps
-    hop_bound = Fraction(4 * len(members), k)
+    hop_bound = Fraction(4 * len(members), k) if k else len(members)
     budget = hop_budget(hop_bound, eps)
     # independent recomputation: exact Dijkstra per level on a graph of the
     # rounded overlay weights, nodes renumbered 0..|S|-1
@@ -407,6 +407,28 @@ def test_overlay_sssp_follows_reembedding():
     fresh_net, fresh = pipeline_state(g, members, 6, 4)
     assert [sssp_on_overlay(net, state, s) for s in members] == \
         [sssp_on_overlay(fresh_net, fresh, s) for s in members]
+
+
+def test_overlay_sssp_of_a_state_never_embedded_is_k_zero():
+    g = random_connected_graph(14, rng=random.Random(6))
+    members = [1, 4, 7, 10, 13]
+    net = Network(g)
+    state = build_skeleton_state(net, 0, members, 6, default_eps(g.n))
+    _, embedded = pipeline_state(g, members, 6, 0)
+    assert state.hop_tables == embedded.hop_tables
+    assert [sssp_on_overlay(net, state, s) for s in members] == \
+        [sssp_on_overlay(net, embedded, s) for s in members]
+
+
+def test_overlay_levels_span_the_skeleton_only():
+    # the overlay is a graph on the |S| skeleton nodes, not on all n
+    g = random_connected_graph(14, rng=random.Random(6))
+    members = [1, 4, 7, 10, 13]
+    for k in (0, 2):
+        net, state = pipeline_state(g, members, 6, k)
+        sssp_on_overlay(net, state, members[0])
+        assert len(state.overlay_levels) > 1
+        assert all(len(adj) == len(members) for adj in state.overlay_levels)
 
 
 # --- combination ---------------------------------------------------------
