@@ -3,7 +3,7 @@
 Exact graph oracles, a deterministic bandwidth-limited round engine, the
 bounded-hop shortest-path pipeline, a cost-accounted randomized extremum
 search standing in for quantum maximum finding, and generators plus
-brute-force verifiers for the lower-bound gadget graphs.
+exact verifiers for the lower-bound gadget graphs.
 """
 
 __version__ = "0.1.0"

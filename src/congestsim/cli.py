@@ -243,6 +243,10 @@ def _json_text(report):
 
 def _config_dict(args):
     skip = {"func", "out"}  # the output path does not affect the results
+    reads_max_weight = (getattr(args, "gen", None) == "random-connected"
+                        and not getattr(args, "graph", None))
+    if not reads_max_weight:  # only the random generator reads it
+        skip.add("max_weight")
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

@@ -1,4 +1,4 @@
-"""Lower-bound gadget graphs and their brute-force verifiers.
+"""Lower-bound gadget graphs and their exact verifiers.
 
 The construction: a server skeleton (full binary tree of height h plus
 m = 2s + l disjoint paths of 2^h nodes) sandwiched between two input
@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from .graphs import (
     WeightedGraph,
     contract_unit_edges,
+    diameter,
     exact_sssp,
+    radius,
 )
 
 
@@ -306,20 +308,20 @@ def check_table2(inst, mapping=None, dist=None):
 def verify_reduction(inst):
     """Exact check of the gap lemma, the contraction sandwich, and Table 2.
 
-    Brute-forces the diameter (or radius) on both the full graph and the
-    weight-1 contraction; any violated inequality lands in
-    report["counterexamples"].
+    Computes the exact diameter (or radius) of the full graph from
+    eccentricity bounds (`graphs.diameter` / `graphs.radius`) and the
+    contraction's all-pairs table, which Table 2 and the radius floor read
+    row by row; any violated inequality lands in report["counterexamples"].
     """
     g = inst.graph
     n = g.n
     contracted, mapping = contract_unit_edges(g)
     sel, l = inst.selectors, inst.l
 
-    extremum = max if inst.variant == "diameter" else min
-    exact = extremum(max(exact_sssp(g, u)) for u in range(n))
+    exact = diameter(g) if inst.variant == "diameter" else radius(g)
     dist_c = [exact_sssp(contracted, u) for u in range(contracted.n)]
     eccs_c = [max(row) for row in dist_c]
-    exact_c = extremum(eccs_c)
+    exact_c = max(eccs_c) if inst.variant == "diameter" else min(eccs_c)
 
     if inst.variant == "diameter":
         fval = eval_F(inst.x, inst.y, sel, l)

@@ -62,6 +62,8 @@ class ParameterSchedule:
 
     @classmethod
     def for_graph(cls, g, eps_floor=None):
+        if eps_floor is not None and not 0 < eps_floor <= 1:  # NaN fails too
+            raise ValueError(f"eps_floor must be in (0, 1]: {eps_floor!r}")
         n = g.n
         d = diameter(g.unit_weights())
         eps = default_eps(n)

@@ -24,8 +24,7 @@ def test_oracle_cycle(capsys):
     assert report["radius"] == 6
     assert report["hop_diameter"] == 6
     assert report["eccentricities"] == [6] * 12
-    assert sorted(report["config"]) == ["command", "gen", "graph",
-                                        "max_weight", "n", "seed"]
+    assert sorted(report["config"]) == ["command", "gen", "graph", "n", "seed"]
 
 
 def test_oracle_graph_file(tmp_path, capsys):
@@ -159,6 +158,33 @@ def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys):
         code, _, err = run(["oracle", "--graph", str(path)], capsys)
         assert code == EXIT_USAGE
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["approx", "diameter"], ["oracle"]])
+def test_max_weight_is_not_recorded_where_the_graph_ignores_it(capsys, command):
+    outputs = [run(command + ["--gen", "cycle", "--n", "6",
+                              "--max-weight", w], capsys)
+               for w in ("3", "7")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == EXIT_OK
+    assert "max_weight" not in json.loads(outputs[0][1])["config"]
+
+
+def test_max_weight_is_recorded_for_the_random_generator(capsys):
+    code, out, _ = run(["oracle", "--gen", "random-connected", "--n", "6",
+                        "--max-weight", "7"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["max_weight"] == 7
+
+
+def test_max_weight_is_not_recorded_for_a_graph_file(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(WeightedGraph(2, [(0, 1, 7)]).to_text())
+    code, out, _ = run(["approx", "radius", "--graph", str(path),
+                        "--gen", "random-connected", "--max-weight", "3"],
+                       capsys)
+    assert code == EXIT_OK
+    assert "max_weight" not in json.loads(out)["config"]
 
 
 def test_max_weight_below_one_is_a_usage_error(capsys):

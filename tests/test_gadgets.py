@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from congestsim import gadgets
 from congestsim.gadgets import (
     ALICE,
     BOB,
@@ -25,7 +26,7 @@ from congestsim.gadgets import (
     ver,
     verify_reduction,
 )
-from congestsim.graphs import contract_unit_edges
+from congestsim.graphs import contract_unit_edges, eccentricity
 
 
 def random_bits(size, seed):
@@ -206,6 +207,25 @@ def test_verify_random_inputs():
                                 y=random_bits(16, 1000 + seed),
                                 variant=variant)
             assert verify_reduction(inst)["pass"]
+
+
+@pytest.mark.parametrize("h", [2, 4])
+@pytest.mark.parametrize("variant", ["diameter", "radius"])
+@pytest.mark.parametrize("seed", [None, 3])  # all-ones, then random inputs
+def test_verify_report_matches_brute_force_extremum(monkeypatch, h, variant,
+                                                    seed):
+    size = 2 ** (3 * h // 2) * 2 ** (h // 2)
+    bits = {} if seed is None else {"x": random_bits(size, seed),
+                                    "y": random_bits(size, 1000 + seed)}
+    inst = build_gadget(h, variant=variant, **bits)
+    report = verify_reduction(inst)
+
+    def brute_force(extremum):
+        return lambda g: extremum(eccentricity(g, u) for u in range(g.n))
+
+    monkeypatch.setattr(gadgets, "diameter", brute_force(max))
+    monkeypatch.setattr(gadgets, "radius", brute_force(min))
+    assert verify_reduction(inst) == report
 
 
 def test_table2_clean_at_h2():

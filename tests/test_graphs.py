@@ -4,6 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from congestsim import graphs
+from congestsim.gadgets import build_gadget
 from congestsim.graphs import (
     INFINITE,
     DisconnectedGraphError,
@@ -128,6 +130,74 @@ def test_metrics_match_oracle():
     for u in range(g.n):
         assert eccentricity(g, u) == eccs[u]
     assert diameter(g) <= 2 * radius(g)
+
+
+random_graphs = st.builds(
+    lambda n, w, seed: random_connected_graph(n, max_weight=w,
+                                              rng=random.Random(seed)),
+    st.integers(1, 20), st.integers(1, 1000), st.integers(0, 2 ** 32))
+
+
+@st.composite
+def fraction_graphs(draw):
+    """small_graphs with rational weights >= 1."""
+    g = draw(small_graphs())
+    weights = st.fractions(min_value=1, max_value=12, max_denominator=7)
+    return WeightedGraph(g.n, [(u, v, draw(weights)) for u, v, _ in g.edges])
+
+
+@st.composite
+def disconnected_graphs(draw):
+    """Two small graphs side by side, with no edge between them."""
+    a, b = draw(small_graphs()), draw(small_graphs())
+    edges = a.edges + [(u + a.n, v + a.n, w) for u, v, w in b.edges]
+    return WeightedGraph(a.n + b.n, edges, check_connected=False)
+
+
+shaped_graphs = st.one_of(
+    st.builds(cycle_graph, st.integers(1, 30)),
+    st.builds(star_graph, st.integers(1, 30)),
+    st.builds(grid_graph, st.integers(1, 6), st.integers(1, 6)))
+
+
+def assert_extrema_match_oracle(g):
+    eccs = [max(row) for row in all_pairs_relaxation(g)]
+    assert diameter(g) == max(eccs)
+    assert radius(g) == min(eccs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(random_graphs, fraction_graphs(), shaped_graphs))
+def test_extrema_match_relaxation_oracle(g):
+    assert_extrema_match_oracle(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(disconnected_graphs())
+def test_extrema_of_disconnected_graph_are_infinite(g):
+    assert_extrema_match_oracle(g)
+    assert diameter(g) == radius(g) == INFINITE
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["diameter", "radius"]),
+       st.lists(st.integers(0, 1), min_size=32, max_size=32))
+def test_extrema_of_h2_gadgets_match_relaxation_oracle(variant, bits):
+    inst = build_gadget(2, x=tuple(bits[:16]), y=tuple(bits[16:]),
+                        variant=variant)
+    assert_extrema_match_oracle(inst.graph)
+
+
+def test_extrema_run_fewer_than_n_over_2_dijkstras(monkeypatch):
+    calls = []
+    kernel = graphs.exact_sssp
+    monkeypatch.setattr(graphs, "exact_sssp",
+                        lambda g, s: calls.append(s) or kernel(g, s))
+    for variant, extremum in (("diameter", diameter), ("radius", radius)):
+        g = build_gadget(4, variant=variant).graph  # all-ones inputs
+        calls.clear()
+        extremum(g)
+        assert len(calls) < g.n / 2
 
 
 def test_hop_diameter_cycle():

@@ -60,6 +60,12 @@ def test_schedule_clamps():
     assert floored.eps == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("eps_floor", [-1, 0, 2, math.nan, math.inf, -math.inf])
+def test_schedule_rejects_eps_floor_outside_the_unit_interval(eps_floor):
+    with pytest.raises(ValueError, match="eps_floor"):
+        ParameterSchedule.for_graph(cycle_graph(8), eps_floor=eps_floor)
+
+
 def test_schedule_formulas():
     for seed in range(5):
         g = random_connected_graph(20 + seed, rng=random.Random(seed))
