@@ -221,14 +221,15 @@ def cmd_gadget(args):
 
 def cmd_oracle(args):
     g = _load_graph(args)
+    eccs = [eccentricity(g, u) for u in range(g.n)]
     report = {
         "version": __version__,
         "config": _config_dict(args),
         "n": g.n,
-        "diameter": _num(diameter(g)),
-        "radius": _num(radius(g)),
+        "diameter": _num(max(eccs)),
+        "radius": _num(min(eccs)),
         "hop_diameter": _num(hop_diameter(g)),
-        "eccentricities": [_num(eccentricity(g, u)) for u in range(g.n)],
+        "eccentricities": [_num(e) for e in eccs],
     }
     _emit(_json_text(report), args)
     return EXIT_OK

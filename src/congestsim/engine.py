@@ -6,6 +6,12 @@ r+1.  Deliveries and wakes share one agenda (a wake is an empty delivery).
 The engine fast-forwards over rounds with nothing on the agenda, but the
 round clock and the cost ledger still account for every round of the
 budget.
+
+`build_bfs_tree` and `convergecast_extremum` run their per-node programs
+on the engine.  `broadcast_pipeline`, whose cost the tree and the items
+fix, is charged in closed form; its message-level program is the
+reference in `tests/oracles.py`.  So the BFS tree is the only engine run
+on the estimators' path.
 """
 
 from __future__ import annotations
@@ -328,20 +334,29 @@ class Network:
         """Leader pipelines `items` down the BFS tree; all nodes learn all items.
 
         Each item must fit in B bits.  Returns the per-node item lists
-        (identical everywhere).
+        (identical everywhere).  Charged in closed form, without running
+        the per-node programs: each item crosses each tree edge once, one
+        item per round behind the last, so k items on a tree of height d
+        take k + d - 1 rounds (0 when k or d is 0).  A node the leader
+        cannot reach never halts, so the run fails with MaxRoundsExceeded
+        at its round limit n + k + 2.  The message-level program is the
+        reference in `tests/oracles.py`.
         """
-        for it in items:
-            if payload_bits(it) > self.bandwidth_bits:
-                raise BandwidthExceeded(("item",), self.round_clock,
-                                        payload_bits(it), self.bandwidth_bits)
+        sizes = [payload_bits(it) for it in items]
+        for bits in sizes:
+            if bits > self.bandwidth_bits:
+                raise BandwidthExceeded(("item",), self.round_clock, bits,
+                                        self.bandwidth_bits)
         parent, children, depth = self._require_tree()
-        programs = {v: _PipelineProgram(v, self.leader, children[v],
-                                        list(items) if v == self.leader else None,
-                                        len(items))
-                    for v in range(self.n)}
+        k, edges = len(items), self.n - parent.count(None)
         with self.ledger.phase(phase):
-            self.run(programs, max_rounds=self.n + len(items) + 2)
-        return {v: programs[v].received for v in range(self.n)}
+            self.ledger.add_messages(k * edges, sum(sizes) * edges)
+            if k and edges < self.n - 1:
+                self.round_clock += self.n + k + 2
+                raise MaxRoundsExceeded(
+                    f"no halt within {self.n + k + 2} rounds")
+            self.charge_rounds(k + max(depth) - 1 if k and edges else 0)
+        return {v: list(items) for v in range(self.n)}
 
     def convergecast_extremum(self, local_values, mode="max"):
         """Aggregate the max/min of per-node values up the BFS tree to the leader."""
@@ -400,31 +415,6 @@ class _TreeBuildProgram(NodeProgram):
                 ctx.send(u, (self.ACCEPT, 0))
                 ctx.broadcast((self.OFFER, self.depth))
         self.halted = True
-
-
-class _PipelineProgram(NodeProgram):
-    def __init__(self, node, root, children, items, total):
-        self.node = node
-        self.children = children
-        self.total = total
-        self.received = list(items) if items is not None else []
-        self.queue = list(items) if items is not None else []
-        self.halted = total == 0
-        if node == root and total:
-            self.halted = False
-
-    def on_round(self, ctx):
-        for _, payload in ctx.inbox:
-            self.received.append(payload)
-            self.queue.append(payload)
-        if self.queue:
-            item = self.queue.pop(0)
-            for c in self.children:
-                ctx.send(c, item)
-            if self.queue:
-                ctx.wake_at(ctx.round + 1)
-        if len(self.received) == self.total and not self.queue:
-            self.halted = True
 
 
 class _ConvergecastProgram(NodeProgram):

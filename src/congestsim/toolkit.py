@@ -1,4 +1,4 @@
-"""Bounded-hop shortest-path pipeline run on the CONGEST engine.
+"""Bounded-hop shortest-path pipeline on the CONGEST engine.
 
 The pipeline, per skeleton set S:
 
@@ -13,7 +13,10 @@ The pipeline, per skeleton set S:
 Step 1 is evaluated in closed form once its random delays are drawn and
 charged the exact cost of its per-node programs, up to the round it aborts
 in when an attempt congests; the message-level program is the reference in
-`tests/oracles.py`.  Its rounded levels and each source's per-level passes
+`tests/oracles.py`.  The delays go out through `Network.broadcast_pipeline`,
+which is charged in closed form too (its reference, `_PipelineProgram`, is
+in `tests/oracles.py`), so the BFS tree is the only engine run on the
+estimators' path.  Its rounded levels and each source's per-level passes
 depend on neither the skeleton nor the delays, so a `LevelTables` computes
 them once for all the skeletons of an estimator.  Step 4 is the same pass
 on the overlay, a graph on the skeleton, read from the overlay's own
@@ -291,9 +294,10 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, levels=None):
     Superposes one delayed bounded-hop pass per source; on congestion the
     run is retried with fresh delays (up to `retries` times), and the last
     CongestionFailure is raised when every attempt congests.  Each attempt
-    broadcasts its delays in an `mssp-delays` phase, is evaluated by
-    `_superposed_closed_form` and is charged, in an `mssp` phase, what its
-    per-node programs send up to its end or abort.
+    broadcasts its delays in an `mssp-delays` phase, by the closed-form
+    `Network.broadcast_pipeline`, is evaluated by `_superposed_closed_form`
+    and is charged, in an `mssp` phase, what its per-node programs send
+    up to its end or abort.  Neither runs the engine.
     `levels` is the `LevelTables` of (network.graph, hops, eps) to read
     each source's passes from (default: a fresh one); the delays are
     drawn and the rounds charged per call, so sharing one object across

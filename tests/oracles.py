@@ -3,10 +3,16 @@
 These deliberately avoid the package's own shortest-path code so the two
 implementations cross-check each other.  `superposed_program` runs the
 superposed multi-source pass message by message on the engine: it is the
-reference for `toolkit._superposed_closed_form`.
+reference for `toolkit._superposed_closed_form`.  `pipeline_program` does
+the same for the closed form of `Network.broadcast_pipeline`.
 """
 
-from congestsim.engine import Network, NodeProgram
+from congestsim.engine import (
+    BandwidthExceeded,
+    Network,
+    NodeProgram,
+    payload_bits,
+)
 from congestsim.graphs import INFINITE
 from congestsim.toolkit import CongestionFailure, _min_over_levels
 
@@ -181,3 +187,47 @@ def superposed_program(graph, adj, sources, delays, budget, stretch):
     best = [[_min_over_levels(programs[v].dist[copy]) for v in range(graph.n)]
             for copy in range(len(sources))]
     return best, network.round_clock, ledger.messages, ledger.bits, None
+
+
+class _PipelineProgram(NodeProgram):
+    """Forward each item to the tree children one round after receiving it."""
+
+    def __init__(self, node, root, children, items, total):
+        self.node = node
+        self.children = children
+        self.total = total
+        self.received = list(items) if items is not None else []
+        self.queue = list(items) if items is not None else []
+        self.halted = total == 0
+        if node == root and total:
+            self.halted = False
+
+    def on_round(self, ctx):
+        for _, payload in ctx.inbox:
+            self.received.append(payload)
+            self.queue.append(payload)
+        if self.queue:
+            item = self.queue.pop(0)
+            for c in self.children:
+                ctx.send(c, item)
+            if self.queue:
+                ctx.wake_at(ctx.round + 1)
+        if len(self.received) == self.total and not self.queue:
+            self.halted = True
+
+
+def pipeline_program(network, items, phase="broadcast"):
+    """`network.broadcast_pipeline(items, phase)`, by running the pipeline
+    message by message on the engine down the network's BFS tree."""
+    for it in items:
+        if payload_bits(it) > network.bandwidth_bits:
+            raise BandwidthExceeded(("item",), network.round_clock,
+                                    payload_bits(it), network.bandwidth_bits)
+    parent, children, depth = network._require_tree()
+    programs = {v: _PipelineProgram(v, network.leader, children[v],
+                                    list(items) if v == network.leader else None,
+                                    len(items))
+                for v in range(network.n)}
+    with network.ledger.phase(phase):
+        network.run(programs, max_rounds=network.n + len(items) + 2)
+    return {v: programs[v].received for v in range(network.n)}
