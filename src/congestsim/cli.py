@@ -73,6 +73,17 @@ def _eps_floor(text):
     return float(text)
 
 
+def _max_weight(text):
+    """argparse type: an int >= 1, whichever source the graph comes from."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"max_weight must be >= 1: {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is one `error:` line
         self.exit(EXIT_USAGE, f"error: {message}\n")
@@ -262,7 +273,7 @@ def build_parser():
         p.add_argument("--gen", choices=["random-connected", "cycle", "star",
                                          "grid"], help="generator name")
         p.add_argument("--n", type=int, help="generator size")
-        p.add_argument("--max-weight", type=int, default=10)
+        p.add_argument("--max-weight", type=_max_weight, default=10)
 
     def add_common(p):
         p.add_argument("--seed", default="0")

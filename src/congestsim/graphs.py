@@ -176,6 +176,27 @@ def dijkstra(adj, source, bound=INFINITE):
     return dist
 
 
+def bfs_hops(adj, source):
+    """Edge counts from `source` over adjacency lists adj[u] = [(v, w)],
+    weights ignored; unreachable nodes stay INFINITE.
+
+    With every weight equal to c, c times these counts are `dijkstra`'s
+    distances."""
+    hops = [INFINITE] * len(adj)
+    hops[source] = 0
+    frontier, h = [source], 0
+    while frontier:
+        h += 1
+        reached = []
+        for u in frontier:
+            for v, _ in adj[u]:
+                if hops[v] is INFINITE:
+                    hops[v] = h
+                    reached.append(v)
+        frontier = reached
+    return hops
+
+
 def exact_sssp(g, s):
     """Dijkstra from s; returns list of exact distances."""
     _check_node(g, s)

@@ -32,12 +32,6 @@ from .toolkit import (
     approx_eccentricity,
 )
 
-# Budget of an amplified search with success density rho is
-# ceil(2 * ln(1/delta) / rho) evaluations; SEARCH_COST_CONSTANT is the
-# single global constant C with evaluations <= C * sqrt(log(1/delta) /
-# rho_measured) for every configuration this package exercises.
-SEARCH_COST_CONSTANT = 60
-
 DEFAULT_DELTA = Fraction(1, 12)
 
 
@@ -145,20 +139,6 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
     if trace.value is None:
         raise LowConfidenceResult(trace)
     return trace
-
-
-def reference_search(candidates, evaluate, mode="max"):
-    """Deterministic debug mode: evaluate every candidate, return the extremum.
-
-    Upper-bounds (max) / lower-bounds (min) every stochastic trace's value.
-    """
-    best_x, best_v = None, None
-    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
-    for x in candidates:
-        value, _ = evaluate(x)
-        if value is not None and (best_v is None or better(value, best_v)):
-            best_x, best_v = x, value
-    return best_x, best_v
 
 
 def _memoized(network, memo, key, compute):

@@ -18,15 +18,19 @@ which is charged in closed form too (its reference, `_PipelineProgram`, is
 in `tests/oracles.py`), so the BFS tree is the only engine run on the
 estimators' path.  Its rounded levels and each source's per-level passes
 depend on neither the skeleton nor the delays, so a `LevelTables` computes
-them once for all the skeletons of an estimator.  Step 4 is the same pass
-on the overlay, a graph on the skeleton, read from the overlay's own
-`LevelTables`.  Steps 2-4 are charged to the ledger by their communication
-schedules (global broadcasts) without simulating each message.
+them once for all the skeletons of an estimator.  A level whose rounded
+weights are all one c (every level of a unit-weight graph) takes c times
+one breadth-first hop count per source in place of a Dijkstra.  Step 4 is
+the same pass on the overlay, a graph on the skeleton, read from the
+overlay's own `LevelTables`.  Steps 2-4 are charged to the ledger by their
+communication schedules (global broadcasts) without simulating each
+message.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  The hop tables
-are integers in their level unit too (in the `LevelTables`), and
-`approx_eccentricity` adds and compares integers, scaling only its result.
+are integers in their level unit too (in the `LevelTables`);
+`embed_overlay` ranks and joins them as integers and `approx_eccentricity`
+adds and compares them, each scaling only its results.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import NodeProgram
-from .graphs import INFINITE, WeightedGraph, dijkstra
+from .graphs import INFINITE, WeightedGraph, bfs_hops, dijkstra
 
 
 class CongestionFailure(RuntimeError):
@@ -157,14 +161,29 @@ def _min_over_levels(dists):
 _Passes = namedtuple("_Passes", "keys sent units")
 
 
+def _rounded(r, levels):
+    """ceil(r / 2^level) for each of `levels` levels.  With r = ceil(x),
+    for a weight x > 0 in units of eps / (2*hops), this is ceil(x / 2^level),
+    the level's rounded weight (`rounded_weight`), and at least 1."""
+    return [-(-r >> level) for level in range(levels)]
+
+
 class LevelTables(list):
     """The rounded levels of one (graph, hops, eps), adj[level][v] =
     [(u, rounded weight)], and what each source's passes over them give.
 
-    `source(s)` runs s's budget-bounded Dijkstra on every level once and
-    keeps, as (keys, sent, units): the key (level*(budget+1) + d)*n + v of
-    each finite entry, the messages the passes send (v's degree per
-    entry), and `_min_over_levels` of each node's distances, in units of
+    `common[level]` is the one rounded weight c every edge of the level
+    has, or None.  Rounding is monotone, so c is the rounding of both the
+    lightest and the heaviest edge when the two agree (1 on a graph
+    without edges).  `level_pass(s, level)` is s's budget-bounded
+    distances on one level: a Dijkstra, or on a uniform level c times the
+    edge counts of one breadth-first search from s, which every uniform
+    level shares (all of them on a unit-weight graph).
+
+    `source(s)` takes every level's pass once and keeps, as (keys, sent,
+    units): the key (level*(budget+1) + d)*n + v of each finite entry,
+    the messages the passes send (v's degree per entry), and
+    `_min_over_levels` of each node's distances, in units of
     eps / (2*hops).  None of it depends on the skeleton or the delays, so
     an estimator shares one object across all its skeletons; the tables
     it hands out are shared too, and read-only.
@@ -177,15 +196,31 @@ class LevelTables(list):
         self.unit = eps / (2 * Fraction(hops))  # of the integer tables
         top = scale_levels(graph.n, graph.max_weight, eps)
         self.extend([[] for _ in range(graph.n)] for _ in range(top + 1))
+        ceils = []  # ceil(x) per edge, x its weight in units of self.unit
         for u, v, w in graph.edges:
-            x = w / self.unit  # level l: rounded_weight, ceil(x / 2^l)
-            for level, adj in enumerate(self):
-                rw = max(1, -(-x.numerator // (x.denominator << level)))
+            x = w / self.unit
+            # ceil(ceil(x) / 2^l) = ceil(x / 2^l): integers from here on
+            ceils.append(-(-x.numerator // x.denominator))
+            for adj, rw in zip(self, _rounded(ceils[-1], len(self))):
                 adj[u].append((v, rw))
                 adj[v].append((u, rw))
+        self.common = [c if c == d else None for c, d in zip(
+            _rounded(min(ceils, default=1), len(self)),
+            _rounded(max(ceils, default=1), len(self)))]
         self.degree = [len(nbrs) for nbrs in graph.adj]
+        self._bfs = None, None  # (s, bfs_hops of s), for the uniform levels
         self._passes = {}  # s -> _Passes
         self._scaled = {}  # s -> (units, Fractions)
+
+    def level_pass(self, s, level):
+        """s's distances on `level`, INFINITE beyond the budget."""
+        c = self.common[level]
+        if c is None:
+            return dijkstra(self[level], s, self.budget)
+        if self._bfs[0] != s:  # callers take one source's levels in a row
+            self._bfs = s, bfs_hops(self.graph.adj, s)
+        cap = self.budget // c  # c*h <= budget
+        return [c * h if h <= cap else INFINITE for h in self._bfs[1]]
 
     def source(self, s):
         if s not in self._passes:
@@ -193,8 +228,8 @@ class LevelTables(list):
             # an int64 array: a list of these keys for every source took
             # peak RSS at n = 256 from 85 to 115 MB
             keys, sent, per_level = array("q"), 0, []
-            for level, adj in enumerate(self):
-                dist = dijkstra(adj, s, self.budget)
+            for level in range(len(self)):
+                dist = self.level_pass(s, level)
                 per_level.append(dist)
                 for v, d in enumerate(dist):
                     if d is not INFINITE:
@@ -218,8 +253,8 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     """Outcome (best, rounds, messages, bits, failure) of one superposed
     attempt, computed without sending its messages.
 
-    `adj` is the attempt's `LevelTables`.  Each (copy, level) pass is a
-    budget-bounded Dijkstra on the level's rounded weights, and a node
+    `adj` is the attempt's `LevelTables`.  Each (copy, level) pass is the
+    source's `level_pass` on the level's rounded weights, and a node
     broadcasts its final distance d once, in window delays[copy] +
     level*(budget+1) + d of `stretch` rounds, one broadcast per round in
     queue order.  So the attempt only counts the broadcasts owed at
@@ -234,7 +269,7 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     first message with its final distance arrives, one round after the
     predecessor's send in round window*stretch + queue position (ties to
     the lower sender id); a source queues its own d = 0 entries first.
-    The abort path reruns the per-level Dijkstras it needs.
+    The abort path takes the per-level passes it needs again.
     """
     n = graph.n
     span = budget + 1
@@ -253,7 +288,7 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
 
     degree = adj.degree
     jam = min(key for key, count in owed.items() if count > stretch)
-    passes = [[dijkstra(level_adj, s, budget) for level_adj in adj]
+    passes = [[adj.level_pass(s, level) for level in range(len(adj))]
               for s in sources]
     window, node = divmod(jam, n)
     due = {}  # window * n + node -> [(copy, level, d)], before the abort
@@ -354,8 +389,8 @@ class SkeletonState:
     shortcut: dict = field(default_factory=dict)     # (u,v) -> weight
     overlay_tables: dict = field(default_factory=dict)  # s -> {u: value}
     # the LevelTables hop_tables were read from, whose integer tables
-    # approx_eccentricity adds; None for a state built by hand, whose
-    # Fraction hop tables approx_eccentricity then adds as they are
+    # embed_overlay and approx_eccentricity read; None for a state built
+    # by hand, whose Fraction hop tables they then read as they are
     levels: object = field(default=None, repr=False, compare=False)
     # the LevelTables of the overlay, a graph on members' indices 0..|S|-1;
     # independent of the probe source, so built by the first probe and
@@ -394,7 +429,10 @@ def embed_overlay(network, state, k):
     Every skeleton node announces its k cheapest incident overlay edges;
     shortest paths to a node's k nearest targets only use announced
     edges, so the exact distances are computable locally.  Charged to an
-    `embed` phase: D_G + |S|*k rounds.
+    `embed` phase: D_G + |S|*k rounds.  The ranking, the announced edges
+    and their Dijkstras work on the integer hop tables of `state.levels`
+    (see `_unit_tables`); only the shortcut entries are scaled by the
+    unit, so they are the Fractions the hop tables would give.
     """
     members = state.members
     state.k = k
@@ -404,11 +442,12 @@ def embed_overlay(network, state, k):
         network.charge_rounds(network.unweighted_diameter(), phase="embed")
         return state
 
+    unit, tables = _unit_tables(state)
     announced = {}
     for s in members:
-        incident = sorted(
-            (state.base_weight(s, v), v) for v in members
-            if v != s and state.base_weight(s, v) is not INFINITE)
+        row = tables[s]
+        incident = sorted((row[v], v) for v in members
+                          if v != s and row[v] is not INFINITE)
         for w, v in incident[:k]:
             key = (min(s, v), max(s, v))
             if key not in announced or w < announced[key]:
@@ -420,14 +459,16 @@ def embed_overlay(network, state, k):
         adj[index[u]].append((index[v], w))
         adj[index[v]].append((index[u], w))
 
+    shortcut = {}
     for i, s in enumerate(members):
         dist = dijkstra(adj, i)
         ranked = sorted((d, v) for v, d in zip(members, dist)
                         if v != s and d is not INFINITE)
         for d, v in ranked[:k]:
             key = (min(s, v), max(s, v))
-            if key not in state.shortcut or d < state.shortcut[key]:
-                state.shortcut[key] = d
+            if key not in shortcut or d < shortcut[key]:
+                shortcut[key] = d
+    state.shortcut = {key: d * unit for key, d in shortcut.items()}
 
     network.charge_rounds(network.unweighted_diameter() + len(members) * k,
                           phase="embed")
@@ -472,6 +513,16 @@ def sssp_on_overlay(network, state, s):
     return best
 
 
+def _unit_tables(state):
+    """(unit, tables): the hop tables as integers in `unit`, the
+    `LevelTables` tables of `state.levels`, or unit 1 and the Fraction hop
+    tables themselves for a state built by hand."""
+    levels = state.levels
+    if levels is None:
+        return Fraction(1), state.hop_tables
+    return levels.unit, {u: levels.source(u).units for u in state.hop_tables}
+
+
 def approx_distance(state, s, v):
     """min over skeleton u of (overlay distance s->u) + (hop table u->v).
 
@@ -511,12 +562,7 @@ def approx_eccentricity(state, s):
         overlay = state.overlay_tables[s]
     else:
         raise MissingTableError(f"no overlay table for source {s}")
-    levels = state.levels
-    if levels is None:
-        unit, tables = Fraction(1), state.hop_tables
-    else:
-        unit = levels.unit
-        tables = {u: levels.source(u).units for u in state.hop_tables}
+    unit, tables = _unit_tables(state)
     finite = [(u, overlay[u]) for u in state.members
               if u in tables and overlay.get(u, INFINITE) is not INFINITE]
     denom = math.lcm(unit.denominator, *(b.denominator for _, b in finite))

@@ -5,6 +5,8 @@ implementations cross-check each other.  `superposed_program` runs the
 superposed multi-source pass message by message on the engine: it is the
 reference for `toolkit._superposed_closed_form`.  `pipeline_program` does
 the same for the closed form of `Network.broadcast_pipeline`.
+`reference_search` evaluates every candidate of an extremum search: the
+reference of `search.amplified_max_search`.
 """
 
 from congestsim.engine import (
@@ -17,6 +19,12 @@ from congestsim.graphs import INFINITE
 from congestsim.toolkit import CongestionFailure, _min_over_levels
 
 INF = float("inf")
+
+# Budget of an amplified search with success density rho is
+# ceil(2 * ln(1/delta) / rho) evaluations; SEARCH_COST_CONSTANT is the
+# single global constant C with evaluations <= C * sqrt(log(1/delta) /
+# rho_measured) for every configuration the tests exercise.
+SEARCH_COST_CONSTANT = 60
 
 
 def all_pairs_relaxation(g):
@@ -231,3 +239,17 @@ def pipeline_program(network, items, phase="broadcast"):
     with network.ledger.phase(phase):
         network.run(programs, max_rounds=network.n + len(items) + 2)
     return {v: programs[v].received for v in range(network.n)}
+
+
+def reference_search(candidates, evaluate, mode="max"):
+    """Deterministic debug mode: evaluate every candidate, return the extremum.
+
+    Upper-bounds (max) / lower-bounds (min) every stochastic trace's value.
+    """
+    best_x, best_v = None, None
+    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
+    for x in candidates:
+        value, _ = evaluate(x)
+        if value is not None and (best_v is None or better(value, best_v)):
+            best_x, best_v = x, value
+    return best_x, best_v

@@ -34,7 +34,6 @@ from congestsim.graphs import (
 from congestsim.search import (
     LowConfidenceResult,
     ParameterSchedule,
-    SEARCH_COST_CONSTANT,
     approx_diameter,
     approx_radius,
 )
@@ -49,6 +48,8 @@ from congestsim.toolkit import (
     sssp_on_overlay,
     approx_distance,
 )
+
+from oracles import SEARCH_COST_CONSTANT
 
 
 @pytest.fixture

@@ -195,6 +195,24 @@ def test_max_weight_below_one_is_a_usage_error(capsys):
     assert "max_weight" in err
 
 
+@pytest.mark.parametrize("command", [["approx", "diameter"], ["oracle"]])
+@pytest.mark.parametrize("source", ["cycle", "graph"])
+@pytest.mark.parametrize("max_weight", ["0", "-3"])
+def test_max_weight_below_one_is_a_usage_error_for_every_graph_source(
+        tmp_path, capsys, command, source, max_weight):
+    if source == "graph":
+        path = tmp_path / "g.txt"
+        path.write_text(WeightedGraph(2, [(0, 1, 7)]).to_text())
+        graph_args = ["--graph", str(path)]
+    else:
+        graph_args = ["--gen", "cycle", "--n", "8"]
+    code, out, err = run(command + graph_args + ["--max-weight", max_weight],
+                         capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "max_weight" in err
+
+
 def test_negative_trials_is_a_usage_error(capsys):
     code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",
                           "--trials", "-2"], capsys)

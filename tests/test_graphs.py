@@ -11,6 +11,7 @@ from congestsim.graphs import (
     DisconnectedGraphError,
     GraphError,
     WeightedGraph,
+    bfs_hops,
     contract_unit_edges,
     cycle_graph,
     diameter,
@@ -177,6 +178,15 @@ def test_extrema_match_relaxation_oracle(g):
 def test_extrema_of_disconnected_graph_are_infinite(g):
     assert_extrema_match_oracle(g)
     assert diameter(g) == radius(g) == INFINITE
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), fraction_graphs(), disconnected_graphs(),
+                 shaped_graphs), st.data())
+def test_bfs_hops_match_relaxation_on_unit_weights(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    row = all_pairs_relaxation(g.unit_weights())[s]
+    assert bfs_hops(g.adj, s) == row
 
 
 @settings(max_examples=12, deadline=None)

@@ -20,15 +20,15 @@ from congestsim.search import (
     DEFAULT_DELTA,
     LowConfidenceResult,
     ParameterSchedule,
-    SEARCH_COST_CONSTANT,
     amplified_max_search,
     approx_diameter,
     approx_radius,
     evaluate_f_i,
-    reference_search,
     search_budget,
 )
 from congestsim.toolkit import CongestionFailure
+
+from oracles import SEARCH_COST_CONSTANT, reference_search
 
 
 # The ledger's phase names; perfbench/workloads.py keys its records on them.

@@ -9,8 +9,11 @@ from congestsim.engine import Network
 from congestsim.graphs import (
     INFINITE,
     WeightedGraph,
+    cycle_graph,
+    dijkstra,
     exact_bounded_hop,
     exact_sssp,
+    grid_graph,
     random_connected_graph,
     star_graph,
 )
@@ -280,6 +283,142 @@ def test_shared_level_tables_are_invisible():
                 raised += isinstance(result, tuple)
                 succeeded += isinstance(result, dict)
     assert raised and succeeded
+
+
+# --- level passes: breadth-first on uniform levels ----------------------
+
+
+def _reference_passes(g, hops, eps, s):
+    """(keys, sent, units, per-level distances) of s, from one Dijkstra per
+    level on weights rounded by `rounded_weight`."""
+    budget = hop_budget(hops, eps)
+    span = budget + 1
+    degree = [len(nbrs) for nbrs in g.adj]
+    keys, sent, per_level = [], 0, []
+    for level in range(scale_levels(g.n, g.max_weight, eps) + 1):
+        adj = [[] for _ in range(g.n)]
+        for u, v, w in g.edges:
+            rw = rounded_weight(w, hops, eps, level)
+            adj[u].append((v, rw))
+            adj[v].append((u, rw))
+        dist = dijkstra(adj, s, budget)
+        per_level.append(dist)
+        for v, d in enumerate(dist):
+            if d is not INFINITE:
+                keys.append((level * span + d) * g.n + v)
+                sent += degree[v]
+    units = [min((d << level for level, d in enumerate(dists)
+                  if d is not INFINITE), default=INFINITE)
+             for dists in zip(*per_level)]
+    return keys, sent, units, per_level
+
+
+def _uniform_graph(kind, n, rng):
+    if kind == "cycle":
+        return cycle_graph(n)
+    if kind == "star":
+        return star_graph(n)
+    if kind == "grid":
+        return grid_graph(max(1, n // 3), 3)
+    g = random_connected_graph(n, rng=rng)  # then every weight 7
+    return WeightedGraph(n, [(u, v, 7) for u, v, _ in g.edges])
+
+
+def _fraction_graph(n, rng):
+    """A Fraction-weighted graph like an overlay's, possibly disconnected."""
+    edges = [(u, v, Fraction(rng.randint(2, 40), rng.randint(1, 2)))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    return WeightedGraph(n, edges, check_connected=False)
+
+
+def _check_level_passes(g, hops, eps):
+    levels = LevelTables(g, hops, eps)
+    for level, adj in enumerate(levels):
+        weights = {w for nbrs in adj for _, w in nbrs}
+        if len(weights) == 1:
+            assert levels.common[level] == weights.pop()
+        elif weights:
+            assert levels.common[level] is None
+        else:  # no edges: every pass is {s: 0}
+            assert levels.common[level] is not None
+    for s in range(g.n):
+        keys, sent, units, per_level = _reference_passes(g, hops, eps, s)
+        assert [levels.level_pass(s, level) for level in range(len(levels))] \
+            == per_level
+        passes = levels.source(s)
+        assert (list(passes.keys), passes.sent, passes.units) \
+            == (keys, sent, units)
+    return levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["cycle", "grid", "star", "weight-7"]),
+       n=st.integers(1, 16), seed=st.integers(0, 99),
+       hops=st.integers(1, 32).map(lambda x: Fraction(x, 2)),
+       eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]))
+def test_level_passes_on_uniform_graphs_match_dijkstra(kind, n, seed, hops,
+                                                       eps):
+    g = _uniform_graph(kind, n, random.Random(seed))
+    levels = _check_level_passes(g, hops, eps)
+    assert None not in levels.common  # the breadth-first path ran throughout
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 14), seed=st.integers(0, 99),
+       max_weight=st.sampled_from([2, 3, 10, 50]),
+       hops=st.integers(1, 28).map(lambda x: Fraction(x, 2)),
+       eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]))
+def test_level_passes_on_mixed_weights_match_dijkstra(n, seed, max_weight,
+                                                      hops, eps):
+    g = random_connected_graph(n, max_weight=max_weight,
+                               rng=random.Random(seed))
+    _check_level_passes(g, hops, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 99), k=st.integers(1, 4),
+       eps=st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 4)]))
+def test_level_passes_on_fraction_overlays_match_dijkstra(n, seed, k, eps):
+    g = _fraction_graph(n, random.Random(seed))
+    _check_level_passes(g, Fraction(4 * n, k), eps)
+
+
+def test_level_passes_on_a_disconnected_overlay_and_one_node():
+    two_parts = WeightedGraph(
+        5, [(0, 1, Fraction(7, 2)), (1, 2, Fraction(5, 2)), (3, 4, Fraction(3))],
+        check_connected=False)
+    levels = _check_level_passes(two_parts, Fraction(5, 2), Fraction(1, 2))
+    assert levels.source(0).units[3:] == [INFINITE, INFINITE]
+    uniform = WeightedGraph(4, [(0, 1, Fraction(5, 2)), (2, 3, Fraction(5, 2))],
+                            check_connected=False)
+    assert None not in _check_level_passes(uniform, 2, Fraction(1, 2)).common
+    lone = _check_level_passes(WeightedGraph(1, []), 1, Fraction(1, 2))
+    assert lone.source(0).units == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["cycle", "grid", "weight-7", "mixed"]),
+       n=st.integers(2, 14), seed=st.integers(0, 99),
+       hops=st.integers(1, 28).map(lambda x: Fraction(x, 2)),
+       k=st.integers(0, 5), data=st.data())
+def test_shortcut_in_integer_units_equals_a_state_built_by_hand(
+        kind, n, seed, hops, k, data):
+    rng = random.Random(seed)
+    g = (random_connected_graph(n, rng=rng) if kind == "mixed"
+         else _uniform_graph(kind, n, rng))
+    members = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+    net = Network(g, seed=seed)
+    try:
+        state = build_skeleton_state(net, 0, members, hops, default_eps(g.n))
+    except CongestionFailure:
+        reject()
+    by_hand = SkeletonState(index=0, members=members, hops=hops,
+                            eps=state.eps, hop_tables=dict(state.hop_tables))
+    embed_overlay(net, state, k)
+    embed_overlay(Network(g), by_hand, k)
+    assert state.levels is not None and by_hand.levels is None
+    assert list(state.shortcut.items()) == list(by_hand.shortcut.items())
+    assert all(type(w) is Fraction for w in state.shortcut.values())
 
 
 # --- overlay stages ------------------------------------------------------
