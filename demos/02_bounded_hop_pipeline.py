@@ -11,8 +11,9 @@ inside the sandwich, with exact rational arithmetic.
 import random
 
 from congestsim import Network
-from congestsim.graphs import exact_sssp, random_connected_graph
+from congestsim.graphs import diameter, exact_sssp, random_connected_graph
 from congestsim.toolkit import (
+    LevelTables,
     approx_distance,
     build_skeleton_state,
     default_eps,
@@ -23,19 +24,23 @@ from congestsim.toolkit import (
 g = random_connected_graph(12, max_weight=10, rng=random.Random(7))
 net = Network(g, seed=7)
 eps = default_eps(g.n)
-print(f"n = {g.n}, eps = {eps}")
+# the overlay stages charge their broadcasts by the hop diameter
+d_g = diameter(g.unit_weights())
+print(f"n = {g.n}, eps = {eps}, hop diameter = {d_g}")
 
 # Stage 1: multi-source bounded-hop tables (superposed delayed copies,
-# real messages under the bandwidth limit).
-state = build_skeleton_state(net, 0, list(range(g.n)), hops=g.n, eps=eps)
+# real messages under the bandwidth limit), from the rounded levels of
+# (graph, hops = n, eps).
+levels = LevelTables(g, hops=g.n, eps=eps)
+state = build_skeleton_state(net, 0, list(range(g.n)), levels)
 
 # Stage 2+3: the k-shortcut overlay on the skeleton.
-embed_overlay(net, state, k=4)
+embed_overlay(net, state, k=4, d_g=d_g)
 print(f"{len(state.shortcut)} shortcut edges")
 
 # Stage 4: bounded-hop distances on the overlay, one source at a time.
 for s in range(g.n):
-    sssp_on_overlay(net, state, s)
+    sssp_on_overlay(net, state, s, d_g)
 
 # Stage 5: node-local combination, checked against the exact oracle.
 slack = (1 + eps) ** 2

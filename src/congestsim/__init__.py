@@ -56,10 +56,8 @@ from .gadgets import (
     build_gadget,
     eval_F,
     eval_F_prime,
-    gdt,
     ownership_schedule,
     validate_schedule,
-    ver,
     verify_reduction,
 )
 

@@ -175,14 +175,6 @@ class Network:
         self._last_send_round = None
         # BFS tree cache: (parent, children, depth) lists
         self.tree = None
-        self._unweighted_diameter = None
-
-    def unweighted_diameter(self):
-        """Hop diameter of the communication graph (cached; used for charging)."""
-        if self._unweighted_diameter is None:
-            from .graphs import diameter
-            self._unweighted_diameter = int(diameter(self.graph.unit_weights()))
-        return self._unweighted_diameter
 
     def charge_rounds(self, k, phase=None):
         """Account `k` rounds of a formula-charged stage (no per-message replay)."""
@@ -192,6 +184,18 @@ class Network:
         else:
             with self.ledger.phase(phase):
                 self.ledger.add_rounds(k)
+
+    def replay_phases(self, phases):
+        """Charge recorded `phases` again, each as a new phase with its
+        name, rounds, messages and bits, and advance the clock by their
+        rounds: what computing them charged, without computing them."""
+        ledger = self.ledger
+        for p in phases:
+            ledger.phases.append(Phase(p.name, p.rounds, p.messages, p.bits))
+            ledger.rounds += p.rounds
+            ledger.messages += p.messages
+            ledger.bits += p.bits
+            self.round_clock += p.rounds
 
     def rng_for(self, node):
         rng = self._rngs.get(node)

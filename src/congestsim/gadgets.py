@@ -37,21 +37,6 @@ def bin_bit(i, j):
     return (i - 1 >> j - 1) & 1
 
 
-def adj_index(i, j):
-    """The integer whose (i-1)-expansion differs from i's in the j-th bit."""
-    return ((i - 1) ^ (1 << j - 1)) + 1
-
-
-def ind_index(i, j):
-    """Smallest z with bin_bit(i, z) != bin_bit(j, z); requires i != j."""
-    if i == j:
-        raise ValueError("indices must differ")
-    z = 1
-    while bin_bit(i, z) == bin_bit(j, z):
-        z += 1
-    return z
-
-
 # --- embedded Boolean functions ------------------------------------------
 
 
@@ -76,43 +61,6 @@ def _check_input(bits, rows, cols):
         raise ValueError(f"input must have {rows * cols} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("input bits must be 0/1")
-
-
-def ver(x, y):
-    """1 iff x + y is 0 or 1 modulo 4, for x, y in {0,1,2,3}."""
-    if x not in (0, 1, 2, 3) or y not in (0, 1, 2, 3):
-        raise ValueError(f"ver arguments must be in 0..3: {x}, {y}")
-    return int((x + y) % 4 in (0, 1))
-
-
-def gdt(x, y):
-    """OR of the four pairwise ANDs, for x, y in {0,1}^4."""
-    if len(x) != 4 or len(y) != 4:
-        raise ValueError("gdt arguments must be 4-bit")
-    return int(any(a and b for a, b in zip(x, y)))
-
-
-VER_X_PROMISE = [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0)]
-VER_Y_PROMISE = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
-
-
-def encode_ver_x(v):
-    """Promise encoding of Alice's ver argument: 0011 rotated right v times."""
-    return VER_X_PROMISE[v]
-
-
-def encode_ver_y(v):
-    """Promise encoding of Bob's ver argument: a single 1 at position 4-v."""
-    return VER_Y_PROMISE[v]
-
-
-def gdt_promise(x, y):
-    """gdt restricted to the promise sets; must agree with ver there."""
-    if tuple(x) not in VER_X_PROMISE:
-        raise ValueError(f"x outside the promise set: {x}")
-    if tuple(y) not in VER_Y_PROMISE:
-        raise ValueError(f"y outside the promise set: {y}")
-    return gdt(x, y)
 
 
 # --- construction --------------------------------------------------------

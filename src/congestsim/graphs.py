@@ -40,6 +40,14 @@ class DisconnectedGraphError(GraphError):
         )
 
 
+def _check_edge_count(n, m):
+    """A graph file's n nodes need n - 1 edges to be connected; refuse it
+    before n adjacency lists are allocated for nothing."""
+    if m < n - 1:
+        raise GraphError(f"{m} edges cannot connect {n} nodes "
+                         f"(need at least {n - 1})")
+
+
 def _check_weight(w):
     if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
         raise GraphError(f"edge weight must be a positive int (or Fraction): {w!r}")
@@ -97,12 +105,6 @@ class WeightedGraph:
             comps.append(comp)
         return comps
 
-    def weight(self, u, v):
-        for x, w in self.adj[u]:
-            if x == v:
-                return w
-        raise GraphError(f"no edge between {u} and {v}")
-
     def unit_weights(self):
         """Same topology, every weight 1 (the communication graph's metric)."""
         return WeightedGraph(self.n, [(u, v, 1) for u, v, _ in self.edges],
@@ -122,6 +124,7 @@ class WeightedGraph:
         if len(tokens) < 2:
             raise GraphError("graph text must start with 'n m'")
         n, m = int(tokens[0]), int(tokens[1])
+        _check_edge_count(n, m)
         body = tokens[2:]
         if len(body) != 3 * m:
             raise GraphError(f"expected {3 * m} edge tokens, got {len(body)}")
@@ -136,6 +139,7 @@ class WeightedGraph:
     @classmethod
     def from_json_dict(cls, d):
         try:
+            _check_edge_count(d["node_count"], len(d["edges"]))
             return cls(d["node_count"], [tuple(e) for e in d["edges"]])
         except (KeyError, TypeError) as exc:  # a missing or mistyped field
             raise GraphError(f"malformed JSON graph: {exc!r}") from exc

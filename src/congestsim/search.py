@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import Phase
 from .graphs import INFINITE, diameter
 from .toolkit import (
     LevelTables,
@@ -144,10 +143,10 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
 def _memoized(network, memo, key, compute):
     """(compute(), rounds charged), computing once per key.
 
-    A repeat returns the first result and replays the phases the first run
-    appended to the ledger, with their names, rounds, messages and bits,
-    and advances the round clock by the rounds it replays, so a memo hit
-    costs what computing did and the clock stays the ledger's round count.
+    A repeat returns the first result and charges the phases the first
+    run appended to the ledger again (`Network.replay_phases`), so a memo
+    hit costs what computing did and the clock stays the ledger's round
+    count.
     """
     ledger = network.ledger
     mark = ledger.rounds
@@ -155,12 +154,7 @@ def _memoized(network, memo, key, compute):
         first = len(ledger.phases)
         memo[key] = compute(), ledger.phases[first:]
     else:
-        for p in memo[key][1]:
-            ledger.phases.append(Phase(p.name, p.rounds, p.messages, p.bits))
-            ledger.rounds += p.rounds
-            ledger.messages += p.messages
-            ledger.bits += p.bits
-        network.round_clock += ledger.rounds - mark
+        network.replay_phases(memo[key][1])
     return memo[key][0], ledger.rounds - mark
 
 
@@ -182,7 +176,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     members = sorted(members)
     if not members:
         return None, 0
-    d_g = network.unweighted_diameter()
+    d_g = schedule.unweighted_diameter
     memo = {} if cache is None else cache
 
     def init():
@@ -191,9 +185,8 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
         if levels not in memo:
             memo[levels] = LevelTables(network.graph, schedule.hops,
                                        schedule.eps)
-        state = build_skeleton_state(network, index, members, schedule.hops,
-                                     schedule.eps, memo[levels])
-        return embed_overlay(network, state, schedule.k)
+        state = build_skeleton_state(network, index, members, memo[levels])
+        return embed_overlay(network, state, schedule.k, d_g)
 
     state, init_rounds = _memoized(network, memo, ("init", index), init)
 
@@ -215,7 +208,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
             # collect the skeleton at the prober, then announce s
             network.charge_rounds(d_g + len(members), phase="setup")
             network.charge_rounds(d_g, phase="setup")
-            sssp_on_overlay(network, state, s)
+            sssp_on_overlay(network, state, s, d_g)
             value = approx_eccentricity(state, s)
             network.charge_rounds(d_g, phase="eval")  # convergecast the extremum
             return value

@@ -24,7 +24,7 @@ one breadth-first hop count per source in place of a Dijkstra.  Step 4 is
 the same pass on the overlay, a graph on the skeleton, read from the
 overlay's own `LevelTables`.  Steps 2-4 are charged to the ledger by their
 communication schedules (global broadcasts) without simulating each
-message.
+message, in terms of the hop diameter their caller passes as `d_g`.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  The hop tables
@@ -84,13 +84,6 @@ def rounded_weight(w, hops, eps, level):
     return max(1, math.ceil(2 * Fraction(hops) * Fraction(w) / (eps * 2 ** level)))
 
 
-def _check_hops_eps(hops, eps):
-    if hops <= 0:
-        raise ValueError(f"hop bound must be > 0: {hops}")
-    if not (0 < eps <= 1):
-        raise ValueError(f"need 0 < eps <= 1: {eps}")
-
-
 class BoundedDistanceProgram(NodeProgram):
     """One node of the distance-bounded relaxation pass.
 
@@ -146,7 +139,8 @@ def bounded_hop_sssp(network, s, hops, eps):
     levels = LevelTables(network.graph, hops, eps)
     per_level = [bounded_distance_sssp(network, s, levels.budget, adj=adj)
                  for adj in levels]
-    return levels.scaled(s, list(map(_min_over_levels, zip(*per_level))))
+    return [x if x is INFINITE else x * levels.unit
+            for x in map(_min_over_levels, zip(*per_level))]
 
 
 def _min_over_levels(dists):
@@ -190,7 +184,10 @@ class LevelTables(list):
     """
 
     def __init__(self, graph, hops, eps):
-        _check_hops_eps(hops, eps)
+        if hops <= 0:
+            raise ValueError(f"hop bound must be > 0: {hops}")
+        if not (0 < eps <= 1):
+            raise ValueError(f"need 0 < eps <= 1: {eps}")
         self.graph, self.hops, self.eps = graph, hops, eps
         self.budget = hop_budget(hops, eps)
         self.unit = eps / (2 * Fraction(hops))  # of the integer tables
@@ -210,7 +207,7 @@ class LevelTables(list):
         self.degree = [len(nbrs) for nbrs in graph.adj]
         self._bfs = None, None  # (s, bfs_hops of s), for the uniform levels
         self._passes = {}  # s -> _Passes
-        self._scaled = {}  # s -> (units, Fractions)
+        self._scaled = {}  # s -> its units table as Fractions
 
     def level_pass(self, s, level):
         """s's distances on `level`, INFINITE beyond the budget."""
@@ -239,14 +236,12 @@ class LevelTables(list):
                 keys, sent, list(map(_min_over_levels, zip(*per_level))))
         return self._passes[s]
 
-    def scaled(self, s, units):
-        """`units`, a table of s in units of eps/(2*hops), as Fractions;
-        scaled once while s's table stays the same."""
-        memo = self._scaled.get(s)
-        if memo is None or memo[0] != units:
-            memo = self._scaled[s] = units, [
-                x if x is INFINITE else x * self.unit for x in units]
-        return memo[1]
+    def scaled(self, s):
+        """`source(s).units` as Fractions, scaled once per s."""
+        if s not in self._scaled:
+            self._scaled[s] = [x if x is INFINITE else x * self.unit
+                               for x in self.source(s).units]
+        return self._scaled[s]
 
 
 def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
@@ -323,8 +318,10 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     return None, window * stretch, messages, bits, failure
 
 
-def bounded_hop_mssp(network, sources, hops, eps, retries=3, levels=None):
-    """Approximate hop-bounded distances from every s in `sources` at once.
+def bounded_hop_mssp(network, sources, levels, retries=3):
+    """Approximate hop-bounded distances from every s in `sources` at once,
+    for the hop bound and eps of `levels`, the `LevelTables` of
+    network.graph each source's passes are read from.
 
     Superposes one delayed bounded-hop pass per source; on congestion the
     run is retried with fresh delays (up to `retries` times), and the last
@@ -332,23 +329,17 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, levels=None):
     broadcasts its delays in an `mssp-delays` phase, by the closed-form
     `Network.broadcast_pipeline`, is evaluated by `_superposed_closed_form`
     and is charged, in an `mssp` phase, what its per-node programs send
-    up to its end or abort.  Neither runs the engine.
-    `levels` is the `LevelTables` of (network.graph, hops, eps) to read
-    each source's passes from (default: a fresh one); the delays are
-    drawn and the rounds charged per call, so sharing one object across
-    calls changes no table, charge or clock.
-    Returns {s: per-node list of Fractions}.
+    up to its end or abort.  Neither runs the engine.  The delays are
+    drawn and the rounds charged per call, so sharing one `levels`
+    across calls changes no table, charge or clock.
+    Returns {s: per-node list of Fractions}, `levels.scaled(s)`.
     """
     g = network.graph
-    _check_hops_eps(hops, eps)
     sources = sorted(set(sources))
     if not sources:
         raise ValueError("sources must be nonempty")
     if retries < 0:
         raise ValueError(f"retries must be >= 0: {retries}")
-    if levels is None:
-        levels = LevelTables(g, hops, eps)
-    assert levels.graph is g and (levels.hops, levels.eps) == (hops, eps)
     b = len(sources)
     # per-window allowance ceil(log2 n), floored at 2: a copy owes at most
     # one broadcast per window, so two copies must never be able to jam
@@ -362,14 +353,15 @@ def bounded_hop_mssp(network, sources, hops, eps, retries=3, levels=None):
         # fits the bandwidth and the closed form needs no bandwidth check
         network.broadcast_pipeline(
             [(i, delays[i]) for i in range(b)], phase="mssp-delays")
-        best, rounds, messages, bits, failure = _superposed_closed_form(
+        # a successful attempt's tables are its sources' `levels.source`
+        # tables, so only its cost is read here
+        _, rounds, messages, bits, failure = _superposed_closed_form(
             g, levels, sources, delays, levels.budget, stretch)
         with network.ledger.phase("mssp"):
             network.charge_rounds(rounds)
             network.ledger.add_messages(messages, bits)
         if failure is None:
-            return {s: levels.scaled(s, best[copy])
-                    for copy, s in enumerate(sources)}
+            return {s: levels.scaled(s) for s in sources}
     raise failure
 
 
@@ -408,38 +400,37 @@ class SkeletonState:
         return self.hop_tables[u][v]
 
 
-def build_skeleton_state(network, index, members, hops, eps, levels=None):
+def build_skeleton_state(network, index, members, levels):
     """Skeleton `index` with its members' hop tables, from `bounded_hop_mssp`
-    on `levels` (default: a fresh `LevelTables` of (graph, hops, eps))."""
+    on `levels`, whose hop bound and eps the state records."""
     members = sorted(members)
-    state = SkeletonState(index=index, members=members, hops=hops, eps=eps)
+    state = SkeletonState(index=index, members=members, hops=levels.hops,
+                          eps=levels.eps, levels=levels)
     if members:
-        if levels is None:
-            levels = LevelTables(network.graph, hops, eps)
-        state.hop_tables = bounded_hop_mssp(network, members, hops, eps,
-                                            levels=levels)
-        state.levels = levels
+        state.hop_tables = bounded_hop_mssp(network, members, levels)
     return state
 
 
-def embed_overlay(network, state, k):
+def embed_overlay(network, state, k, d_g):
     """Populate the k-shortcut overlay: each skeleton node's k nearest
     overlay neighbors get exact overlay distances as direct edges.
 
     Every skeleton node announces its k cheapest incident overlay edges;
     shortest paths to a node's k nearest targets only use announced
     edges, so the exact distances are computable locally.  Charged to an
-    `embed` phase: D_G + |S|*k rounds.  The ranking, the announced edges
-    and their Dijkstras work on the integer hop tables of `state.levels`
-    (see `_unit_tables`); only the shortcut entries are scaled by the
-    unit, so they are the Fractions the hop tables would give.
+    `embed` phase: d_g + |S|*k rounds, d_g the hop diameter of the
+    communication graph (`ParameterSchedule.unweighted_diameter`).  The
+    ranking, the announced edges and their Dijkstras work on the integer
+    hop tables of `state.levels` (see `_unit_tables`); only the shortcut
+    entries are scaled by the unit, so they are the Fractions the hop
+    tables would give.
     """
     members = state.members
     state.k = k
     state.shortcut = {}
     state.overlay_levels = None
     if len(members) < 2 or k <= 0:
-        network.charge_rounds(network.unweighted_diameter(), phase="embed")
+        network.charge_rounds(d_g, phase="embed")
         return state
 
     unit, tables = _unit_tables(state)
@@ -470,14 +461,14 @@ def embed_overlay(network, state, k):
                 shortcut[key] = d
     state.shortcut = {key: d * unit for key, d in shortcut.items()}
 
-    network.charge_rounds(network.unweighted_diameter() + len(members) * k,
-                          phase="embed")
+    network.charge_rounds(d_g + len(members) * k, phase="embed")
     return state
 
 
-def sssp_on_overlay(network, state, s):
+def sssp_on_overlay(network, state, s, d_g):
     """Bounded-hop distances from s on the shortcut overlay; every node
-    learns the whole table (each overlay round is a global broadcast).
+    learns the whole table (each overlay round is a global broadcast,
+    charged by the hop diameter d_g of the communication graph).
 
     Hop bound 4|S|/k (the shortcut overlay's hop diameter is below that),
     or |S| when k = 0.  The overlay is a `WeightedGraph` on the members'
@@ -502,13 +493,11 @@ def sssp_on_overlay(network, state, s):
             check_connected=False)
         state.overlay_levels = LevelTables(overlay, hop_bound, state.eps)
     levels = state.overlay_levels
-    i = members.index(s)
-    best = dict(zip(members, levels.scaled(i, levels.source(i).units)))
+    best = dict(zip(members, levels.scaled(members.index(s))))
     # per overlay round: count senders (D_G), broadcast (D_G + a); a is
     # charged at its bound |S| so every probe costs the same (lockstep)
     network.charge_rounds(len(levels) * (levels.budget + 1) * (
-        2 * network.unweighted_diameter() + 1 + len(members)),
-        phase="overlay-sssp")
+        2 * d_g + 1 + len(members)), phase="overlay-sssp")
     state.overlay_tables[s] = best
     return best
 

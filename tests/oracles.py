@@ -6,7 +6,9 @@ superposed multi-source pass message by message on the engine: it is the
 reference for `toolkit._superposed_closed_form`.  `pipeline_program` does
 the same for the closed form of `Network.broadcast_pipeline`.
 `reference_search` evaluates every candidate of an extremum search: the
-reference of `search.amplified_max_search`.
+reference of `search.amplified_max_search`.  The gadgets' index helpers
+`adj_index` / `ind_index`, the ver/gdt promise functions and `edge_weight`
+are the paper's definitions that only the tests read.
 """
 
 from congestsim.engine import (
@@ -15,7 +17,8 @@ from congestsim.engine import (
     NodeProgram,
     payload_bits,
 )
-from congestsim.graphs import INFINITE
+from congestsim.gadgets import bin_bit
+from congestsim.graphs import INFINITE, GraphError
 from congestsim.toolkit import CongestionFailure, _min_over_levels
 
 INF = float("inf")
@@ -253,3 +256,66 @@ def reference_search(candidates, evaluate, mode="max"):
         if value is not None and (best_v is None or better(value, best_v)):
             best_x, best_v = x, value
     return best_x, best_v
+
+
+def edge_weight(g, u, v):
+    """Weight of the edge u-v of `g`; GraphError if there is none."""
+    for x, w in g.adj[u]:
+        if x == v:
+            return w
+    raise GraphError(f"no edge between {u} and {v}")
+
+
+# --- gadget index helpers and the ver/gdt promise functions -------------
+
+
+def adj_index(i, j):
+    """The integer whose (i-1)-expansion differs from i's in the j-th bit."""
+    return ((i - 1) ^ (1 << j - 1)) + 1
+
+
+def ind_index(i, j):
+    """Smallest z with bin_bit(i, z) != bin_bit(j, z); requires i != j."""
+    if i == j:
+        raise ValueError("indices must differ")
+    z = 1
+    while bin_bit(i, z) == bin_bit(j, z):
+        z += 1
+    return z
+
+
+def ver(x, y):
+    """1 iff x + y is 0 or 1 modulo 4, for x, y in {0,1,2,3}."""
+    if x not in (0, 1, 2, 3) or y not in (0, 1, 2, 3):
+        raise ValueError(f"ver arguments must be in 0..3: {x}, {y}")
+    return int((x + y) % 4 in (0, 1))
+
+
+def gdt(x, y):
+    """OR of the four pairwise ANDs, for x, y in {0,1}^4."""
+    if len(x) != 4 or len(y) != 4:
+        raise ValueError("gdt arguments must be 4-bit")
+    return int(any(a and b for a, b in zip(x, y)))
+
+
+VER_X_PROMISE = [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0)]
+VER_Y_PROMISE = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+
+
+def encode_ver_x(v):
+    """Promise encoding of Alice's ver argument: 0011 rotated right v times."""
+    return VER_X_PROMISE[v]
+
+
+def encode_ver_y(v):
+    """Promise encoding of Bob's ver argument: a single 1 at position 4-v."""
+    return VER_Y_PROMISE[v]
+
+
+def gdt_promise(x, y):
+    """gdt restricted to the promise sets; must agree with ver there."""
+    if tuple(x) not in VER_X_PROMISE:
+        raise ValueError(f"x outside the promise set: {x}")
+    if tuple(y) not in VER_Y_PROMISE:
+        raise ValueError(f"y outside the promise set: {y}")
+    return gdt(x, y)

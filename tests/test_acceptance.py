@@ -39,6 +39,7 @@ from congestsim.search import (
 )
 from congestsim.toolkit import (
     CongestionFailure,
+    LevelTables,
     bounded_distance_sssp,
     bounded_hop_mssp,
     bounded_hop_sssp,
@@ -91,11 +92,12 @@ def test_criterion_02_pipeline_sandwich(announce):
         net = Network(g, seed=seed)
         eps = default_eps(n)
         members = list(range(n))
-        state = build_skeleton_state(net, 0, members, n, eps)
-        embed_overlay(net, state, max(1, n // 3))
+        state = build_skeleton_state(net, 0, members, LevelTables(g, n, eps))
+        d_g = diameter(g.unit_weights())
+        embed_overlay(net, state, max(1, n // 3), d_g)
         slack = (1 + eps) ** 2
         for s in members:
-            sssp_on_overlay(net, state, s)
+            sssp_on_overlay(net, state, s, d_g)
             exact = exact_sssp(g, s)
             for v in range(n):
                 d = approx_distance(state, s, v)
@@ -182,8 +184,8 @@ def test_criterion_05_round_exactness_and_failure_rate(announce):
                                    rng=random.Random(seed))
         net = Network(g, seed=seed)
         try:
-            bounded_hop_mssp(net, list(range(16)), 16, Fraction(1, 4),
-                             retries=0)
+            bounded_hop_mssp(net, list(range(16)),
+                             LevelTables(g, 16, Fraction(1, 4)), retries=0)
         except CongestionFailure:
             failures += 1
     ok = ok and failures <= 10
@@ -201,8 +203,9 @@ def test_criterion_06_shortcut_hop_diameter(announce):
         members = sorted(rng.sample(range(n), size))
         k = rng.randrange(1, 4)
         net = Network(g, seed=t)
-        state = build_skeleton_state(net, 0, members, n, default_eps(n))
-        embed_overlay(net, state, k)
+        state = build_skeleton_state(net, 0, members,
+                                     LevelTables(g, n, default_eps(n)))
+        embed_overlay(net, state, k, diameter(g.unit_weights()))
         idx = {u: i for i, u in enumerate(members)}
         edges = []
         for i, u in enumerate(members):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,20 @@ def test_missing_graph_file(capsys):
     code, _, err = run(["oracle", "--graph", "/nonexistent/g.txt"], capsys)
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize("body", ["1000000000 0",
+                                  '{"node_count": 1000000000, "edges": []}'])
+def test_graph_file_declaring_too_few_edges_is_refused_at_once(
+        tmp_path, capsys, body):
+    # a 12-byte file must not make the loader allocate 10^9 adjacency lists
+    path = tmp_path / "g.txt"
+    path.write_text(body)
+    start = time.monotonic()
+    code, out, err = run(["oracle", "--graph", str(path)], capsys)
+    assert time.monotonic() - start < 1
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_gen_requires_n(capsys):

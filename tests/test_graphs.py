@@ -287,6 +287,19 @@ def test_rejects_bad_input():
         exact_sssp(WeightedGraph(2, [(0, 1, 1)]), 5)
 
 
+def test_graph_files_with_too_few_edges_are_refused_before_allocation():
+    # n - 1 edges or more may connect n nodes; fewer never can
+    for text in ("3 1\n0 1 1\n", "1000000000 0\n"):
+        with pytest.raises(GraphError, match="cannot connect") as exc:
+            WeightedGraph.from_text(text)
+        assert not isinstance(exc.value, DisconnectedGraphError)
+    with pytest.raises(GraphError, match="cannot connect"):
+        WeightedGraph.from_json_dict({"node_count": 10 ** 9, "edges": []})
+    assert WeightedGraph.from_text("1 0\n").n == 1
+    with pytest.raises(DisconnectedGraphError):  # enough edges, two parts
+        WeightedGraph.from_text("4 3\n0 1 1\n1 2 1\n0 2 1\n")
+
+
 @pytest.mark.parametrize("max_weight", [0, -3])
 def test_random_graph_rejects_max_weight_below_one(max_weight):
     with pytest.raises(GraphError, match="max_weight"):

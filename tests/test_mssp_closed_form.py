@@ -7,6 +7,7 @@ engine instead, the reference.  Both must agree on the tables (or the
 raised exception), the ledger and the round clock.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,13 +23,14 @@ from congestsim.search import (
     approx_diameter,
     approx_radius,
 )
-from congestsim.toolkit import CongestionFailure, bounded_hop_mssp
+from congestsim.toolkit import CongestionFailure, LevelTables, bounded_hop_mssp
 
 
-def _mssp_outcome(g, seed, *args, **kwargs):
+def _mssp_outcome(g, seed, sources, hops, eps, retries):
     net = Network(g, seed=seed)
     try:
-        result = bounded_hop_mssp(net, *args, **kwargs)
+        result = bounded_hop_mssp(net, sources, LevelTables(g, hops, eps),
+                                  retries=retries)
     except CongestionFailure as failure:
         result = ("CongestionFailure", str(failure))
     return result, net.ledger.to_dict(), net.round_clock
@@ -86,6 +88,32 @@ def test_closed_form_matches_reference_on_random_configs(monkeypatch):
             f"seed {seed}: n={n} |S|={len(sources)} hops={hops} eps={eps}")
         congested += seen
     assert any(congested) and not all(congested)
+
+
+def test_closed_form_tables_match_reference():
+    # bounded_hop_mssp returns its sources' `LevelTables.scaled` tables and
+    # reads only the cost of an attempt, so the tables of the closed form
+    # and of the message-level program are compared here, attempt by attempt
+    outcomes = set()
+    for seed in range(100):
+        rng = random.Random(f"mssp-tables:{seed}")
+        n = rng.randrange(2, 25)
+        g = random_connected_graph(n, max_weight=rng.choice([1, 3, 10, 50]),
+                                   rng=rng)
+        sources = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+        levels = LevelTables(g, rng.randrange(1, n + 1),
+                             Fraction(1, rng.randrange(1, 9)))
+        stretch = max(2, math.ceil(math.log2(n)))
+        delays = [rng.randint(0, len(sources) * stretch) for _ in sources]
+        args = (g, levels, sources, delays, levels.budget, stretch)
+        fast = toolkit._superposed_closed_form(*args)
+        reference = oracles.superposed_program(*args)
+        assert fast[:4] == reference[:4], f"seed {seed}"
+        assert str(fast[4]) == str(reference[4]), f"seed {seed}"
+        if fast[0] is not None:
+            assert fast[0] == [levels.source(s).units for s in sources]
+        outcomes.add(fast[4] is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("estimator", [approx_diameter, approx_radius])

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congestsim import graphs
 from congestsim.engine import Network
 from congestsim.graphs import (
     WeightedGraph,
     cycle_graph,
     diameter,
+    grid_graph,
     radius,
     random_connected_graph,
     star_graph,
@@ -385,6 +387,26 @@ def test_estimators_with_hops_below_n(g):
                        (approx_radius, radius(g))):
         estimate, _, _ = run(Network(g, seed=5), sch, rng=random.Random(5))
         assert exact <= estimate <= slack * exact
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(16),
+    grid_graph(4, 4),
+    random_connected_graph(16, rng=random.Random(0)),
+], ids=["cycle", "grid", "random-connected"])
+@pytest.mark.parametrize("run", [approx_diameter, approx_radius])
+def test_estimators_take_the_hop_diameter_from_the_schedule(
+        monkeypatch, g, run):
+    # the schedule measured D once; the charges read it and run no Dijkstra
+    calls = []
+    exact_sssp = graphs.exact_sssp
+    monkeypatch.setattr(graphs, "exact_sssp",
+                        lambda *args: calls.append(args) or exact_sssp(*args))
+    schedule = ParameterSchedule.for_graph(g)
+    assert calls  # the counter sees `diameter`'s runs
+    calls.clear()
+    estimate, _, _ = run(Network(g, seed=3), schedule, rng=random.Random(3))
+    assert estimate is not None and calls == []
 
 
 def test_estimator_determinism():

@@ -10,6 +10,7 @@ from congestsim.graphs import (
     INFINITE,
     WeightedGraph,
     cycle_graph,
+    diameter,
     dijkstra,
     exact_bounded_hop,
     exact_sssp,
@@ -41,6 +42,11 @@ from oracles import complete_overlay_distances
 
 def path_graph(p):
     return WeightedGraph(p + 1, [(i, i + 1, 1) for i in range(p)])
+
+
+def unit_diameter(g):
+    """The hop diameter the overlay stages charge by."""
+    return diameter(g.unit_weights())
 
 
 # --- parameters ----------------------------------------------------------
@@ -194,7 +200,7 @@ def test_bounded_hop_rejects_bad_args():
 def test_mssp_rejects_bad_args(hops, eps):
     net = Network(path_graph(2))
     with pytest.raises(ValueError) as mssp_error:
-        bounded_hop_mssp(net, [0, 1], hops, eps)
+        bounded_hop_mssp(net, [0, 1], LevelTables(net.graph, hops, eps))
     with pytest.raises(ValueError) as sssp_error:
         bounded_hop_sssp(net, 0, hops, eps)
     assert str(mssp_error.value) == str(sssp_error.value)
@@ -204,7 +210,8 @@ def test_mssp_rejects_bad_args(hops, eps):
 def test_mssp_rejects_negative_retries():
     net = Network(path_graph(5))
     with pytest.raises(ValueError, match="retries"):
-        bounded_hop_mssp(net, [0, 3], 3, Fraction(1, 2), retries=-1)
+        bounded_hop_mssp(net, [0, 3], LevelTables(net.graph, 3, Fraction(1, 2)),
+                         retries=-1)
     assert net.ledger.rounds == 0 and net.ledger.phases == []
 
 
@@ -216,7 +223,8 @@ def test_mssp_single_source_equals_sssp():
         g = random_connected_graph(10, rng=random.Random(seed))
         eps = default_eps(g.n)
         single = bounded_hop_sssp(Network(g, seed=seed), 2, 3, eps)
-        multi = bounded_hop_mssp(Network(g, seed=seed), [2], 3, eps)
+        multi = bounded_hop_mssp(Network(g, seed=seed), [2],
+                                 LevelTables(g, 3, eps))
         assert multi == {2: single}
 
 
@@ -225,7 +233,8 @@ def test_mssp_sandwich():
         g = random_connected_graph(12, rng=random.Random(40 + seed))
         eps = default_eps(g.n)
         sources = [0, 3, 7, 11]
-        tables = bounded_hop_mssp(Network(g, seed=seed), sources, 4, eps)
+        tables = bounded_hop_mssp(Network(g, seed=seed), sources,
+                                  LevelTables(g, 4, eps))
         assert sorted(tables) == sources
         for s in sources:
             assert_hop_sandwich(g, s, tables[s], 4, eps)
@@ -234,7 +243,8 @@ def test_mssp_sandwich():
 def test_mssp_deterministic():
     g = random_connected_graph(12, rng=random.Random(8))
     eps = default_eps(g.n)
-    runs = [bounded_hop_mssp(Network(g, seed=5), [0, 5, 9], 4, eps)
+    runs = [bounded_hop_mssp(Network(g, seed=5), [0, 5, 9],
+                             LevelTables(g, 4, eps))
             for _ in range(2)]
     assert runs[0] == runs[1]
 
@@ -245,7 +255,8 @@ def test_aborted_mssp_attempt_is_charged_to_its_phase(seed):
     g = random_connected_graph(16, max_weight=10, rng=random.Random(seed))
     net = Network(g, seed=seed)
     with pytest.raises(CongestionFailure):
-        bounded_hop_mssp(net, list(range(16)), 16, Fraction(1, 4), retries=0)
+        bounded_hop_mssp(net, list(range(16)),
+                         LevelTables(g, 16, Fraction(1, 4)), retries=0)
     assert sum(p.rounds for p in net.ledger.phases) == net.ledger.rounds
     assert net.ledger.phases[-1].name == "mssp"
     assert net.ledger.phases[-1].rounds > net.ledger.rounds / 2
@@ -254,12 +265,12 @@ def test_aborted_mssp_attempt_is_charged_to_its_phase(seed):
 def _mssp_sequence(g, calls, hops, eps, shared):
     """Outcome, ledger and clock after each call, all on one Network."""
     net = Network(g, seed="sequence")
-    levels = LevelTables(g, hops, eps) if shared else None
+    shared_levels = LevelTables(g, hops, eps)
     outcomes = []
     for sources, retries in calls:
+        levels = shared_levels if shared else LevelTables(g, hops, eps)
         try:
-            result = bounded_hop_mssp(net, sources, hops, eps, retries=retries,
-                                      levels=levels)
+            result = bounded_hop_mssp(net, sources, levels, retries=retries)
         except CongestionFailure as failure:
             result = ("CongestionFailure", str(failure))
         outcomes.append((result, net.ledger.to_dict(), net.round_clock))
@@ -409,13 +420,14 @@ def test_shortcut_in_integer_units_equals_a_state_built_by_hand(
     members = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
     net = Network(g, seed=seed)
     try:
-        state = build_skeleton_state(net, 0, members, hops, default_eps(g.n))
+        state = build_skeleton_state(
+            net, 0, members, LevelTables(g, hops, default_eps(g.n)))
     except CongestionFailure:
         reject()
     by_hand = SkeletonState(index=0, members=members, hops=hops,
                             eps=state.eps, hop_tables=dict(state.hop_tables))
-    embed_overlay(net, state, k)
-    embed_overlay(Network(g), by_hand, k)
+    embed_overlay(net, state, k, unit_diameter(g))
+    embed_overlay(Network(g), by_hand, k, unit_diameter(g))
     assert state.levels is not None and by_hand.levels is None
     assert list(state.shortcut.items()) == list(by_hand.shortcut.items())
     assert all(type(w) is Fraction for w in state.shortcut.values())
@@ -427,8 +439,8 @@ def test_shortcut_in_integer_units_equals_a_state_built_by_hand(
 def pipeline_state(g, members, hops, k, seed=0):
     net = Network(g, seed=seed)
     eps = default_eps(g.n)
-    state = build_skeleton_state(net, 0, members, hops, eps)
-    embed_overlay(net, state, k)
+    state = build_skeleton_state(net, 0, members, LevelTables(g, hops, eps))
+    embed_overlay(net, state, k, unit_diameter(g))
     return net, state
 
 
@@ -469,7 +481,7 @@ def test_embed_matches_sequential_oracle():
 def test_overlay_sssp_singleton():
     g = path_graph(4)
     net, state = pipeline_state(g, [2], 4, 1)
-    assert sssp_on_overlay(net, state, 2) == {2: 0}
+    assert sssp_on_overlay(net, state, 2, unit_diameter(g)) == {2: 0}
 
 
 def test_overlay_sssp_large_k_close_to_exact():
@@ -479,7 +491,7 @@ def test_overlay_sssp_large_k_close_to_exact():
     exact = complete_overlay_distances(members, state.overlay_weight)
     eps = state.eps
     for s in members:
-        table = sssp_on_overlay(net, state, s)
+        table = sssp_on_overlay(net, state, s, unit_diameter(g))
         for v in members:
             assert exact[(s, v)] <= table[v] <= (1 + eps) * exact[(s, v)]
 
@@ -488,7 +500,7 @@ def test_overlay_sssp_rejects_foreign_source():
     g = path_graph(4)
     net, state = pipeline_state(g, [0, 2], 4, 1)
     with pytest.raises(ValueError):
-        sssp_on_overlay(net, state, 3)
+        sssp_on_overlay(net, state, 3, unit_diameter(g))
 
 
 def test_overlay_probe_cost_constant():
@@ -499,7 +511,7 @@ def test_overlay_probe_cost_constant():
     costs = []
     for s in members:
         before = net.ledger.rounds
-        sssp_on_overlay(net, state, s)
+        sssp_on_overlay(net, state, s, unit_diameter(g))
         costs.append(net.ledger.rounds - before)
     assert len(set(costs)) == 1
 
@@ -531,7 +543,7 @@ def test_overlay_sssp_matches_level_enumeration(k):
                 cut += d[j] > budget
                 if d[j] <= budget and d[j] * scale < best[u]:
                     best[u] = d[j] * scale
-        assert sssp_on_overlay(net, state, s) == best
+        assert sssp_on_overlay(net, state, s, unit_diameter(g)) == best
     assert cut  # the distance budget cut some level short
 
 
@@ -540,23 +552,26 @@ def test_overlay_sssp_follows_reembedding():
     # again with another k must rebuild it
     g = random_connected_graph(14, rng=random.Random(6))
     members = [1, 4, 7, 10, 13]
+    d_g = unit_diameter(g)
     net, state = pipeline_state(g, members, 6, 1)
-    sssp_on_overlay(net, state, members[0])
-    embed_overlay(net, state, 4)
+    sssp_on_overlay(net, state, members[0], d_g)
+    embed_overlay(net, state, 4, d_g)
     fresh_net, fresh = pipeline_state(g, members, 6, 4)
-    assert [sssp_on_overlay(net, state, s) for s in members] == \
-        [sssp_on_overlay(fresh_net, fresh, s) for s in members]
+    assert [sssp_on_overlay(net, state, s, d_g) for s in members] == \
+        [sssp_on_overlay(fresh_net, fresh, s, d_g) for s in members]
 
 
 def test_overlay_sssp_of_a_state_never_embedded_is_k_zero():
     g = random_connected_graph(14, rng=random.Random(6))
     members = [1, 4, 7, 10, 13]
     net = Network(g)
-    state = build_skeleton_state(net, 0, members, 6, default_eps(g.n))
+    state = build_skeleton_state(net, 0, members,
+                                 LevelTables(g, 6, default_eps(g.n)))
     _, embedded = pipeline_state(g, members, 6, 0)
     assert state.hop_tables == embedded.hop_tables
-    assert [sssp_on_overlay(net, state, s) for s in members] == \
-        [sssp_on_overlay(net, embedded, s) for s in members]
+    d_g = unit_diameter(g)
+    assert [sssp_on_overlay(net, state, s, d_g) for s in members] == \
+        [sssp_on_overlay(net, embedded, s, d_g) for s in members]
 
 
 def test_overlay_levels_span_the_skeleton_only():
@@ -565,7 +580,7 @@ def test_overlay_levels_span_the_skeleton_only():
     members = [1, 4, 7, 10, 13]
     for k in (0, 2):
         net, state = pipeline_state(g, members, 6, k)
-        sssp_on_overlay(net, state, members[0])
+        sssp_on_overlay(net, state, members[0], unit_diameter(g))
         assert len(state.overlay_levels) > 1
         assert all(len(adj) == len(members) for adj in state.overlay_levels)
 
@@ -578,7 +593,7 @@ def full_pipeline(g, seed=0):
     net, state = pipeline_state(g, members, max(1, g.n - 1),
                                 max(1, g.n // 2), seed=seed)
     for s in members:
-        sssp_on_overlay(net, state, s)
+        sssp_on_overlay(net, state, s, unit_diameter(g))
     return net, state
 
 
@@ -636,7 +651,7 @@ def test_approx_eccentricity():
 def test_approx_eccentricity_single_node():
     g = WeightedGraph(1, [])
     net = Network(g)
-    state = build_skeleton_state(net, 0, [0], 1, Fraction(1, 2))
+    state = build_skeleton_state(net, 0, [0], LevelTables(g, 1, Fraction(1, 2)))
     assert approx_eccentricity(state, 0) == 0
 
 
@@ -653,14 +668,15 @@ def test_eccentricity_in_integer_units_is_the_approx_distance_max(data):
     members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     net = Network(g, seed=data.draw(st.integers(0, 3)))
     try:
-        state = build_skeleton_state(net, 0, members, hops, eps)
+        state = build_skeleton_state(net, 0, members, LevelTables(g, hops, eps))
     except CongestionFailure:
         reject()
+    d_g = unit_diameter(g)
     for k in sorted(data.draw(st.sets(st.integers(0, len(members) + 1),
                                       min_size=1, max_size=3))):
-        embed_overlay(net, state, k)
+        embed_overlay(net, state, k, d_g)
         for s in members:
-            sssp_on_overlay(net, state, s)
+            sssp_on_overlay(net, state, s, d_g)
             assert approx_eccentricity(state, s) == max(
                 approx_distance(state, s, v) for v in range(n))
     outside = [v for v in range(n) if v not in members]
@@ -694,13 +710,15 @@ def test_eccentricity_of_a_state_built_by_hand():
 
 def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
     # budget floor(3 * 1/2) = 1: one hop from each skeleton node
-    net = Network(path_graph(4))
-    state = build_skeleton_state(net, 0, [0, 2], Fraction(1, 2), Fraction(1))
-    embed_overlay(net, state, 1)
+    g = path_graph(4)
+    net = Network(g)
+    state = build_skeleton_state(net, 0, [0, 2],
+                                 LevelTables(g, Fraction(1, 2), Fraction(1)))
+    embed_overlay(net, state, 1, unit_diameter(g))
     with pytest.raises(MissingTableError):
         approx_eccentricity(state, 0)  # no overlay table yet
     with pytest.raises(MissingTableError):
         approx_eccentricity(state, 1)  # not a skeleton node
-    sssp_on_overlay(net, state, 0)
+    sssp_on_overlay(net, state, 0, unit_diameter(g))
     assert approx_distance(state, 0, 4) is INFINITE
     assert approx_eccentricity(state, 0) is INFINITE
