@@ -268,16 +268,20 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     """
     n = graph.n
     span = budget + 1
+    # a copy owes at most one broadcast per key (d < span), so with no more
+    # copies than `stretch` no key can be over it and none is counted
+    counted = len(sources) > stretch
     owed = Counter()  # window * n + node -> broadcasts due
     best = []
     messages = bits = 0
     for copy, s in enumerate(sources):
         keys, sent, units = adj.source(s)
-        owed.update(map((delays[copy] * n).__add__, keys))
+        if counted:
+            owed.update(map((delays[copy] * n).__add__, keys))
         best.append(units)
         messages += sent
         bits += sent * max(1, copy.bit_length())
-    if max(owed.values()) <= stretch:
+    if not counted or max(owed.values()) <= stretch:
         windows = len(adj) * span + len(sources) * stretch + 1
         return best, windows * stretch, messages, bits, None
 
@@ -379,7 +383,9 @@ class SkeletonState:
     k: int = 0
     hop_tables: dict = field(default_factory=dict)   # s -> per-node list
     shortcut: dict = field(default_factory=dict)     # (u,v) -> weight
-    overlay_tables: dict = field(default_factory=dict)  # s -> {u: value}
+    # s -> {u: value}, the probes of the current overlay; reset by
+    # `embed_overlay`
+    overlay_tables: dict = field(default_factory=dict)
     # the LevelTables hop_tables were read from, whose integer tables
     # embed_overlay and approx_eccentricity read; None for a state built
     # by hand, whose Fraction hop tables they then read as they are
@@ -423,12 +429,14 @@ def embed_overlay(network, state, k, d_g):
     ranking, the announced edges and their Dijkstras work on the integer
     hop tables of `state.levels` (see `_unit_tables`); only the shortcut
     entries are scaled by the unit, so they are the Fractions the hop
-    tables would give.
+    tables would give.  The previous overlay's probes are dropped, so
+    `approx_eccentricity` raises `MissingTableError` until the next probe.
     """
     members = state.members
     state.k = k
     state.shortcut = {}
     state.overlay_levels = None
+    state.overlay_tables = {}
     if len(members) < 2 or k <= 0:
         network.charge_rounds(d_g, phase="embed")
         return state

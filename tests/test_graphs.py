@@ -189,6 +189,44 @@ def test_bfs_hops_match_relaxation_on_unit_weights(g, data):
     assert bfs_hops(g.adj, s) == row
 
 
+@st.composite
+def repeated_weight_graphs(draw):
+    """1-14 nodes, random edges whose weights (ints or Fractions) come from
+    a pool of at most three, so that a node has several neighbours per
+    weight; not necessarily connected."""
+    n = draw(st.integers(1, 14))
+    pool = draw(st.lists(st.one_of(
+        st.integers(1, 9),
+        st.fractions(min_value=1, max_value=9, max_denominator=5)),
+        min_size=1, max_size=3))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=40))
+    edges = {(min(u, v), max(u, v)): draw(st.sampled_from(pool))
+             for u, v in pairs if u != v}
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()],
+                         check_connected=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(repeated_weight_graphs(), small_graphs(), fraction_graphs(),
+                 disconnected_graphs(), random_graphs, shaped_graphs))
+def test_exact_sssp_matches_heap_dijkstra(g):
+    for s in range(g.n):
+        assert exact_sssp(g, s) == dijkstra(g.adj, s)
+
+
+@pytest.mark.parametrize("alpha, beta", [(None, None), (3, 5)])
+@pytest.mark.parametrize("variant", ["diameter", "radius"])
+def test_exact_sssp_matches_heap_dijkstra_on_h2_gadgets(variant, alpha, beta):
+    # alpha = 3, beta = 5: the contraction's weights are not multiples of
+    # one another
+    inst = build_gadget(2, variant=variant, alpha=alpha, beta=beta)
+    contracted, _ = contract_unit_edges(inst.graph)
+    for g in (inst.graph, contracted):
+        for s in range(g.n):
+            assert exact_sssp(g, s) == dijkstra(g.adj, s)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(["diameter", "radius"]),
        st.lists(st.integers(0, 1), min_size=32, max_size=32))

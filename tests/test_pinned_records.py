@@ -1,18 +1,24 @@
-"""Seeded estimator runs pinned to the values of an earlier commit.
+"""Seeded estimator runs and gadget reports pinned to the values of an
+earlier commit.
 
 A change that only makes the simulator faster must leave every estimate,
-ledger and round clock byte-identical; these twelve runs check that
-without a second checkout.  Each row is (generator, n, trial seed, mode,
-estimate, sha256 of `ledger.to_json()`, `round_clock`), run as
-`congestsim approx --seed 7` (or 101) runs its trial 0.
+ledger, round clock and gadget report byte-identical; these sixteen runs
+check that without a second checkout.  Each of the twelve estimator rows
+is (generator, n, trial seed, mode, estimate, sha256 of
+`ledger.to_json()`, `round_clock`), run as `congestsim approx --seed 7`
+(or 101) runs its trial 0.  Each of the four gadget rows is (variant,
+input seed, F, sha256 of the `verify_reduction` report as canonical JSON)
+at h = 4.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
 
 from congestsim.engine import Network
+from congestsim.gadgets import build_gadget, verify_reduction
 from congestsim.graphs import make_graph
 from congestsim.search import ParameterSchedule, approx_diameter, approx_radius
 
@@ -70,3 +76,46 @@ def test_seeded_run_matches_pinned_record(kind, n, seed, mode, estimate,
     assert hashlib.sha256(ledger.to_json().encode()).hexdigest() \
         == ledger_sha256
     assert net.round_clock == round_clock
+
+
+# h = 4: 2^6 selector rows of 2^2 columns
+ROWS, COLS = 64, 4
+
+PINNED_REPORTS = [
+    ("diameter", 1, 0,
+     "18ceecc738f09171cfb13bdaff275b7745fe08e55bec5b5300f54ac51f3da019"),
+    ("diameter", 2, 1,
+     "8a9da456d27e5476c4f4ff6f6bd05066fa266721641c53dc343bea0fd2615242"),
+    ("radius", 1, 1,
+     "c25917412e9eb1e165cfbe211fecbda6fc44058f2f1e6d534be595a40a9d2d78"),
+    ("radius", 2, 0,
+     "86c2f7a874860735d06c3ddbcf2b88f67aa8060f58a2a76f1bf8d24bcd8c430f"),
+]
+
+
+def gadget_inputs(variant, seed):
+    """Uniform bits from `seed`, which give F = 0 and F' = 1; an even seed
+    plants a common one in every row (F = 1) or clears every common one
+    (F' = 0), so both sides of the gap lemma are pinned."""
+    rng = random.Random(seed)
+    x = [rng.randint(0, 1) for _ in range(ROWS * COLS)]
+    y = [rng.randint(0, 1) for _ in range(ROWS * COLS)]
+    if seed % 2 == 0:
+        if variant == "diameter":
+            for r in range(ROWS):
+                k = r * COLS + rng.randrange(COLS)
+                x[k] = y[k] = 1
+        else:
+            y = [b & (1 - a) for a, b in zip(x, y)]
+    return x, y
+
+
+@pytest.mark.parametrize("variant, seed, F, report_sha256", PINNED_REPORTS,
+                         ids=[f"{row[0]}-{row[1]}" for row in PINNED_REPORTS])
+def test_gadget_report_matches_pinned_record(variant, seed, F,
+                                             report_sha256):
+    x, y = gadget_inputs(variant, seed)
+    report = verify_reduction(build_gadget(4, x, y, variant=variant))
+    assert report["F"] == F and report["pass"]
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()) \
+        .hexdigest() == report_sha256

@@ -722,3 +722,21 @@ def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
     sssp_on_overlay(net, state, 0, unit_diameter(g))
     assert approx_distance(state, 0, 4) is INFINITE
     assert approx_eccentricity(state, 0) is INFINITE
+
+
+def test_reembedding_drops_the_previous_overlays_probes():
+    # the k = 1 probe gives 83/3 on the k = 6 overlay, whose own probe is 28
+    g = random_connected_graph(6, max_weight=20, rng=random.Random(2))
+    net = Network(g)
+    d_g = unit_diameter(g)
+    state = build_skeleton_state(net, 0, list(range(6)),
+                                 LevelTables(g, 1, Fraction(1, 3)))
+    embed_overlay(net, state, 1, d_g)
+    sssp_on_overlay(net, state, 0, d_g)
+    assert approx_eccentricity(state, 0) == Fraction(83, 3)
+    embed_overlay(net, state, 6, d_g)
+    assert state.overlay_tables == {}
+    with pytest.raises(MissingTableError, match="no overlay table"):
+        approx_eccentricity(state, 0)
+    sssp_on_overlay(net, state, 0, d_g)
+    assert approx_eccentricity(state, 0) == 28
