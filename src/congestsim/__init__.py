@@ -34,9 +34,7 @@ from .toolkit import (
     SkeletonState,
     approx_distance,
     approx_eccentricity,
-    bounded_distance_sssp,
     bounded_hop_mssp,
-    bounded_hop_sssp,
     build_skeleton_state,
     default_eps,
     embed_overlay,

@@ -28,9 +28,9 @@ message, in terms of the hop diameter their caller passes as `d_g`.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  The hop tables
-are integers in their level unit too (in the `LevelTables`);
-`embed_overlay` ranks and joins them as integers and `approx_eccentricity`
-adds and compares them, each scaling only its results.
+are kept once, as integers in their level unit in the `LevelTables`, and
+the shortcut weights are integers in that unit too: `sssp_on_overlay`
+scales the overlay's edge weights, `approx_eccentricity` only its result.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import NodeProgram
 from .graphs import INFINITE, WeightedGraph, bfs_hops, dijkstra
 
 
@@ -75,74 +74,6 @@ def scale_levels(n, max_weight, eps):
     return i
 
 
-def rounded_weight(w, hops, eps, level):
-    """Level-`level` rounded weight ceil(2*hops*w / (eps * 2^level)); always >= 1."""
-    if isinstance(w, int) and isinstance(hops, int):
-        num = 2 * hops * w * eps.denominator
-        den = eps.numerator * 2 ** level
-        return max(1, -(-num // den))
-    return max(1, math.ceil(2 * Fraction(hops) * Fraction(w) / (eps * 2 ** level)))
-
-
-class BoundedDistanceProgram(NodeProgram):
-    """One node of the distance-bounded relaxation pass.
-
-    A node broadcasts a 1-bit pulse exactly in the round where its
-    distance d equals the local round index, so a pulse read in local
-    round t carries d = t - 1; the pass takes budget+1 rounds total.
-    """
-
-    def __init__(self, node, source, budget, weights):
-        self.node = node
-        self.budget = budget
-        self.weights = weights  # neighbor -> rounded weight
-        self.dist = 0 if node == source else INFINITE
-        self.halted = True  # driven purely by messages/wakes within the budget
-
-    def on_round(self, ctx):
-        t0 = ctx.round - ctx.local_round
-        for u, _ in ctx.inbox:
-            nd = ctx.local_round - 1 + self.weights[u]
-            if nd <= self.budget and nd < self.dist:
-                self.dist = nd
-                if nd > ctx.local_round:
-                    ctx.wake_at(t0 + nd)
-        if self.dist == ctx.local_round:
-            ctx.broadcast(1)
-
-
-def bounded_distance_sssp(network, s, budget, adj=None):
-    """Each node learns its distance from s if it is <= budget, else INFINITE.
-
-    Consumes exactly budget+1 engine rounds, in a `bounded-distance`
-    phase.  `adj` optionally gives the per-node adjacency lists [(u, w)]
-    of rounded weights (defaults to the graph's own).
-    """
-    g = network.graph
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0: {budget}")
-    adj = g.adj if adj is None else adj
-    programs = {v: BoundedDistanceProgram(v, s, budget, dict(adj[v]))
-                for v in range(g.n)}
-    with network.ledger.phase("bounded-distance"):
-        network.run(programs, exact_rounds=budget + 1)
-    return [programs[v].dist for v in range(g.n)]
-
-
-def bounded_hop_sssp(network, s, hops, eps):
-    """Approximate `hops`-bounded distances from s, via all scale levels.
-
-    Each level is one `bounded_distance_sssp` pass.  Returns a per-node
-    list of Fractions (INFINITE where no level stayed within budget).
-    Guarantee: d <= result <= (1+eps) * d_hops.
-    """
-    levels = LevelTables(network.graph, hops, eps)
-    per_level = [bounded_distance_sssp(network, s, levels.budget, adj=adj)
-                 for adj in levels]
-    return [x if x is INFINITE else x * levels.unit
-            for x in map(_min_over_levels, zip(*per_level))]
-
-
 def _min_over_levels(dists):
     """min over levels of d << level (INFINITE if no level reached the node).
 
@@ -158,7 +89,7 @@ _Passes = namedtuple("_Passes", "keys sent units")
 def _rounded(r, levels):
     """ceil(r / 2^level) for each of `levels` levels.  With r = ceil(x),
     for a weight x > 0 in units of eps / (2*hops), this is ceil(x / 2^level),
-    the level's rounded weight (`rounded_weight`), and at least 1."""
+    the level's rounded weight, at least 1 (`oracles.rounded_weight`)."""
     return [-(-r >> level) for level in range(levels)]
 
 
@@ -207,7 +138,6 @@ class LevelTables(list):
         self.degree = [len(nbrs) for nbrs in graph.adj]
         self._bfs = None, None  # (s, bfs_hops of s), for the uniform levels
         self._passes = {}  # s -> _Passes
-        self._scaled = {}  # s -> its units table as Fractions
 
     def level_pass(self, s, level):
         """s's distances on `level`, INFINITE beyond the budget."""
@@ -235,13 +165,6 @@ class LevelTables(list):
             self._passes[s] = _Passes(
                 keys, sent, list(map(_min_over_levels, zip(*per_level))))
         return self._passes[s]
-
-    def scaled(self, s):
-        """`source(s).units` as Fractions, scaled once per s."""
-        if s not in self._scaled:
-            self._scaled[s] = [x if x is INFINITE else x * self.unit
-                               for x in self.source(s).units]
-        return self._scaled[s]
 
 
 def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
@@ -336,7 +259,7 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
     up to its end or abort.  Neither runs the engine.  The delays are
     drawn and the rounds charged per call, so sharing one `levels`
     across calls changes no table, charge or clock.
-    Returns {s: per-node list of Fractions}, `levels.scaled(s)`.
+    Returns {s: levels.source(s).units}, integer tables in `levels.unit`.
     """
     g = network.graph
     sources = sorted(set(sources))
@@ -365,7 +288,7 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
             network.charge_rounds(rounds)
             network.ledger.add_messages(messages, bits)
         if failure is None:
-            return {s: levels.scaled(s) for s in sources}
+            return {s: levels.source(s).units for s in sources}
     raise failure
 
 
@@ -374,47 +297,42 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
 
 @dataclass
 class SkeletonState:
-    """Per-index state of the skeleton pipeline."""
+    """Per-index state of the skeleton pipeline.  Its hop bound, eps and
+    hop tables (integers in `levels.unit`) are those of `levels`."""
 
     index: int
     members: list                     # sorted skeleton node ids
-    hops: object                      # hop bound used for the base tables
-    eps: Fraction
+    # the LevelTables of the base graph the hop tables are read from
+    levels: object = field(repr=False, compare=False)
     k: int = 0
-    hop_tables: dict = field(default_factory=dict)   # s -> per-node list
-    shortcut: dict = field(default_factory=dict)     # (u,v) -> weight
+    shortcut: dict = field(default_factory=dict)  # (u,v) -> integer weight
     # s -> {u: value}, the probes of the current overlay; reset by
     # `embed_overlay`
     overlay_tables: dict = field(default_factory=dict)
-    # the LevelTables hop_tables were read from, whose integer tables
-    # embed_overlay and approx_eccentricity read; None for a state built
-    # by hand, whose Fraction hop tables they then read as they are
-    levels: object = field(default=None, repr=False, compare=False)
     # the LevelTables of the overlay, a graph on members' indices 0..|S|-1;
     # independent of the probe source, so built by the first probe and
     # reset by `embed_overlay`
     overlay_levels: object = field(default=None, repr=False, compare=False)
+
+    def hop_table(self, u):
+        """u's per-node hop table, integers in `levels.unit` (read-only)."""
+        return self.levels.source(u).units
 
     def overlay_weight(self, u, v):
         """Base overlay weight: the approximate bounded-hop distance u-v."""
         key = (min(u, v), max(u, v))
         if key in self.shortcut:
             return self.shortcut[key]
-        return self.hop_tables[u][v]
-
-    def base_weight(self, u, v):
-        return self.hop_tables[u][v]
+        return self.hop_table(u)[v]
 
 
 def build_skeleton_state(network, index, members, levels):
-    """Skeleton `index` with its members' hop tables, from `bounded_hop_mssp`
-    on `levels`, whose hop bound and eps the state records."""
+    """Skeleton `index` on `levels`; its members' hop tables are charged
+    by one `bounded_hop_mssp` pass, and read from `levels`."""
     members = sorted(members)
-    state = SkeletonState(index=index, members=members, hops=levels.hops,
-                          eps=levels.eps, levels=levels)
     if members:
-        state.hop_tables = bounded_hop_mssp(network, members, levels)
-    return state
+        bounded_hop_mssp(network, members, levels)
+    return SkeletonState(index=index, members=members, levels=levels)
 
 
 def embed_overlay(network, state, k, d_g):
@@ -426,11 +344,10 @@ def embed_overlay(network, state, k, d_g):
     edges, so the exact distances are computable locally.  Charged to an
     `embed` phase: d_g + |S|*k rounds, d_g the hop diameter of the
     communication graph (`ParameterSchedule.unweighted_diameter`).  The
-    ranking, the announced edges and their Dijkstras work on the integer
-    hop tables of `state.levels` (see `_unit_tables`); only the shortcut
-    entries are scaled by the unit, so they are the Fractions the hop
-    tables would give.  The previous overlay's probes are dropped, so
-    `approx_eccentricity` raises `MissingTableError` until the next probe.
+    ranking, the announced edges, their Dijkstras and so the shortcut
+    entries are integers in the hop tables' unit.  The previous overlay's
+    probes are dropped, so `approx_eccentricity` raises
+    `MissingTableError` until the next probe.
     """
     members = state.members
     state.k = k
@@ -441,10 +358,9 @@ def embed_overlay(network, state, k, d_g):
         network.charge_rounds(d_g, phase="embed")
         return state
 
-    unit, tables = _unit_tables(state)
     announced = {}
     for s in members:
-        row = tables[s]
+        row = state.hop_table(s)
         incident = sorted((row[v], v) for v in members
                           if v != s and row[v] is not INFINITE)
         for w, v in incident[:k]:
@@ -458,7 +374,7 @@ def embed_overlay(network, state, k, d_g):
         adj[index[u]].append((index[v], w))
         adj[index[v]].append((index[u], w))
 
-    shortcut = {}
+    shortcut = state.shortcut
     for i, s in enumerate(members):
         dist = dijkstra(adj, i)
         ranked = sorted((d, v) for v, d in zip(members, dist)
@@ -467,7 +383,6 @@ def embed_overlay(network, state, k, d_g):
             key = (min(s, v), max(s, v))
             if key not in shortcut or d < shortcut[key]:
                 shortcut[key] = d
-    state.shortcut = {key: d * unit for key, d in shortcut.items()}
 
     network.charge_rounds(d_g + len(members) * k, phase="embed")
     return state
@@ -480,8 +395,9 @@ def sssp_on_overlay(network, state, s, d_g):
 
     Hop bound 4|S|/k (the shortcut overlay's hop diameter is below that),
     or |S| when k = 0.  The overlay is a `WeightedGraph` on the members'
-    indices, whose `LevelTables` round and pass it as for the base graph.
-    Returns {u: value} and stores it in state.overlay_tables[s].
+    indices, weighted by `overlay_weight` times `levels.unit`, whose
+    `LevelTables` round and pass it as for the base graph.  Returns
+    {u: Fraction} and stores it in state.overlay_tables[s].
     """
     members = state.members
     if s not in members:
@@ -490,18 +406,20 @@ def sssp_on_overlay(network, state, s, d_g):
         state.overlay_tables[s] = {s: 0}
         return state.overlay_tables[s]
 
-    if state.overlay_levels is None:
+    if not state.overlay_levels:  # none since the last embedding
         hop_bound = Fraction(4 * len(members), state.k) if state.k >= 1 \
             else Fraction(len(members))
+        base = state.levels
         pairs = [(i, j, state.overlay_weight(u, v))
                  for i, u in enumerate(members)
                  for j, v in enumerate(members) if i < j]
-        overlay = WeightedGraph(
-            len(members), [e for e in pairs if e[2] is not INFINITE],
+        overlay = WeightedGraph(len(members), [
+            (i, j, w * base.unit) for i, j, w in pairs if w is not INFINITE],
             check_connected=False)
-        state.overlay_levels = LevelTables(overlay, hop_bound, state.eps)
+        state.overlay_levels = LevelTables(overlay, hop_bound, base.eps)
     levels = state.overlay_levels
-    best = dict(zip(members, levels.scaled(members.index(s))))
+    best = {u: x if x is INFINITE else x * levels.unit
+            for u, x in zip(members, levels.source(members.index(s)).units)}
     # per overlay round: count senders (D_G), broadcast (D_G + a); a is
     # charged at its bound |S| so every probe costs the same (lockstep)
     network.charge_rounds(len(levels) * (levels.budget + 1) * (
@@ -510,21 +428,11 @@ def sssp_on_overlay(network, state, s, d_g):
     return best
 
 
-def _unit_tables(state):
-    """(unit, tables): the hop tables as integers in `unit`, the
-    `LevelTables` tables of `state.levels`, or unit 1 and the Fraction hop
-    tables themselves for a state built by hand."""
-    levels = state.levels
-    if levels is None:
-        return Fraction(1), state.hop_tables
-    return levels.unit, {u: levels.source(u).units for u in state.hop_tables}
-
-
 def approx_distance(state, s, v):
     """min over skeleton u of (overlay distance s->u) + (hop table u->v).
 
-    Node-local: both summands already live in v's memory.  The definition
-    `approx_eccentricity` computes in integer units.
+    Node-local: both summands already live in v's memory.  The `Fraction`
+    definition `approx_eccentricity` computes in integer units.
     """
     if s not in state.overlay_tables:
         raise MissingTableError(f"no overlay table for source {s}")
@@ -532,10 +440,10 @@ def approx_distance(state, s, v):
     best = INFINITE
     for u in state.members:
         a = overlay.get(u, INFINITE)
-        b = state.hop_tables[u][v] if u in state.hop_tables else INFINITE
+        b = state.hop_table(u)[v]
         if a is INFINITE or b is INFINITE:
             continue
-        cand = a + b
+        cand = a + b * state.levels.unit
         if best is INFINITE or cand < best:
             best = cand
     return best
@@ -546,12 +454,10 @@ def approx_eccentricity(state, s):
 
     Computed in integers: with the hop tables' unit e/f = eps/(2*hops) and
     L the least common multiple of f and the denominators of s's overlay
-    entries, a hop entry a (in units e/f, from `state.levels`) plus an
-    overlay entry p/q is a*e*(L/f) + p*(L/q) in units of 1/L, and only the
-    result is scaled.  A state built by hand has no `levels`; its Fraction
-    hop tables are taken in unit 1, and the same sums stay exact.
+    entries, a hop entry a (in units e/f) plus an overlay entry p/q is
+    a*e*(L/f) + p*(L/q) in units of 1/L; only the result is divided by L.
     """
-    if s not in state.hop_tables:
+    if s not in state.members:
         raise MissingTableError(f"no hop table for source {s}")
     if len(state.members) == 1:
         overlay = {s: 0}  # what sssp_on_overlay stores, without a probe
@@ -559,14 +465,14 @@ def approx_eccentricity(state, s):
         overlay = state.overlay_tables[s]
     else:
         raise MissingTableError(f"no overlay table for source {s}")
-    unit, tables = _unit_tables(state)
+    unit = state.levels.unit
     finite = [(u, overlay[u]) for u in state.members
-              if u in tables and overlay.get(u, INFINITE) is not INFINITE]
+              if overlay.get(u, INFINITE) is not INFINITE]
     denom = math.lcm(unit.denominator, *(b.denominator for _, b in finite))
     a_unit = unit.numerator * (denom // unit.denominator)
     rows = []
     for u, b in finite:
         offset = b.numerator * (denom // b.denominator)
-        rows.append([a * a_unit + offset for a in tables[u]])
+        rows.append([a * a_unit + offset for a in state.hop_table(u)])
     top = max(map(min, zip(*rows)), default=INFINITE)
     return INFINITE if top == INFINITE else Fraction(top, denom)

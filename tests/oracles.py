@@ -5,11 +5,18 @@ implementations cross-check each other.  `superposed_program` runs the
 superposed multi-source pass message by message on the engine: it is the
 reference for `toolkit._superposed_closed_form`.  `pipeline_program` does
 the same for the closed form of `Network.broadcast_pipeline`.
+`bounded_hop_sssp` is the message-level single-source pass, one
+`bounded_distance_sssp` engine run per rounded level (`rounded_weight` is
+the rounding's definition), and `shortcut_reference` computes
+`toolkit.embed_overlay`'s shortcuts over Fraction hop tables.
 `reference_search` evaluates every candidate of an extremum search: the
 reference of `search.amplified_max_search`.  The gadgets' index helpers
 `adj_index` / `ind_index`, the ver/gdt promise functions and `edge_weight`
 are the paper's definitions that only the tests read.
 """
+
+import math
+from fractions import Fraction
 
 from congestsim.engine import (
     BandwidthExceeded,
@@ -19,7 +26,7 @@ from congestsim.engine import (
 )
 from congestsim.gadgets import bin_bit
 from congestsim.graphs import INFINITE, GraphError
-from congestsim.toolkit import CongestionFailure, _min_over_levels
+from congestsim.toolkit import CongestionFailure, LevelTables, _min_over_levels
 
 INF = float("inf")
 
@@ -99,6 +106,103 @@ def bfs_eccentricity(g, s):
                     nxt.append(v)
         frontier = nxt
     return max(depth.values())
+
+
+def shortcut_reference(members, k, table):
+    """`toolkit.embed_overlay`'s shortcut entries over Fraction hop tables:
+    `table(u)` is u's table as Fractions.  Each member announces its k
+    cheapest overlay edges; the overlay distances over the announced
+    edges (Floyd-Warshall) to each member's k nearest (distance, id)
+    targets become the shortcuts.  Returns {(u, v): distance}, u < v.
+    """
+    announced = {}
+    for s in members:
+        row = table(s)
+        incident = sorted((row[v], v) for v in members
+                          if v != s and row[v] is not INFINITE)
+        for w, v in incident[:k]:
+            key = (min(s, v), max(s, v))
+            if key not in announced or w < announced[key]:
+                announced[key] = w
+    dist = complete_overlay_distances(
+        members, lambda u, v: announced.get((min(u, v), max(u, v)), INF))
+    shortcut = {}
+    for s in members:
+        ranked = sorted((dist[(s, v)], v) for v in members
+                        if v != s and dist[(s, v)] != INF)
+        for d, v in ranked[:k]:
+            key = (min(s, v), max(s, v))
+            if key not in shortcut or d < shortcut[key]:
+                shortcut[key] = d
+    return shortcut
+
+
+def rounded_weight(w, hops, eps, level):
+    """Level-`level` rounded weight ceil(2*hops*w / (eps * 2^level)); always >= 1."""
+    if isinstance(w, int) and isinstance(hops, int):
+        num = 2 * hops * w * eps.denominator
+        den = eps.numerator * 2 ** level
+        return max(1, -(-num // den))
+    return max(1, math.ceil(2 * Fraction(hops) * Fraction(w) / (eps * 2 ** level)))
+
+
+class BoundedDistanceProgram(NodeProgram):
+    """One node of the distance-bounded relaxation pass.
+
+    A node broadcasts a 1-bit pulse exactly in the round where its
+    distance d equals the local round index, so a pulse read in local
+    round t carries d = t - 1; the pass takes budget+1 rounds total.
+    """
+
+    def __init__(self, node, source, budget, weights):
+        self.node = node
+        self.budget = budget
+        self.weights = weights  # neighbor -> rounded weight
+        self.dist = 0 if node == source else INFINITE
+        self.halted = True  # driven purely by messages/wakes within the budget
+
+    def on_round(self, ctx):
+        t0 = ctx.round - ctx.local_round
+        for u, _ in ctx.inbox:
+            nd = ctx.local_round - 1 + self.weights[u]
+            if nd <= self.budget and nd < self.dist:
+                self.dist = nd
+                if nd > ctx.local_round:
+                    ctx.wake_at(t0 + nd)
+        if self.dist == ctx.local_round:
+            ctx.broadcast(1)
+
+
+def bounded_distance_sssp(network, s, budget, adj=None):
+    """Each node learns its distance from s if it is <= budget, else INFINITE.
+
+    Consumes exactly budget+1 engine rounds, in a `bounded-distance`
+    phase.  `adj` optionally gives the per-node adjacency lists [(u, w)]
+    of rounded weights (defaults to the graph's own).
+    """
+    g = network.graph
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0: {budget}")
+    adj = g.adj if adj is None else adj
+    programs = {v: BoundedDistanceProgram(v, s, budget, dict(adj[v]))
+                for v in range(g.n)}
+    with network.ledger.phase("bounded-distance"):
+        network.run(programs, exact_rounds=budget + 1)
+    return [programs[v].dist for v in range(g.n)]
+
+
+def bounded_hop_sssp(network, s, hops, eps):
+    """Approximate `hops`-bounded distances from s, via all scale levels.
+
+    Each level is one `bounded_distance_sssp` pass.  Returns a per-node
+    list of Fractions (INFINITE where no level stayed within budget).
+    Guarantee: d <= result <= (1+eps) * d_hops.
+    """
+    levels = LevelTables(network.graph, hops, eps)
+    per_level = [bounded_distance_sssp(network, s, levels.budget, adj=adj)
+                 for adj in levels]
+    return [x if x is INFINITE else x * levels.unit
+            for x in map(_min_over_levels, zip(*per_level))]
 
 
 class _SuperposedProgram(NodeProgram):

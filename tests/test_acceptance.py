@@ -40,9 +40,7 @@ from congestsim.search import (
 from congestsim.toolkit import (
     CongestionFailure,
     LevelTables,
-    bounded_distance_sssp,
     bounded_hop_mssp,
-    bounded_hop_sssp,
     build_skeleton_state,
     default_eps,
     embed_overlay,
@@ -50,7 +48,11 @@ from congestsim.toolkit import (
     approx_distance,
 )
 
-from oracles import SEARCH_COST_CONSTANT
+from oracles import (
+    SEARCH_COST_CONSTANT,
+    bounded_distance_sssp,
+    bounded_hop_sssp,
+)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,25 +24,33 @@ from congestsim.toolkit import (
     LevelTables,
     approx_distance,
     approx_eccentricity,
-    bounded_distance_sssp,
     bounded_hop_mssp,
-    bounded_hop_sssp,
     build_skeleton_state,
     default_eps,
     embed_overlay,
     hop_budget,
-    rounded_weight,
     scale_levels,
     sssp_on_overlay,
     SkeletonState,
     MissingTableError,
 )
 
-from oracles import complete_overlay_distances
+from oracles import (
+    bounded_distance_sssp,
+    bounded_hop_sssp,
+    complete_overlay_distances,
+    rounded_weight,
+    shortcut_reference,
+)
 
 
 def path_graph(p):
     return WeightedGraph(p + 1, [(i, i + 1, 1) for i in range(p)])
+
+
+def in_unit(table, unit):
+    """An integer table's distances: each finite entry times `unit`."""
+    return [x if x is INFINITE else x * unit for x in table]
 
 
 def unit_diameter(g):
@@ -223,9 +232,10 @@ def test_mssp_single_source_equals_sssp():
         g = random_connected_graph(10, rng=random.Random(seed))
         eps = default_eps(g.n)
         single = bounded_hop_sssp(Network(g, seed=seed), 2, 3, eps)
-        multi = bounded_hop_mssp(Network(g, seed=seed), [2],
-                                 LevelTables(g, 3, eps))
-        assert multi == {2: single}
+        levels = LevelTables(g, 3, eps)
+        multi = bounded_hop_mssp(Network(g, seed=seed), [2], levels)
+        assert {s: in_unit(t, levels.unit) for s, t in multi.items()} \
+            == {2: single}
 
 
 def test_mssp_sandwich():
@@ -233,11 +243,11 @@ def test_mssp_sandwich():
         g = random_connected_graph(12, rng=random.Random(40 + seed))
         eps = default_eps(g.n)
         sources = [0, 3, 7, 11]
-        tables = bounded_hop_mssp(Network(g, seed=seed), sources,
-                                  LevelTables(g, 4, eps))
+        levels = LevelTables(g, 4, eps)
+        tables = bounded_hop_mssp(Network(g, seed=seed), sources, levels)
         assert sorted(tables) == sources
         for s in sources:
-            assert_hop_sandwich(g, s, tables[s], 4, eps)
+            assert_hop_sandwich(g, s, in_unit(tables[s], levels.unit), 4, eps)
 
 
 def test_mssp_deterministic():
@@ -412,7 +422,7 @@ def test_level_passes_on_a_disconnected_overlay_and_one_node():
        n=st.integers(2, 14), seed=st.integers(0, 99),
        hops=st.integers(1, 28).map(lambda x: Fraction(x, 2)),
        k=st.integers(0, 5), data=st.data())
-def test_shortcut_in_integer_units_equals_a_state_built_by_hand(
+def test_shortcut_in_integer_units_equals_the_fraction_reference(
         kind, n, seed, hops, k, data):
     rng = random.Random(seed)
     g = (random_connected_graph(n, rng=rng) if kind == "mixed"
@@ -424,13 +434,13 @@ def test_shortcut_in_integer_units_equals_a_state_built_by_hand(
             net, 0, members, LevelTables(g, hops, default_eps(g.n)))
     except CongestionFailure:
         reject()
-    by_hand = SkeletonState(index=0, members=members, hops=hops,
-                            eps=state.eps, hop_tables=dict(state.hop_tables))
+    unit = state.levels.unit
+    reference = shortcut_reference(
+        members, k, lambda u: in_unit(state.hop_table(u), unit))
     embed_overlay(net, state, k, unit_diameter(g))
-    embed_overlay(Network(g), by_hand, k, unit_diameter(g))
-    assert state.levels is not None and by_hand.levels is None
-    assert list(state.shortcut.items()) == list(by_hand.shortcut.items())
-    assert all(type(w) is Fraction for w in state.shortcut.values())
+    assert [(key, w * unit) for key, w in state.shortcut.items()] \
+        == list(reference.items())
+    assert all(type(w) is int for w in state.shortcut.values())
 
 
 # --- overlay stages ------------------------------------------------------
@@ -448,7 +458,8 @@ def test_embed_full_shortcutting():
     g = random_connected_graph(12, rng=random.Random(2))
     members = [0, 2, 4, 6, 8]
     net, state = pipeline_state(g, members, g.n, len(members) - 1)
-    oracle = complete_overlay_distances(members, state.base_weight)
+    oracle = complete_overlay_distances(
+        members, lambda u, v: state.hop_table(u)[v])
     for u in members:
         for v in members:
             if u != v:
@@ -459,7 +470,7 @@ def test_embed_no_shortcuts():
     g = random_connected_graph(10, rng=random.Random(3))
     net, state = pipeline_state(g, [1, 4, 7], 4, 0)
     assert state.shortcut == {}
-    assert state.overlay_weight(1, 4) == state.base_weight(1, 4)
+    assert state.overlay_weight(1, 4) == state.hop_table(1)[4]
 
 
 def test_embed_matches_sequential_oracle():
@@ -467,7 +478,8 @@ def test_embed_matches_sequential_oracle():
         g = random_connected_graph(14, rng=random.Random(60 + seed))
         members = sorted(random.Random(seed).sample(range(g.n), 6))
         net, state = pipeline_state(g, members, g.n, 2, seed=seed)
-        oracle = complete_overlay_distances(members, state.base_weight)
+        oracle = complete_overlay_distances(
+            members, lambda u, v: state.hop_table(u)[v])
         for (u, v), w in state.shortcut.items():
             assert w >= oracle[(u, v)]
         # equality on each node's k nearest (distance, id)-ordered targets
@@ -488,8 +500,10 @@ def test_overlay_sssp_large_k_close_to_exact():
     g = random_connected_graph(12, rng=random.Random(4))
     members = [0, 3, 5, 8, 11]
     net, state = pipeline_state(g, members, g.n, len(members))
-    exact = complete_overlay_distances(members, state.overlay_weight)
-    eps = state.eps
+    unit = state.levels.unit
+    exact = complete_overlay_distances(
+        members, lambda u, v: state.overlay_weight(u, v) * unit)
+    eps = state.levels.eps
     for s in members:
         table = sssp_on_overlay(net, state, s, unit_diameter(g))
         for v in members:
@@ -521,12 +535,12 @@ def test_overlay_sssp_matches_level_enumeration(k):
     g = random_connected_graph(14, rng=random.Random(6))
     members = [1, 4, 7, 10, 13]
     net, state = pipeline_state(g, members, 6, k)
-    eps = state.eps
+    eps = state.levels.eps
     hop_bound = Fraction(4 * len(members), k) if k else len(members)
     budget = hop_budget(hop_bound, eps)
     # independent recomputation: exact Dijkstra per level on a graph of the
     # rounded overlay weights, nodes renumbered 0..|S|-1
-    edges = [(i, j, state.overlay_weight(u, v))
+    edges = [(i, j, state.overlay_weight(u, v) * state.levels.unit)
              for i, u in enumerate(members)
              for j, v in enumerate(members) if i < j]
     top = scale_levels(len(members), max(w for _, _, w in edges), eps)
@@ -568,7 +582,8 @@ def test_overlay_sssp_of_a_state_never_embedded_is_k_zero():
     state = build_skeleton_state(net, 0, members,
                                  LevelTables(g, 6, default_eps(g.n)))
     _, embedded = pipeline_state(g, members, 6, 0)
-    assert state.hop_tables == embedded.hop_tables
+    assert [state.hop_table(u) for u in members] == \
+        [embedded.hop_table(u) for u in members]
     d_g = unit_diameter(g)
     assert [sssp_on_overlay(net, state, s, d_g) for s in members] == \
         [sssp_on_overlay(net, embedded, s, d_g) for s in members]
@@ -583,6 +598,23 @@ def test_overlay_levels_span_the_skeleton_only():
         sssp_on_overlay(net, state, members[0], unit_diameter(g))
         assert len(state.overlay_levels) > 1
         assert all(len(adj) == len(members) for adj in state.overlay_levels)
+
+
+def test_skeleton_hop_tables_are_the_level_tables_own():
+    # one copy of each hop table: the state and the multi-source pass hand
+    # out the LevelTables' integer lists themselves
+    g = random_connected_graph(12, max_weight=10, rng=random.Random(3))
+    levels = LevelTables(g, 4, default_eps(g.n))
+    members = [0, 3, 7, 11]
+    state = build_skeleton_state(Network(g, seed=1), 0, members, levels)
+    tables = bounded_hop_mssp(Network(g, seed=2), members, levels)
+    assert sorted(tables) == members
+    for u in members:
+        assert state.hop_table(u) is levels.source(u).units
+        assert tables[u] is levels.source(u).units
+        assert all(x is INFINITE or type(x) is int for x in tables[u])
+    fields = {f.name for f in dataclasses.fields(SkeletonState)}
+    assert not fields & {"hop_tables", "hops", "eps"}
 
 
 # --- combination ---------------------------------------------------------
@@ -608,7 +640,7 @@ def test_approx_distance_full_skeleton_sandwich():
     for n, seed in ((8, 0), (10, 1), (12, 2)):
         g = random_connected_graph(n, rng=random.Random(seed))
         net, state = full_pipeline(g, seed=seed)
-        slack = (1 + state.eps) ** 2
+        slack = (1 + state.levels.eps) ** 2
         for s in range(g.n):
             exact = exact_sssp(g, s)
             for v in range(g.n):
@@ -621,8 +653,7 @@ def test_approx_distance_monotone_in_skeleton():
     net, state = full_pipeline(g)
     sub = [0, 2, 5, 8]
     restricted = SkeletonState(
-        index=1, members=sub, hops=state.hops, eps=state.eps, k=state.k,
-        hop_tables={u: state.hop_tables[u] for u in sub},
+        index=1, members=sub, levels=state.levels, k=state.k,
         overlay_tables={s: {u: state.overlay_tables[s][u] for u in sub}
                         for s in sub})
     for s in sub:
@@ -641,7 +672,7 @@ def test_approx_distance_missing_table():
 def test_approx_eccentricity():
     g = star_graph(6)
     net, state = full_pipeline(g)
-    slack = (1 + state.eps) ** 2
+    slack = (1 + state.levels.eps) ** 2
     assert 1 <= approx_eccentricity(state, 0) <= slack
     for s in range(g.n):
         e = max(exact_sssp(g, s))
@@ -686,24 +717,21 @@ def test_eccentricity_in_integer_units_is_the_approx_distance_max(data):
 
 
 def test_eccentricity_of_a_state_built_by_hand():
-    # no LevelTables: the same sums over its Fraction tables
+    # member subsets of a pipeline's LevelTables, with and without probes
     g = random_connected_graph(10, rng=random.Random(9))
     net, state = full_pipeline(g)
     sub = [0, 2, 5, 8]
-    hop_tables = {u: state.hop_tables[u] for u in sub}
     restricted = SkeletonState(
-        index=1, members=sub, hops=state.hops, eps=state.eps, k=state.k,
-        hop_tables=hop_tables,
+        index=1, members=sub, levels=state.levels, k=state.k,
         overlay_tables={s: {u: state.overlay_tables[s][u] for u in sub}
                         for s in sub})
     for s in sub:
         assert approx_eccentricity(restricted, s) == max(
             approx_distance(restricted, s, v) for v in range(g.n))
-    single = SkeletonState(index=2, members=[3], hops=state.hops,
-                           eps=state.eps, hop_tables={3: state.hop_tables[3]})
-    assert approx_eccentricity(single, 3) == max(state.hop_tables[3])
-    unprobed = SkeletonState(index=3, members=sub, hops=state.hops,
-                             eps=state.eps, hop_tables=hop_tables)
+    single = SkeletonState(index=2, members=[3], levels=state.levels)
+    assert approx_eccentricity(single, 3) == \
+        max(state.hop_table(3)) * state.levels.unit
+    unprobed = SkeletonState(index=3, members=sub, levels=state.levels)
     with pytest.raises(MissingTableError, match="no overlay table"):
         approx_eccentricity(unprobed, 0)
 
