@@ -41,9 +41,9 @@ rounds = net.run({v: Flood(v, 0) for v in range(g.n)})
 print(f"flood finished in {rounds} rounds")
 print(net.ledger.to_json())
 
-# The engine also ships the three classic tree primitives.
-net.build_bfs_tree()
+# The engine also ships two tree primitives, charged in closed form.
+parent, children, depth = net.build_bfs_tree()
+print(f"BFS tree of height {max(depth)}; node {g.n - 1}'s parent is "
+      f"{parent[g.n - 1]}")
 items = net.broadcast_pipeline([10, 20, 30])
 print("every node now holds", items[g.n - 1])
-print("max of 0..n-1 by convergecast:",
-      net.convergecast_extremum(list(range(g.n))))

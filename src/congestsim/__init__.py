@@ -16,7 +16,6 @@ from .graphs import (
     contract_unit_edges,
     diameter,
     eccentricity,
-    exact_bounded_hop,
     exact_sssp,
     hop_diameter,
     radius,

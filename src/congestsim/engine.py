@@ -7,11 +7,10 @@ The engine fast-forwards over rounds with nothing on the agenda, but the
 round clock and the cost ledger still account for every round of the
 budget.
 
-`build_bfs_tree` and `convergecast_extremum` run their per-node programs
-on the engine.  `broadcast_pipeline`, whose cost the tree and the items
-fix, is charged in closed form; its message-level program is the
-reference in `tests/oracles.py`.  So the BFS tree is the only engine run
-on the estimators' path.
+The two tree primitives are charged in closed form, not run:
+`build_bfs_tree` from the leader's hop counts, `broadcast_pipeline` from
+the tree and the items.  Their message-level programs are the references
+in `tests/oracles.py`, so no engine run is on the estimators' path.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+
+from .graphs import INFINITE, bfs_hops
 
 
 class BandwidthExceeded(RuntimeError):
@@ -316,22 +317,61 @@ class Network:
     # --- tree primitives -------------------------------------------------
 
     def build_bfs_tree(self):
-        """Build and cache a BFS tree rooted at the leader (real messages)."""
-        programs = {v: _TreeBuildProgram(v, self.leader) for v in range(self.n)}
-        with self.ledger.phase("bfs-tree"):
-            self.run(programs, max_rounds=2 * self.n + 2)
-        parent = [programs[v].parent for v in range(self.n)]
-        depth = [programs[v].depth for v in range(self.n)]
-        children = [[] for _ in range(self.n)]
-        for v in range(self.n):
-            if parent[v] is not None:
-                children[parent[v]].append(v)
-        self.tree = (parent, children, depth)
-        return self.tree
+        """The BFS tree rooted at the leader, as (parent, children, depth)
+        lists; built and charged, in a `bfs-tree` phase, on the first call
+        and returned from the cache after.
 
-    def _require_tree(self):
-        if self.tree is None:
-            self.build_bfs_tree()
+        Charged in closed form from the leader's hop counts, without
+        running the per-node programs.  The leader OFFERs depth 0 to its
+        neighbours; a node reached in round h takes the lowest-id
+        neighbour at depth h - 1 as its parent, sends it an ACCEPT and
+        OFFERs depth h to every neighbour.  With e the leader's hop
+        eccentricity that is e + 1 rounds (0 when the leader has no
+        neighbour), 2|E| + n - 1 messages and sum_v deg(v)*(1 +
+        max(1, bitlen h_v)) + 2(n - 1) bits over the leader's component.
+        A node the leader cannot reach keeps parent and depth None.  The
+        sends go in (depth, node id) order, the ACCEPT first, then the
+        OFFERs in `adj` order; the first over B bits on its edge in its
+        round (the parent edge carries the ACCEPT and an OFFER) raises
+        `BandwidthExceeded` with what was sent before it charged.  The
+        message-level program is the reference in `tests/oracles.py`.
+        """
+        if self.tree is not None:
+            return self.tree
+        adj, limit = self.graph.adj, self.bandwidth_bits
+        start = self.round_clock
+        depth = [None if h is INFINITE else h
+                 for h in bfs_hops(adj, self.leader)]
+        parent = [min((u for u, _ in nbrs if depth[u] == h - 1), default=None)
+                  if h else None for nbrs, h in zip(adj, depth)]
+        messages = bits = 0
+        with self.ledger.phase("bfs-tree"):
+            for h, v in sorted((h, v) for v, h in enumerate(depth)
+                               if h is not None):
+                up, offer = parent[v], 1 + max(1, h.bit_length())
+                # (to, bits, bits on that edge this round)
+                sends = [] if up is None else [(up, 2, 2)]
+                sends += [(u, offer, offer + 2 if u == up else offer)
+                          for u, _ in adj[v]]
+                for u, size, carried in sends:
+                    if carried > limit:
+                        # as `_send`: a message wider than B is reported
+                        # alone, else the edge's total this round
+                        self.ledger.add_messages(messages, bits)
+                        self.round_clock = start + h
+                        raise BandwidthExceeded(
+                            (v, u), start + h,
+                            size if size > limit else carried, limit)
+                    messages += 1
+                    bits += size
+            self.ledger.add_messages(messages, bits)
+            e = max(h for h in depth if h is not None)
+            self.charge_rounds(e + 1 if adj[self.leader] else 0)
+        children = [[] for _ in range(self.n)]
+        for v, up in enumerate(parent):
+            if up is not None:
+                children[up].append(v)
+        self.tree = (parent, children, depth)
         return self.tree
 
     def broadcast_pipeline(self, items, phase="broadcast"):
@@ -351,7 +391,7 @@ class Network:
             if bits > self.bandwidth_bits:
                 raise BandwidthExceeded(("item",), self.round_clock, bits,
                                         self.bandwidth_bits)
-        parent, children, depth = self._require_tree()
+        parent, children, depth = self.build_bfs_tree()
         k, edges = len(items), self.n - parent.count(None)
         with self.ledger.phase(phase):
             self.ledger.add_messages(k * edges, sum(sizes) * edges)
@@ -361,18 +401,6 @@ class Network:
                     f"no halt within {self.n + k + 2} rounds")
             self.charge_rounds(k + max(depth) - 1 if k and edges else 0)
         return {v: list(items) for v in range(self.n)}
-
-    def convergecast_extremum(self, local_values, mode="max"):
-        """Aggregate the max/min of per-node values up the BFS tree to the leader."""
-        if mode not in ("max", "min"):
-            raise ValueError(f"mode must be 'max' or 'min': {mode!r}")
-        parent, children, depth = self._require_tree()
-        programs = {v: _ConvergecastProgram(v, parent[v], len(children[v]),
-                                            local_values[v], mode)
-                    for v in range(self.n)}
-        with self.ledger.phase("convergecast"):
-            self.run(programs, max_rounds=self.n + 2)
-        return programs[self.leader].value
 
     # --- skeleton sampling -----------------------------------------------
 
@@ -393,50 +421,3 @@ class Network:
                     sets[i].add(v)
         return sets
 
-
-class _TreeBuildProgram(NodeProgram):
-    def __init__(self, node, root):
-        self.node = node
-        self.root = root
-        self.parent = None
-        self.depth = 0 if node == root else None
-        self.halted = node != root  # non-root nodes idle until offered
-
-    OFFER, ACCEPT = 0, 1
-
-    def on_round(self, ctx):
-        if self.node == self.root and ctx.local_round == 0:
-            ctx.broadcast((self.OFFER, 0))
-            self.halted = True
-            return
-        if self.depth is None:
-            offers = sorted((d, u) for u, (kind, d) in ctx.inbox
-                            if kind == self.OFFER)
-            if offers:
-                d, u = offers[0]
-                self.parent = u
-                self.depth = d + 1
-                ctx.send(u, (self.ACCEPT, 0))
-                ctx.broadcast((self.OFFER, self.depth))
-        self.halted = True
-
-
-class _ConvergecastProgram(NodeProgram):
-    def __init__(self, node, parent, n_children, value, mode):
-        self.node = node
-        self.parent = parent
-        self.n_children = n_children
-        self.value = value
-        self.mode = mode
-        self.pending = n_children
-        self.halted = False
-
-    def on_round(self, ctx):
-        for _, child_value in ctx.inbox:
-            pick = max if self.mode == "max" else min
-            self.value = pick(self.value, child_value)
-            self.pending -= 1
-        if self.pending == 0:
-            if self.parent is not None:
-                ctx.send(self.parent, self.value)
-            self.halted = True

@@ -28,8 +28,8 @@ contraction), so their all-pairs tables take a third of a heap's time on
 the full graph and a seventh on the contraction.
 `dijkstra(adj, s, bound)`, a heap over adjacency lists cut at a distance
 bound, is the kernel of the toolkit's rounded levels and of the overlay
-embedding, whose weights are nearly all distinct per node; see its
-docstring.
+embedding, whose weights are nearly all distinct per node at n = 32 but
+not at n = 256; see its docstring.
 """
 
 from __future__ import annotations
@@ -194,11 +194,14 @@ def dijkstra(adj, source, bound=INFINITE):
 
     Nodes farther than `bound` (or unreachable) stay INFINITE.  The kernel
     of `toolkit.LevelTables`' bounded level passes, `embed_overlay` and the
-    overlay.  Their rounded weights are nearly all distinct per node
-    (16304 (node, weight) groups for 23616 entries over the non-uniform
-    levels of ten random n = 32 graphs), so grouping neighbours by weight
-    saves nothing there: `exact_sssp`'s bitmask kernel, with a bound and
-    its masks built per level, took 1.04-1.11x this heap's time on them.
+    overlay.  At n = 32 their rounded weights are nearly all distinct per
+    node (16304 (node, weight) groups for 23616 entries over the
+    non-uniform levels of ten random graphs), so grouping neighbours by
+    weight saves nothing there: `exact_sssp`'s bitmask kernel, with a
+    bound and its masks built per level, took 1.04-1.11x this heap's time
+    on them.  The degree grows with n and the weights do not: at
+    n = 256, weights 1-10, a level up to 12 has about 4 entries per
+    (node, weight) group (2516 groups for 10240 entries).
     """
     dist = [INFINITE] * len(adj)
     dist[source] = 0
@@ -271,29 +274,6 @@ def exact_sssp(g, s):
                     else:
                         pending[d] = reached
                         heapq.heappush(heap, d)
-    return dist
-
-
-def exact_bounded_hop(g, s, hops):
-    """Least length over paths with at most `hops` edges (Bellman-Ford rounds)."""
-    _check_node(g, s)
-    if hops < 0:
-        raise GraphError(f"hop bound must be >= 0: {hops}")
-    dist = [INFINITE] * g.n
-    dist[s] = 0
-    for _ in range(int(hops)):
-        nxt = list(dist)
-        changed = False
-        for u, v, w in g.edges:
-            if dist[u] + w < nxt[v]:
-                nxt[v] = dist[u] + w
-                changed = True
-            if dist[v] + w < nxt[u]:
-                nxt[u] = dist[v] + w
-                changed = True
-        dist = nxt
-        if not changed:
-            break
     return dist
 
 

@@ -242,7 +242,7 @@ def _estimate(network, schedule, delta, rng, mode, trace_sink):
                                 trace_sink=trace_sink, cache=cache)
 
         start = network.ledger.rounds
-        network._require_tree()
+        network.build_bfs_tree()
         rho = Fraction(min(schedule.r, network.n), network.n)
         trace = amplified_max_search(list(range(network.n)), outer, rho=rho,
                                      delta=delta, rng=rng, mode=mode,

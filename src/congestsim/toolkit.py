@@ -13,14 +13,15 @@ The pipeline, per skeleton set S:
 Step 1 is evaluated in closed form once its random delays are drawn and
 charged the exact cost of its per-node programs, up to the round it aborts
 in when an attempt congests; the message-level program is the reference in
-`tests/oracles.py`.  The delays go out through `Network.broadcast_pipeline`,
-which is charged in closed form too (its reference, `_PipelineProgram`, is
-in `tests/oracles.py`), so the BFS tree is the only engine run on the
-estimators' path.  Its rounded levels and each source's per-level passes
-depend on neither the skeleton nor the delays, so a `LevelTables` computes
-them once for all the skeletons of an estimator.  A level whose rounded
-weights are all one c (every level of a unit-weight graph) takes c times
-one breadth-first hop count per source in place of a Dijkstra.  Step 4 is
+`tests/oracles.py`.  The delays go out down the BFS tree through
+`Network.broadcast_pipeline`, and the tree and the pipeline are charged in
+closed form too (their references are in `tests/oracles.py`), so no
+engine run is on the estimators' path.  Step 1's rounded levels and each
+source's per-level passes depend on neither the skeleton nor the delays,
+so a `LevelTables` computes them once for all the skeletons of an
+estimator.  A level whose rounded weights are all one c (every level of a
+unit-weight graph) takes c times one breadth-first hop count per source
+in place of a Dijkstra.  Step 4 is
 the same pass on the overlay, a graph on the skeleton, read from the
 overlay's own `LevelTables`.  Steps 2-4 are charged to the ledger by their
 communication schedules (global broadcasts) without simulating each
@@ -74,15 +75,6 @@ def scale_levels(n, max_weight, eps):
     return i
 
 
-def _min_over_levels(dists):
-    """min over levels of d << level (INFINITE if no level reached the node).
-
-    d << level is the level's distance in units of eps / (2*hops).
-    """
-    return min((d << level for level, d in enumerate(dists)
-                if d is not INFINITE), default=INFINITE)
-
-
 _Passes = namedtuple("_Passes", "keys sent units")
 
 
@@ -107,11 +99,14 @@ class LevelTables(list):
 
     `source(s)` takes every level's pass once and keeps, as (keys, sent,
     units): the key (level*(budget+1) + d)*n + v of each finite entry,
-    the messages the passes send (v's degree per entry), and
-    `_min_over_levels` of each node's distances, in units of
-    eps / (2*hops).  None of it depends on the skeleton or the delays, so
-    an estimator shares one object across all its skeletons; the tables
-    it hands out are shared too, and read-only.
+    the messages the passes send (v's degree per entry), and each node's
+    d << level at the lowest level that reaches it, in units of
+    eps / (2*hops).  That is the minimum of d << level over the levels:
+    2*ceil(x/2^(l+1)) >= ceil(x/2^l) per edge, so twice a path's length
+    at level l+1 is at least its length at level l, and every distance
+    within the budget is exact.  None of it depends on the skeleton or
+    the delays, so an estimator shares one object across all its
+    skeletons; the tables it hands out are shared too, and read-only.
     """
 
     def __init__(self, graph, hops, eps):
@@ -154,16 +149,15 @@ class LevelTables(list):
             n, span, degree = self.graph.n, self.budget + 1, self.degree
             # an int64 array: a list of these keys for every source took
             # peak RSS at n = 256 from 85 to 115 MB
-            keys, sent, per_level = array("q"), 0, []
+            keys, sent, units = array("q"), 0, [INFINITE] * n
             for level in range(len(self)):
-                dist = self.level_pass(s, level)
-                per_level.append(dist)
-                for v, d in enumerate(dist):
+                for v, d in enumerate(self.level_pass(s, level)):
                     if d is not INFINITE:
                         keys.append((level * span + d) * n + v)
                         sent += degree[v]
-            self._passes[s] = _Passes(
-                keys, sent, list(map(_min_over_levels, zip(*per_level))))
+                        if units[v] is INFINITE:
+                            units[v] = d << level
+            self._passes[s] = _Passes(keys, sent, units)
         return self._passes[s]
 
 
@@ -177,7 +171,7 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     level*(budget+1) + d of `stretch` rounds, one broadcast per round in
     queue order.  So the attempt only counts the broadcasts owed at
     delays[copy]*n + key over each source's keys; best[copy] is the
-    source's `_min_over_levels` table, and its messages are the source's.
+    source's `units` table, and its messages are the source's.
 
     The attempt aborts (best None, failure the CongestionFailure) in the
     first round of the window of the smallest window*n + node owing more
@@ -271,7 +265,7 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
     # per-window allowance ceil(log2 n), floored at 2: a copy owes at most
     # one broadcast per window, so two copies must never be able to jam
     stretch = max(2, math.ceil(math.log2(max(2, g.n))))
-    network._require_tree()
+    network.build_bfs_tree()
     failure = None
     for _attempt in range(retries + 1):
         delays = [network.rng_for(network.leader).randint(0, b * stretch)

@@ -3,9 +3,12 @@
 These deliberately avoid the package's own shortest-path code so the two
 implementations cross-check each other.  `superposed_program` runs the
 superposed multi-source pass message by message on the engine: it is the
-reference for `toolkit._superposed_closed_form`.  `pipeline_program` does
-the same for the closed form of `Network.broadcast_pipeline`.
-`bounded_hop_sssp` is the message-level single-source pass, one
+reference for `toolkit._superposed_closed_form`, and combines each node's
+levels by their minimum, `min_over_levels`.  `tree_program` and
+`pipeline_program` do the same for the closed forms of
+`Network.build_bfs_tree` and `Network.broadcast_pipeline`.
+`exact_bounded_hop` is the Bellman-Ford hop-bounded distance, and
+`bounded_hop_sssp` the message-level single-source pass, one
 `bounded_distance_sssp` engine run per rounded level (`rounded_weight` is
 the rounding's definition), and `shortcut_reference` computes
 `toolkit.embed_overlay`'s shortcuts over Fraction hop tables.
@@ -26,7 +29,7 @@ from congestsim.engine import (
 )
 from congestsim.gadgets import bin_bit
 from congestsim.graphs import INFINITE, GraphError
-from congestsim.toolkit import CongestionFailure, LevelTables, _min_over_levels
+from congestsim.toolkit import CongestionFailure, LevelTables
 
 INF = float("inf")
 
@@ -74,6 +77,28 @@ def three_hop_enumeration(g, s):
                 if w1 + w2 + w3 < best[c]:
                     best[c] = w1 + w2 + w3
     return best
+
+
+def exact_bounded_hop(g, s, hops):
+    """Least length over paths with at most `hops` edges (Bellman-Ford rounds)."""
+    if hops < 0:
+        raise GraphError(f"hop bound must be >= 0: {hops}")
+    dist = [INFINITE] * g.n
+    dist[s] = 0
+    for _ in range(int(hops)):
+        nxt = list(dist)
+        changed = False
+        for u, v, w in g.edges:
+            if dist[u] + w < nxt[v]:
+                nxt[v] = dist[u] + w
+                changed = True
+            if dist[v] + w < nxt[u]:
+                nxt[u] = dist[v] + w
+                changed = True
+        dist = nxt
+        if not changed:
+            break
+    return dist
 
 
 def complete_overlay_distances(members, weight):
@@ -146,6 +171,14 @@ def rounded_weight(w, hops, eps, level):
     return max(1, math.ceil(2 * Fraction(hops) * Fraction(w) / (eps * 2 ** level)))
 
 
+def min_over_levels(dists):
+    """min over levels of d << level (INFINITE if no level reached the node):
+    one node's combined entry in units of eps / (2*hops), of which
+    `LevelTables.source` keeps the lowest finite level's."""
+    return min((d << level for level, d in enumerate(dists)
+                if d is not INFINITE), default=INFINITE)
+
+
 class BoundedDistanceProgram(NodeProgram):
     """One node of the distance-bounded relaxation pass.
 
@@ -202,7 +235,7 @@ def bounded_hop_sssp(network, s, hops, eps):
     per_level = [bounded_distance_sssp(network, s, levels.budget, adj=adj)
                  for adj in levels]
     return [x if x is INFINITE else x * levels.unit
-            for x in map(_min_over_levels, zip(*per_level))]
+            for x in map(min_over_levels, zip(*per_level))]
 
 
 class _SuperposedProgram(NodeProgram):
@@ -299,7 +332,7 @@ def superposed_program(graph, adj, sources, delays, budget, stretch):
     except CongestionFailure as failure:
         # aborted in the round being processed, before run() charged it
         return None, network.round_clock, ledger.messages, ledger.bits, failure
-    best = [[_min_over_levels(programs[v].dist[copy]) for v in range(graph.n)]
+    best = [[min_over_levels(programs[v].dist[copy]) for v in range(graph.n)]
             for copy in range(len(sources))]
     return best, network.round_clock, ledger.messages, ledger.bits, None
 
@@ -331,6 +364,54 @@ class _PipelineProgram(NodeProgram):
             self.halted = True
 
 
+class _TreeBuildProgram(NodeProgram):
+    """OFFER the own depth to every neighbour once reached; ACCEPT the
+    lowest (depth, id) offer first received."""
+
+    OFFER, ACCEPT = 0, 1
+
+    def __init__(self, node, root):
+        self.node = node
+        self.root = root
+        self.parent = None
+        self.depth = 0 if node == root else None
+        self.halted = node != root  # non-root nodes idle until offered
+
+    def on_round(self, ctx):
+        if self.node == self.root and ctx.local_round == 0:
+            ctx.broadcast((self.OFFER, 0))
+            self.halted = True
+            return
+        if self.depth is None:
+            offers = sorted((d, u) for u, (kind, d) in ctx.inbox
+                            if kind == self.OFFER)
+            if offers:
+                d, u = offers[0]
+                self.parent = u
+                self.depth = d + 1
+                ctx.send(u, (self.ACCEPT, 0))
+                ctx.broadcast((self.OFFER, self.depth))
+        self.halted = True
+
+
+def tree_program(network):
+    """`network.build_bfs_tree()`, by running the tree's per-node programs
+    message by message on the engine; the cached tree when one exists."""
+    if network.tree is not None:
+        return network.tree
+    n = network.n
+    programs = {v: _TreeBuildProgram(v, network.leader) for v in range(n)}
+    with network.ledger.phase("bfs-tree"):
+        network.run(programs, max_rounds=2 * n + 2)
+    parent = [programs[v].parent for v in range(n)]
+    children = [[] for _ in range(n)]
+    for v in range(n):
+        if parent[v] is not None:
+            children[parent[v]].append(v)
+    network.tree = (parent, children, [programs[v].depth for v in range(n)])
+    return network.tree
+
+
 def pipeline_program(network, items, phase="broadcast"):
     """`network.broadcast_pipeline(items, phase)`, by running the pipeline
     message by message on the engine down the network's BFS tree."""
@@ -338,7 +419,7 @@ def pipeline_program(network, items, phase="broadcast"):
         if payload_bits(it) > network.bandwidth_bits:
             raise BandwidthExceeded(("item",), network.round_clock,
                                     payload_bits(it), network.bandwidth_bits)
-    parent, children, depth = network._require_tree()
+    parent, children, depth = network.build_bfs_tree()
     programs = {v: _PipelineProgram(v, network.leader, children[v],
                                     list(items) if v == network.leader else None,
                                     len(items))

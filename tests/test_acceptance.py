@@ -25,7 +25,6 @@ from congestsim.gadgets import (
 from congestsim.graphs import (
     WeightedGraph,
     diameter,
-    exact_bounded_hop,
     exact_sssp,
     hop_diameter,
     radius,
@@ -52,6 +51,7 @@ from oracles import (
     SEARCH_COST_CONSTANT,
     bounded_distance_sssp,
     bounded_hop_sssp,
+    exact_bounded_hop,
 )
 
 

@@ -17,7 +17,6 @@ from congestsim.graphs import (
     diameter,
     dijkstra,
     eccentricity,
-    exact_bounded_hop,
     exact_sssp,
     grid_graph,
     hop_diameter,
@@ -27,7 +26,11 @@ from congestsim.graphs import (
     star_graph,
 )
 
-from oracles import all_pairs_relaxation, three_hop_enumeration
+from oracles import (
+    all_pairs_relaxation,
+    exact_bounded_hop,
+    three_hop_enumeration,
+)
 
 
 def test_path_distance():

@@ -91,8 +91,8 @@ def test_closed_form_matches_reference_on_random_configs(monkeypatch):
 
 
 def test_closed_form_tables_match_reference():
-    # bounded_hop_mssp returns its sources' `LevelTables.scaled` tables and
-    # reads only the cost of an attempt, so the tables of the closed form
+    # bounded_hop_mssp returns its sources' `levels.source(s).units` tables
+    # and reads only the cost of an attempt, so the tables of the closed form
     # and of the message-level program are compared here, attempt by attempt
     outcomes = set()
     for seed in range(100):

@@ -30,6 +30,7 @@ from congestsim.search import (
 )
 from congestsim.toolkit import CongestionFailure
 
+import oracles
 from oracles import SEARCH_COST_CONSTANT, reference_search
 
 
@@ -294,13 +295,27 @@ def test_round_clock_is_the_ledger_round_count():
     assert net.round_clock == net.ledger.rounds
     net.broadcast_pipeline([1, 2, 3])
     assert net.round_clock == net.ledger.rounds
-    net.convergecast_extremum(list(range(g.n)))
+    oracles.pipeline_program(net, [4, 5])
     assert net.round_clock == net.ledger.rounds
     for run in (approx_diameter, approx_radius):
         for seed in range(3):
             net = Network(g, seed=seed)
             run(net, rng=random.Random(seed))
             assert net.round_clock == net.ledger.rounds
+
+
+def test_the_estimators_run_no_engine_program(monkeypatch):
+    # every stage on an estimator's path is charged in closed form
+    def refuse(network, programs, **limits):
+        raise AssertionError("an estimator ran an engine program")
+
+    monkeypatch.setattr(Network, "run", refuse)
+    for g in (random_connected_graph(14, rng=random.Random(1)),
+              cycle_graph(12), grid_graph(3, 4)):
+        for run in (approx_diameter, approx_radius):
+            net = Network(g, seed=1)
+            estimate, _, ledger = run(net, rng=random.Random(1))
+            assert estimate is not None and ledger.phases[0].name == "bfs-tree"
 
 
 def test_evaluate_empty_skeleton():

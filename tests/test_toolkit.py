@@ -13,7 +13,6 @@ from congestsim.graphs import (
     cycle_graph,
     diameter,
     dijkstra,
-    exact_bounded_hop,
     exact_sssp,
     grid_graph,
     random_connected_graph,
@@ -39,6 +38,8 @@ from oracles import (
     bounded_distance_sssp,
     bounded_hop_sssp,
     complete_overlay_distances,
+    exact_bounded_hop,
+    min_over_levels,
     rounded_weight,
     shortcut_reference,
 )
@@ -328,9 +329,7 @@ def _reference_passes(g, hops, eps, s):
             if d is not INFINITE:
                 keys.append((level * span + d) * g.n + v)
                 sent += degree[v]
-    units = [min((d << level for level, d in enumerate(dists)
-                  if d is not INFINITE), default=INFINITE)
-             for dists in zip(*per_level)]
+    units = [min_over_levels(dists) for dists in zip(*per_level)]
     return keys, sent, units, per_level
 
 
@@ -402,6 +401,37 @@ def test_level_passes_on_mixed_weights_match_dijkstra(n, seed, max_weight,
 def test_level_passes_on_fraction_overlays_match_dijkstra(n, seed, k, eps):
     g = _fraction_graph(n, random.Random(seed))
     _check_level_passes(g, Fraction(4 * n, k), eps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["mixed", "cycle", "grid", "weight-7",
+                             "fraction"]),
+       n=st.integers(1, 14), seed=st.integers(0, 99),
+       hops=st.integers(1, 28).map(lambda x: Fraction(x, 2)),
+       eps=st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 4)]))
+def test_units_are_the_lowest_level_that_reaches_a_node(kind, n, seed, hops,
+                                                        eps):
+    # LevelTables keeps the lowest finite level's d << level; that is the
+    # minimum over the levels, since d << level never falls as the level
+    # rises while d stays within the budget
+    rng = random.Random(seed)
+    if kind == "mixed":
+        g = random_connected_graph(n, max_weight=rng.choice([3, 10, 1000]),
+                                   rng=rng)
+    elif kind == "fraction":
+        g = _fraction_graph(n, rng)
+    else:
+        g = _uniform_graph(kind, n, rng)
+    levels = LevelTables(g, hops, eps)
+    for s in range(g.n):
+        per_level = [levels.level_pass(s, level)
+                     for level in range(len(levels))]
+        assert levels.source(s).units == [
+            min_over_levels(dists) for dists in zip(*per_level)]
+        for dists in zip(*per_level):
+            reached = [d << level for level, d in enumerate(dists)
+                       if d is not INFINITE]
+            assert reached == sorted(reached)
 
 
 def test_level_passes_on_a_disconnected_overlay_and_one_node():
