@@ -34,13 +34,14 @@ print(f"n = {g.n}, eps = {eps}, hop diameter = {d_g}")
 levels = LevelTables(g, hops=g.n, eps=eps)
 state = build_skeleton_state(net, 0, list(range(g.n)), levels)
 
-# Stage 2+3: the k-shortcut overlay on the skeleton.
+# Stage 2+3: the k-shortcut overlay on the skeleton, and the rounded
+# levels of that overlay (a graph on the skeleton) the probes read.
 embed_overlay(net, state, k=4, d_g=d_g)
 print(f"{len(state.shortcut)} shortcut edges")
 
-# Stage 4: bounded-hop distances on the overlay, one source at a time.
-for s in range(g.n):
-    sssp_on_overlay(net, state, s, d_g)
+# Stage 4: bounded-hop distances on the overlay, one source at a time:
+# each probe's table is integers in the overlay's unit, one per member.
+tables = {s: sssp_on_overlay(net, state, s, d_g) for s in range(g.n)}
 
 # Stage 5: node-local combination, checked against the exact oracle.
 slack = (1 + eps) ** 2
@@ -48,7 +49,7 @@ worst = 0
 for s in range(g.n):
     exact = exact_sssp(g, s)
     for v in range(g.n):
-        d = approx_distance(state, s, v)
+        d = approx_distance(state, tables[s], v)
         assert exact[v] <= d <= slack * exact[v]
         if exact[v]:
             worst = max(worst, d / exact[v])

@@ -51,10 +51,18 @@ class UsageError(Exception):
 
 
 def _parse_fraction(text):
+    """`text`, "p/q" or a decimal such as 0.1 or 1e-7, as an exact Fraction.
+
+    A decimal's exponent is refused beyond 4300, the most digits `int`
+    reads from a text: 1e-99999999 would build the integer 10**99999999.
+    """
     if "/" in text:
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
-    return Fraction(text).limit_denominator(10 ** 6)
+    exponent = text.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > 4300:
+        raise ValueError(text)
+    return Fraction(text)
 
 
 def _fraction_text(text):
@@ -321,10 +329,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphError, ValueError) as exc:
+    except (UsageError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import INFINITE, diameter
+from .graphs import INFINITE, DisconnectedGraphError, diameter
 from .toolkit import (
     LevelTables,
     build_skeleton_state,
@@ -59,6 +59,8 @@ class ParameterSchedule:
             raise ValueError(f"eps_floor must be in (0, 1]: {eps_floor!r}")
         n = g.n
         d = diameter(g.unit_weights())
+        if d == INFINITE:
+            raise DisconnectedGraphError(g.components())
         eps = default_eps(n)
         if eps_floor is not None:
             floor = Fraction(eps_floor).limit_denominator(10 ** 6)
@@ -103,7 +105,9 @@ def search_budget(rho, delta):
         raise ValueError(f"need 0 < rho <= 1: {rho}")
     if not (0 < delta < 1):
         raise ValueError(f"need 0 < delta < 1: {delta}")
-    return max(1, math.ceil(2 * math.log(1 / delta) / rho))
+    # ln(1/delta) from delta's integer ratio: 1/delta may be beyond a float
+    p, q = Fraction(delta).as_integer_ratio()
+    return max(1, math.ceil(2 * (math.log(q) - math.log(p)) / rho))
 
 
 def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
@@ -192,7 +196,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
 
     if len(members) == 1:
         s = members[0]
-        value = approx_eccentricity(state, s)
+        value = approx_eccentricity(state, [0])  # a singleton's probe table
         extra = 2 * d_g + 1  # announce s + convergecast the eccentricity
         network.charge_rounds(extra, phase="eval")
         if trace_sink is not None:
@@ -208,8 +212,8 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
             # collect the skeleton at the prober, then announce s
             network.charge_rounds(d_g + len(members), phase="setup")
             network.charge_rounds(d_g, phase="setup")
-            sssp_on_overlay(network, state, s, d_g)
-            value = approx_eccentricity(state, s)
+            value = approx_eccentricity(
+                state, sssp_on_overlay(network, state, s, d_g))
             network.charge_rounds(d_g, phase="eval")  # convergecast the extremum
             return value
 

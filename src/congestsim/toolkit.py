@@ -22,16 +22,17 @@ so a `LevelTables` computes them once for all the skeletons of an
 estimator.  A level whose rounded weights are all one c (every level of a
 unit-weight graph) takes c times one breadth-first hop count per source
 in place of a Dijkstra.  Step 4 is
-the same pass on the overlay, a graph on the skeleton, read from the
-overlay's own `LevelTables`.  Steps 2-4 are charged to the ledger by their
-communication schedules (global broadcasts) without simulating each
-message, in terms of the hop diameter their caller passes as `d_g`.
+the same pass on the overlay, a graph on the skeleton whose own
+`LevelTables` `embed_overlay` builds.  Steps 2-4 are charged to the ledger
+by their communication schedules (global broadcasts) without simulating
+each message, in terms of the hop diameter their caller passes as `d_g`.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
-the sandwich bounds can be asserted with zero tolerance.  The hop tables
-are kept once, as integers in their level unit in the `LevelTables`, and
-the shortcut weights are integers in that unit too: `sssp_on_overlay`
-scales the overlay's edge weights, `approx_eccentricity` only its result.
+the sandwich bounds can be asserted with zero tolerance.  Every table is
+kept once, as integers in its `LevelTables`' unit: the hop tables in the
+base graph's, the shortcut weights in that unit too, and each probe's
+table in the overlay's.  `embed_overlay` scales the overlay's edge
+weights, `approx_eccentricity` only its result.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ from .graphs import INFINITE, WeightedGraph, bfs_hops, dijkstra
 
 class CongestionFailure(RuntimeError):
     """Too many superposed copies wanted the same channel in one round."""
-
-
-class MissingTableError(LookupError):
-    pass
 
 
 def default_eps(n):
@@ -161,15 +158,15 @@ class LevelTables(list):
         return self._passes[s]
 
 
-def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
+def _superposed_closed_form(levels, sources, delays, stretch):
     """Outcome (best, rounds, messages, bits, failure) of one superposed
     attempt, computed without sending its messages.
 
-    `adj` is the attempt's `LevelTables`.  Each (copy, level) pass is the
-    source's `level_pass` on the level's rounded weights, and a node
+    `levels` is the attempt's `LevelTables`.  Each (copy, level) pass is
+    the source's `level_pass` on the level's rounded weights, and a node
     broadcasts its final distance d once, in window delays[copy] +
-    level*(budget+1) + d of `stretch` rounds, one broadcast per round in
-    queue order.  So the attempt only counts the broadcasts owed at
+    level*(levels.budget+1) + d of `stretch` rounds, one broadcast per
+    round in queue order.  So the attempt only counts the broadcasts owed at
     delays[copy]*n + key over each source's keys; best[copy] is the
     source's `units` table, and its messages are the source's.
 
@@ -183,8 +180,8 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     the lower sender id); a source queues its own d = 0 entries first.
     The abort path takes the per-level passes it needs again.
     """
-    n = graph.n
-    span = budget + 1
+    n = levels.graph.n
+    span = levels.budget + 1
     # a copy owes at most one broadcast per key (d < span), so with no more
     # copies than `stretch` no key can be over it and none is counted
     counted = len(sources) > stretch
@@ -192,19 +189,19 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
     best = []
     messages = bits = 0
     for copy, s in enumerate(sources):
-        keys, sent, units = adj.source(s)
+        keys, sent, units = levels.source(s)
         if counted:
             owed.update(map((delays[copy] * n).__add__, keys))
         best.append(units)
         messages += sent
         bits += sent * max(1, copy.bit_length())
     if not counted or max(owed.values()) <= stretch:
-        windows = len(adj) * span + len(sources) * stretch + 1
+        windows = len(levels) * span + len(sources) * stretch + 1
         return best, windows * stretch, messages, bits, None
 
-    degree = adj.degree
+    degree = levels.degree
     jam = min(key for key, count in owed.items() if count > stretch)
-    passes = [[adj.level_pass(s, level) for level in range(len(adj))]
+    passes = [[levels.level_pass(s, level) for level in range(len(levels))]
               for s in sources]
     window, node = divmod(jam, n)
     due = {}  # window * n + node -> [(copy, level, d)], before the abort
@@ -226,7 +223,7 @@ def _superposed_closed_form(graph, adj, sources, delays, budget, stretch):
             # (round, sender) of the first message carrying d
             arrival = (0, -1) if d == 0 else min(
                 (sent_in[copy, level, u] + 1, u)
-                for u, weight in adj[level][v] if dist[u] + weight == d)
+                for u, weight in levels[level][v] if dist[u] + weight == d)
             queue.append((arrival, copy, level))
         queue.sort()
         for position, (_, copy, level) in enumerate(
@@ -277,7 +274,7 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
         # a successful attempt's tables are its sources' `levels.source`
         # tables, so only its cost is read here
         _, rounds, messages, bits, failure = _superposed_closed_form(
-            g, levels, sources, delays, levels.budget, stretch)
+            levels, sources, delays, stretch)
         with network.ledger.phase("mssp"):
             network.charge_rounds(rounds)
             network.ledger.add_messages(messages, bits)
@@ -292,20 +289,17 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
 @dataclass
 class SkeletonState:
     """Per-index state of the skeleton pipeline.  Its hop bound, eps and
-    hop tables (integers in `levels.unit`) are those of `levels`."""
+    hop tables (integers in `levels.unit`) are those of `levels`; its
+    probe tables (integers in `overlay_levels.unit`) those of
+    `overlay_levels`, which `embed_overlay` builds."""
 
     index: int
     members: list                     # sorted skeleton node ids
     # the LevelTables of the base graph the hop tables are read from
     levels: object = field(repr=False, compare=False)
-    k: int = 0
     shortcut: dict = field(default_factory=dict)  # (u,v) -> integer weight
-    # s -> {u: value}, the probes of the current overlay; reset by
-    # `embed_overlay`
-    overlay_tables: dict = field(default_factory=dict)
-    # the LevelTables of the overlay, a graph on members' indices 0..|S|-1;
-    # independent of the probe source, so built by the first probe and
-    # reset by `embed_overlay`
+    # the LevelTables of the overlay, a graph on members' indices 0..|S|-1,
+    # for |S| >= 2; None until the state is embedded
     overlay_levels: object = field(default=None, repr=False, compare=False)
 
     def hop_table(self, u):
@@ -329,144 +323,121 @@ def build_skeleton_state(network, index, members, levels):
     return SkeletonState(index=index, members=members, levels=levels)
 
 
+def _k_nearest(members, k, rows):
+    """{(u, v): w} over each member s's k nearest (w, v), v != s, in its
+    row (aligned with `members`), keeping the least w of each pair."""
+    pairs = {}
+    for s, row in zip(members, rows):
+        ranked = sorted((w, v) for v, w in zip(members, row)
+                        if v != s and w is not INFINITE)
+        for w, v in ranked[:k]:
+            key = (min(s, v), max(s, v))
+            if key not in pairs or w < pairs[key]:
+                pairs[key] = w
+    return pairs
+
+
 def embed_overlay(network, state, k, d_g):
-    """Populate the k-shortcut overlay: each skeleton node's k nearest
-    overlay neighbors get exact overlay distances as direct edges.
+    """Embed the k-shortcut overlay and build its `LevelTables`.
 
-    Every skeleton node announces its k cheapest incident overlay edges;
-    shortest paths to a node's k nearest targets only use announced
-    edges, so the exact distances are computable locally.  Charged to an
-    `embed` phase: d_g + |S|*k rounds, d_g the hop diameter of the
-    communication graph (`ParameterSchedule.unweighted_diameter`).  The
-    ranking, the announced edges, their Dijkstras and so the shortcut
-    entries are integers in the hop tables' unit.  The previous overlay's
-    probes are dropped, so `approx_eccentricity` raises
-    `MissingTableError` until the next probe.
+    Each skeleton node's k nearest overlay neighbors get exact overlay
+    distances as direct edges: every member announces its k cheapest
+    incident overlay edges, and shortest paths to a member's k nearest
+    targets only use announced edges, so a Dijkstra over them gives the
+    exact distances, integers in the hop tables' unit.  Charged to an
+    `embed` phase: d_g + |S|*k rounds (d_g for k <= 0 or |S| < 2), d_g
+    the hop diameter of the communication graph
+    (`ParameterSchedule.unweighted_diameter`).
+
+    For |S| >= 2, `state.overlay_levels` is the `LevelTables` of the
+    overlay, a `WeightedGraph` on the members' indices with the finite
+    `overlay_weight`s times `levels.unit` as edges, at hop bound 4|S|/k
+    (the shortcut overlay's hop diameter is below that), or |S| when
+    k <= 0.  Embedding again replaces both, so every later probe reads
+    the new overlay.
     """
-    members = state.members
-    state.k = k
-    state.shortcut = {}
-    state.overlay_levels = None
-    state.overlay_tables = {}
-    if len(members) < 2 or k <= 0:
-        network.charge_rounds(d_g, phase="embed")
-        return state
-
-    announced = {}
-    for s in members:
-        row = state.hop_table(s)
-        incident = sorted((row[v], v) for v in members
-                          if v != s and row[v] is not INFINITE)
-        for w, v in incident[:k]:
-            key = (min(s, v), max(s, v))
-            if key not in announced or w < announced[key]:
-                announced[key] = w
-
-    index = {u: i for i, u in enumerate(members)}
-    adj = [[] for _ in members]
-    for (u, v), w in announced.items():
-        adj[index[u]].append((index[v], w))
-        adj[index[v]].append((index[u], w))
-
-    shortcut = state.shortcut
-    for i, s in enumerate(members):
-        dist = dijkstra(adj, i)
-        ranked = sorted((d, v) for v, d in zip(members, dist)
-                        if v != s and d is not INFINITE)
-        for d, v in ranked[:k]:
-            key = (min(s, v), max(s, v))
-            if key not in shortcut or d < shortcut[key]:
-                shortcut[key] = d
-
-    network.charge_rounds(d_g + len(members) * k, phase="embed")
+    members, size = state.members, len(state.members)
+    state.shortcut, state.overlay_levels = {}, None
+    shortcut = size >= 2 and k >= 1
+    if shortcut:
+        announced = _k_nearest(members, k, [
+            [state.hop_table(s)[v] for v in members] for s in members])
+        index = {u: i for i, u in enumerate(members)}
+        adj = [[] for _ in members]
+        for (u, v), w in announced.items():
+            adj[index[u]].append((index[v], w))
+            adj[index[v]].append((index[u], w))
+        state.shortcut = _k_nearest(
+            members, k, [dijkstra(adj, i) for i in range(size)])
+    if size >= 2:
+        base = state.levels
+        edges = [(i, j, w * base.unit)
+                 for i, u in enumerate(members)
+                 for j in range(i + 1, size)
+                 if (w := state.overlay_weight(u, members[j])) is not INFINITE]
+        hop_bound = Fraction(4 * size, k) if k >= 1 else Fraction(size)
+        state.overlay_levels = LevelTables(
+            WeightedGraph(size, edges, check_connected=False),
+            hop_bound, base.eps)
+    network.charge_rounds(d_g + size * k if shortcut else d_g, phase="embed")
     return state
 
 
 def sssp_on_overlay(network, state, s, d_g):
-    """Bounded-hop distances from s on the shortcut overlay; every node
-    learns the whole table (each overlay round is a global broadcast,
-    charged by the hop diameter d_g of the communication graph).
+    """Bounded-hop distances from s on the embedded shortcut overlay;
+    every node learns the whole table (each overlay round is a global
+    broadcast, charged by the hop diameter d_g of the communication
+    graph).
 
-    Hop bound 4|S|/k (the shortcut overlay's hop diameter is below that),
-    or |S| when k = 0.  The overlay is a `WeightedGraph` on the members'
-    indices, weighted by `overlay_weight` times `levels.unit`, whose
-    `LevelTables` round and pass it as for the base graph.  Returns
-    {u: Fraction} and stores it in state.overlay_tables[s].
+    Returns `state.overlay_levels.source(i).units` itself, s = members[i]:
+    a read-only list of integers in `overlay_levels.unit` aligned with
+    `state.members`.  A singleton's table is [0], charged nothing.
     """
     members = state.members
     if s not in members:
         raise ValueError(f"source {s} not in skeleton {members}")
     if len(members) == 1:
-        state.overlay_tables[s] = {s: 0}
-        return state.overlay_tables[s]
-
-    if not state.overlay_levels:  # none since the last embedding
-        hop_bound = Fraction(4 * len(members), state.k) if state.k >= 1 \
-            else Fraction(len(members))
-        base = state.levels
-        pairs = [(i, j, state.overlay_weight(u, v))
-                 for i, u in enumerate(members)
-                 for j, v in enumerate(members) if i < j]
-        overlay = WeightedGraph(len(members), [
-            (i, j, w * base.unit) for i, j, w in pairs if w is not INFINITE],
-            check_connected=False)
-        state.overlay_levels = LevelTables(overlay, hop_bound, base.eps)
+        return [0]
     levels = state.overlay_levels
-    best = {u: x if x is INFINITE else x * levels.unit
-            for u, x in zip(members, levels.source(members.index(s)).units)}
+    if levels is None:
+        raise ValueError(f"skeleton {state.index} is not embedded")
     # per overlay round: count senders (D_G), broadcast (D_G + a); a is
     # charged at its bound |S| so every probe costs the same (lockstep)
     network.charge_rounds(len(levels) * (levels.budget + 1) * (
         2 * d_g + 1 + len(members)), phase="overlay-sssp")
-    state.overlay_tables[s] = best
-    return best
+    return levels.source(members.index(s)).units
 
 
-def approx_distance(state, s, v):
-    """min over skeleton u of (overlay distance s->u) + (hop table u->v).
+def approx_distance(state, table, v):
+    """min over skeleton u of (overlay distance s->u) + (hop table u->v),
+    for the probe `table` of s (`sssp_on_overlay`).
 
     Node-local: both summands already live in v's memory.  The `Fraction`
     definition `approx_eccentricity` computes in integer units.
     """
-    if s not in state.overlay_tables:
-        raise MissingTableError(f"no overlay table for source {s}")
-    overlay = state.overlay_tables[s]
-    best = INFINITE
-    for u in state.members:
-        a = overlay.get(u, INFINITE)
-        b = state.hop_table(u)[v]
-        if a is INFINITE or b is INFINITE:
-            continue
-        cand = a + b * state.levels.unit
-        if best is INFINITE or cand < best:
-            best = cand
-    return best
+    hop_unit = state.levels.unit
+    # a singleton's table [0] is in any unit
+    probe_unit = state.overlay_levels.unit if state.overlay_levels else 1
+    return min((a * probe_unit + b * hop_unit
+                for u, a in zip(state.members, table) if a is not INFINITE
+                and (b := state.hop_table(u)[v]) is not INFINITE),
+               default=INFINITE)
 
 
-def approx_eccentricity(state, s):
-    """max over physical nodes v of approx_distance(state, s, v).
+def approx_eccentricity(state, table):
+    """max over physical nodes v of approx_distance(state, table, v).
 
-    Computed in integers: with the hop tables' unit e/f = eps/(2*hops) and
-    L the least common multiple of f and the denominators of s's overlay
-    entries, a hop entry a (in units e/f) plus an overlay entry p/q is
-    a*e*(L/f) + p*(L/q) in units of 1/L; only the result is divided by L.
+    Computed in integers: with the hop tables' unit e/f, the probe
+    table's unit g/h and L = lcm(f, h), a hop entry a plus a probe entry
+    b is a*e*(L/f) + b*g*(L/h) in units of 1/L; only the result is
+    divided by L.
     """
-    if s not in state.members:
-        raise MissingTableError(f"no hop table for source {s}")
-    if len(state.members) == 1:
-        overlay = {s: 0}  # what sssp_on_overlay stores, without a probe
-    elif s in state.overlay_tables:
-        overlay = state.overlay_tables[s]
-    else:
-        raise MissingTableError(f"no overlay table for source {s}")
-    unit = state.levels.unit
-    finite = [(u, overlay[u]) for u in state.members
-              if overlay.get(u, INFINITE) is not INFINITE]
-    denom = math.lcm(unit.denominator, *(b.denominator for _, b in finite))
-    a_unit = unit.numerator * (denom // unit.denominator)
-    rows = []
-    for u, b in finite:
-        offset = b.numerator * (denom // b.denominator)
-        rows.append([a * a_unit + offset for a in state.hop_table(u)])
+    hop_unit = state.levels.unit
+    probe_unit = state.overlay_levels.unit if state.overlay_levels else 1
+    denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
+    a_unit = hop_unit.numerator * (denom // hop_unit.denominator)
+    b_unit = probe_unit.numerator * (denom // probe_unit.denominator)
+    rows = [[a * a_unit + b * b_unit for a in state.hop_table(u)]
+            for u, b in zip(state.members, table) if b is not INFINITE]
     top = max(map(min, zip(*rows)), default=INFINITE)
     return INFINITE if top == INFINITE else Fraction(top, denom)

@@ -310,22 +310,22 @@ class _SuperposedProgram(NodeProgram):
         self._flush(ctx, t0)
 
 
-def superposed_program(graph, adj, sources, delays, budget, stretch):
+def superposed_program(levels, sources, delays, stretch):
     """`_superposed_closed_form`'s outcome, by running the superposed
-    program message by message on a fresh Network(graph).
+    program message by message on a fresh Network(levels.graph).
 
     Returns (best, rounds, messages, bits, failure): best is None and
     failure the CongestionFailure when the run aborts.
     """
-    levels = len(adj)
+    graph, budget = levels.graph, levels.budget
     network = Network(graph)
     programs = {
-        v: _SuperposedProgram(v, sources, delays, budget, levels,
-                              [dict(level_adj[v]) for level_adj in adj],
+        v: _SuperposedProgram(v, sources, delays, budget, len(levels),
+                              [dict(level_adj[v]) for level_adj in levels],
                               stretch)
         for v in range(graph.n)
     }
-    windows = levels * (budget + 1) + len(sources) * stretch + 1
+    windows = len(levels) * (budget + 1) + len(sources) * stretch + 1
     ledger = network.ledger
     try:
         network.run(programs, exact_rounds=windows * stretch)

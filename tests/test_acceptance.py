@@ -102,7 +102,8 @@ def test_criterion_02_pipeline_sandwich(announce):
             sssp_on_overlay(net, state, s, d_g)
             exact = exact_sssp(g, s)
             for v in range(n):
-                d = approx_distance(state, s, v)
+                d = approx_distance(
+                    state, state.overlay_levels.source(s).units, v)
                 if not exact[v] <= d <= slack * exact[v]:
                     ok = False
     announce(2, "full-skeleton pipeline sandwich (S=V, l>=n)", ok)

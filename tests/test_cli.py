@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -257,6 +258,37 @@ def test_unreadable_number_is_a_usage_error(capsys, option):
                           option], capsys)
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("decimal, fraction", [
+    ("1e-7", "1/10000000"), ("0.1", "1/10"), ("0.9999999", "9999999/10000000")])
+def test_decimal_delta_is_read_exactly(capsys, decimal, fraction):
+    reports = []
+    for delta in (decimal, fraction):
+        code, out, _ = run(["approx", "diameter", "--gen", "cycle", "--n",
+                            "8", "--delta", delta], capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["config"].pop("delta") == delta
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_delta_below_every_float_is_read_exactly():
+    args = cli.build_parser().parse_args(
+        ["approx", "diameter", "--gen", "cycle", "--n", "8",
+         "--delta", "1e-400"])
+    assert cli._parse_fraction(args.delta) == Fraction(1, 10 ** 400)
+
+
+@pytest.mark.parametrize("delta", ["1e-4301", "1e-99999999", "1e+99999999",
+                                   "1e-x", "nan", "inf"])
+def test_unreadable_delta_is_a_usage_error(capsys, delta):
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",
+                          f"--delta={delta}"], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "--delta" in err
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "2"])

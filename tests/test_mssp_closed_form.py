@@ -105,7 +105,7 @@ def test_closed_form_tables_match_reference():
                              Fraction(1, rng.randrange(1, 9)))
         stretch = max(2, math.ceil(math.log2(n)))
         delays = [rng.randint(0, len(sources) * stretch) for _ in sources]
-        args = (g, levels, sources, delays, levels.budget, stretch)
+        args = (levels, sources, delays, stretch)
         fast = toolkit._superposed_closed_form(*args)
         reference = oracles.superposed_program(*args)
         assert fast[:4] == reference[:4], f"seed {seed}"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from congestsim import graphs
 from congestsim.engine import Network
 from congestsim.graphs import (
+    DisconnectedGraphError,
     WeightedGraph,
     cycle_graph,
     diameter,
@@ -69,6 +70,16 @@ def test_schedule_rejects_eps_floor_outside_the_unit_interval(eps_floor):
         ParameterSchedule.for_graph(cycle_graph(8), eps_floor=eps_floor)
 
 
+def test_schedule_rejects_a_disconnected_graph():
+    # before r, hops and k: sqrt of an infinite hop diameter has no ceiling
+    g = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)], check_connected=False)
+    for call in (lambda: ParameterSchedule.for_graph(g),
+                 lambda: approx_diameter(Network(g))):
+        with pytest.raises(DisconnectedGraphError) as info:
+            call()
+        assert info.value.components == g.components()
+
+
 def test_schedule_formulas():
     for seed in range(5):
         g = random_connected_graph(20 + seed, rng=random.Random(seed))
@@ -90,6 +101,14 @@ def test_search_budget():
         search_budget(0, Fraction(1, 2))
     with pytest.raises(ValueError):
         search_budget(1, 1)
+
+
+def test_search_budget_of_a_delta_below_every_float():
+    # 1/delta = 10**400 is beyond a float, ln(1/delta) is not
+    assert search_budget(1, Fraction(1, 10 ** 400)) == \
+        math.ceil(800 * math.log(10))
+    assert search_budget(Fraction(1, 2), 1e-300) == \
+        math.ceil(4 * math.log(1e300))
 
 
 def test_constant_function_runs_the_full_budget():

@@ -31,7 +31,6 @@ from congestsim.toolkit import (
     scale_levels,
     sssp_on_overlay,
     SkeletonState,
-    MissingTableError,
 )
 
 from oracles import (
@@ -523,7 +522,7 @@ def test_embed_matches_sequential_oracle():
 def test_overlay_sssp_singleton():
     g = path_graph(4)
     net, state = pipeline_state(g, [2], 4, 1)
-    assert sssp_on_overlay(net, state, 2, unit_diameter(g)) == {2: 0}
+    assert sssp_on_overlay(net, state, 2, unit_diameter(g)) == [0]
 
 
 def test_overlay_sssp_large_k_close_to_exact():
@@ -535,9 +534,10 @@ def test_overlay_sssp_large_k_close_to_exact():
         members, lambda u, v: state.overlay_weight(u, v) * unit)
     eps = state.levels.eps
     for s in members:
-        table = sssp_on_overlay(net, state, s, unit_diameter(g))
-        for v in members:
-            assert exact[(s, v)] <= table[v] <= (1 + eps) * exact[(s, v)]
+        table = in_unit(sssp_on_overlay(net, state, s, unit_diameter(g)),
+                        state.overlay_levels.unit)
+        for v, x in zip(members, table):
+            assert exact[(s, v)] <= x <= (1 + eps) * exact[(s, v)]
 
 
 def test_overlay_sssp_rejects_foreign_source():
@@ -587,7 +587,9 @@ def test_overlay_sssp_matches_level_enumeration(k):
                 cut += d[j] > budget
                 if d[j] <= budget and d[j] * scale < best[u]:
                     best[u] = d[j] * scale
-        assert sssp_on_overlay(net, state, s, unit_diameter(g)) == best
+        table = sssp_on_overlay(net, state, s, unit_diameter(g))
+        assert in_unit(table, state.overlay_levels.unit) == \
+            [best[u] for u in members]
     assert cut  # the distance budget cut some level short
 
 
@@ -599,24 +601,54 @@ def test_overlay_sssp_follows_reembedding():
     d_g = unit_diameter(g)
     net, state = pipeline_state(g, members, 6, 1)
     sssp_on_overlay(net, state, members[0], d_g)
+    first = state.overlay_levels
     embed_overlay(net, state, 4, d_g)
+    assert state.overlay_levels is not first
+    assert state.overlay_levels.hops == Fraction(4 * len(members), 4)
     fresh_net, fresh = pipeline_state(g, members, 6, 4)
     assert [sssp_on_overlay(net, state, s, d_g) for s in members] == \
         [sssp_on_overlay(fresh_net, fresh, s, d_g) for s in members]
 
 
-def test_overlay_sssp_of_a_state_never_embedded_is_k_zero():
+def test_overlay_sssp_of_a_state_never_embedded_raises():
     g = random_connected_graph(14, rng=random.Random(6))
     members = [1, 4, 7, 10, 13]
     net = Network(g)
     state = build_skeleton_state(net, 0, members,
                                  LevelTables(g, 6, default_eps(g.n)))
-    _, embedded = pipeline_state(g, members, 6, 0)
-    assert [state.hop_table(u) for u in members] == \
-        [embedded.hop_table(u) for u in members]
-    d_g = unit_diameter(g)
-    assert [sssp_on_overlay(net, state, s, d_g) for s in members] == \
-        [sssp_on_overlay(net, embedded, s, d_g) for s in members]
+    rounds = net.ledger.rounds
+    with pytest.raises(ValueError, match="not embedded"):
+        sssp_on_overlay(net, state, members[0], unit_diameter(g))
+    assert net.ledger.rounds == rounds
+    # a singleton needs no overlay, embedded or not
+    lone = build_skeleton_state(net, 1, [3], state.levels)
+    rounds = net.ledger.rounds
+    assert sssp_on_overlay(net, lone, 3, unit_diameter(g)) == [0]
+    assert lone.overlay_levels is None and net.ledger.rounds == rounds
+
+
+def test_embedding_builds_the_overlay_at_k_zero_too():
+    # k <= 0 embeds no shortcuts, and the overlay's hop bound is |S|
+    g = random_connected_graph(14, rng=random.Random(6))
+    members = [1, 4, 7, 10, 13]
+    for k in (0, -1):
+        _, state = pipeline_state(g, members, 6, k)
+        assert state.shortcut == {}
+        assert state.overlay_levels.hops == len(members)
+
+
+def test_overlay_probe_is_the_overlay_level_tables_own():
+    # one copy of each probe table: the overlay LevelTables' integer list
+    g = random_connected_graph(14, max_weight=10, rng=random.Random(6))
+    members = [1, 4, 7, 10, 13]
+    net, state = pipeline_state(g, members, 6, 2)
+    for i, s in enumerate(members):
+        table = sssp_on_overlay(net, state, s, unit_diameter(g))
+        assert table is state.overlay_levels.source(i).units
+        assert table[i] == 0 and len(table) == len(members)
+        assert all(x is INFINITE or type(x) is int for x in table)
+    fields = {f.name for f in dataclasses.fields(SkeletonState)}
+    assert not fields & {"overlay_tables", "k"}
 
 
 def test_overlay_levels_span_the_skeleton_only():
@@ -651,69 +683,68 @@ def test_skeleton_hop_tables_are_the_level_tables_own():
 
 
 def full_pipeline(g, seed=0):
+    """(state, {s: s's probe table}) of a full skeleton."""
     members = list(range(g.n))
     net, state = pipeline_state(g, members, max(1, g.n - 1),
                                 max(1, g.n // 2), seed=seed)
-    for s in members:
-        sssp_on_overlay(net, state, s, unit_diameter(g))
-    return net, state
+    return state, {s: sssp_on_overlay(net, state, s, unit_diameter(g))
+                   for s in members}
+
+
+def restrict(state, tables, sub, index=1):
+    """A state on the members `sub` of `state`, sharing its overlay, and
+    the members' probe tables cut down to `sub`."""
+    restricted = SkeletonState(index=index, members=sub, levels=state.levels,
+                               overlay_levels=state.overlay_levels)
+    return restricted, {s: [tables[s][state.members.index(u)] for u in sub]
+                        for s in sub}
 
 
 def test_approx_distance_self_is_zero():
     g = random_connected_graph(8, rng=random.Random(5))
-    net, state = full_pipeline(g)
+    state, tables = full_pipeline(g)
     for s in range(g.n):
-        assert approx_distance(state, s, s) == 0
+        assert approx_distance(state, tables[s], s) == 0
 
 
 def test_approx_distance_full_skeleton_sandwich():
     for n, seed in ((8, 0), (10, 1), (12, 2)):
         g = random_connected_graph(n, rng=random.Random(seed))
-        net, state = full_pipeline(g, seed=seed)
+        state, tables = full_pipeline(g, seed=seed)
         slack = (1 + state.levels.eps) ** 2
         for s in range(g.n):
             exact = exact_sssp(g, s)
             for v in range(g.n):
-                assert exact[v] <= approx_distance(state, s, v) \
+                assert exact[v] <= approx_distance(state, tables[s], v) \
                     <= slack * exact[v]
 
 
 def test_approx_distance_monotone_in_skeleton():
     g = random_connected_graph(10, rng=random.Random(9))
-    net, state = full_pipeline(g)
+    state, tables = full_pipeline(g)
     sub = [0, 2, 5, 8]
-    restricted = SkeletonState(
-        index=1, members=sub, levels=state.levels, k=state.k,
-        overlay_tables={s: {u: state.overlay_tables[s][u] for u in sub}
-                        for s in sub})
+    restricted, cut = restrict(state, tables, sub)
     for s in sub:
         for v in range(g.n):
-            assert approx_distance(state, s, v) \
-                <= approx_distance(restricted, s, v)
-
-
-def test_approx_distance_missing_table():
-    g = path_graph(3)
-    net, state = pipeline_state(g, [0, 2], 3, 1)
-    with pytest.raises(MissingTableError):
-        approx_distance(state, 0, 1)
+            assert approx_distance(state, tables[s], v) \
+                <= approx_distance(restricted, cut[s], v)
 
 
 def test_approx_eccentricity():
     g = star_graph(6)
-    net, state = full_pipeline(g)
+    state, tables = full_pipeline(g)
     slack = (1 + state.levels.eps) ** 2
-    assert 1 <= approx_eccentricity(state, 0) <= slack
+    assert 1 <= approx_eccentricity(state, tables[0]) <= slack
     for s in range(g.n):
         e = max(exact_sssp(g, s))
-        assert e <= approx_eccentricity(state, s) <= slack * e
+        assert e <= approx_eccentricity(state, tables[s]) <= slack * e
 
 
 def test_approx_eccentricity_single_node():
     g = WeightedGraph(1, [])
     net = Network(g)
     state = build_skeleton_state(net, 0, [0], LevelTables(g, 1, Fraction(1, 2)))
-    assert approx_eccentricity(state, 0) == 0
+    assert approx_eccentricity(state, [0]) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -737,33 +768,23 @@ def test_eccentricity_in_integer_units_is_the_approx_distance_max(data):
                                       min_size=1, max_size=3))):
         embed_overlay(net, state, k, d_g)
         for s in members:
-            sssp_on_overlay(net, state, s, d_g)
-            assert approx_eccentricity(state, s) == max(
-                approx_distance(state, s, v) for v in range(n))
-    outside = [v for v in range(n) if v not in members]
-    if outside:
-        with pytest.raises(MissingTableError):
-            approx_eccentricity(state, outside[0])
+            table = sssp_on_overlay(net, state, s, d_g)
+            assert approx_eccentricity(state, table) == max(
+                approx_distance(state, table, v) for v in range(n))
 
 
 def test_eccentricity_of_a_state_built_by_hand():
     # member subsets of a pipeline's LevelTables, with and without probes
     g = random_connected_graph(10, rng=random.Random(9))
-    net, state = full_pipeline(g)
+    state, tables = full_pipeline(g)
     sub = [0, 2, 5, 8]
-    restricted = SkeletonState(
-        index=1, members=sub, levels=state.levels, k=state.k,
-        overlay_tables={s: {u: state.overlay_tables[s][u] for u in sub}
-                        for s in sub})
+    restricted, cut = restrict(state, tables, sub)
     for s in sub:
-        assert approx_eccentricity(restricted, s) == max(
-            approx_distance(restricted, s, v) for v in range(g.n))
+        assert approx_eccentricity(restricted, cut[s]) == max(
+            approx_distance(restricted, cut[s], v) for v in range(g.n))
     single = SkeletonState(index=2, members=[3], levels=state.levels)
-    assert approx_eccentricity(single, 3) == \
+    assert approx_eccentricity(single, [0]) == \
         max(state.hop_table(3)) * state.levels.unit
-    unprobed = SkeletonState(index=3, members=sub, levels=state.levels)
-    with pytest.raises(MissingTableError, match="no overlay table"):
-        approx_eccentricity(unprobed, 0)
 
 
 def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
@@ -772,14 +793,14 @@ def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
     net = Network(g)
     state = build_skeleton_state(net, 0, [0, 2],
                                  LevelTables(g, Fraction(1, 2), Fraction(1)))
+    with pytest.raises(ValueError, match="not embedded"):
+        sssp_on_overlay(net, state, 0, unit_diameter(g))  # no overlay yet
     embed_overlay(net, state, 1, unit_diameter(g))
-    with pytest.raises(MissingTableError):
-        approx_eccentricity(state, 0)  # no overlay table yet
-    with pytest.raises(MissingTableError):
-        approx_eccentricity(state, 1)  # not a skeleton node
-    sssp_on_overlay(net, state, 0, unit_diameter(g))
-    assert approx_distance(state, 0, 4) is INFINITE
-    assert approx_eccentricity(state, 0) is INFINITE
+    with pytest.raises(ValueError, match="not in skeleton"):
+        sssp_on_overlay(net, state, 1, unit_diameter(g))
+    table = sssp_on_overlay(net, state, 0, unit_diameter(g))
+    assert approx_distance(state, table, 4) is INFINITE
+    assert approx_eccentricity(state, table) is INFINITE
 
 
 def test_reembedding_drops_the_previous_overlays_probes():
@@ -790,11 +811,9 @@ def test_reembedding_drops_the_previous_overlays_probes():
     state = build_skeleton_state(net, 0, list(range(6)),
                                  LevelTables(g, 1, Fraction(1, 3)))
     embed_overlay(net, state, 1, d_g)
-    sssp_on_overlay(net, state, 0, d_g)
-    assert approx_eccentricity(state, 0) == Fraction(83, 3)
+    first = sssp_on_overlay(net, state, 0, d_g)
+    assert approx_eccentricity(state, first) == Fraction(83, 3)
     embed_overlay(net, state, 6, d_g)
-    assert state.overlay_tables == {}
-    with pytest.raises(MissingTableError, match="no overlay table"):
-        approx_eccentricity(state, 0)
-    sssp_on_overlay(net, state, 0, d_g)
-    assert approx_eccentricity(state, 0) == 28
+    second = sssp_on_overlay(net, state, 0, d_g)
+    assert second is not first
+    assert approx_eccentricity(state, second) == 28
