@@ -37,7 +37,9 @@ g = random_connected_graph(12, rng=random.Random(1))
 net = Network(g, seed=1)
 print(f"n = {g.n}, bandwidth = {net.bandwidth_bits} bits/edge/round")
 
-rounds = net.run({v: Flood(v, 0) for v in range(g.n)})
+# The run charges what the flood sent, and its rounds, as one phase named
+# by its caller; the ledger below holds that "flood" phase.
+rounds = net.run({v: Flood(v, 0) for v in range(g.n)}, "flood")
 print(f"flood finished in {rounds} rounds")
 print(net.ledger.to_json())
 

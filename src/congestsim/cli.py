@@ -45,6 +45,10 @@ EXIT_USAGE = 2
 # count grows as 2^(1.5h), so h = 8 already means cliques of 4096 nodes.
 MAX_GADGET_H = 6
 
+# Smallest failure budget: a search makes 2 ln(1/delta) / rho evaluations,
+# so a delta of 1e-400 would run for minutes.
+MIN_DELTA = Fraction(1, 10 ** 12)
+
 
 class UsageError(Exception):
     pass
@@ -75,10 +79,11 @@ def _fraction_text(text):
 
 
 def _eps_floor(text):
-    """argparse type: a float x with 0 < x <= 1 (so not NaN or infinite)."""
-    if not 0 < float(text) <= 1:
+    """argparse type: `text` itself, once it reads as a fraction x with
+    0 < x <= 1."""
+    if not 0 < _parse_fraction(_fraction_text(text)) <= 1:
         raise argparse.ArgumentTypeError(f"need 0 < x <= 1: {text!r}")
-    return float(text)
+    return text
 
 
 def _max_weight(text):
@@ -135,13 +140,17 @@ def _num(value):
 def cmd_approx(args):
     target = args.quantity
     delta = _parse_fraction(args.delta)
+    if delta < MIN_DELTA:
+        raise UsageError(f"--delta must be at least 1e-12: {args.delta}")
+    eps_floor = (None if args.eps_floor is None
+                 else _parse_fraction(args.eps_floor))
     if args.trials < 0:
         raise UsageError(f"--trials must be >= 0: {args.trials}")
     trials = []
     for t in range(args.trials):
         trial_seed = f"{args.seed}:{t}"
         g = _load_graph(args, trial_seed=trial_seed)
-        schedule = ParameterSchedule.for_graph(g, eps_floor=args.eps_floor)
+        schedule = ParameterSchedule.for_graph(g, eps_floor=eps_floor)
         net = Network(g, bandwidth_bits=args.bandwidth, seed=trial_seed)
         rng = random.Random(trial_seed)
         run = approx_diameter if target == "diameter" else approx_radius

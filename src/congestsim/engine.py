@@ -7,6 +7,9 @@ The engine fast-forwards over rounds with nothing on the agenda, but the
 round clock and the cost ledger still account for every round of the
 budget.
 
+`Network.charge` is the ledger's one writer: every stage, engine run and
+memo hit charges one complete, named phase through it.
+
 The two tree primitives are charged in closed form, not run:
 `build_bfs_tree` from the leader's hop counts, `broadcast_pipeline` from
 the tree and the items.  Their message-level programs are the references
@@ -15,11 +18,10 @@ in `tests/oracles.py`, so no engine run is on the estimators' path.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .graphs import INFINITE, bfs_hops
 
@@ -59,50 +61,15 @@ class Phase:
 
 @dataclass
 class CostLedger:
+    """Totals and the phases they sum over; `Network.charge` writes both."""
+
     rounds: int = 0
     messages: int = 0
     bits: int = 0
     phases: list = field(default_factory=list)
-    _open: list = field(default_factory=list)  # stack of open phases
-
-    @contextlib.contextmanager
-    def phase(self, name):
-        """Charge the block to a new phase `name`.
-
-        Phases nest: a charge goes to the innermost open phase only, so the
-        phases sum to the ledger's totals.
-        """
-        self.phases.append(Phase(name))
-        self._open.append(self.phases[-1])
-        try:
-            yield
-        finally:
-            self._open.pop()
-
-    def add_rounds(self, k):
-        self.rounds += k
-        if self._open:
-            self._open[-1].rounds += k
-
-    def add_messages(self, count, bits):
-        """Account `count` messages carrying `bits` bits in total."""
-        self.messages += count
-        self.bits += bits
-        if self._open:
-            self._open[-1].messages += count
-            self._open[-1].bits += bits
 
     def to_dict(self):
-        return {
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "bits": self.bits,
-            "phases": [
-                {"name": p.name, "rounds": p.rounds,
-                 "messages": p.messages, "bits": p.bits}
-                for p in self.phases
-            ],
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -174,29 +141,21 @@ class Network:
         # (u, v) -> bits claimed in the current round
         self._edge_bits = {}
         self._last_send_round = None
+        # messages and bits sent by the current run
+        self._messages = self._bits = 0
         # BFS tree cache: (parent, children, depth) lists
         self.tree = None
 
-    def charge_rounds(self, k, phase=None):
-        """Account `k` rounds of a formula-charged stage (no per-message replay)."""
-        self.round_clock += k
-        if phase is None:
-            self.ledger.add_rounds(k)
-        else:
-            with self.ledger.phase(phase):
-                self.ledger.add_rounds(k)
-
-    def replay_phases(self, phases):
-        """Charge recorded `phases` again, each as a new phase with its
-        name, rounds, messages and bits, and advance the clock by their
-        rounds: what computing them charged, without computing them."""
+    def charge(self, phase, rounds, messages=0, bits=0):
+        """Append one complete phase named `phase`, add it to the ledger's
+        totals and advance the round clock by its `rounds`: the ledger's
+        only writer."""
         ledger = self.ledger
-        for p in phases:
-            ledger.phases.append(Phase(p.name, p.rounds, p.messages, p.bits))
-            ledger.rounds += p.rounds
-            ledger.messages += p.messages
-            ledger.bits += p.bits
-            self.round_clock += p.rounds
+        ledger.phases.append(Phase(phase, rounds, messages, bits))
+        ledger.rounds += rounds
+        ledger.messages += messages
+        ledger.bits += bits
+        self.round_clock += rounds
 
     def rng_for(self, node):
         rng = self._rngs.get(node)
@@ -216,7 +175,8 @@ class Network:
         if total > limit:
             raise BandwidthExceeded((u, v), r, total, limit)
         self._edge_bits[u, v] = total
-        self.ledger.add_messages(1, bits)
+        self._messages += 1
+        self._bits += bits
         self._last_send_round = r
         self._pending.setdefault(r + 1, {}).setdefault(v, []).append((u, payload))
 
@@ -228,8 +188,8 @@ class Network:
 
     # --- the round loop --------------------------------------------------
 
-    def run(self, programs, max_rounds=None, exact_rounds=None):
-        """Execute programs round by round.
+    def run(self, programs, phase, max_rounds=None, exact_rounds=None):
+        """Execute programs round by round, charged as one phase `phase`.
 
         `programs` is a dict node -> NodeProgram (one per node, subsets
         allowed: missing nodes are inert).  With `exact_rounds` the run
@@ -237,9 +197,25 @@ class Network:
         it stops when all programs have halted and nothing is in flight,
         or fails with MaxRoundsExceeded at `max_rounds`.
 
-        Returns the number of rounds consumed, which the run charges to the
-        ledger and advances the round clock by.
+        The run counts its own sends and charges them, with the rounds it
+        consumed, through `charge`; it returns those rounds.  When a
+        program or the bandwidth check raises, or the run fails, the phase
+        holds 0 rounds and what was sent before, and the clock stays where
+        the run stopped.
         """
+        start = self.round_clock
+        self._messages = self._bits = 0
+        try:
+            used = self._loop(programs, max_rounds, exact_rounds)
+        except Exception:
+            self.charge(phase, 0, self._messages, self._bits)
+            raise
+        self.round_clock = start
+        self.charge(phase, used, self._messages, self._bits)
+        return used
+
+    def _loop(self, programs, max_rounds, exact_rounds):
+        """`run`'s rounds; returns how many it consumed."""
         start = self.round_clock
         budget_end = None
         if exact_rounds is not None:
@@ -292,22 +268,18 @@ class Network:
                 raise MaxRoundsExceeded(
                     "deadlock: nothing in flight but programs have not halted")
 
-        # Charge rounds.  For fixed-budget runs the whole budget counts
+        # The rounds consumed.  For fixed-budget runs the whole budget counts
         # (quiet tail included).  Otherwise rounds are counted through the
         # last round that carried traffic; the final delivery-only round is
         # local computation and free, and the next run starts in it.
         if budget_end is not None:
-            used = budget_end - start
             # what a budget's last round sent is never read by this run;
             # the next run's programs must not read it either
             self._pending.clear()
-        elif self._last_send_round is not None:
-            used = self._last_send_round - start + 1
-        else:
-            used = 0
-        self.round_clock = start + used
-        self.ledger.add_rounds(used)
-        return used
+            return budget_end - start
+        if self._last_send_round is not None:
+            return self._last_send_round - start + 1
+        return 0
 
     def _quiescent(self, programs):
         if self._pending:
@@ -345,28 +317,27 @@ class Network:
         parent = [min((u for u, _ in nbrs if depth[u] == h - 1), default=None)
                   if h else None for nbrs, h in zip(adj, depth)]
         messages = bits = 0
-        with self.ledger.phase("bfs-tree"):
-            for h, v in sorted((h, v) for v, h in enumerate(depth)
-                               if h is not None):
-                up, offer = parent[v], 1 + max(1, h.bit_length())
-                # (to, bits, bits on that edge this round)
-                sends = [] if up is None else [(up, 2, 2)]
-                sends += [(u, offer, offer + 2 if u == up else offer)
-                          for u, _ in adj[v]]
-                for u, size, carried in sends:
-                    if carried > limit:
-                        # as `_send`: a message wider than B is reported
-                        # alone, else the edge's total this round
-                        self.ledger.add_messages(messages, bits)
-                        self.round_clock = start + h
-                        raise BandwidthExceeded(
-                            (v, u), start + h,
-                            size if size > limit else carried, limit)
-                    messages += 1
-                    bits += size
-            self.ledger.add_messages(messages, bits)
-            e = max(h for h in depth if h is not None)
-            self.charge_rounds(e + 1 if adj[self.leader] else 0)
+        for h, v in sorted((h, v) for v, h in enumerate(depth)
+                           if h is not None):
+            up, offer = parent[v], 1 + max(1, h.bit_length())
+            # (to, bits, bits on that edge this round)
+            sends = [] if up is None else [(up, 2, 2)]
+            sends += [(u, offer, offer + 2 if u == up else offer)
+                      for u, _ in adj[v]]
+            for u, size, carried in sends:
+                if carried > limit:
+                    # as `_send`: a message wider than B is reported
+                    # alone, else the edge's total this round
+                    self.charge("bfs-tree", 0, messages, bits)
+                    self.round_clock = start + h
+                    raise BandwidthExceeded(
+                        (v, u), start + h,
+                        size if size > limit else carried, limit)
+                messages += 1
+                bits += size
+        e = max(h for h in depth if h is not None)
+        self.charge("bfs-tree", e + 1 if adj[self.leader] else 0,
+                    messages, bits)
         children = [[] for _ in range(self.n)]
         for v, up in enumerate(parent):
             if up is not None:
@@ -393,13 +364,13 @@ class Network:
                                         self.bandwidth_bits)
         parent, children, depth = self.build_bfs_tree()
         k, edges = len(items), self.n - parent.count(None)
-        with self.ledger.phase(phase):
-            self.ledger.add_messages(k * edges, sum(sizes) * edges)
-            if k and edges < self.n - 1:
-                self.round_clock += self.n + k + 2
-                raise MaxRoundsExceeded(
-                    f"no halt within {self.n + k + 2} rounds")
-            self.charge_rounds(k + max(depth) - 1 if k and edges else 0)
+        messages, bits = k * edges, sum(sizes) * edges
+        if k and edges < self.n - 1:
+            self.charge(phase, 0, messages, bits)
+            self.round_clock += self.n + k + 2
+            raise MaxRoundsExceeded(f"no halt within {self.n + k + 2} rounds")
+        self.charge(phase, k + max(depth) - 1 if k and edges else 0,
+                    messages, bits)
         return {v: list(items) for v in range(self.n)}
 
     # --- skeleton sampling -----------------------------------------------

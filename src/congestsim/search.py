@@ -62,10 +62,8 @@ class ParameterSchedule:
         if d == INFINITE:
             raise DisconnectedGraphError(g.components())
         eps = default_eps(n)
-        if eps_floor is not None:
-            floor = Fraction(eps_floor).limit_denominator(10 ** 6)
-            if eps < floor:
-                eps = floor
+        if eps_floor is not None and eps < eps_floor:
+            eps = Fraction(eps_floor)
         r = min(n, max(1, math.ceil(n ** 0.4 * max(1, d) ** -0.2)))
         hops = min(n, max(1, math.ceil(n * math.log2(max(2, n)) / r)))
         k = max(1, math.ceil(math.sqrt(d)))
@@ -147,10 +145,9 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
 def _memoized(network, memo, key, compute):
     """(compute(), rounds charged), computing once per key.
 
-    A repeat returns the first result and charges the phases the first
-    run appended to the ledger again (`Network.replay_phases`), so a memo
-    hit costs what computing did and the clock stays the ledger's round
-    count.
+    A repeat returns the first result and charges each phase the first
+    run charged again, through `Network.charge`, so a memo hit costs what
+    computing did and the clock stays the ledger's round count.
     """
     ledger = network.ledger
     mark = ledger.rounds
@@ -158,7 +155,8 @@ def _memoized(network, memo, key, compute):
         first = len(ledger.phases)
         memo[key] = compute(), ledger.phases[first:]
     else:
-        network.replay_phases(memo[key][1])
+        for p in memo[key][1]:
+            network.charge(p.name, p.rounds, p.messages, p.bits)
     return memo[key][0], ledger.rounds - mark
 
 
@@ -198,7 +196,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
         s = members[0]
         value = approx_eccentricity(state, [0])  # a singleton's probe table
         extra = 2 * d_g + 1  # announce s + convergecast the eccentricity
-        network.charge_rounds(extra, phase="eval")
+        network.charge("eval", extra)
         if trace_sink is not None:
             trace_sink.append(SearchTrace(
                 mode=mode, rho=1, delta=delta, candidate_count=1,
@@ -210,11 +208,11 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     def probe(s):
         def run():
             # collect the skeleton at the prober, then announce s
-            network.charge_rounds(d_g + len(members), phase="setup")
-            network.charge_rounds(d_g, phase="setup")
+            network.charge("setup", d_g + len(members))
+            network.charge("setup", d_g)
             value = approx_eccentricity(
                 state, sssp_on_overlay(network, state, s, d_g))
-            network.charge_rounds(d_g, phase="eval")  # convergecast the extremum
+            network.charge("eval", d_g)  # convergecast the extremum
             return value
 
         return _memoized(network, memo, ("probe", index, s), run)
@@ -252,9 +250,8 @@ def _estimate(network, schedule, delta, rng, mode, trace_sink):
                                      delta=delta, rng=rng, mode=mode,
                                      setup_rounds=network.ledger.rounds - start)
         # every evaluation runs in lockstep at the costliest one's rounds
-        network.charge_rounds(
-            trace.charged_rounds - (network.ledger.rounds - start),
-            phase="lockstep")
+        network.charge("lockstep",
+                       trace.charged_rounds - (network.ledger.rounds - start))
     if trace_sink is not None:
         trace_sink.append(trace)
     return trace.value, trace, network.ledger

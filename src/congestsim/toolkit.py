@@ -275,9 +275,7 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
         # tables, so only its cost is read here
         _, rounds, messages, bits, failure = _superposed_closed_form(
             levels, sources, delays, stretch)
-        with network.ledger.phase("mssp"):
-            network.charge_rounds(rounds)
-            network.ledger.add_messages(messages, bits)
+        network.charge("mssp", rounds, messages, bits)
         if failure is None:
             return {s: levels.source(s).units for s in sources}
     raise failure
@@ -379,7 +377,7 @@ def embed_overlay(network, state, k, d_g):
         state.overlay_levels = LevelTables(
             WeightedGraph(size, edges, check_connected=False),
             hop_bound, base.eps)
-    network.charge_rounds(d_g + size * k if shortcut else d_g, phase="embed")
+    network.charge("embed", d_g + size * k if shortcut else d_g)
     return state
 
 
@@ -403,8 +401,8 @@ def sssp_on_overlay(network, state, s, d_g):
         raise ValueError(f"skeleton {state.index} is not embedded")
     # per overlay round: count senders (D_G), broadcast (D_G + a); a is
     # charged at its bound |S| so every probe costs the same (lockstep)
-    network.charge_rounds(len(levels) * (levels.budget + 1) * (
-        2 * d_g + 1 + len(members)), phase="overlay-sssp")
+    network.charge("overlay-sssp", len(levels) * (levels.budget + 1) * (
+        2 * d_g + 1 + len(members)))
     return levels.source(members.index(s)).units
 
 

@@ -219,8 +219,7 @@ def bounded_distance_sssp(network, s, budget, adj=None):
     adj = g.adj if adj is None else adj
     programs = {v: BoundedDistanceProgram(v, s, budget, dict(adj[v]))
                 for v in range(g.n)}
-    with network.ledger.phase("bounded-distance"):
-        network.run(programs, exact_rounds=budget + 1)
+    network.run(programs, "bounded-distance", exact_rounds=budget + 1)
     return [programs[v].dist for v in range(g.n)]
 
 
@@ -328,9 +327,10 @@ def superposed_program(levels, sources, delays, stretch):
     windows = len(levels) * (budget + 1) + len(sources) * stretch + 1
     ledger = network.ledger
     try:
-        network.run(programs, exact_rounds=windows * stretch)
+        network.run(programs, "mssp", exact_rounds=windows * stretch)
     except CongestionFailure as failure:
-        # aborted in the round being processed, before run() charged it
+        # aborted in the round being processed: the run charged what was
+        # sent before it, and 0 rounds, so the clock is that round
         return None, network.round_clock, ledger.messages, ledger.bits, failure
     best = [[min_over_levels(programs[v].dist[copy]) for v in range(graph.n)]
             for copy in range(len(sources))]
@@ -401,8 +401,7 @@ def tree_program(network):
         return network.tree
     n = network.n
     programs = {v: _TreeBuildProgram(v, network.leader) for v in range(n)}
-    with network.ledger.phase("bfs-tree"):
-        network.run(programs, max_rounds=2 * n + 2)
+    network.run(programs, "bfs-tree", max_rounds=2 * n + 2)
     parent = [programs[v].parent for v in range(n)]
     children = [[] for _ in range(n)]
     for v in range(n):
@@ -424,8 +423,7 @@ def pipeline_program(network, items, phase="broadcast"):
                                     list(items) if v == network.leader else None,
                                     len(items))
                 for v in range(network.n)}
-    with network.ledger.phase(phase):
-        network.run(programs, max_rounds=network.n + len(items) + 2)
+    network.run(programs, phase, max_rounds=network.n + len(items) + 2)
     return {v: programs[v].received for v in range(network.n)}
 
 

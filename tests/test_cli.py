@@ -291,6 +291,32 @@ def test_unreadable_delta_is_a_usage_error(capsys, delta):
     assert "--delta" in err
 
 
+def test_delta_below_the_floor_is_a_usage_error(capsys):
+    start = time.monotonic()
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",
+                          "--delta", "1e-400"], capsys)
+    assert time.monotonic() - start < 5
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "--delta" in err and "1e-12" in err
+
+
+@pytest.mark.parametrize("decimal, fraction", [
+    ("0.3333333", "3333333/10000000"), ("0.9999999", "9999999/10000000")])
+def test_decimal_eps_floor_is_read_exactly(capsys, decimal, fraction):
+    # n = 16's default eps is 1/4, below either floor
+    reports = []
+    for floor in (decimal, fraction):
+        code, out, _ = run(["approx", "diameter", "--gen", "cycle", "--n",
+                            "16", "--eps-floor", floor], capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["config"].pop("eps_floor") == floor
+        assert report["trials"][0]["params"]["eps"] == fraction
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "2"])
 def test_eps_floor_outside_the_unit_interval_is_a_usage_error(capsys, value):
     code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "8",

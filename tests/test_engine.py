@@ -51,7 +51,7 @@ class Flood(NodeProgram):
 def flood_network(g, **kw):
     net = Network(g, **kw)
     programs = {v: Flood(v, 0) for v in range(g.n)}
-    used = net.run(programs)
+    used = net.run(programs, "flood")
     return net, programs, used
 
 
@@ -72,7 +72,7 @@ def test_bandwidth_violation():
             self.halted = True
 
     with pytest.raises(BandwidthExceeded):
-        net.run({0: Hog()})
+        net.run({0: Hog()}, "hog")
 
 
 def test_bandwidth_accumulates_per_edge_per_round():
@@ -87,7 +87,7 @@ def test_bandwidth_accumulates_per_edge_per_round():
             self.halted = True
 
     with pytest.raises(BandwidthExceeded):
-        net.run({0: TwoHalves()})
+        net.run({0: TwoHalves()}, "halves")
 
 
 class Scripted(NodeProgram):
@@ -153,16 +153,26 @@ def test_bandwidth_and_ledger_match_plain_model(data):
     sends, violation = plain_model(g, scripts, bandwidth)
     if violation is not None:
         with pytest.raises(BandwidthExceeded) as exc:
-            net.run(programs, exact_rounds=budget)
+            net.run(programs, "scripted", exact_rounds=budget)
         assert (exc.value.edge, exc.value.round_no, exc.value.bits,
                 exc.value.limit) == violation + (bandwidth,)
+        # one phase: what was sent before the violating send, 0 rounds,
+        # and the clock stopped in the violation's round
+        [phase] = net.ledger.phases
+        assert (phase.rounds, phase.messages, phase.bits) == (
+            0, len(sends), sum(bits for *_, bits, _ in sends))
+        assert (net.ledger.rounds, net.ledger.messages, net.ledger.bits) == (
+            0, phase.messages, phase.bits)
+        assert net.round_clock == violation[1]
         return
-    used = net.run(programs, exact_rounds=budget)
+    used = net.run(programs, "scripted", exact_rounds=budget)
     last = max((r for *_, r in sends), default=None)
     expected = budget if budget is not None else (0 if last is None else last + 1)
     assert used == net.ledger.rounds == expected
     assert net.ledger.messages == len(sends)
     assert net.ledger.bits == sum(bits for *_, bits, _ in sends)
+    assert [(p.name, p.rounds, p.messages, p.bits) for p in net.ledger.phases] \
+        == [("scripted", used, net.ledger.messages, net.ledger.bits)]
     # a message sent in round r is read in round r + 1, if the run gets there
     end = budget if budget is not None else expected + 1
     assert sorted(arrivals) == sorted((u, v, p, r + 1) for u, v, p, _, r in sends
@@ -174,8 +184,8 @@ def test_budget_tail_is_not_read_by_the_next_run():
     # after the run and must not reach the next run's programs
     net = Network(path_graph(1))
     arrivals = []
-    net.run({0: Scripted({1: [(1, 1)]}, arrivals)}, exact_rounds=2)
-    net.run({1: Scripted({}, arrivals)}, exact_rounds=2)
+    net.run({0: Scripted({1: [(1, 1)]}, arrivals)}, "first", exact_rounds=2)
+    net.run({1: Scripted({}, arrivals)}, "second", exact_rounds=2)
     assert net.ledger.messages == 1 and arrivals == []
 
 
@@ -201,26 +211,25 @@ def test_ledger_bits_match_observed():
     assert net.ledger.bits == net.ledger.messages == observed
 
 
-def test_nested_phase_takes_its_own_charge():
+def test_charge_appends_one_complete_phase_per_call():
     net = Network(path_graph(2))
-    with net.ledger.phase("outer"):
-        net.charge_rounds(3)
-        net.charge_rounds(5, phase="inner")
-        with net.ledger.phase("innermost"):
-            net.ledger.add_messages(2, 7)
-        net.charge_rounds(1)
-    net.charge_rounds(4)  # outside every phase
+    net.charge("a", 3)
+    assert net.round_clock == 3
+    net.charge("b", 5, messages=2, bits=7)
+    assert net.round_clock == 8
+    net.charge("a", 0, messages=4, bits=9)  # messages do not move the clock
+    assert net.round_clock == 8
     phases = [(p.name, p.rounds, p.messages, p.bits)
               for p in net.ledger.phases]
-    assert phases == [("outer", 4, 0, 0), ("inner", 5, 0, 0),
-                      ("innermost", 0, 2, 7)]
-    assert (net.ledger.rounds, net.round_clock) == (13, 13)
+    assert phases == [("a", 3, 0, 0), ("b", 5, 2, 7), ("a", 0, 4, 9)]
+    assert (net.ledger.rounds, net.ledger.messages, net.ledger.bits) == (
+        8, 6, 16)
 
 
 def test_exact_rounds_charges_whole_budget():
     net = Network(path_graph(4))
     programs = {v: Flood(v, 0) for v in range(5)}
-    used = net.run(programs, exact_rounds=12)
+    used = net.run(programs, "flood", exact_rounds=12)
     assert used == 12
     assert net.ledger.rounds == 12
 
@@ -232,7 +241,7 @@ def test_max_rounds_exceeded():
 
     net = Network(WeightedGraph(2, [(0, 1, 1)]))
     with pytest.raises(MaxRoundsExceeded):
-        net.run({0: Restless()}, max_rounds=10)
+        net.run({0: Restless()}, "restless", max_rounds=10)
 
 
 def test_wake_must_name_a_later_round():
@@ -242,7 +251,7 @@ def test_wake_must_name_a_later_round():
 
     net = Network(WeightedGraph(2, [(0, 1, 1)]))
     with pytest.raises(ValueError, match="later round"):
-        net.run({0: Now()}, max_rounds=10)
+        net.run({0: Now()}, "now", max_rounds=10)
 
 
 def test_payload_bits():

@@ -64,6 +64,14 @@ def test_schedule_clamps():
     assert floored.eps == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("eps_floor", [0.9999999, Fraction(9999999, 10 ** 7)])
+def test_schedule_takes_the_eps_floor_exactly(eps_floor):
+    # above cycle_graph(8)'s default eps of 1/3 the floor is the eps, as
+    # given: a float's exact value, not a nearby fraction such as 1
+    eps = ParameterSchedule.for_graph(cycle_graph(8), eps_floor=eps_floor).eps
+    assert eps == eps_floor and eps < 1
+
+
 @pytest.mark.parametrize("eps_floor", [-1, 0, 2, math.nan, math.inf, -math.inf])
 def test_schedule_rejects_eps_floor_outside_the_unit_interval(eps_floor):
     with pytest.raises(ValueError, match="eps_floor"):
@@ -403,6 +411,8 @@ def test_ledger_is_the_lockstep_account(run):
         assert set(names) == ESTIMATOR_PHASES
         assert ledger.rounds == trace.charged_rounds == sum(
             p.rounds for p in ledger.phases)
+        assert ledger.messages == sum(p.messages for p in ledger.phases) > 0
+        assert ledger.bits == sum(p.bits for p in ledger.phases) > 0
 
 
 @pytest.mark.parametrize("g", [

@@ -43,7 +43,7 @@ def _outcome(build, g, bandwidth_bits=None, clock=0):
     """Tree, ledger and clock of one build on a network whose clock has
     already advanced by `clock` rounds."""
     net = Network(g, bandwidth_bits=bandwidth_bits)
-    net.charge_rounds(clock, phase="before")
+    net.charge("before", clock)
     try:
         result = build(net)
     except BandwidthExceeded as exc:
