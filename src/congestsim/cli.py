@@ -108,12 +108,8 @@ def _load_graph(args, trial_seed=None):
             return WeightedGraph.from_file(args.graph)
         except OSError as exc:
             raise UsageError(f"cannot read graph file: {exc}")
-    if args.gen:
-        if args.n is None:
-            raise UsageError("--gen requires --n")
-        rng = random.Random(trial_seed if trial_seed is not None else args.seed)
-        return make_graph(args.gen, args.n, max_weight=args.max_weight, rng=rng)
-    raise UsageError("one of --graph or --gen is required")
+    rng = random.Random(trial_seed if trial_seed is not None else args.seed)
+    return make_graph(args.gen, args.n, max_weight=args.max_weight, rng=rng)
 
 
 def _emit(text, args):
@@ -272,10 +268,8 @@ def _json_text(report):
 
 def _config_dict(args):
     skip = {"func", "out"}  # the output path does not affect the results
-    reads_max_weight = (getattr(args, "gen", None) == "random-connected"
-                        and not getattr(args, "graph", None))
-    if not reads_max_weight:  # only the random generator reads it
-        skip.add("max_weight")
+    if getattr(args, "gen", None) != "random-connected":
+        skip.add("max_weight")  # only the random generator reads it
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -286,9 +280,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_opts(p):
-        p.add_argument("--graph", help="graph file (text or JSON format)")
-        p.add_argument("--gen", choices=["random-connected", "cycle", "star",
-                                         "grid"], help="generator name")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--graph", help="graph file (text or JSON format)")
+        source.add_argument("--gen", choices=["random-connected", "cycle",
+                                              "star", "grid"],
+                            help="generator name")
         p.add_argument("--n", type=int, help="generator size")
         p.add_argument("--max-weight", type=_max_weight, default=10)
 
@@ -334,6 +330,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "gen" in args and (args.gen is None) != (args.n is None):
+            parser.error("--gen requires --n" if args.gen
+                         else "--n requires --gen")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

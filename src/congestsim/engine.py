@@ -46,8 +46,6 @@ def payload_bits(payload):
         return 1
     if isinstance(payload, int):
         return max(1, payload.bit_length())
-    if isinstance(payload, str):
-        return 8 * len(payload)
     raise TypeError(f"cannot size payload {payload!r}; pass bits= explicitly")
 
 

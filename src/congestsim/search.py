@@ -12,13 +12,17 @@ probes: the real protocol runs every probe in lockstep).  The estimators
 charge the ledger exactly that: the BFS tree is the outer search's T0,
 and the rounds by which the lockstep account exceeds the phases actually
 run go to a final `lockstep` phase.
+
+An evaluation is a fixed function of its index: a repeat charges the
+phases its first initialization charged, delays drawn once, and every
+probe charges its T by one closed form; only its value is memoized.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .graphs import INFINITE, DisconnectedGraphError, diameter
@@ -70,14 +74,8 @@ class ParameterSchedule:
         return cls(n=n, unweighted_diameter=d, eps=eps, r=r, hops=hops, k=k)
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "unweighted_diameter": self.unweighted_diameter,
-            "eps": f"{self.eps.numerator}/{self.eps.denominator}",
-            "r": self.r,
-            "hops": self.hops,
-            "k": self.k,
-        }
+        return {**asdict(self),
+                "eps": f"{self.eps.numerator}/{self.eps.denominator}"}
 
 
 @dataclass
@@ -142,24 +140,6 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
     return trace
 
 
-def _memoized(network, memo, key, compute):
-    """(compute(), rounds charged), computing once per key.
-
-    A repeat returns the first result and charges each phase the first
-    run charged again, through `Network.charge`, so a memo hit costs what
-    computing did and the clock stays the ledger's round count.
-    """
-    ledger = network.ledger
-    mark = ledger.rounds
-    if key not in memo:
-        first = len(ledger.phases)
-        memo[key] = compute(), ledger.phases[first:]
-    else:
-        for p in memo[key][1]:
-            network.charge(p.name, p.rounds, p.messages, p.bits)
-    return memo[key][0], ledger.rounds - mark
-
-
 def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
                  mode="max", trace_sink=None, cache=None):
     """f(i): extremum over skeleton sources s of the approximate
@@ -171,8 +151,9 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     paying: collect the skeleton, announce s, overlay distances, local
     combine + convergecast.
 
-    `cache` memoizes the tables and the probes across calls (None: within
-    this call only); a repeat replays the phases its first run charged.
+    `cache` memoizes the initialization, a repeat charging again each phase
+    its first run charged, and the probe values (None: within this call
+    only).  Every probe, first or repeat, charges its own four phases.
     It also holds the `LevelTables` every skeleton's tables are read from.
     """
     members = sorted(members)
@@ -180,17 +161,23 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
         return None, 0
     d_g = schedule.unweighted_diameter
     memo = {} if cache is None else cache
-
-    def init():
+    ledger = network.ledger
+    mark = ledger.rounds
+    if ("init", index) not in memo:
         # one LevelTables per (hops, eps) serves every skeleton of the memo
         levels = ("levels", schedule.hops, schedule.eps)
         if levels not in memo:
             memo[levels] = LevelTables(network.graph, schedule.hops,
                                        schedule.eps)
+        first = len(ledger.phases)
         state = build_skeleton_state(network, index, members, memo[levels])
-        return embed_overlay(network, state, schedule.k, d_g)
-
-    state, init_rounds = _memoized(network, memo, ("init", index), init)
+        state = embed_overlay(network, state, schedule.k, d_g)
+        memo["init", index] = state, ledger.phases[first:]
+    else:
+        state, phases = memo["init", index]
+        for p in phases:
+            network.charge(p.name, p.rounds, p.messages, p.bits)
+    init_rounds = ledger.rounds - mark
 
     if len(members) == 1:
         s = members[0]
@@ -205,17 +192,23 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
                 probes=[(s, value)]))
         return value, init_rounds + extra
 
-    def probe(s):
-        def run():
-            # collect the skeleton at the prober, then announce s
-            network.charge("setup", d_g + len(members))
-            network.charge("setup", d_g)
-            value = approx_eccentricity(
-                state, sssp_on_overlay(network, state, s, d_g))
-            network.charge("eval", d_g)  # convergecast the extremum
-            return value
+    # per overlay round: count senders (D_G), broadcast (D_G + a); a is
+    # charged at its bound |S| so every probe costs the same (lockstep)
+    overlay = state.overlay_levels
+    overlay_rounds = len(overlay) * (overlay.budget + 1) * (
+        2 * d_g + 1 + len(members))
 
-        return _memoized(network, memo, ("probe", index, s), run)
+    def probe(s):
+        start = ledger.rounds
+        # collect the skeleton at the prober, then announce s
+        network.charge("setup", d_g + len(members))
+        network.charge("setup", d_g)
+        network.charge("overlay-sssp", overlay_rounds)
+        network.charge("eval", d_g)  # convergecast the extremum
+        if ("probe", index, s) not in memo:
+            memo["probe", index, s] = approx_eccentricity(
+                state, sssp_on_overlay(state, s))
+        return memo["probe", index, s], ledger.rounds - start
 
     trace = amplified_max_search(
         members, probe, rho=Fraction(1, len(members)), delta=delta,

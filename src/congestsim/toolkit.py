@@ -25,7 +25,9 @@ in place of a Dijkstra.  Step 4 is
 the same pass on the overlay, a graph on the skeleton whose own
 `LevelTables` `embed_overlay` builds.  Steps 2-4 are charged to the ledger
 by their communication schedules (global broadcasts) without simulating
-each message, in terms of the hop diameter their caller passes as `d_g`.
+each message, in terms of the hop diameter `d_g` of the communication
+graph: `embed_overlay` charges steps 2-3, and `search.evaluate_f_i`
+charges step 4 on every probe, so `sssp_on_overlay` only reads.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  Every table is
@@ -64,12 +66,10 @@ def hop_budget(hops, eps):
 
 
 def scale_levels(n, max_weight, eps):
-    """Largest level index: smallest i with 2^i >= 2*n*W/eps."""
+    """Largest level index: smallest i >= 0 with 2^i >= 2*n*W/eps."""
     target = 2 * n * Fraction(max_weight) / eps
-    i = 0
-    while 2 ** i < target:
-        i += 1
-    return i
+    # 2^i >= target iff 2^i >= ceil(target) iff 2^i > ceil(target) - 1
+    return max(0, math.ceil(target) - 1).bit_length()
 
 
 _Passes = namedtuple("_Passes", "keys sent units")
@@ -381,15 +381,14 @@ def embed_overlay(network, state, k, d_g):
     return state
 
 
-def sssp_on_overlay(network, state, s, d_g):
-    """Bounded-hop distances from s on the embedded shortcut overlay;
-    every node learns the whole table (each overlay round is a global
-    broadcast, charged by the hop diameter d_g of the communication
-    graph).
+def sssp_on_overlay(state, s):
+    """Bounded-hop distances from s on the embedded shortcut overlay, the
+    table every node learns (its rounds are charged per probe by
+    `search.evaluate_f_i`).
 
     Returns `state.overlay_levels.source(i).units` itself, s = members[i]:
     a read-only list of integers in `overlay_levels.unit` aligned with
-    `state.members`.  A singleton's table is [0], charged nothing.
+    `state.members`.  A singleton's table is [0].
     """
     members = state.members
     if s not in members:
@@ -399,10 +398,6 @@ def sssp_on_overlay(network, state, s, d_g):
     levels = state.overlay_levels
     if levels is None:
         raise ValueError(f"skeleton {state.index} is not embedded")
-    # per overlay round: count senders (D_G), broadcast (D_G + a); a is
-    # charged at its bound |S| so every probe costs the same (lockstep)
-    network.charge("overlay-sssp", len(levels) * (levels.budget + 1) * (
-        2 * d_g + 1 + len(members)))
     return levels.source(members.index(s)).units
 
 

@@ -99,7 +99,7 @@ def test_criterion_02_pipeline_sandwich(announce):
         embed_overlay(net, state, max(1, n // 3), d_g)
         slack = (1 + eps) ** 2
         for s in members:
-            sssp_on_overlay(net, state, s, d_g)
+            sssp_on_overlay(state, s)
             exact = exact_sssp(g, s)
             for v in range(n):
                 d = approx_distance(

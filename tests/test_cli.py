@@ -197,10 +197,28 @@ def test_max_weight_is_not_recorded_for_a_graph_file(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(WeightedGraph(2, [(0, 1, 7)]).to_text())
     code, out, _ = run(["approx", "radius", "--graph", str(path),
-                        "--gen", "random-connected", "--max-weight", "3"],
-                       capsys)
+                        "--max-weight", "3"], capsys)
     assert code == EXIT_OK
     assert "max_weight" not in json.loads(out)["config"]
+
+
+@pytest.mark.parametrize("command", [["approx", "diameter"], ["oracle"]])
+@pytest.mark.parametrize("extra", [["--gen", "cycle", "--n", "8"], ["--n", "8"]])
+def test_graph_file_with_generator_options_is_a_usage_error(
+        tmp_path, capsys, command, extra):
+    # a graph file and a generator, or a generator size with no generator
+    path = tmp_path / "g.txt"
+    path.write_text(WeightedGraph(3, [(0, 1, 2), (1, 2, 5)]).to_text())
+    code, out, err = run(command + ["--graph", str(path)] + extra, capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["approx", "diameter"], ["oracle"]])
+def test_graph_source_is_required(capsys, command):
+    code, out, err = run(command + ["--n", "8"], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_max_weight_below_one_is_a_usage_error(capsys):

@@ -261,6 +261,9 @@ def test_payload_bits():
     assert payload_bits(True) == 1
     with pytest.raises(TypeError):
         payload_bits(object())
+    # no default size for text: a caller names its bits
+    with pytest.raises(TypeError, match="bits="):
+        payload_bits("ab")
 
 
 def test_bfs_tree_rounds_match_eccentricity():

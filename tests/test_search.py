@@ -269,6 +269,35 @@ def test_evaluate_memo_replays_what_computing_charged():
     assert runs[0] == runs[1]
 
 
+def test_every_probe_charges_its_four_phases():
+    # first or repeat, every probe of one skeleton appends setup, setup,
+    # overlay-sssp, eval with the same rounds, summing to the inner T
+    g = random_connected_graph(12, rng=random.Random(0))
+    sch = ParameterSchedule.for_graph(g)
+    d_g, members = sch.unweighted_diameter, [1, 4, 8, 10]
+    net, cache, sink, blocks = Network(g, seed=0), {}, [], []
+    net.build_bfs_tree()
+    for _ in range(2):  # the second evaluation's probes all repeat
+        mark = len(net.ledger.phases)
+        evaluate_f_i(net, 0, members, sch, cache=cache, trace_sink=sink)
+        phases = net.ledger.phases[mark:]
+        init = len(phases) - 4 * sink[-1].evaluations
+        assert {p.name for p in phases[:init]} <= {"mssp-delays", "mssp",
+                                                    "embed"}
+        blocks += [tuple((p.name, p.rounds, p.messages, p.bits)
+                         for p in phases[i:i + 4])
+                   for i in range(init, len(phases), 4)]
+    assert len(blocks) > 2 * len(members)  # repeats within one search too
+    levels = cache["init", 0][0].overlay_levels
+    overlay = len(levels) * (levels.budget + 1) * (2 * d_g + 1 + len(members))
+    assert set(blocks) == {(("setup", d_g + len(members), 0, 0),
+                            ("setup", d_g, 0, 0),
+                            ("overlay-sssp", overlay, 0, 0),
+                            ("eval", d_g, 0, 0))}
+    assert [t.eval_rounds for t in sink] == \
+        [sum(rounds for _, rounds, _, _ in blocks[0])] * 2
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_evaluate_memo_is_invisible_to_the_ledger(data):

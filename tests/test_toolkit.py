@@ -75,6 +75,42 @@ def test_hop_budget_and_levels():
     assert scale_levels(2, 1, Fraction(1, 1)) == 2
 
 
+def smallest_level(target):
+    """The definition of `scale_levels`: the smallest i >= 0 with
+    2^i >= target."""
+    i = 0
+    while 2 ** i < target:
+        i += 1
+    return i
+
+
+@pytest.mark.parametrize("n, max_weight, eps, level", [
+    (0, 5, Fraction(1, 2), 0),                # target 0
+    (1, Fraction(1, 4), Fraction(1), 0),      # 1/2
+    (1, Fraction(1, 2), Fraction(1), 0),      # 1
+    (1, 1, Fraction(1), 1),                   # 2
+    (16, 8, Fraction(1, 2), 9),               # 512 = 2^9
+    (16, 8, Fraction(1, 4), 10),              # 1024 = 2^10
+    (16, Fraction(513, 64), Fraction(1, 4), 11),  # 1026
+    (3, Fraction(7, 3), Fraction(2, 9), 6),   # 63
+    (2, Fraction(1, 3), Fraction(3, 4), 1),   # 16/9
+])
+def test_scale_levels_is_the_smallest_level_reaching_the_target(
+        n, max_weight, eps, level):
+    assert smallest_level(2 * n * Fraction(max_weight) / eps) == level
+    assert scale_levels(n, max_weight, eps) == level
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300),
+       st.fractions(min_value=0, max_value=1000, max_denominator=50),
+       st.fractions(min_value=Fraction(1, 100), max_value=1,
+                    max_denominator=100))
+def test_scale_levels_matches_its_definition(n, max_weight, eps):
+    assert scale_levels(n, max_weight, eps) == smallest_level(
+        2 * n * max_weight / eps)
+
+
 def test_rounded_weight():
     # ceil(2*4*5 / ((1/2) * 2^3)) = ceil(40/4) = 10
     assert rounded_weight(5, 4, Fraction(1, 2), 3) == 10
@@ -522,7 +558,7 @@ def test_embed_matches_sequential_oracle():
 def test_overlay_sssp_singleton():
     g = path_graph(4)
     net, state = pipeline_state(g, [2], 4, 1)
-    assert sssp_on_overlay(net, state, 2, unit_diameter(g)) == [0]
+    assert sssp_on_overlay(state, 2) == [0]
 
 
 def test_overlay_sssp_large_k_close_to_exact():
@@ -534,7 +570,7 @@ def test_overlay_sssp_large_k_close_to_exact():
         members, lambda u, v: state.overlay_weight(u, v) * unit)
     eps = state.levels.eps
     for s in members:
-        table = in_unit(sssp_on_overlay(net, state, s, unit_diameter(g)),
+        table = in_unit(sssp_on_overlay(state, s),
                         state.overlay_levels.unit)
         for v, x in zip(members, table):
             assert exact[(s, v)] <= x <= (1 + eps) * exact[(s, v)]
@@ -544,20 +580,7 @@ def test_overlay_sssp_rejects_foreign_source():
     g = path_graph(4)
     net, state = pipeline_state(g, [0, 2], 4, 1)
     with pytest.raises(ValueError):
-        sssp_on_overlay(net, state, 3, unit_diameter(g))
-
-
-def test_overlay_probe_cost_constant():
-    # every probe of one skeleton charges exactly the same round count
-    g = random_connected_graph(14, rng=random.Random(6))
-    members = [1, 4, 7, 10, 13]
-    net, state = pipeline_state(g, members, 6, 2)
-    costs = []
-    for s in members:
-        before = net.ledger.rounds
-        sssp_on_overlay(net, state, s, unit_diameter(g))
-        costs.append(net.ledger.rounds - before)
-    assert len(set(costs)) == 1
+        sssp_on_overlay(state, 3)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5])
@@ -587,7 +610,7 @@ def test_overlay_sssp_matches_level_enumeration(k):
                 cut += d[j] > budget
                 if d[j] <= budget and d[j] * scale < best[u]:
                     best[u] = d[j] * scale
-        table = sssp_on_overlay(net, state, s, unit_diameter(g))
+        table = sssp_on_overlay(state, s)
         assert in_unit(table, state.overlay_levels.unit) == \
             [best[u] for u in members]
     assert cut  # the distance budget cut some level short
@@ -600,14 +623,14 @@ def test_overlay_sssp_follows_reembedding():
     members = [1, 4, 7, 10, 13]
     d_g = unit_diameter(g)
     net, state = pipeline_state(g, members, 6, 1)
-    sssp_on_overlay(net, state, members[0], d_g)
+    sssp_on_overlay(state, members[0])
     first = state.overlay_levels
     embed_overlay(net, state, 4, d_g)
     assert state.overlay_levels is not first
     assert state.overlay_levels.hops == Fraction(4 * len(members), 4)
     fresh_net, fresh = pipeline_state(g, members, 6, 4)
-    assert [sssp_on_overlay(net, state, s, d_g) for s in members] == \
-        [sssp_on_overlay(fresh_net, fresh, s, d_g) for s in members]
+    assert [sssp_on_overlay(state, s) for s in members] == \
+        [sssp_on_overlay(fresh, s) for s in members]
 
 
 def test_overlay_sssp_of_a_state_never_embedded_raises():
@@ -616,15 +639,12 @@ def test_overlay_sssp_of_a_state_never_embedded_raises():
     net = Network(g)
     state = build_skeleton_state(net, 0, members,
                                  LevelTables(g, 6, default_eps(g.n)))
-    rounds = net.ledger.rounds
     with pytest.raises(ValueError, match="not embedded"):
-        sssp_on_overlay(net, state, members[0], unit_diameter(g))
-    assert net.ledger.rounds == rounds
+        sssp_on_overlay(state, members[0])
     # a singleton needs no overlay, embedded or not
     lone = build_skeleton_state(net, 1, [3], state.levels)
-    rounds = net.ledger.rounds
-    assert sssp_on_overlay(net, lone, 3, unit_diameter(g)) == [0]
-    assert lone.overlay_levels is None and net.ledger.rounds == rounds
+    assert sssp_on_overlay(lone, 3) == [0]
+    assert lone.overlay_levels is None
 
 
 def test_embedding_builds_the_overlay_at_k_zero_too():
@@ -643,7 +663,7 @@ def test_overlay_probe_is_the_overlay_level_tables_own():
     members = [1, 4, 7, 10, 13]
     net, state = pipeline_state(g, members, 6, 2)
     for i, s in enumerate(members):
-        table = sssp_on_overlay(net, state, s, unit_diameter(g))
+        table = sssp_on_overlay(state, s)
         assert table is state.overlay_levels.source(i).units
         assert table[i] == 0 and len(table) == len(members)
         assert all(x is INFINITE or type(x) is int for x in table)
@@ -657,7 +677,7 @@ def test_overlay_levels_span_the_skeleton_only():
     members = [1, 4, 7, 10, 13]
     for k in (0, 2):
         net, state = pipeline_state(g, members, 6, k)
-        sssp_on_overlay(net, state, members[0], unit_diameter(g))
+        sssp_on_overlay(state, members[0])
         assert len(state.overlay_levels) > 1
         assert all(len(adj) == len(members) for adj in state.overlay_levels)
 
@@ -687,7 +707,7 @@ def full_pipeline(g, seed=0):
     members = list(range(g.n))
     net, state = pipeline_state(g, members, max(1, g.n - 1),
                                 max(1, g.n // 2), seed=seed)
-    return state, {s: sssp_on_overlay(net, state, s, unit_diameter(g))
+    return state, {s: sssp_on_overlay(state, s)
                    for s in members}
 
 
@@ -768,7 +788,7 @@ def test_eccentricity_in_integer_units_is_the_approx_distance_max(data):
                                       min_size=1, max_size=3))):
         embed_overlay(net, state, k, d_g)
         for s in members:
-            table = sssp_on_overlay(net, state, s, d_g)
+            table = sssp_on_overlay(state, s)
             assert approx_eccentricity(state, table) == max(
                 approx_distance(state, table, v) for v in range(n))
 
@@ -794,11 +814,11 @@ def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
     state = build_skeleton_state(net, 0, [0, 2],
                                  LevelTables(g, Fraction(1, 2), Fraction(1)))
     with pytest.raises(ValueError, match="not embedded"):
-        sssp_on_overlay(net, state, 0, unit_diameter(g))  # no overlay yet
+        sssp_on_overlay(state, 0)  # no overlay yet
     embed_overlay(net, state, 1, unit_diameter(g))
     with pytest.raises(ValueError, match="not in skeleton"):
-        sssp_on_overlay(net, state, 1, unit_diameter(g))
-    table = sssp_on_overlay(net, state, 0, unit_diameter(g))
+        sssp_on_overlay(state, 1)
+    table = sssp_on_overlay(state, 0)
     assert approx_distance(state, table, 4) is INFINITE
     assert approx_eccentricity(state, table) is INFINITE
 
@@ -811,9 +831,9 @@ def test_reembedding_drops_the_previous_overlays_probes():
     state = build_skeleton_state(net, 0, list(range(6)),
                                  LevelTables(g, 1, Fraction(1, 3)))
     embed_overlay(net, state, 1, d_g)
-    first = sssp_on_overlay(net, state, 0, d_g)
+    first = sssp_on_overlay(state, 0)
     assert approx_eccentricity(state, first) == Fraction(83, 3)
     embed_overlay(net, state, 6, d_g)
-    second = sssp_on_overlay(net, state, 0, d_g)
+    second = sssp_on_overlay(state, 0)
     assert second is not first
     assert approx_eccentricity(state, second) == 28
