@@ -28,9 +28,10 @@ eps = default_eps(g.n)
 d_g = diameter(g.unit_weights())
 print(f"n = {g.n}, eps = {eps}, hop diameter = {d_g}")
 
-# Stage 1: multi-source bounded-hop tables (superposed delayed copies,
-# real messages under the bandwidth limit), from the rounded levels of
-# (graph, hops = n, eps).
+# Stage 1: multi-source bounded-hop tables (superposed delayed copies),
+# from the rounded levels of (graph, hops = n, eps).  The pass is charged
+# in closed form, the messages its per-node programs would send, and
+# runs no engine program.
 levels = LevelTables(g, hops=g.n, eps=eps)
 state = build_skeleton_state(net, 0, list(range(g.n)), levels)
 

@@ -115,8 +115,11 @@ def _load_graph(args, trial_seed=None):
 def _emit(text, args):
     """Write `text` to --out, or to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -1,8 +1,6 @@
 """Exact weighted-graph primitives: the ground truth everything else is tested against.
 
-Graphs are undirected, connected, with positive integer weights.  Overlay
-graphs built by the approximation pipeline may carry positive rational
-weights (``fractions.Fraction``); all routines here accept those too.
+Graphs are undirected, connected, with positive integer weights.
 Unreachable / over-budget distances are the saturating sentinel
 ``INFINITE`` (``math.inf``).
 
@@ -39,7 +37,6 @@ import heapq
 import json
 import math
 import random
-from fractions import Fraction
 
 INFINITE = math.inf
 
@@ -57,17 +54,25 @@ class DisconnectedGraphError(GraphError):
         )
 
 
+def _check_node_count(n):
+    if type(n) is not int:  # a bool too
+        raise GraphError(f"node_count must be an int: {n!r}")
+    if n < 1:
+        raise GraphError(f"node_count must be >= 1: {n}")
+
+
 def _check_edge_count(n, m):
     """A graph file's n nodes need n - 1 edges to be connected; refuse it
     before n adjacency lists are allocated for nothing."""
+    _check_node_count(n)
     if m < n - 1:
         raise GraphError(f"{m} edges cannot connect {n} nodes "
                          f"(need at least {n - 1})")
 
 
 def _check_weight(w):
-    if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-        raise GraphError(f"edge weight must be a positive int (or Fraction): {w!r}")
+    if type(w) is not int:  # a bool, float or Fraction too
+        raise GraphError(f"edge weight must be a positive int: {w!r}")
     if w < 1:
         raise GraphError(f"edge weight must be >= 1: {w!r}")
 
@@ -76,13 +81,15 @@ class WeightedGraph:
     """Undirected connected graph with node ids 0..n-1 and weights >= 1."""
 
     def __init__(self, node_count, edges, check_connected=True):
-        if node_count < 1:
-            raise GraphError(f"node_count must be >= 1: {node_count}")
+        _check_node_count(node_count)
         self.n = node_count
         self.adj = [[] for _ in range(node_count)]
         self.edges = []
         seen = set()
         for u, v, w in edges:
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(
+                    f"edge endpoint must be an int: ({u!r},{v!r})")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise GraphError(f"edge ({u},{v}) out of range for n={node_count}")
             if u == v:
@@ -164,7 +171,7 @@ class WeightedGraph:
 
     def to_json_dict(self):
         return {"node_count": self.n,
-                "edges": [[u, v, int(w)] for u, v, w in sorted(self.edges)]}
+                "edges": [[u, v, w] for u, v, w in sorted(self.edges)]}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -461,6 +468,9 @@ def make_graph(kind, n, max_weight=10, rng=None):
     if kind == "star":
         return star_graph(n)
     if kind == "grid":
-        side = max(1, int(math.isqrt(n)))
-        return grid_graph(side, (n + side - 1) // side)
+        side = max(1, math.isqrt(n))
+        if n % side:
+            raise GraphError(
+                f"grid n must be a multiple of isqrt(n) = {side}: {n}")
+        return grid_graph(side, n // side)
     raise GraphError(f"unknown generator {kind!r}")

@@ -32,9 +32,8 @@ charges step 4 on every probe, so `sssp_on_overlay` only reads.
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  Every table is
 kept once, as integers in its `LevelTables`' unit: the hop tables in the
-base graph's, the shortcut weights in that unit too, and each probe's
-table in the overlay's.  `embed_overlay` scales the overlay's edge
-weights, `approx_eccentricity` only its result.
+base graph's, the shortcut and overlay weights in that unit too, and each
+probe's table in the overlay's; `approx_eccentricity` scales only its result.
 """
 
 from __future__ import annotations
@@ -85,6 +84,8 @@ def _rounded(r, levels):
 class LevelTables(list):
     """The rounded levels of one (graph, hops, eps), adj[level][v] =
     [(u, rounded weight)], and what each source's passes over them give.
+    The graph's weights are integers in `weight_unit` (an overlay's is
+    the hop tables' unit).
 
     `common[level]` is the one rounded weight c every edge of the level
     has, or None.  Rounding is monotone, so c is the rounding of both the
@@ -106,7 +107,7 @@ class LevelTables(list):
     skeletons; the tables it hands out are shared too, and read-only.
     """
 
-    def __init__(self, graph, hops, eps):
+    def __init__(self, graph, hops, eps, weight_unit=1):
         if hops <= 0:
             raise ValueError(f"hop bound must be > 0: {hops}")
         if not (0 < eps <= 1):
@@ -114,13 +115,13 @@ class LevelTables(list):
         self.graph, self.hops, self.eps = graph, hops, eps
         self.budget = hop_budget(hops, eps)
         self.unit = eps / (2 * Fraction(hops))  # of the integer tables
-        top = scale_levels(graph.n, graph.max_weight, eps)
+        top = scale_levels(graph.n, graph.max_weight * weight_unit, eps)
         self.extend([[] for _ in range(graph.n)] for _ in range(top + 1))
-        ceils = []  # ceil(x) per edge, x its weight in units of self.unit
+        p, q = (weight_unit / self.unit).as_integer_ratio()
+        ceils = []  # ceil(x) per edge, x = w * p / q its weight in self.unit
         for u, v, w in graph.edges:
-            x = w / self.unit
             # ceil(ceil(x) / 2^l) = ceil(x / 2^l): integers from here on
-            ceils.append(-(-x.numerator // x.denominator))
+            ceils.append(-(-w * p // q))
             for adj, rw in zip(self, _rounded(ceils[-1], len(self))):
                 adj[u].append((v, rw))
                 adj[v].append((u, rw))
@@ -349,10 +350,10 @@ def embed_overlay(network, state, k, d_g):
 
     For |S| >= 2, `state.overlay_levels` is the `LevelTables` of the
     overlay, a `WeightedGraph` on the members' indices with the finite
-    `overlay_weight`s times `levels.unit` as edges, at hop bound 4|S|/k
-    (the shortcut overlay's hop diameter is below that), or |S| when
-    k <= 0.  Embedding again replaces both, so every later probe reads
-    the new overlay.
+    `overlay_weight`s (integers in `levels.unit`, its `weight_unit`) as
+    edges, at hop bound 4|S|/k (the shortcut overlay's hop diameter is
+    below that), or |S| when k <= 0.  Embedding again replaces both, so
+    every later probe reads the new overlay.
     """
     members, size = state.members, len(state.members)
     state.shortcut, state.overlay_levels = {}, None
@@ -369,14 +370,13 @@ def embed_overlay(network, state, k, d_g):
             members, k, [dijkstra(adj, i) for i in range(size)])
     if size >= 2:
         base = state.levels
-        edges = [(i, j, w * base.unit)
-                 for i, u in enumerate(members)
+        edges = [(i, j, w) for i, u in enumerate(members)
                  for j in range(i + 1, size)
                  if (w := state.overlay_weight(u, members[j])) is not INFINITE]
         hop_bound = Fraction(4 * size, k) if k >= 1 else Fraction(size)
         state.overlay_levels = LevelTables(
             WeightedGraph(size, edges, check_connected=False),
-            hop_bound, base.eps)
+            hop_bound, base.eps, weight_unit=base.unit)
     network.charge("embed", d_g + size * k if shortcut else d_g)
     return state
 

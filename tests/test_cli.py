@@ -168,12 +168,47 @@ def test_reports_byte_identical(tmp_path, capsys):
 def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys):
     for body in ({"edges": [[0, 1, 1]]}, {"node_count": 2},
                  {"node_count": "2", "edges": [[0, 1, 1]]},
-                 {"node_count": 2, "edges": [["0", 1, 1]]}):
+                 {"node_count": 2, "edges": [["0", 1, 1]]},
+                 # a bool is an int to Python, but no node count or id
+                 {"node_count": True, "edges": []},
+                 {"node_count": 2, "edges": [[0, True, 1]]},
+                 {"node_count": 2, "edges": [[False, 1, 1]]}):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(body))
-        code, _, err = run(["oracle", "--graph", str(path)], capsys)
+        code, out, err = run(["oracle", "--graph", str(path)], capsys)
         assert code == EXIT_USAGE
+        assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["approx", "diameter", "--gen", "cycle", "--n", "4"],
+    ["oracle", "--gen", "cycle", "--n", "4"],
+    ["gadget", "build", "--h", "2"],
+])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
+    out_path = tmp_path if target == "directory" else tmp_path / "no" / "x"
+    code, out, err = run(command + ["--out", str(out_path)], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: cannot write output file:")
+
+
+@pytest.mark.parametrize("n", ["5", "37"])
+def test_grid_size_that_is_not_a_full_grid_is_a_usage_error(capsys, n):
+    for command in (["oracle"], ["approx", "radius"]):
+        code, out, err = run(command + ["--gen", "grid", "--n", n], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_grid_builds_exactly_n_nodes(capsys):
+    code, out, _ = run(["oracle", "--gen", "grid", "--n", "35"], capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["n"] == report["config"]["n"] == 35
+    assert len(report["eccentricities"]) == 35
 
 
 @pytest.mark.parametrize("command", [["approx", "diameter"], ["oracle"]])

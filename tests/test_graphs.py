@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +21,7 @@ from congestsim.graphs import (
     exact_sssp,
     grid_graph,
     hop_diameter,
+    make_graph,
     min_hops_on_shortest_paths,
     radius,
     random_connected_graph,
@@ -143,14 +145,6 @@ random_graphs = st.builds(
 
 
 @st.composite
-def fraction_graphs(draw):
-    """small_graphs with rational weights >= 1."""
-    g = draw(small_graphs())
-    weights = st.fractions(min_value=1, max_value=12, max_denominator=7)
-    return WeightedGraph(g.n, [(u, v, draw(weights)) for u, v, _ in g.edges])
-
-
-@st.composite
 def disconnected_graphs(draw):
     """Two small graphs side by side, with no edge between them."""
     a, b = draw(small_graphs()), draw(small_graphs())
@@ -171,7 +165,7 @@ def assert_extrema_match_oracle(g):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(random_graphs, fraction_graphs(), shaped_graphs))
+@given(st.one_of(random_graphs, shaped_graphs))
 def test_extrema_match_relaxation_oracle(g):
     assert_extrema_match_oracle(g)
 
@@ -184,8 +178,8 @@ def test_extrema_of_disconnected_graph_are_infinite(g):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(small_graphs(), fraction_graphs(), disconnected_graphs(),
-                 shaped_graphs), st.data())
+@given(st.one_of(small_graphs(), disconnected_graphs(), shaped_graphs),
+       st.data())
 def test_bfs_hops_match_relaxation_on_unit_weights(g, data):
     s = data.draw(st.integers(0, g.n - 1))
     row = all_pairs_relaxation(g.unit_weights())[s]
@@ -194,14 +188,11 @@ def test_bfs_hops_match_relaxation_on_unit_weights(g, data):
 
 @st.composite
 def repeated_weight_graphs(draw):
-    """1-14 nodes, random edges whose weights (ints or Fractions) come from
-    a pool of at most three, so that a node has several neighbours per
-    weight; not necessarily connected."""
+    """1-14 nodes, random edges whose weights come from a pool of at most
+    three, so that a node has several neighbours per weight; not
+    necessarily connected."""
     n = draw(st.integers(1, 14))
-    pool = draw(st.lists(st.one_of(
-        st.integers(1, 9),
-        st.fractions(min_value=1, max_value=9, max_denominator=5)),
-        min_size=1, max_size=3))
+    pool = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1),
                                    st.integers(0, n - 1)), max_size=40))
     edges = {(min(u, v), max(u, v)): draw(st.sampled_from(pool))
@@ -211,7 +202,7 @@ def repeated_weight_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(repeated_weight_graphs(), small_graphs(), fraction_graphs(),
+@given(st.one_of(repeated_weight_graphs(), small_graphs(),
                  disconnected_graphs(), random_graphs, shaped_graphs))
 def test_exact_sssp_matches_heap_dijkstra(g):
     for s in range(g.n):
@@ -328,6 +319,25 @@ def test_rejects_bad_input():
         exact_sssp(WeightedGraph(2, [(0, 1, 1)]), 5)
 
 
+@pytest.mark.parametrize("weight", [Fraction(5, 2), Fraction(3), 2.0, True])
+def test_weights_are_ints_only(weight):
+    with pytest.raises(GraphError, match="positive int"):
+        WeightedGraph(2, [(0, 1, weight)])
+
+
+@pytest.mark.parametrize("node_count, edge", [
+    (True, None), (2.0, None), (2, (0, True, 1)), (2, (False, 1, 1)),
+    (2, (0, 1.0, 1)),
+])
+def test_node_count_and_endpoints_are_ints_only(node_count, edge):
+    edges = [] if edge is None else [edge]
+    with pytest.raises(GraphError, match="must be an int"):
+        WeightedGraph(node_count, edges, check_connected=False)
+    with pytest.raises(GraphError, match="must be an int"):
+        WeightedGraph.from_json_dict({"node_count": node_count,
+                                      "edges": [list(e) for e in edges]})
+
+
 def test_graph_files_with_too_few_edges_are_refused_before_allocation():
     # n - 1 edges or more may connect n nodes; fewer never can
     for text in ("3 1\n0 1 1\n", "1000000000 0\n"):
@@ -345,6 +355,21 @@ def test_graph_files_with_too_few_edges_are_refused_before_allocation():
 def test_random_graph_rejects_max_weight_below_one(max_weight):
     with pytest.raises(GraphError, match="max_weight"):
         random_connected_graph(8, max_weight=max_weight)
+
+
+@pytest.mark.parametrize("n, shape", [(1, (1, 1)), (3, (1, 3)), (35, (5, 7)),
+                                      (36, (6, 6))])
+def test_grid_generator_builds_exactly_n_nodes(n, shape):
+    g = make_graph("grid", n)
+    assert g.n == n
+    assert sorted(g.edges) == sorted(grid_graph(*shape).edges)
+
+
+@pytest.mark.parametrize("n", [5, 32, 37])
+def test_grid_generator_refuses_an_n_it_cannot_build(n):
+    # isqrt(n) does not divide n: 5 would build 6 nodes, 37 would build 42
+    with pytest.raises(GraphError, match="multiple of isqrt"):
+        make_graph("grid", n)
 
 
 def test_generators_connected():

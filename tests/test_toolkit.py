@@ -345,17 +345,18 @@ def test_shared_level_tables_are_invisible():
 # --- level passes: breadth-first on uniform levels ----------------------
 
 
-def _reference_passes(g, hops, eps, s):
+def _reference_passes(g, hops, eps, s, weight_unit=1):
     """(keys, sent, units, per-level distances) of s, from one Dijkstra per
-    level on weights rounded by `rounded_weight`."""
+    level on weights w * weight_unit rounded by `rounded_weight`."""
     budget = hop_budget(hops, eps)
     span = budget + 1
     degree = [len(nbrs) for nbrs in g.adj]
     keys, sent, per_level = [], 0, []
-    for level in range(scale_levels(g.n, g.max_weight, eps) + 1):
+    top = scale_levels(g.n, g.max_weight * weight_unit, eps)
+    for level in range(top + 1):
         adj = [[] for _ in range(g.n)]
         for u, v, w in g.edges:
-            rw = rounded_weight(w, hops, eps, level)
+            rw = rounded_weight(w * weight_unit, hops, eps, level)
             adj[u].append((v, rw))
             adj[v].append((u, rw))
         dist = dijkstra(adj, s, budget)
@@ -380,14 +381,16 @@ def _uniform_graph(kind, n, rng):
 
 
 def _fraction_graph(n, rng):
-    """A Fraction-weighted graph like an overlay's, possibly disconnected."""
-    edges = [(u, v, Fraction(rng.randint(2, 40), rng.randint(1, 2)))
+    """(graph, weight_unit) like an overlay's: integer weights counting a
+    rational unit, the graph possibly disconnected."""
+    unit = Fraction(rng.randint(1, 3), rng.randint(1, 64))
+    edges = [(u, v, rng.randint(2, 40))
              for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-    return WeightedGraph(n, edges, check_connected=False)
+    return WeightedGraph(n, edges, check_connected=False), unit
 
 
-def _check_level_passes(g, hops, eps):
-    levels = LevelTables(g, hops, eps)
+def _check_level_passes(g, hops, eps, weight_unit=1):
+    levels = LevelTables(g, hops, eps, weight_unit)
     for level, adj in enumerate(levels):
         weights = {w for nbrs in adj for _, w in nbrs}
         if len(weights) == 1:
@@ -397,7 +400,8 @@ def _check_level_passes(g, hops, eps):
         else:  # no edges: every pass is {s: 0}
             assert levels.common[level] is not None
     for s in range(g.n):
-        keys, sent, units, per_level = _reference_passes(g, hops, eps, s)
+        keys, sent, units, per_level = _reference_passes(g, hops, eps, s,
+                                                         weight_unit)
         assert [levels.level_pass(s, level) for level in range(len(levels))] \
             == per_level
         passes = levels.source(s)
@@ -434,8 +438,8 @@ def test_level_passes_on_mixed_weights_match_dijkstra(n, seed, max_weight,
 @given(n=st.integers(1, 9), seed=st.integers(0, 99), k=st.integers(1, 4),
        eps=st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 4)]))
 def test_level_passes_on_fraction_overlays_match_dijkstra(n, seed, k, eps):
-    g = _fraction_graph(n, random.Random(seed))
-    _check_level_passes(g, Fraction(4 * n, k), eps)
+    g, unit = _fraction_graph(n, random.Random(seed))
+    _check_level_passes(g, Fraction(4 * n, k), eps, unit)
 
 
 @settings(max_examples=80, deadline=None)
@@ -450,14 +454,15 @@ def test_units_are_the_lowest_level_that_reaches_a_node(kind, n, seed, hops,
     # minimum over the levels, since d << level never falls as the level
     # rises while d stays within the budget
     rng = random.Random(seed)
+    unit = 1
     if kind == "mixed":
         g = random_connected_graph(n, max_weight=rng.choice([3, 10, 1000]),
                                    rng=rng)
     elif kind == "fraction":
-        g = _fraction_graph(n, rng)
+        g, unit = _fraction_graph(n, rng)
     else:
         g = _uniform_graph(kind, n, rng)
-    levels = LevelTables(g, hops, eps)
+    levels = LevelTables(g, hops, eps, unit)
     for s in range(g.n):
         per_level = [levels.level_pass(s, level)
                      for level in range(len(levels))]
@@ -470,14 +475,14 @@ def test_units_are_the_lowest_level_that_reaches_a_node(kind, n, seed, hops,
 
 
 def test_level_passes_on_a_disconnected_overlay_and_one_node():
-    two_parts = WeightedGraph(
-        5, [(0, 1, Fraction(7, 2)), (1, 2, Fraction(5, 2)), (3, 4, Fraction(3))],
-        check_connected=False)
-    levels = _check_level_passes(two_parts, Fraction(5, 2), Fraction(1, 2))
+    # weights 7/2, 5/2 and 3 as integers counting halves
+    half = Fraction(1, 2)
+    two_parts = WeightedGraph(5, [(0, 1, 7), (1, 2, 5), (3, 4, 6)],
+                              check_connected=False)
+    levels = _check_level_passes(two_parts, Fraction(5, 2), half, half)
     assert levels.source(0).units[3:] == [INFINITE, INFINITE]
-    uniform = WeightedGraph(4, [(0, 1, Fraction(5, 2)), (2, 3, Fraction(5, 2))],
-                            check_connected=False)
-    assert None not in _check_level_passes(uniform, 2, Fraction(1, 2)).common
+    uniform = WeightedGraph(4, [(0, 1, 5), (2, 3, 5)], check_connected=False)
+    assert None not in _check_level_passes(uniform, 2, half, half).common
     lone = _check_level_passes(WeightedGraph(1, []), 1, Fraction(1, 2))
     assert lone.source(0).units == [0]
 
@@ -669,6 +674,23 @@ def test_overlay_probe_is_the_overlay_level_tables_own():
         assert all(x is INFINITE or type(x) is int for x in table)
     fields = {f.name for f in dataclasses.fields(SkeletonState)}
     assert not fields & {"overlay_tables", "k"}
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_overlay_graph_holds_the_overlay_weights_as_ints(k):
+    # one copy of the overlay's weights: its LevelTables' graph, integers
+    # in the hop tables' unit, which the overlay takes as its weight unit
+    g = random_connected_graph(14, max_weight=10, rng=random.Random(6))
+    members = [1, 4, 7, 10, 13]
+    net, state = pipeline_state(g, members, 6, k)
+    overlay = state.overlay_levels
+    assert overlay.graph.edges
+    for i, j, w in overlay.graph.edges:
+        assert type(w) is int
+        assert w == state.overlay_weight(members[i], members[j])
+    assert len(overlay.graph.edges) == sum(
+        state.overlay_weight(u, v) is not INFINITE
+        for i, u in enumerate(members) for v in members[i + 1:])
 
 
 def test_overlay_levels_span_the_skeleton_only():
