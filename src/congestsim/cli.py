@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -112,16 +113,20 @@ def _load_graph(args, trial_seed=None):
     return make_graph(args.gen, args.n, max_weight=args.max_weight, rng=rng)
 
 
-def _emit(text, args):
-    """Write `text` to --out, or to stdout."""
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write output file: {exc}")
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(args):
+    """Send the command's stdout to --out, opened (and truncated, as a
+    shell redirection would) before the command runs, so an unwritable
+    path is reported before any work is done."""
+    if not args.out:
+        yield
+        return
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}")
+    with fh, contextlib.redirect_stdout(fh):
+        yield
 
 
 def _num(value):
@@ -203,9 +208,9 @@ def cmd_approx(args):
                                 lineterminator="\n")
         writer.writeheader()
         writer.writerows(trials)
-        _emit(buf.getvalue(), args)
+        sys.stdout.write(buf.getvalue())
     else:
-        _emit(_json_text(report), args)
+        sys.stdout.write(_json_text(report))
     return EXIT_OK
 
 
@@ -231,15 +236,16 @@ def cmd_gadget(args):
     inst = build_gadget(args.h, x=x, y=y, variant=args.variant,
                         alpha=args.alpha, beta=args.beta)
     if args.action == "build":
-        _emit(json.dumps(inst.graph.to_json_dict(), sort_keys=True) + "\n"
-              if args.format == "json" else inst.graph.to_text(), args)
+        sys.stdout.write(
+            json.dumps(inst.graph.to_json_dict(), sort_keys=True) + "\n"
+            if args.format == "json" else inst.graph.to_text())
         return EXIT_OK
     report = verify_reduction(inst)
     report["version"] = __version__
     # verify always emits JSON, so --format is not part of its config
     report["config"] = {k: v for k, v in _config_dict(args).items()
                         if k != "format"}
-    _emit(_json_text(report), args)
+    sys.stdout.write(_json_text(report))
     return EXIT_OK if report["pass"] else EXIT_FAILURE
 
 
@@ -258,7 +264,7 @@ def cmd_oracle(args):
         "hop_diameter": _num(hop_diameter(g)),
         "eccentricities": [_num(e) for e in eccs],
     }
-    _emit(_json_text(report), args)
+    sys.stdout.write(_json_text(report))
     return EXIT_OK
 
 
@@ -339,7 +345,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with _output(args):
+            return args.func(args)
     except (UsageError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,7 +49,7 @@ def payload_bits(payload):
     raise TypeError(f"cannot size payload {payload!r}; pass bits= explicitly")
 
 
-@dataclass
+@dataclass(slots=True)  # one per charge: a pass appends ~10^5
 class Phase:
     name: str
     rounds: int = 0

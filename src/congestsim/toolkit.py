@@ -19,7 +19,9 @@ closed form too (their references are in `tests/oracles.py`), so no
 engine run is on the estimators' path.  Step 1's rounded levels and each
 source's per-level passes depend on neither the skeleton nor the delays,
 so a `LevelTables` computes them once for all the skeletons of an
-estimator.  A level whose rounded weights are all one c (every level of a
+estimator: a source's passes up to the first level that reaches every
+node, and every level's only for the congestion keys of an attempt that
+counts them.  A level whose rounded weights are all one c (every level of a
 unit-weight graph) takes c times one breadth-first hop count per source
 in place of a Dijkstra.  Step 4 is
 the same pass on the overlay, a graph on the skeleton whose own
@@ -71,7 +73,7 @@ def scale_levels(n, max_weight, eps):
     return max(0, math.ceil(target) - 1).bit_length()
 
 
-_Passes = namedtuple("_Passes", "keys sent units")
+_Passes = namedtuple("_Passes", "sent units")
 
 
 def _rounded(r, levels):
@@ -95,16 +97,25 @@ class LevelTables(list):
     edge counts of one breadth-first search from s, which every uniform
     level shares (all of them on a unit-weight graph).
 
-    `source(s)` takes every level's pass once and keeps, as (keys, sent,
-    units): the key (level*(budget+1) + d)*n + v of each finite entry,
-    the messages the passes send (v's degree per entry), and each node's
-    d << level at the lowest level that reaches it, in units of
-    eps / (2*hops).  That is the minimum of d << level over the levels:
-    2*ceil(x/2^(l+1)) >= ceil(x/2^l) per edge, so twice a path's length
-    at level l+1 is at least its length at level l, and every distance
-    within the budget is exact.  None of it depends on the skeleton or
-    the delays, so an estimator shares one object across all its
-    skeletons; the tables it hands out are shared too, and read-only.
+    `source(s)` keeps, as (sent, units), the messages s's passes send
+    (v's degree per finite entry) and each node's d << level at the
+    lowest level that reaches it, in units of eps / (2*hops).  That is
+    the minimum of d << level over the levels: 2*ceil(x/2^(l+1)) >=
+    ceil(x/2^l) per edge, so twice a path's length at level l+1 is at
+    least its length at level l, and every distance within the budget is
+    exact.  The reached sets are nested: ceil(x/2^(l+1)) <= ceil(x/2^l),
+    so a node's distance never rises with the level, and a node first
+    reached at level f(v) is reached at every level from f(v) up.  So
+    sent is the sum of degree[v] * (len(levels) - f(v)), and `source`
+    stops after the first level that reaches every node (it takes every
+    level when some node is never reached).
+    `keys(s)` is the int64 array of the keys (level*(budget+1) + d)*n + v
+    of the finite entries of every level's pass, which only an attempt
+    that counts its broadcasts reads.  It is built once per source, in
+    the walk over the levels that also fills `source(s)` if that is not
+    kept yet.  None of it depends on the skeleton or the delays, so an
+    estimator shares one object across all its skeletons; the tables it
+    hands out are shared too, and read-only.
     """
 
     def __init__(self, graph, hops, eps, weight_unit=1):
@@ -131,6 +142,7 @@ class LevelTables(list):
         self.degree = [len(nbrs) for nbrs in graph.adj]
         self._bfs = None, None  # (s, bfs_hops of s), for the uniform levels
         self._passes = {}  # s -> _Passes
+        self._keys = {}  # s -> keys(s)
 
     def level_pass(self, s, level):
         """s's distances on `level`, INFINITE beyond the budget."""
@@ -144,19 +156,40 @@ class LevelTables(list):
 
     def source(self, s):
         if s not in self._passes:
-            n, span, degree = self.graph.n, self.budget + 1, self.degree
+            self._walk(s, None)
+        return self._passes[s]
+
+    def keys(self, s):
+        if s not in self._keys:
             # an int64 array: a list of these keys for every source took
             # peak RSS at n = 256 from 85 to 115 MB
-            keys, sent, units = array("q"), 0, [INFINITE] * n
-            for level in range(len(self)):
-                for v, d in enumerate(self.level_pass(s, level)):
-                    if d is not INFINITE:
-                        keys.append((level * span + d) * n + v)
-                        sent += degree[v]
-                        if units[v] is INFINITE:
-                            units[v] = d << level
-            self._passes[s] = _Passes(keys, sent, units)
-        return self._passes[s]
+            self._keys[s] = self._walk(s, array("q"))
+        return self._keys[s]
+
+    def _walk(self, s, keys):
+        """Walk s's levels from 0 up: into `source(s)` unless it is kept,
+        and with an array `keys` every level's keys into it; returns it."""
+        n, top, degree = self.graph.n, len(self), self.degree
+        span, tables = self.budget + 1, s not in self._passes
+        sent, units, unreached = 0, [INFINITE] * n, n
+        for level in range(top):
+            dist = self.level_pass(s, level)
+            if keys is not None:
+                base = level * span
+                keys.extend((base + d) * n + v
+                            for v, d in enumerate(dist) if d is not INFINITE)
+            if tables and unreached:
+                for v, d in enumerate(dist):
+                    if d is not INFINITE and units[v] is INFINITE:
+                        units[v] = d << level
+                        # v is reached at every level from here up
+                        sent += degree[v] * (top - level)
+                        unreached -= 1
+            if keys is None and not unreached:
+                break
+        if tables:
+            self._passes[s] = _Passes(sent, units)
+        return keys
 
 
 def _superposed_closed_form(levels, sources, delays, stretch):
@@ -168,8 +201,10 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     broadcasts its final distance d once, in window delays[copy] +
     level*(levels.budget+1) + d of `stretch` rounds, one broadcast per
     round in queue order.  So the attempt only counts the broadcasts owed at
-    delays[copy]*n + key over each source's keys; best[copy] is the
-    source's `units` table, and its messages are the source's.
+    delays[copy]*n + key over each source's `levels.keys`, and only with
+    more copies than `stretch` (with no more, no window can be over it,
+    and no key is built); best[copy] is the source's `units` table, and
+    its messages are the source's `sent`.
 
     The attempt aborts (best None, failure the CongestionFailure) in the
     first round of the window of the smallest window*n + node owing more
@@ -190,9 +225,9 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     best = []
     messages = bits = 0
     for copy, s in enumerate(sources):
-        keys, sent, units = levels.source(s)
-        if counted:
-            owed.update(map((delays[copy] * n).__add__, keys))
+        if counted:  # first, so a new source's walk fills `source` too
+            owed.update(map((delays[copy] * n).__add__, levels.keys(s)))
+        sent, units = levels.source(s)
         best.append(units)
         messages += sent
         bits += sent * max(1, copy.bit_length())

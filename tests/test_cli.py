@@ -185,14 +185,34 @@ def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys):
     ["approx", "diameter", "--gen", "cycle", "--n", "4"],
     ["oracle", "--gen", "cycle", "--n", "4"],
     ["gadget", "build", "--h", "2"],
+    ["gadget", "verify", "--h", "2"],
 ])
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                         command, target):
+    # the path is checked before any work
+    for name in ("approx_diameter", "approx_radius", "eccentricity",
+                 "build_gadget", "verify_reduction"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs:
+                            pytest.fail(f"{name} ran before --out was checked"))
     out_path = tmp_path if target == "directory" else tmp_path / "no" / "x"
     code, out, err = run(command + ["--out", str(out_path)], capsys)
     assert code == EXIT_USAGE
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: cannot write output file:")
+
+
+@pytest.mark.parametrize("command", [
+    ["approx", "radius", "--gen", "cycle", "--n", "6", "--format", "csv"],
+    ["oracle", "--gen", "cycle", "--n", "6"],
+    ["gadget", "build", "--h", "2"],
+    ["gadget", "verify", "--h", "2"],
+])
+def test_out_gets_the_bytes_of_stdout(tmp_path, capsys, command):
+    code, out, err = run(command, capsys)
+    path = tmp_path / "report"
+    assert run(command + ["--out", str(path)], capsys) == (code, "", err)
+    assert path.read_text() == out and out
 
 
 @pytest.mark.parametrize("n", ["5", "37"])

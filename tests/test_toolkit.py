@@ -404,9 +404,12 @@ def _check_level_passes(g, hops, eps, weight_unit=1):
                                                          weight_unit)
         assert [levels.level_pass(s, level) for level in range(len(levels))] \
             == per_level
-        passes = levels.source(s)
-        assert (list(passes.keys), passes.sent, passes.units) \
-            == (keys, sent, units)
+        assert tuple(levels.source(s)) == (sent, units)
+        assert list(levels.keys(s)) == keys
+        # a source's first walk may build its keys and its tables at once
+        keys_first = LevelTables(g, hops, eps, weight_unit)
+        assert list(keys_first.keys(s)) == keys
+        assert tuple(keys_first.source(s)) == (sent, units)
     return levels
 
 
@@ -485,6 +488,87 @@ def test_level_passes_on_a_disconnected_overlay_and_one_node():
     assert None not in _check_level_passes(uniform, 2, half, half).common
     lone = _check_level_passes(WeightedGraph(1, []), 1, Fraction(1, 2))
     assert lone.source(0).units == [0]
+
+
+def _levels_source_takes(levels, s):
+    """The levels whose pass `levels.source(s)` takes, in order."""
+    taken = []
+    level_pass = levels.level_pass
+    levels.level_pass = lambda s, level: taken.append(level) or level_pass(
+        s, level)
+    levels.source(s)
+    del levels.level_pass
+    return taken
+
+
+def test_source_stops_at_the_first_level_that_reaches_every_node():
+    # reached sets are nested across levels, so the levels above the first
+    # that reaches every node add nothing but their messages
+    g = random_connected_graph(12, max_weight=10, rng=random.Random(2))
+    reference = LevelTables(g, 3, Fraction(1, 4))
+    stops = set()
+    for s in range(g.n):
+        stop = next(level for level in range(len(reference))
+                    if INFINITE not in reference.level_pass(s, level))
+        assert stop < len(reference) - 1
+        stops.add(stop)
+        levels = LevelTables(g, 3, Fraction(1, 4))
+        assert _levels_source_takes(levels, s) == list(range(stop + 1))
+        assert levels.source(s) == reference.source(s)
+    assert len(stops) > 1
+    # a node no level reaches: every level is taken
+    half = Fraction(1, 2)
+    two_parts = WeightedGraph(5, [(0, 1, 7), (1, 2, 5), (3, 4, 6)],
+                              check_connected=False)
+    for s in range(two_parts.n):
+        levels = LevelTables(two_parts, Fraction(5, 2), half, half)
+        assert _levels_source_takes(levels, s) == list(range(len(levels)))
+
+
+def _mssp_keys_built(monkeypatch, net, sources, levels, retries):
+    """{s: [each array levels.keys(s) returned]} and the attempts one
+    `bounded_hop_mssp` call makes."""
+    returned = {}
+    keys = LevelTables.keys
+
+    def recording_keys(self, s):
+        table = keys(self, s)
+        returned.setdefault(s, []).append(table)
+        return table
+
+    monkeypatch.setattr(LevelTables, "keys", recording_keys)
+    try:
+        bounded_hop_mssp(net, sources, levels, retries=retries)
+    except CongestionFailure:
+        pass
+    attempts = sum(p.name == "mssp-delays" for p in net.ledger.phases)
+    return returned, attempts
+
+
+def test_congestion_keys_are_built_once_per_source_and_only_when_counted(
+        monkeypatch):
+    g = random_connected_graph(16, max_weight=10, rng=random.Random(49))
+    stretch = 4  # ceil(log2 16): no more copies than this are counted
+    levels = LevelTables(g, 16, Fraction(1, 4))
+    few = [0, 5, 9, 12]
+    returned, attempts = _mssp_keys_built(
+        monkeypatch, Network(g, seed=49), few, levels, 3)
+    assert returned == {} and attempts == 1
+    kept = {s: levels.source(s) for s in few}
+    sources = list(range(16))
+    assert len(sources) > stretch
+    # the first attempt congests (as in
+    # test_aborted_mssp_attempt_is_charged_to_its_phase), so two are made
+    returned, attempts = _mssp_keys_built(
+        monkeypatch, Network(g, seed=49), sources, levels, 1)
+    assert attempts == 2
+    assert sorted(returned) == sources
+    for s in sources:
+        built = returned[s]
+        assert len(built) == attempts
+        assert all(table is built[0] for table in built)
+    # building keys leaves the tables handed out before in place
+    assert all(levels.source(s) is kept[s] for s in few)
 
 
 @settings(max_examples=60, deadline=None)
