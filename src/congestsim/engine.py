@@ -7,8 +7,10 @@ The engine fast-forwards over rounds with nothing on the agenda, but the
 round clock and the cost ledger still account for every round of the
 budget.
 
-`Network.charge` is the ledger's one writer: every stage, engine run and
-memo hit charges one complete, named phase through it.
+`Network.charge_block` is the ledger's one writer.  Every stage and engine
+run charges one complete, named phase through `charge`, a one-phase
+block; an inner search charges its probes' block once per draw, and a
+memo hit its recorded phases, each in one call.
 
 The two tree primitives are charged in closed form, not run:
 `build_bfs_tree` from the leader's hop counts, `broadcast_pipeline` from
@@ -49,7 +51,7 @@ def payload_bits(payload):
     raise TypeError(f"cannot size payload {payload!r}; pass bits= explicitly")
 
 
-@dataclass(slots=True)  # one per charge: a pass appends ~10^5
+@dataclass(slots=True, frozen=True)  # a block's phases recur in the ledger
 class Phase:
     name: str
     rounds: int = 0
@@ -59,7 +61,8 @@ class Phase:
 
 @dataclass
 class CostLedger:
-    """Totals and the phases they sum over; `Network.charge` writes both."""
+    """Totals and the phases they sum over; `Network.charge_block` writes
+    both."""
 
     rounds: int = 0
     messages: int = 0
@@ -145,14 +148,22 @@ class Network:
         self.tree = None
 
     def charge(self, phase, rounds, messages=0, bits=0):
-        """Append one complete phase named `phase`, add it to the ledger's
-        totals and advance the round clock by its `rounds`: the ledger's
-        only writer."""
+        """Charge one complete phase named `phase`: a one-phase block."""
+        self.charge_block([Phase(phase, rounds, messages, bits)])
+
+    def charge_block(self, phases, times=1):
+        """Append the `Phase` objects of `phases`, `times` times over (the
+        same objects), add them to the ledger's totals and advance the round
+        clock by their rounds: the ledger's only writer.  `times` < 0
+        raises `ValueError` and charges nothing."""
+        if times < 0:
+            raise ValueError(f"a block is charged times >= 0: {times}")
         ledger = self.ledger
-        ledger.phases.append(Phase(phase, rounds, messages, bits))
+        ledger.phases += phases * times
+        rounds = times * sum(p.rounds for p in phases)
         ledger.rounds += rounds
-        ledger.messages += messages
-        ledger.bits += bits
+        ledger.messages += times * sum(p.messages for p in phases)
+        ledger.bits += times * sum(p.bits for p in phases)
         self.round_clock += rounds
 
     def rng_for(self, node):

@@ -14,8 +14,9 @@ and the rounds by which the lockstep account exceeds the phases actually
 run go to a final `lockstep` phase.
 
 An evaluation is a fixed function of its index: a repeat charges the
-phases its first initialization charged, delays drawn once, and every
-probe charges its T by one closed form; only its value is memoized.
+phases its first initialization charged, delays drawn once, and an inner
+search charges its probes' block, T by one closed form, once per draw, in
+one call; only a probe's value is memoized.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+from .engine import Phase
 from .graphs import INFINITE, DisconnectedGraphError, diameter
 from .toolkit import (
     LevelTables,
@@ -151,10 +153,12 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     paying: collect the skeleton, announce s, overlay distances, local
     combine + convergecast.
 
-    `cache` memoizes the initialization, a repeat charging again each phase
-    its first run charged, and the probe values (None: within this call
-    only).  Every probe, first or repeat, charges its own four phases.
-    It also holds the `LevelTables` every skeleton's tables are read from.
+    `cache` memoizes the initialization, a repeat charging again the
+    phases its first run charged, and the probe values (None: within this
+    call only).  It also holds the `LevelTables` every skeleton's tables
+    are read from.  Every probe, first or repeat, costs the same four
+    phases, so the inner search charges that block once per draw, in one
+    call after its last draw; nothing else charges in between.
     """
     members = sorted(members)
     if not members:
@@ -175,8 +179,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
         memo["init", index] = state, ledger.phases[first:]
     else:
         state, phases = memo["init", index]
-        for p in phases:
-            network.charge(p.name, p.rounds, p.messages, p.bits)
+        network.charge_block(phases)
     init_rounds = ledger.rounds - mark
 
     if len(members) == 1:
@@ -197,23 +200,23 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     overlay = state.overlay_levels
     overlay_rounds = len(overlay) * (overlay.budget + 1) * (
         2 * d_g + 1 + len(members))
+    # collect the skeleton at the prober, announce s, overlay distances,
+    # convergecast the extremum
+    block = [Phase("setup", d_g + len(members)), Phase("setup", d_g),
+             Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
+    block_rounds = sum(p.rounds for p in block)
 
     def probe(s):
-        start = ledger.rounds
-        # collect the skeleton at the prober, then announce s
-        network.charge("setup", d_g + len(members))
-        network.charge("setup", d_g)
-        network.charge("overlay-sssp", overlay_rounds)
-        network.charge("eval", d_g)  # convergecast the extremum
-        if ("probe", index, s) not in memo:
-            memo["probe", index, s] = approx_eccentricity(
-                state, sssp_on_overlay(state, s))
-        return memo["probe", index, s], ledger.rounds - start
+        key = "probe", index, s
+        if key not in memo:
+            memo[key] = approx_eccentricity(state, sssp_on_overlay(state, s))
+        return memo[key], block_rounds
 
     trace = amplified_max_search(
         members, probe, rho=Fraction(1, len(members)), delta=delta,
         rng=network.rng_for(network.leader), mode=mode,
         setup_rounds=init_rounds)
+    network.charge_block(block, trace.evaluations)
     if trace_sink is not None:
         trace_sink.append(trace)
     return trace.value, trace.charged_rounds

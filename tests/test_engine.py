@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from congestsim.engine import (
     MaxRoundsExceeded,
     Network,
     NodeProgram,
+    Phase,
     payload_bits,
 )
 from congestsim.graphs import (
@@ -224,6 +226,48 @@ def test_charge_appends_one_complete_phase_per_call():
     assert phases == [("a", 3, 0, 0), ("b", 5, 2, 7), ("a", 0, 4, 9)]
     assert (net.ledger.rounds, net.ledger.messages, net.ledger.bits) == (
         8, 6, 16)
+
+
+_phases = st.builds(Phase, st.sampled_from(["a", "b", "c"]),
+                    st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_phases, min_size=1, max_size=5), st.integers(0, 5),
+       st.integers(0, 9))
+def test_charge_block_is_charge_repeated(block, times, before):
+    # one call charges what `times` passes of `charge` over the block do,
+    # after some earlier charges, and appends the block's own objects
+    nets = [Network(path_graph(2)) for _ in range(2)]
+    for net in nets:
+        net.charge("earlier", before, before, before)
+    nets[0].charge_block(block, times)
+    for _ in range(times):
+        for p in block:
+            nets[1].charge(p.name, p.rounds, p.messages, p.bits)
+    assert nets[0].ledger.to_dict() == nets[1].ledger.to_dict()
+    assert nets[0].round_clock == nets[1].round_clock
+    assert all(a is b for a, b in zip(nets[0].ledger.phases[1:],
+                                      block * times))
+
+
+def test_charge_block_times_zero_or_negative():
+    block = [Phase("a", 3, 1, 2), Phase("b", 4)]
+    net = Network(path_graph(2))
+    net.charge("earlier", 5, 6, 7)
+    before = net.ledger.to_dict(), net.round_clock
+    net.charge_block(block, 0)
+    assert (net.ledger.to_dict(), net.round_clock) == before
+    with pytest.raises(ValueError):
+        net.charge_block(block, -1)
+    assert (net.ledger.to_dict(), net.round_clock) == before
+
+
+def test_phase_is_frozen():
+    # one Phase object may stand for many charges in the ledger
+    phase = Phase("a", 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phase.rounds = 4
 
 
 def test_exact_rounds_charges_whole_budget():

@@ -298,6 +298,33 @@ def test_every_probe_charges_its_four_phases():
         [sum(rounds for _, rounds, _, _ in blocks[0])] * 2
 
 
+def test_inner_search_charges_one_block_per_draw():
+    # the ledger holds the same four Phase objects once per draw, and a
+    # memo hit re-appends its initialization's recorded objects, so an
+    # inner search makes at most four new Phase objects whatever its budget
+    g = random_connected_graph(12, rng=random.Random(0))
+    sch = ParameterSchedule.for_graph(g)
+    members = [1, 4, 8, 10]
+    net, cache, sink = Network(g, seed=0), {}, []
+    net.build_bfs_tree()
+    for delta in (DEFAULT_DELTA, Fraction(1, 10**6)):
+        mark = len(net.ledger.phases)
+        evaluate_f_i(net, 0, members, sch, delta=delta, cache=cache,
+                     trace_sink=sink)
+        phases = net.ledger.phases[mark:]
+        evaluations = sink[-1].evaluations
+        init, probes = phases[:-4 * evaluations], phases[-4 * evaluations:]
+        block = probes[:4]
+        assert [p.name for p in block] == ["setup", "setup", "overlay-sssp",
+                                           "eval"]
+        assert all(p is block[i % 4] for i, p in enumerate(probes))
+        assert all(p is q for p, q in zip(init, cache["init", 0][1]))
+        assert len(init) == len(cache["init", 0][1])
+        new = {id(p) for p in phases} - {id(p) for p in cache["init", 0][1]}
+        assert len(new) == 4
+    assert sink[-1].evaluations > sink[0].evaluations  # a larger budget
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_evaluate_memo_is_invisible_to_the_ledger(data):
