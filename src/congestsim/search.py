@@ -16,12 +16,18 @@ run go to a final `lockstep` phase.
 An evaluation is a fixed function of its index: a repeat charges the
 phases its first initialization charged, delays drawn once, and an inner
 search charges its probes' block, T by one closed form, once per draw, in
-one call; only a probe's value is memoized.
+one call; only a probe's value is memoized.  Both searches share one draw
+loop (`_draws`) and one comparison (`_keep_extremum`).  The outer search
+evaluates each draw before the next, since an evaluation draws from the
+leader's stream too; a probe's value is fixed per (index, source), so the
+inner search makes all its draws first and values each distinct drawn
+source once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -108,38 +114,53 @@ def search_budget(rho, delta):
     return max(1, math.ceil(2 * (math.log(q) - math.log(p)) / rho))
 
 
+def _draws(trace, candidates, rng):
+    """The search_budget(trace.rho, trace.delta) uniform draws of one
+    search over `candidates`, each made with `rng.choice` when the caller
+    takes it."""
+    if trace.mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min': {trace.mode!r}")
+    if not candidates:
+        raise ValueError("no candidates to search over")
+    for _ in range(search_budget(trace.rho, trace.delta)):
+        yield rng.choice(candidates)
+
+
+def _keep_extremum(trace, valued):
+    """Set trace.found and trace.value to the first (candidate, value) of
+    `valued` holding the extremum of its values; a None value marks a
+    degenerate probe.  Raises LowConfidenceResult when every one is."""
+    better = operator.gt if trace.mode == "max" else operator.lt
+    for x, value in valued:
+        if value is not None and (trace.value is None
+                                  or better(value, trace.value)):
+            trace.value = value
+            trace.found = x
+    if trace.value is None:
+        raise LowConfidenceResult(trace)
+    return trace
+
+
 def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
                          setup_rounds=0):
     """Evaluate search_budget(rho, delta) random candidates, keep the best.
 
     `evaluate(x)` returns (value, rounds); value None marks a degenerate
-    probe that contributes cost but no value.  Raises LowConfidenceResult
-    when every probe was degenerate.
+    probe that contributes cost but no value.  Each draw is evaluated
+    before the next is made.  Raises LowConfidenceResult when every probe
+    was degenerate.
     """
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min': {mode!r}")
-    if not candidates:
-        raise ValueError("no candidates to search over")
-    budget = search_budget(rho, delta)
     trace = SearchTrace(mode=mode, rho=rho, delta=delta,
                         candidate_count=len(candidates),
                         setup_rounds=setup_rounds)
-    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
-    for _ in range(budget):
-        x = rng.choice(candidates)
+    for x in _draws(trace, candidates, rng):
         value, rounds = evaluate(x)
         trace.evaluations += 1
         trace.probes.append((x, value))
         if rounds > trace.eval_rounds:
             trace.eval_rounds = rounds
-        if value is not None and (trace.value is None
-                                  or better(value, trace.value)):
-            trace.value = value
-            trace.found = x
     trace.charged_rounds = trace.setup_rounds + trace.evaluations * trace.eval_rounds
-    if trace.value is None:
-        raise LowConfidenceResult(trace)
-    return trace
+    return _keep_extremum(trace, trace.probes)
 
 
 def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
@@ -159,6 +180,12 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     are read from.  Every probe, first or repeat, costs the same four
     phases, so the inner search charges that block once per draw, in one
     call after its last draw; nothing else charges in between.
+
+    The inner search makes its search_budget draws on the leader's
+    stream first, then values each distinct drawn source once and
+    compares only those, in first-draw order.  Its trace is the per-draw
+    search's: one (source, value) probe per draw, and `found` the first
+    drawn source with the extremum.
     """
     members = sorted(members)
     if not members:
@@ -206,16 +233,21 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
              Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
     block_rounds = sum(p.rounds for p in block)
 
-    def probe(s):
+    trace = SearchTrace(mode=mode, rho=Fraction(1, len(members)),
+                        delta=delta, candidate_count=len(members),
+                        setup_rounds=init_rounds)
+    draws = list(_draws(trace, members, network.rng_for(network.leader)))
+    values = {}  # each distinct drawn source, valued once, in draw order
+    for s in dict.fromkeys(draws):
         key = "probe", index, s
         if key not in memo:
             memo[key] = approx_eccentricity(state, sssp_on_overlay(state, s))
-        return memo[key], block_rounds
-
-    trace = amplified_max_search(
-        members, probe, rho=Fraction(1, len(members)), delta=delta,
-        rng=network.rng_for(network.leader), mode=mode,
-        setup_rounds=init_rounds)
+        values[s] = memo[key]
+    trace.probes = [(s, values[s]) for s in draws]
+    trace.evaluations = len(trace.probes)
+    trace.eval_rounds = block_rounds
+    trace.charged_rounds = init_rounds + trace.evaluations * block_rounds
+    _keep_extremum(trace, values.items())
     network.charge_block(block, trace.evaluations)
     if trace_sink is not None:
         trace_sink.append(trace)

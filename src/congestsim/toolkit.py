@@ -21,11 +21,12 @@ source's per-level passes depend on neither the skeleton nor the delays,
 so a `LevelTables` computes them once for all the skeletons of an
 estimator: a source's passes up to the first level that reaches every
 node, and every level's only for the congestion keys of an attempt that
-counts them.  A level whose rounded weights are all one c (every level of a
-unit-weight graph) takes c times one breadth-first hop count per source
-in place of a Dijkstra.  Step 4 is
-the same pass on the overlay, a graph on the skeleton whose own
-`LevelTables` `embed_overlay` builds.  Steps 2-4 are charged to the ledger
+counts them.  A level's adjacency lists are built on the first pass that
+reads them.  A level whose rounded weights are all one c (every level of
+a unit-weight graph) is never built: it takes c times one breadth-first
+hop count per source in place of a Dijkstra.  Step 4 is the same pass on
+the overlay, a graph on the skeleton whose own `LevelTables`
+`embed_overlay` builds.  Steps 2-4 are charged to the ledger
 by their communication schedules (global broadcasts) without simulating
 each message, in terms of the hop diameter `d_g` of the communication
 graph: `embed_overlay` charges steps 2-3, and `search.evaluate_f_i`
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,6 +78,11 @@ def scale_levels(n, max_weight, eps):
 _Passes = namedtuple("_Passes", "sent units")
 
 
+def _exact(x):
+    """Whether x is an int (not a bool) or a Fraction."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def _rounded(r, levels):
     """ceil(r / 2^level) for each of `levels` levels.  With r = ceil(x),
     for a weight x > 0 in units of eps / (2*hops), this is ceil(x / 2^level),
@@ -83,11 +90,15 @@ def _rounded(r, levels):
     return [-(-r >> level) for level in range(levels)]
 
 
-class LevelTables(list):
+class LevelTables(Sequence):
     """The rounded levels of one (graph, hops, eps), adj[level][v] =
     [(u, rounded weight)], and what each source's passes over them give.
-    The graph's weights are integers in `weight_unit` (an overlay's is
-    the hop tables' unit).
+    The graph's weights are integers in `weight_unit` (an int or Fraction
+    > 0; an overlay's is the hop tables' unit).  The constructor keeps
+    each edge's weight rounded up in `unit`; level l's adjacency lists are
+    built on the first read of `self[l]` and kept.  Of the passes only a
+    Dijkstra reads them, so a pass never builds a uniform level, nor one
+    above the levels its walk takes.
 
     `common[level]` is the one rounded weight c every edge of the level
     has, or None.  Rounding is monotone, so c is the rounding of both the
@@ -121,28 +132,44 @@ class LevelTables(list):
     def __init__(self, graph, hops, eps, weight_unit=1):
         if hops <= 0:
             raise ValueError(f"hop bound must be > 0: {hops}")
-        if not (0 < eps <= 1):
-            raise ValueError(f"need 0 < eps <= 1: {eps}")
+        # a float eps or unit would make the tables' unit a float, which
+        # the integer tables cannot be exactly scaled by
+        if not (_exact(eps) and 0 < eps <= 1):
+            raise ValueError(f"need an int or Fraction 0 < eps <= 1: {eps!r}")
+        if not (_exact(weight_unit) and weight_unit > 0):
+            raise ValueError(f"weight unit must be an int or Fraction > 0: "
+                             f"{weight_unit!r}")
         self.graph, self.hops, self.eps = graph, hops, eps
         self.budget = hop_budget(hops, eps)
         self.unit = eps / (2 * Fraction(hops))  # of the integer tables
         top = scale_levels(graph.n, graph.max_weight * weight_unit, eps)
-        self.extend([[] for _ in range(graph.n)] for _ in range(top + 1))
         p, q = (weight_unit / self.unit).as_integer_ratio()
-        ceils = []  # ceil(x) per edge, x = w * p / q its weight in self.unit
-        for u, v, w in graph.edges:
-            # ceil(ceil(x) / 2^l) = ceil(x / 2^l): integers from here on
-            ceils.append(-(-w * p // q))
-            for adj, rw in zip(self, _rounded(ceils[-1], len(self))):
-                adj[u].append((v, rw))
-                adj[v].append((u, rw))
+        # ceil(x) per edge, x = w * p / q its weight in self.unit;
+        # ceil(ceil(x) / 2^l) = ceil(x / 2^l): integers from here on
+        self._ceils = [-(-w * p // q) for _, _, w in graph.edges]
+        self._adj = [None] * (top + 1)  # level -> adjacency, once read
         self.common = [c if c == d else None for c, d in zip(
-            _rounded(min(ceils, default=1), len(self)),
-            _rounded(max(ceils, default=1), len(self)))]
+            _rounded(min(self._ceils, default=1), top + 1),
+            _rounded(max(self._ceils, default=1), top + 1))]
         self.degree = [len(nbrs) for nbrs in graph.adj]
         self._bfs = None, None  # (s, bfs_hops of s), for the uniform levels
         self._passes = {}  # s -> _Passes
         self._keys = {}  # s -> keys(s)
+
+    def __len__(self):
+        return len(self._adj)
+
+    def __getitem__(self, level):
+        """The level's adjacency lists, built on the first read."""
+        level = range(len(self._adj))[level]  # IndexError past the top
+        adj = self._adj[level]
+        if adj is None:
+            adj = self._adj[level] = [[] for _ in range(self.graph.n)]
+            for (u, v, _), c in zip(self.graph.edges, self._ceils):
+                rw = -(-c >> level)
+                adj[u].append((v, rw))
+                adj[v].append((u, rw))
+        return adj
 
     def level_pass(self, s, level):
         """s's distances on `level`, INFINITE beyond the budget."""

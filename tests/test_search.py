@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from congestsim import graphs
+from congestsim import graphs, search
 from congestsim.engine import Network
 from congestsim.graphs import (
     DisconnectedGraphError,
@@ -23,13 +23,18 @@ from congestsim.search import (
     DEFAULT_DELTA,
     LowConfidenceResult,
     ParameterSchedule,
+    SearchTrace,
     amplified_max_search,
     approx_diameter,
     approx_radius,
     evaluate_f_i,
     search_budget,
 )
-from congestsim.toolkit import CongestionFailure
+from congestsim.toolkit import (
+    CongestionFailure,
+    approx_eccentricity,
+    sssp_on_overlay,
+)
 
 import oracles
 from oracles import SEARCH_COST_CONSTANT, reference_search
@@ -323,6 +328,84 @@ def test_inner_search_charges_one_block_per_draw():
         new = {id(p) for p in phases} - {id(p) for p in cache["init", 0][1]}
         assert len(new) == 4
     assert sink[-1].evaluations > sink[0].evaluations  # a larger budget
+
+
+def _per_draw_search(leader, members, state, mode, delta):
+    """(found, value, probes) of an inner search valued draw by draw: each
+    `leader.choice` gets its own overlay probe and comparison."""
+    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
+    found = value = None
+    probes = []
+    for _ in range(search_budget(Fraction(1, len(members)), delta)):
+        s = leader.choice(members)
+        v = approx_eccentricity(state, sssp_on_overlay(state, s))
+        probes.append((s, v))
+        if value is None or better(v, value):
+            found, value = s, v
+    return found, value, probes
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["mixed", "cycle", "grid"]),
+       n=st.integers(4, 20), seed=st.integers(0, 99),
+       mode=st.sampled_from(["max", "min"]),
+       delta=st.sampled_from([DEFAULT_DELTA, Fraction(1, 1000)]),
+       data=st.data())
+def test_inner_search_equals_a_per_draw_loop(kind, n, seed, mode, delta,
+                                             data):
+    # the inner search draws first, then values each distinct source once;
+    # its trace must be the per-draw loop's on a clone of the leader's
+    # stream, first evaluation and memo-hit repeat alike.  Unit-weight
+    # cycles and grids tie many sources, where `found` is the first drawn
+    if kind == "mixed":
+        g = random_connected_graph(n, max_weight=10, rng=random.Random(seed))
+    elif kind == "cycle":
+        g = cycle_graph(n)
+    else:
+        g = grid_graph(n // 4, 4)
+    sch = ParameterSchedule.for_graph(g)
+    members = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2,
+                                       max_size=8)))
+    net, cache, sink = Network(g, seed=seed), {}, []
+    net.build_bfs_tree()
+    leader = net.rng_for(net.leader)
+    clones = []
+    embed = search.embed_overlay
+
+    def clone_after_embedding(*args):
+        # the inner draws follow the initialization's delay draws
+        state = embed(*args)
+        clones.append(random.Random())
+        clones[-1].setstate(leader.getstate())
+        return state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "embed_overlay", clone_after_embedding)
+        for repeat in (False, True):
+            if repeat:  # a memo hit draws nothing before its inner search
+                clones.append(random.Random())
+                clones[-1].setstate(leader.getstate())
+            mark = net.ledger.rounds
+            try:
+                value, rounds = evaluate_f_i(net, 0, members, sch,
+                                             delta=delta, mode=mode,
+                                             trace_sink=sink, cache=cache)
+            except CongestionFailure:
+                reject()
+            trace = sink[-1]
+            state = cache["init", 0][0]
+            found, best, probes = _per_draw_search(clones[-1], members,
+                                                   state, mode, delta)
+            assert clones[-1].getstate() == leader.getstate()
+            block = sum(p.rounds for p in net.ledger.phases[-4:])
+            init = net.ledger.rounds - mark - len(probes) * block
+            assert trace == SearchTrace(
+                mode=mode, rho=Fraction(1, len(members)), delta=delta,
+                candidate_count=len(members), evaluations=len(probes),
+                setup_rounds=init, eval_rounds=block,
+                charged_rounds=init + len(probes) * block, found=found,
+                value=best, probes=probes)
+            assert (value, rounds) == (best, trace.charged_rounds)
 
 
 @settings(max_examples=30, deadline=None)

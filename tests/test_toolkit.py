@@ -18,6 +18,7 @@ from congestsim.graphs import (
     random_connected_graph,
     star_graph,
 )
+from congestsim.search import ParameterSchedule, approx_diameter
 from congestsim.toolkit import (
     CongestionFailure,
     LevelTables,
@@ -345,20 +346,28 @@ def test_shared_level_tables_are_invisible():
 # --- level passes: breadth-first on uniform levels ----------------------
 
 
-def _reference_passes(g, hops, eps, s, weight_unit=1):
-    """(keys, sent, units, per-level distances) of s, from one Dijkstra per
-    level on weights w * weight_unit rounded by `rounded_weight`."""
-    budget = hop_budget(hops, eps)
-    span = budget + 1
-    degree = [len(nbrs) for nbrs in g.adj]
-    keys, sent, per_level = [], 0, []
-    top = scale_levels(g.n, g.max_weight * weight_unit, eps)
-    for level in range(top + 1):
+def _eager_levels(g, hops, eps, weight_unit=1):
+    """Every level's adjacency lists, on weights w * weight_unit rounded by
+    `rounded_weight`, in the graph's edge order."""
+    levels = []
+    for level in range(scale_levels(g.n, g.max_weight * weight_unit, eps) + 1):
         adj = [[] for _ in range(g.n)]
         for u, v, w in g.edges:
             rw = rounded_weight(w * weight_unit, hops, eps, level)
             adj[u].append((v, rw))
             adj[v].append((u, rw))
+        levels.append(adj)
+    return levels
+
+
+def _reference_passes(g, hops, eps, s, weight_unit=1):
+    """(keys, sent, units, per-level distances) of s, from one Dijkstra per
+    level of `_eager_levels`."""
+    budget = hop_budget(hops, eps)
+    span = budget + 1
+    degree = [len(nbrs) for nbrs in g.adj]
+    keys, sent, per_level = [], 0, []
+    for level, adj in enumerate(_eager_levels(g, hops, eps, weight_unit)):
         dist = dijkstra(adj, s, budget)
         per_level.append(dist)
         for v, d in enumerate(dist):
@@ -488,6 +497,114 @@ def test_level_passes_on_a_disconnected_overlay_and_one_node():
     assert None not in _check_level_passes(uniform, 2, half, half).common
     lone = _check_level_passes(WeightedGraph(1, []), 1, Fraction(1, 2))
     assert lone.source(0).units == [0]
+
+
+def _levels_built(monkeypatch):
+    """{table: levels read by indexing}, which are the levels each
+    `LevelTables` built: a level is built on its first read."""
+    built = {}
+    getitem = LevelTables.__getitem__
+
+    def recording_getitem(self, level):
+        built.setdefault(self, set()).add(range(len(self))[level])
+        return getitem(self, level)
+
+    monkeypatch.setattr(LevelTables, "__getitem__", recording_getitem)
+    return built
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["mixed", "cycle", "grid", "weight-7",
+                             "fraction"]),
+       n=st.integers(1, 12), seed=st.integers(0, 99),
+       hops=st.integers(1, 28).map(lambda x: Fraction(x, 2)),
+       eps=st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 4)]),
+       data=st.data())
+def test_lazy_levels_equal_the_eager_rounding(kind, n, seed, hops, eps, data):
+    rng = random.Random(seed)
+    unit = 1
+    if kind == "mixed":
+        g = random_connected_graph(n, max_weight=rng.choice([3, 10, 1000]),
+                                   rng=rng)
+    elif kind == "fraction":
+        g, unit = _fraction_graph(n, rng)
+    else:
+        g = _uniform_graph(kind, n, rng)
+    eager = _eager_levels(g, hops, eps, unit)
+    assert list(LevelTables(g, hops, eps, unit)) == eager
+    levels = LevelTables(g, hops, eps, unit)
+    assert len(levels) == len(eager)
+    # read in any order, by negative index too, and again once built
+    order = data.draw(st.permutations(range(len(eager))))
+    for level in order + order:
+        assert levels[level] == eager[level]
+        assert levels[level - len(eager)] is levels[level]
+    for past in (len(eager), -len(eager) - 1):
+        with pytest.raises(IndexError):
+            levels[past]
+
+
+def test_a_level_pass_builds_only_its_own_nonuniform_level(monkeypatch):
+    built = _levels_built(monkeypatch)
+    mixed = random_connected_graph(12, max_weight=10, rng=random.Random(3))
+    kinds = set()
+    for g in (mixed, cycle_graph(8)):
+        for level, c in enumerate(LevelTables(g, 4, Fraction(1, 4)).common):
+            levels = LevelTables(g, 4, Fraction(1, 4))
+            levels.level_pass(0, level)
+            levels.level_pass(5, level)
+            assert built.pop(levels, set()) == (
+                {level} if c is None else set())
+            kinds.add(c is None)
+    assert kinds == {True, False}
+
+
+def test_overlay_tables_build_no_level_above_their_walks(monkeypatch):
+    # a walk stops at the first level that reaches every node, and a
+    # uniform level takes a breadth-first search, so an overlay's levels
+    # above the highest its walks read are never built
+    built = _levels_built(monkeypatch)
+    walked = {}  # table -> levels its walks read
+    level_pass = LevelTables.level_pass
+
+    def recording_pass(self, s, level):
+        walked.setdefault(self, set()).add(level)
+        return level_pass(self, s, level)
+
+    monkeypatch.setattr(LevelTables, "level_pass", recording_pass)
+    g = random_connected_graph(32, max_weight=10, rng=random.Random("7:0"))
+    net = Network(g, seed="7:0")
+    approx_diameter(net, ParameterSchedule.for_graph(g),
+                    rng=random.Random("7:0"))
+    overlays = [(table, read) for table, read in walked.items()
+                if table.graph is not g]
+    assert len(overlays) > 1
+    skipped = 0
+    for table, read in overlays:
+        levels = built.get(table, set())
+        assert levels <= {level for level in read
+                          if table.common[level] is None}
+        assert max(levels, default=-1) <= max(read)
+        skipped += len(table) - len(levels)
+    assert skipped > 0
+
+
+def test_eps_and_weight_unit_must_be_a_positive_int_or_fraction():
+    # a unit of 0 divided by zero, and a negative one rounded the weights
+    # below 0, so the level passes never ended; a float eps made the
+    # tables' unit a float, which only an overlay's embedding or
+    # approx_eccentricity tripped over
+    g = cycle_graph(3)
+    for unit in (0, -1, Fraction(-1, 2), 0.5, True, "1"):
+        with pytest.raises(ValueError, match="weight unit"):
+            LevelTables(g, 2, Fraction(1, 2), weight_unit=unit)
+    for eps in (0.5, True, Fraction(3, 2), 0):
+        with pytest.raises(ValueError, match="eps"):
+            LevelTables(g, 2, eps)
+    for unit in (1, 3, Fraction(1, 7)):
+        levels = LevelTables(g, 2, Fraction(1, 2), weight_unit=unit)
+        assert levels.source(0).units[0] == 0
+    assert LevelTables(g, 2, 1).unit == Fraction(1, 4)
 
 
 def _levels_source_takes(levels, s):
