@@ -21,7 +21,8 @@ loop (`_draws`) and one comparison (`_keep_extremum`).  The outer search
 evaluates each draw before the next, since an evaluation draws from the
 leader's stream too; a probe's value is fixed per (index, source), so the
 inner search makes all its draws first and values each distinct drawn
-source once.
+source once.  A search over one candidate evaluates it once and draws
+nothing, so a one-member skeleton is a one-candidate inner search.
 """
 
 from __future__ import annotations
@@ -115,15 +116,17 @@ def search_budget(rho, delta):
 
 
 def _draws(trace, candidates, rng):
-    """The search_budget(trace.rho, trace.delta) uniform draws of one
-    search over `candidates`, each made with `rng.choice` when the caller
-    takes it."""
+    """The uniform draws of one search over `candidates`, each made with
+    `rng.choice` as the caller takes it: search_budget(trace.rho,
+    trace.delta) of them, or the one candidate once, with nothing drawn."""
     if trace.mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min': {trace.mode!r}")
     if not candidates:
         raise ValueError("no candidates to search over")
-    for _ in range(search_budget(trace.rho, trace.delta)):
-        yield rng.choice(candidates)
+    budget = search_budget(trace.rho, trace.delta)  # checks rho and delta
+    if len(candidates) == 1:  # its one evaluation finds it
+        return candidates[:1]
+    return (rng.choice(candidates) for _ in range(budget))
 
 
 def _keep_extremum(trace, valued):
@@ -144,6 +147,7 @@ def _keep_extremum(trace, valued):
 def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
                          setup_rounds=0):
     """Evaluate search_budget(rho, delta) random candidates, keep the best.
+    One candidate is evaluated once, with nothing drawn from `rng`.
 
     `evaluate(x)` returns (value, rounds); value None marks a degenerate
     probe that contributes cost but no value.  Each draw is evaluated
@@ -168,11 +172,13 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     """f(i): extremum over skeleton sources s of the approximate
     eccentricity through skeleton i, with its full communication cost.
 
-    Returns (value, rounds); value None when the skeleton is empty.
-    Rounds = initialization (multi-source tables + overlay embedding,
-    charged once) + inner amplified search over sources, each probe
-    paying: collect the skeleton, announce s, overlay distances, local
-    combine + convergecast.
+    Returns (value, rounds); value None when the skeleton is empty.  A
+    repeated member counts once.  Rounds = initialization (multi-source
+    tables + overlay embedding, charged once) + inner amplified search
+    over sources, each probe paying: collect the skeleton, announce s,
+    overlay distances, local combine + convergecast.  A lone member's
+    probe pays only its announce and convergecast, and its search is the
+    one draw of a one-candidate search.
 
     `cache` memoizes the initialization, a repeat charging again the
     phases its first run charged, and the probe values (None: within this
@@ -187,7 +193,7 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     search's: one (source, value) probe per draw, and `found` the first
     drawn source with the extremum.
     """
-    members = sorted(members)
+    members = sorted(set(members))
     if not members:
         return None, 0
     d_g = schedule.unweighted_diameter
@@ -210,27 +216,18 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     init_rounds = ledger.rounds - mark
 
     if len(members) == 1:
-        s = members[0]
-        value = approx_eccentricity(state, [0])  # a singleton's probe table
-        extra = 2 * d_g + 1  # announce s + convergecast the eccentricity
-        network.charge("eval", extra)
-        if trace_sink is not None:
-            trace_sink.append(SearchTrace(
-                mode=mode, rho=1, delta=delta, candidate_count=1,
-                evaluations=1, setup_rounds=init_rounds, eval_rounds=extra,
-                charged_rounds=init_rounds + extra, found=s, value=value,
-                probes=[(s, value)]))
-        return value, init_rounds + extra
-
-    # per overlay round: count senders (D_G), broadcast (D_G + a); a is
-    # charged at its bound |S| so every probe costs the same (lockstep)
-    overlay = state.overlay_levels
-    overlay_rounds = len(overlay) * (overlay.budget + 1) * (
-        2 * d_g + 1 + len(members))
-    # collect the skeleton at the prober, announce s, overlay distances,
-    # convergecast the extremum
-    block = [Phase("setup", d_g + len(members)), Phase("setup", d_g),
-             Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
+        # a lone member announces itself and convergecasts its eccentricity
+        block = [Phase("eval", 2 * d_g + 1)]
+    else:
+        # per overlay round: count senders (D_G), broadcast (D_G + a); a is
+        # charged at its bound |S| so every probe costs the same (lockstep)
+        overlay = state.overlay_levels
+        overlay_rounds = len(overlay) * (overlay.budget + 1) * (
+            2 * d_g + 1 + len(members))
+        # collect the skeleton at the prober, announce s, overlay distances,
+        # convergecast the extremum
+        block = [Phase("setup", d_g + len(members)), Phase("setup", d_g),
+                 Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
     block_rounds = sum(p.rounds for p in block)
 
     trace = SearchTrace(mode=mode, rho=Fraction(1, len(members)),

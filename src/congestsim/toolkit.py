@@ -359,8 +359,8 @@ class SkeletonState:
     # the LevelTables of the base graph the hop tables are read from
     levels: object = field(repr=False, compare=False)
     shortcut: dict = field(default_factory=dict)  # (u,v) -> integer weight
-    # the LevelTables of the overlay, a graph on members' indices 0..|S|-1,
-    # for |S| >= 2; None until the state is embedded
+    # the LevelTables of the overlay, a graph on members' indices 0..|S|-1;
+    # None until the state is embedded
     overlay_levels: object = field(default=None, repr=False, compare=False)
 
     def hop_table(self, u):
@@ -376,9 +376,10 @@ class SkeletonState:
 
 
 def build_skeleton_state(network, index, members, levels):
-    """Skeleton `index` on `levels`; its members' hop tables are charged
-    by one `bounded_hop_mssp` pass, and read from `levels`."""
-    members = sorted(members)
+    """Skeleton `index` on `levels`, its distinct members sorted; their
+    hop tables are charged by one `bounded_hop_mssp` pass, and read from
+    `levels`."""
+    members = sorted(set(members))
     if members:
         bounded_hop_mssp(network, members, levels)
     return SkeletonState(index=index, members=members, levels=levels)
@@ -410,12 +411,13 @@ def embed_overlay(network, state, k, d_g):
     the hop diameter of the communication graph
     (`ParameterSchedule.unweighted_diameter`).
 
-    For |S| >= 2, `state.overlay_levels` is the `LevelTables` of the
-    overlay, a `WeightedGraph` on the members' indices with the finite
-    `overlay_weight`s (integers in `levels.unit`, its `weight_unit`) as
-    edges, at hop bound 4|S|/k (the shortcut overlay's hop diameter is
-    below that), or |S| when k <= 0.  Embedding again replaces both, so
-    every later probe reads the new overlay.
+    Unless S is empty, `state.overlay_levels` is the `LevelTables` of the
+    overlay, a `WeightedGraph` on the members' indices (one node for a
+    singleton) with the finite `overlay_weight`s (integers in
+    `levels.unit`, its `weight_unit`) as edges, at hop bound 4|S|/k (the
+    shortcut overlay's hop diameter is below that), or |S| when k <= 0.
+    Embedding again replaces both, so every later probe reads the new
+    overlay.
     """
     members, size = state.members, len(state.members)
     state.shortcut, state.overlay_levels = {}, None
@@ -430,7 +432,7 @@ def embed_overlay(network, state, k, d_g):
             adj[index[v]].append((index[u], w))
         state.shortcut = _k_nearest(
             members, k, [dijkstra(adj, i) for i in range(size)])
-    if size >= 2:
+    if members:
         base = state.levels
         edges = [(i, j, w) for i, u in enumerate(members)
                  for j in range(i + 1, size)
@@ -450,13 +452,12 @@ def sssp_on_overlay(state, s):
 
     Returns `state.overlay_levels.source(i).units` itself, s = members[i]:
     a read-only list of integers in `overlay_levels.unit` aligned with
-    `state.members`.  A singleton's table is [0].
+    `state.members`.  Raises ValueError for a foreign source or a state
+    never embedded.
     """
     members = state.members
     if s not in members:
         raise ValueError(f"source {s} not in skeleton {members}")
-    if len(members) == 1:
-        return [0]
     levels = state.overlay_levels
     if levels is None:
         raise ValueError(f"skeleton {state.index} is not embedded")
@@ -470,9 +471,7 @@ def approx_distance(state, table, v):
     Node-local: both summands already live in v's memory.  The `Fraction`
     definition `approx_eccentricity` computes in integer units.
     """
-    hop_unit = state.levels.unit
-    # a singleton's table [0] is in any unit
-    probe_unit = state.overlay_levels.unit if state.overlay_levels else 1
+    hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
     return min((a * probe_unit + b * hop_unit
                 for u, a in zip(state.members, table) if a is not INFINITE
                 and (b := state.hop_table(u)[v]) is not INFINITE),
@@ -487,8 +486,7 @@ def approx_eccentricity(state, table):
     b is a*e*(L/f) + b*g*(L/h) in units of 1/L; only the result is
     divided by L.
     """
-    hop_unit = state.levels.unit
-    probe_unit = state.overlay_levels.unit if state.overlay_levels else 1
+    hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
     denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
     a_unit = hop_unit.numerator * (denom // hop_unit.denominator)
     b_unit = probe_unit.numerator * (denom // probe_unit.denominator)

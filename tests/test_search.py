@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from congestsim import graphs, search
-from congestsim.engine import Network
+from congestsim.engine import Network, Phase
 from congestsim.graphs import (
     DisconnectedGraphError,
     WeightedGraph,
@@ -213,6 +213,62 @@ def test_evaluate_singleton_skeleton():
     assert sink[0].charged_rounds == rounds
     e = max(__import__("congestsim").exact_sssp(g, 4))
     assert e <= value <= (1 + sch.eps) ** 2 * e
+
+
+def test_a_search_over_one_candidate_evaluates_it_once():
+    # the budget is for finding a needle; one candidate is found at once
+    rng = random.Random(0)
+    state = rng.getstate()
+    calls = []
+    trace = amplified_max_search(
+        [7], lambda x: (calls.append(x) or 5, 3), rho=1,
+        delta=Fraction(1, 12), rng=rng)
+    assert calls == [7] and rng.getstate() == state
+    assert (trace.evaluations, trace.found, trace.value) == (1, 7, 5)
+    assert trace.probes == [(7, 5)] and trace.charged_rounds == 3
+
+
+def test_a_singleton_skeleton_is_a_one_candidate_search(monkeypatch):
+    # its probe is valued once per memo, and its trace is one evaluation
+    # whose block is the lone member's announce and convergecast
+    g = random_connected_graph(10, rng=random.Random(3))
+    net = Network(g, seed=3)
+    sch = ParameterSchedule.for_graph(g)
+    d_g = sch.unweighted_diameter
+    valued = []
+
+    def counted(state, table):
+        valued.append(state.members)
+        return approx_eccentricity(state, table)
+
+    monkeypatch.setattr(search, "approx_eccentricity", counted)
+    cache, sink = {}, []
+    results = [evaluate_f_i(net, 0, [4], sch, cache=cache, trace_sink=sink)
+               for _ in range(2)]
+    assert valued == [[4]]
+    init = sum(p.rounds for p in cache["init", 0][1])
+    value = results[0][0]
+    expected = SearchTrace(
+        mode="max", rho=1, delta=DEFAULT_DELTA, candidate_count=1,
+        evaluations=1, setup_rounds=init, eval_rounds=2 * d_g + 1,
+        charged_rounds=init + 2 * d_g + 1, found=4, value=value,
+        probes=[(4, value)])
+    assert sink == [expected, expected]
+    assert results == [(value, init + 2 * d_g + 1)] * 2
+    assert net.ledger.phases[-1] == Phase("eval", 2 * d_g + 1)
+
+
+def test_a_repeated_member_counts_once():
+    # a skeleton is a set: [3, 3] is [3] and [3, 3, 5] is [3, 5]
+    g = random_connected_graph(10, rng=random.Random(3))
+    sch = ParameterSchedule.for_graph(g)
+    for repeated, distinct in (([3, 3], [3]), ([3, 3, 5], [3, 5])):
+        runs = []
+        for members in (repeated, distinct):
+            net = Network(g, seed=3)
+            value, rounds = evaluate_f_i(net, 0, members, sch)
+            runs.append((value, rounds, net.ledger.to_json()))
+        assert runs[0] == runs[1]
 
 
 def test_evaluate_full_skeleton_hits_diameter():

@@ -847,10 +847,12 @@ def test_overlay_sssp_of_a_state_never_embedded_raises():
                                  LevelTables(g, 6, default_eps(g.n)))
     with pytest.raises(ValueError, match="not embedded"):
         sssp_on_overlay(state, members[0])
-    # a singleton needs no overlay, embedded or not
+    # a singleton is embedded like any other skeleton, on a one-node overlay
     lone = build_skeleton_state(net, 1, [3], state.levels)
+    with pytest.raises(ValueError, match="not embedded"):
+        sssp_on_overlay(lone, 3)
+    embed_overlay(net, lone, 2, unit_diameter(g))
     assert sssp_on_overlay(lone, 3) == [0]
-    assert lone.overlay_levels is None
 
 
 def test_embedding_builds_the_overlay_at_k_zero_too():
@@ -987,6 +989,9 @@ def test_approx_eccentricity_single_node():
     g = WeightedGraph(1, [])
     net = Network(g)
     state = build_skeleton_state(net, 0, [0], LevelTables(g, 1, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="not embedded"):
+        sssp_on_overlay(state, 0)
+    embed_overlay(net, state, 1, 0)
     assert approx_eccentricity(state, [0]) == 0
 
 
@@ -1026,6 +1031,9 @@ def test_eccentricity_of_a_state_built_by_hand():
         assert approx_eccentricity(restricted, cut[s]) == max(
             approx_distance(restricted, cut[s], v) for v in range(g.n))
     single = SkeletonState(index=2, members=[3], levels=state.levels)
+    with pytest.raises(ValueError, match="not embedded"):
+        sssp_on_overlay(single, 3)
+    embed_overlay(Network(g), single, 1, unit_diameter(g))
     assert approx_eccentricity(single, [0]) == \
         max(state.hop_table(3)) * state.levels.unit
 
