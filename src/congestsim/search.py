@@ -181,11 +181,12 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     one draw of a one-candidate search.
 
     `cache` memoizes the initialization, a repeat charging again the
-    phases its first run charged, and the probe values (None: within this
-    call only).  It also holds the `LevelTables` every skeleton's tables
-    are read from.  Every probe, first or repeat, costs the same four
-    phases, so the inner search charges that block once per draw, in one
-    call after its last draw; nothing else charges in between.
+    phases its first run charged, the probe block built with it, and the
+    probe values (None: within this call only).  It also holds the
+    `LevelTables` every skeleton's tables are read from.  Every probe,
+    first or repeat, costs the same frozen phases, so every inner search
+    of the index charges that one block once per draw, in one call after
+    its last draw; nothing else charges in between.
 
     The inner search makes its search_budget draws on the leader's
     stream first, then values each distinct drawn source once and
@@ -209,25 +210,24 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
         first = len(ledger.phases)
         state = build_skeleton_state(network, index, members, memo[levels])
         state = embed_overlay(network, state, schedule.k, d_g)
-        memo["init", index] = state, ledger.phases[first:]
+        if len(members) == 1:
+            # a lone member announces itself, convergecasts its eccentricity
+            block = [Phase("eval", 2 * d_g + 1)]
+        else:
+            # per overlay round: count senders (D_G), broadcast (D_G + a); a
+            # is charged at its bound |S| so every probe costs the same
+            overlay = state.overlay_levels
+            overlay_rounds = len(overlay) * (overlay.budget + 1) * (
+                2 * d_g + 1 + len(members))
+            # collect the skeleton at the prober, announce s, overlay
+            # distances, convergecast the extremum
+            block = [Phase("setup", d_g + len(members)), Phase("setup", d_g),
+                     Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
+        memo["init", index] = state, ledger.phases[first:], block
     else:
-        state, phases = memo["init", index]
+        state, phases, block = memo["init", index]
         network.charge_block(phases)
     init_rounds = ledger.rounds - mark
-
-    if len(members) == 1:
-        # a lone member announces itself and convergecasts its eccentricity
-        block = [Phase("eval", 2 * d_g + 1)]
-    else:
-        # per overlay round: count senders (D_G), broadcast (D_G + a); a is
-        # charged at its bound |S| so every probe costs the same (lockstep)
-        overlay = state.overlay_levels
-        overlay_rounds = len(overlay) * (overlay.budget + 1) * (
-            2 * d_g + 1 + len(members))
-        # collect the skeleton at the prober, announce s, overlay distances,
-        # convergecast the extremum
-        block = [Phase("setup", d_g + len(members)), Phase("setup", d_g),
-                 Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
     block_rounds = sum(p.rounds for p in block)
 
     trace = SearchTrace(mode=mode, rho=Fraction(1, len(members)),
@@ -240,6 +240,8 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
         if key not in memo:
             memo[key] = approx_eccentricity(state, sssp_on_overlay(state, s))
         values[s] = memo[key]
+    # the memo keeps the state: not its |S|*n scaled rows, seldom read again
+    state.scaled = None
     trace.probes = [(s, values[s]) for s in draws]
     trace.evaluations = len(trace.probes)
     trace.eval_rounds = block_rounds

@@ -19,24 +19,26 @@ closed form too (their references are in `tests/oracles.py`), so no
 engine run is on the estimators' path.  Step 1's rounded levels and each
 source's per-level passes depend on neither the skeleton nor the delays,
 so a `LevelTables` computes them once for all the skeletons of an
-estimator: a source's passes up to the first level that reaches every
-node, and every level's only for the congestion keys of an attempt that
-counts them.  A level's adjacency lists are built on the first pass that
-reads them.  A level whose rounded weights are all one c (every level of
-a unit-weight graph) is never built: it takes c times one breadth-first
-hop count per source in place of a Dijkstra.  Step 4 is the same pass on
-the overlay, a graph on the skeleton whose own `LevelTables`
-`embed_overlay` builds.  Steps 2-4 are charged to the ledger
-by their communication schedules (global broadcasts) without simulating
-each message, in terms of the hop diameter `d_g` of the communication
-graph: `embed_overlay` charges steps 2-3, and `search.evaluate_f_i`
-charges step 4 on every probe, so `sssp_on_overlay` only reads.
+estimator, in integers: a source's passes from the first level that
+reaches past it up to the first that reaches every node, and every
+level's only for the congestion keys of an attempt that counts them.  A
+level's adjacency lists are built on the first pass that reads them.  A
+level whose rounded weights are all one c (every level of a unit-weight
+graph) is never built: it takes c times one breadth-first hop count per
+source in place of a Dijkstra.  Step 4 is the same pass on the overlay,
+a graph on the skeleton whose own `LevelTables` `embed_overlay` builds.
+Steps 2-4 are charged to the ledger by their communication schedules
+(global broadcasts) without simulating each message, in terms of the hop
+diameter `d_g` of the communication graph: `embed_overlay` charges steps
+2-3, and `search.evaluate_f_i` charges step 4 on every probe, so
+`sssp_on_overlay` only reads.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  Every table is
 kept once, as integers in its `LevelTables`' unit: the hop tables in the
 base graph's, the shortcut and overlay weights in that unit too, and each
-probe's table in the overlay's; `approx_eccentricity` scales only its result.
+probe's table in the overlay's; `approx_eccentricity` scales the hop
+tables to a unit common with the probes once for a run of probes.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add
 
 from .graphs import INFINITE, WeightedGraph, bfs_hops, dijkstra
 
@@ -65,14 +69,15 @@ def default_eps(n):
 
 def hop_budget(hops, eps):
     """Distance budget of one bounded-distance pass: floor((1 + 2/eps) * hops)."""
-    return math.floor((1 + 2 / eps) * Fraction(hops))
+    (a, b), (c, d) = eps.as_integer_ratio(), hops.as_integer_ratio()
+    return (a + 2 * b) * c // (a * d)
 
 
 def scale_levels(n, max_weight, eps):
     """Largest level index: smallest i >= 0 with 2^i >= 2*n*W/eps."""
-    target = 2 * n * Fraction(max_weight) / eps
+    (p, q), (a, b) = max_weight.as_integer_ratio(), eps.as_integer_ratio()
     # 2^i >= target iff 2^i >= ceil(target) iff 2^i > ceil(target) - 1
-    return max(0, math.ceil(target) - 1).bit_length()
+    return max(0, -(-2 * n * p * b // (q * a)) - 1).bit_length()
 
 
 _Passes = namedtuple("_Passes", "sent units")
@@ -94,8 +99,11 @@ class LevelTables(Sequence):
     """The rounded levels of one (graph, hops, eps), adj[level][v] =
     [(u, rounded weight)], and what each source's passes over them give.
     The graph's weights are integers in `weight_unit` (an int or Fraction
-    > 0; an overlay's is the hop tables' unit).  The constructor keeps
-    each edge's weight rounded up in `unit`; level l's adjacency lists are
+    > 0; an overlay's is the hop tables' unit).  The constructor takes the
+    budget, the top level and each edge's weight rounded up in `unit` from
+    the integer ratios of eps, hops and weight_unit, and `first[v]`, the
+    lowest level at which v's lightest edge fits the budget (None for a
+    node without edges or a budget of 0); level l's adjacency lists are
     built on the first read of `self[l]` and kept.  Of the passes only a
     Dijkstra reads them, so a pass never builds a uniform level, nor one
     above the levels its walk takes.
@@ -119,7 +127,8 @@ class LevelTables(Sequence):
     reached at level f(v) is reached at every level from f(v) up.  So
     sent is the sum of degree[v] * (len(levels) - f(v)), and `source`
     stops after the first level that reaches every node (it takes every
-    level when some node is never reached).
+    level when some node is never reached); it starts at first[s], since
+    a pass below it reaches s alone.
     `keys(s)` is the int64 array of the keys (level*(budget+1) + d)*n + v
     of the finite entries of every level's pass, which only an attempt
     that counts its broadcasts reads.  It is built once per source, in
@@ -140,13 +149,19 @@ class LevelTables(Sequence):
             raise ValueError(f"weight unit must be an int or Fraction > 0: "
                              f"{weight_unit!r}")
         self.graph, self.hops, self.eps = graph, hops, eps
-        self.budget = hop_budget(hops, eps)
-        self.unit = eps / (2 * Fraction(hops))  # of the integer tables
+        self.budget = budget = hop_budget(hops, eps)
+        (a, b), (c, d) = eps.as_integer_ratio(), hops.as_integer_ratio()
+        self.unit = Fraction(a * d, 2 * b * c)  # eps / (2*hops), of the tables
         top = scale_levels(graph.n, graph.max_weight * weight_unit, eps)
-        p, q = (weight_unit / self.unit).as_integer_ratio()
+        up, uq = weight_unit.as_integer_ratio()
+        p, q = up * 2 * b * c, uq * a * d  # weight_unit / unit
         # ceil(x) per edge, x = w * p / q its weight in self.unit;
         # ceil(ceil(x) / 2^l) = ceil(x / 2^l): integers from here on
         self._ceils = [-(-w * p // q) for _, _, w in graph.edges]
+        # v's lightest edge x fits the budget at l iff 2^l >= ceil(x/budget)
+        self.first = [(-(-min(w for _, w in nbrs) * p // (q * budget)) - 1)
+                      .bit_length() if nbrs and budget else None
+                      for nbrs in graph.adj]
         self._adj = [None] * (top + 1)  # level -> adjacency, once read
         self.common = [c if c == d else None for c, d in zip(
             _rounded(min(self._ceils, default=1), top + 1),
@@ -194,12 +209,19 @@ class LevelTables(Sequence):
         return self._keys[s]
 
     def _walk(self, s, keys):
-        """Walk s's levels from 0 up: into `source(s)` unless it is kept,
-        and with an array `keys` every level's keys into it; returns it."""
+        """Walk s's levels up: into `source(s)` unless it is kept, and with
+        an array `keys` every level's keys into it; returns it.  Below
+        first[s] (every level when s has none) a pass reaches s alone, at
+        0, so those levels take no pass."""
         n, top, degree = self.graph.n, len(self), self.degree
         span, tables = self.budget + 1, s not in self._passes
-        sent, units, unreached = 0, [INFINITE] * n, n
-        for level in range(top):
+        low = top if self.first[s] is None else self.first[s]
+        units = [INFINITE] * n
+        units[s] = 0  # reached at level 0, so it sends at every level
+        sent, unreached = degree[s] * top, n - 1
+        if keys is not None:
+            keys.extend(level * span * n + s for level in range(low))
+        for level in range(low, top):
             dist = self.level_pass(s, level)
             if keys is not None:
                 base = level * span
@@ -352,7 +374,8 @@ class SkeletonState:
     """Per-index state of the skeleton pipeline.  Its hop bound, eps and
     hop tables (integers in `levels.unit`) are those of `levels`; its
     probe tables (integers in `overlay_levels.unit`) those of
-    `overlay_levels`, which `embed_overlay` builds."""
+    `overlay_levels`, which `embed_overlay` builds; `scaled`, which an
+    embedding drops, holds the hop tables in a unit common with both."""
 
     index: int
     members: list                     # sorted skeleton node ids
@@ -362,6 +385,7 @@ class SkeletonState:
     # the LevelTables of the overlay, a graph on members' indices 0..|S|-1;
     # None until the state is embedded
     overlay_levels: object = field(default=None, repr=False, compare=False)
+    scaled: tuple = field(default=None, repr=False, compare=False)
 
     def hop_table(self, u):
         """u's per-node hop table, integers in `levels.unit` (read-only)."""
@@ -416,11 +440,11 @@ def embed_overlay(network, state, k, d_g):
     singleton) with the finite `overlay_weight`s (integers in
     `levels.unit`, its `weight_unit`) as edges, at hop bound 4|S|/k (the
     shortcut overlay's hop diameter is below that), or |S| when k <= 0.
-    Embedding again replaces both, so every later probe reads the new
-    overlay.
+    Embedding again replaces both and drops `state.scaled`, so every
+    later probe reads the new overlay.
     """
     members, size = state.members, len(state.members)
-    state.shortcut, state.overlay_levels = {}, None
+    state.shortcut, state.overlay_levels, state.scaled = {}, None, None
     shortcut = size >= 2 and k >= 1
     if shortcut:
         announced = _k_nearest(members, k, [
@@ -458,10 +482,14 @@ def sssp_on_overlay(state, s):
     members = state.members
     if s not in members:
         raise ValueError(f"source {s} not in skeleton {members}")
-    levels = state.overlay_levels
-    if levels is None:
+    return _embedded(state).source(members.index(s)).units
+
+
+def _embedded(state):
+    """The state's overlay `LevelTables`; ValueError if never embedded."""
+    if state.overlay_levels is None:
         raise ValueError(f"skeleton {state.index} is not embedded")
-    return levels.source(members.index(s)).units
+    return state.overlay_levels
 
 
 def approx_distance(state, table, v):
@@ -471,7 +499,7 @@ def approx_distance(state, table, v):
     Node-local: both summands already live in v's memory.  The `Fraction`
     definition `approx_eccentricity` computes in integer units.
     """
-    hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
+    hop_unit, probe_unit = state.levels.unit, _embedded(state).unit
     return min((a * probe_unit + b * hop_unit
                 for u, a in zip(state.members, table) if a is not INFINITE
                 and (b := state.hop_table(u)[v]) is not INFINITE),
@@ -483,14 +511,23 @@ def approx_eccentricity(state, table):
 
     Computed in integers: with the hop tables' unit e/f, the probe
     table's unit g/h and L = lcm(f, h), a hop entry a plus a probe entry
-    b is a*e*(L/f) + b*g*(L/h) in units of 1/L; only the result is
-    divided by L.
+    b is a*e*(L/f) + b*g*(L/h) in units of 1/L.  A call that finds no
+    `state.scaled` keeps the hop rows times e*(L/f) there; each
+    call adds b*g*(L/h) to a row, takes the maximum over v of the rows'
+    minimum, and divides only that by L.
     """
-    hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
-    denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
-    a_unit = hop_unit.numerator * (denom // hop_unit.denominator)
-    b_unit = probe_unit.numerator * (denom // probe_unit.denominator)
-    rows = [[a * a_unit + b * b_unit for a in state.hop_table(u)]
-            for u, b in zip(state.members, table) if b is not INFINITE]
-    top = max(map(min, zip(*rows)), default=INFINITE)
+    probe_unit = _embedded(state).unit
+    if state.scaled is None:
+        hop_unit = state.levels.unit
+        denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
+        a_unit, b_unit = int(hop_unit * denom), int(probe_unit * denom)
+        state.scaled = denom, b_unit, [
+            [a * a_unit for a in state.hop_table(u)] for u in state.members]
+    denom, b_unit, rows = state.scaled
+    # operator.add: int.__add__ of a float INFINITE is NotImplemented
+    shifted = [map(add, row, repeat(b * b_unit))
+               for row, b in zip(rows, table) if b is not INFINITE]
+    # map(min, row) would take each entry's min: one row is its own minimum
+    top = max(map(min, *shifted) if len(shifted) > 1 else chain(*shifted),
+              default=INFINITE)
     return INFINITE if top == INFINITE else Fraction(top, denom)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -110,6 +111,51 @@ def test_scale_levels_is_the_smallest_level_reaching_the_target(
 def test_scale_levels_matches_its_definition(n, max_weight, eps):
     assert scale_levels(n, max_weight, eps) == smallest_level(
         2 * n * max_weight / eps)
+
+
+def _hops():
+    """int and Fraction hop bounds, and an overlay's 4|S|/k."""
+    return st.one_of(
+        st.integers(1, 64),
+        st.fractions(min_value=Fraction(1, 8), max_value=64,
+                     max_denominator=12).filter(lambda h: h > 0),
+        st.builds(lambda size, k: Fraction(4 * size, k),
+                  st.integers(1, 12), st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hops=_hops(),
+       eps=st.one_of(st.just(1), st.fractions(
+           min_value=0, max_value=1, max_denominator=64).filter(
+               lambda e: e > 0)),
+       unit=st.one_of(st.integers(1, 5), st.fractions(
+           min_value=Fraction(1, 200), max_value=5,
+           max_denominator=200).filter(lambda u: u > 0)),
+       n=st.integers(1, 8), max_weight=st.integers(1, 1000),
+       seed=st.integers(0, 99))
+def test_integer_setup_equals_the_fraction_definitions(hops, eps, unit, n,
+                                                       max_weight, seed):
+    # the definitions in Fraction arithmetic, which the constructor and
+    # hop_budget / scale_levels compute from integer ratios
+    rng = random.Random(seed)
+    g = WeightedGraph(n, [(u, v, rng.randint(1, max_weight))
+                          for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.5], check_connected=False)
+    budget = math.floor((1 + 2 / Fraction(eps)) * Fraction(hops))
+    assert hop_budget(hops, eps) == budget
+    for weight in (max_weight, g.max_weight * unit):
+        target = 2 * g.n * Fraction(weight) / eps
+        assert scale_levels(g.n, weight, eps) == max(
+            0, math.ceil(target) - 1).bit_length()
+    levels = LevelTables(g, hops, eps, unit)
+    table_unit = eps / (2 * Fraction(hops))
+    assert levels.unit == table_unit and levels.budget == budget
+    target = 2 * g.n * Fraction(g.max_weight * unit) / eps
+    assert len(levels) == max(0, math.ceil(target) - 1).bit_length() + 1
+    # level 0 keeps each edge's weight rounded up in the tables' unit
+    ceils = {(u, v): w for u, nbrs in enumerate(levels[0]) for v, w in nbrs}
+    for u, v, w in g.edges:
+        assert ceils[u, v] == ceils[v, u] == math.ceil(w * unit / table_unit)
 
 
 def test_rounded_weight():
@@ -620,26 +666,95 @@ def _levels_source_takes(levels, s):
 
 def test_source_stops_at_the_first_level_that_reaches_every_node():
     # reached sets are nested across levels, so the levels above the first
-    # that reaches every node add nothing but their messages
+    # that reaches every node add nothing but their messages, and the
+    # levels below first[s] reach s alone
     g = random_connected_graph(12, max_weight=10, rng=random.Random(2))
     reference = LevelTables(g, 3, Fraction(1, 4))
-    stops = set()
+    stops, firsts = set(), set()
     for s in range(g.n):
         stop = next(level for level in range(len(reference))
                     if INFINITE not in reference.level_pass(s, level))
         assert stop < len(reference) - 1
         stops.add(stop)
+        first = reference.first[s]
+        firsts.add(first)
         levels = LevelTables(g, 3, Fraction(1, 4))
-        assert _levels_source_takes(levels, s) == list(range(stop + 1))
+        assert _levels_source_takes(levels, s) == list(range(first, stop + 1))
         assert levels.source(s) == reference.source(s)
-    assert len(stops) > 1
-    # a node no level reaches: every level is taken
+    assert len(stops) > 1 and len(firsts) > 1
+    # a node no level reaches: every level from first[s] is taken
     half = Fraction(1, 2)
     two_parts = WeightedGraph(5, [(0, 1, 7), (1, 2, 5), (3, 4, 6)],
                               check_connected=False)
     for s in range(two_parts.n):
         levels = LevelTables(two_parts, Fraction(5, 2), half, half)
-        assert _levels_source_takes(levels, s) == list(range(len(levels)))
+        assert _levels_source_takes(levels, s) == list(
+            range(levels.first[s], len(levels)))
+
+
+def _recorded_passes(levels):
+    """The levels of every `level_pass` the `levels` object takes."""
+    taken = []
+    level_pass = levels.level_pass
+    levels.level_pass = lambda s, level: taken.append(level) or level_pass(
+        s, level)
+    return taken
+
+
+def _skip_cases():
+    """(graph, hops, eps, weight_unit) for the level-skip test."""
+    rng = random.Random(11)
+    for n, seed in ((9, 1), (14, 4)):
+        yield (random_connected_graph(n, max_weight=10,
+                                      rng=random.Random(seed)),
+               3, Fraction(1, 4), 1)
+    yield cycle_graph(10), 2, Fraction(1, 2), 1
+    yield grid_graph(3, 4), 4, Fraction(1, 3), 1
+    for n, unit in ((4, Fraction(1, 5)), (6, Fraction(2, 7))):
+        # overlay-like: weights 25-60 counting `unit`, so each node's
+        # lightest edge first fits the budget at level 2 or above
+        edges = [(u, v, rng.randint(25, 60)) for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < 0.7]
+        yield (WeightedGraph(n, edges, check_connected=False),
+               Fraction(4 * n, 2), Fraction(1, 3), unit)
+    # node 3 has no edge
+    yield (WeightedGraph(5, [(0, 1, 3), (1, 2, 5), (2, 4, 2)],
+                         check_connected=False), 2, Fraction(1, 2), 1)
+    # a budget of floor(3 * 1/4) = 0 reaches no neighbour at any level
+    yield random_connected_graph(6, rng=random.Random(2)), Fraction(1, 4), 1, 1
+
+
+def test_walks_start_at_each_sources_first_reachable_level():
+    firsts = []
+    for g, hops, eps, unit in _skip_cases():
+        for s in range(g.n):
+            keys, sent, units, per_level = _reference_passes(g, hops, eps, s,
+                                                             unit)
+            first = next((level for level, dist in enumerate(per_level)
+                          if dist.count(INFINITE) < g.n - 1), None)
+            # every level below the first reaches s alone
+            assert all(dist[s] == 0 and dist.count(INFINITE) == g.n - 1
+                       for dist in per_level[:first])
+            for order in ("source", "keys"):
+                levels = LevelTables(g, hops, eps, unit)
+                assert levels.first[s] == first
+                taken = _recorded_passes(levels)
+                if order == "keys":
+                    assert sorted(levels.keys(s)) == sorted(keys)
+                assert tuple(levels.source(s)) == (sent, units)
+                assert sorted(levels.keys(s)) == sorted(keys)
+                if first is None:  # no level reaches past s: no pass
+                    assert taken == []
+                else:
+                    assert min(taken) == first
+            firsts.append(first)
+    assert None in firsts and max(f for f in firsts if f is not None) >= 2
+    lone = LevelTables(WeightedGraph(1, []), 1, Fraction(1, 2))
+    taken = _recorded_passes(lone)
+    assert lone.first == [None] and lone.source(0).units == [0]
+    assert list(lone.keys(0)) == [level * (lone.budget + 1)
+                                  for level in range(len(lone))]
+    assert taken == []
 
 
 def _mssp_keys_built(monkeypatch, net, sources, levels, retries):
@@ -1052,6 +1167,44 @@ def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
     table = sssp_on_overlay(state, 0)
     assert approx_distance(state, table, 4) is INFINITE
     assert approx_eccentricity(state, table) is INFINITE
+
+
+def test_probe_readers_of_an_unembedded_state_raise_not_embedded():
+    # they read the overlay's unit, which a state never embedded lacks
+    g = random_connected_graph(8, rng=random.Random(4))
+    net = Network(g)
+    levels = LevelTables(g, 4, default_eps(g.n))
+    for members in ([3], [3, 5]):
+        state = build_skeleton_state(net, 0, members, levels)
+        table = list(range(len(members)))
+        with pytest.raises(ValueError, match="skeleton 0 is not embedded"):
+            approx_eccentricity(state, table)
+        with pytest.raises(ValueError, match="skeleton 0 is not embedded"):
+            approx_distance(state, table, 1)
+
+
+def test_eccentricity_rows_follow_reembedding():
+    # the scaled hop rows are kept per embedding: k = 1 and k = 2 give the
+    # overlay units 1/160 and 1/80 against the hop tables' 1/60, so the
+    # rows' scale L/60 moves from 8 to 4
+    g = random_connected_graph(12, max_weight=10, rng=random.Random(8))
+    net = Network(g)
+    d_g = unit_diameter(g)
+    state = build_skeleton_state(net, 0, [1, 4, 6, 9],
+                                 LevelTables(g, 6, Fraction(1, 5)))
+    scales = []
+    for k in (1, 2):
+        embed_overlay(net, state, k, d_g)
+        assert state.scaled is None
+        for s in state.members:
+            table = sssp_on_overlay(state, s)
+            assert approx_eccentricity(state, table) == max(
+                approx_distance(state, table, v) for v in range(g.n))
+        hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
+        denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
+        assert state.scaled[0] == denom
+        scales.append(hop_unit.numerator * denom // hop_unit.denominator)
+    assert scales == [8, 4]
 
 
 def test_reembedding_drops_the_previous_overlays_probes():
