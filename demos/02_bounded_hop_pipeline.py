@@ -38,7 +38,7 @@ state = build_skeleton_state(net, 0, list(range(g.n)), levels)
 # Stage 2+3: the k-shortcut overlay on the skeleton, and the rounded
 # levels of that overlay (a graph on the skeleton) the probes read.
 embed_overlay(net, state, k=4, d_g=d_g)
-print(f"{len(state.shortcut)} shortcut edges")
+print(f"{len(state.overlay_levels.graph.edges)} overlay edges")
 
 # Stage 4: bounded-hop distances on the overlay, one source at a time:
 # each probe's table is integers in the overlay's unit, one per member.

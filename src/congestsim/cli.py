@@ -14,6 +14,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -53,6 +54,10 @@ MIN_DELTA = Fraction(1, 10 ** 12)
 
 class UsageError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """The report could not be written to --out."""
 
 
 def _parse_fraction(text):
@@ -115,18 +120,28 @@ def _load_graph(args, trial_seed=None):
 
 @contextlib.contextmanager
 def _output(args):
-    """Send the command's stdout to --out, opened (and truncated, as a
+    """Send the command's stdout to --out, created (and truncated, as a
     shell redirection would) before the command runs, so an unwritable
-    path is reported before any work is done."""
+    path, or one naming the --graph input, is refused before any work is
+    done; the output is written there when the command returns."""
     if not args.out:
         yield
         return
+    with contextlib.suppress(OSError):  # a graph file that is not there
+        if getattr(args, "graph", None) and os.path.samefile(args.graph,
+                                                             args.out):
+            raise UsageError(f"--out names the --graph input: {args.out}")
     try:
-        fh = open(args.out, "w")
+        open(args.out, "w").close()
     except OSError as exc:
         raise UsageError(f"cannot write output file: {exc}")
-    with fh, contextlib.redirect_stdout(fh):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
         yield
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(buf.getvalue())
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.out}: {exc}")
 
 
 def _num(value):
@@ -203,12 +218,10 @@ def cmd_approx(args):
     if args.format == "csv":
         fields = ["trial", "seed", "n", "unweighted_diameter", "estimate",
                   "true_value", "ratio", "rounds", "evaluations", "success"]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore",
-                                lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=fields,
+                                extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
         writer.writerows(trials)
-        sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write(_json_text(report))
     return EXIT_OK
@@ -353,7 +366,8 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (BandwidthExceeded, CongestionFailure, MaxRoundsExceeded) as exc:
+    except (BandwidthExceeded, CongestionFailure, MaxRoundsExceeded,
+            OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

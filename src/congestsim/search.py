@@ -13,16 +13,20 @@ charge the ledger exactly that: the BFS tree is the outer search's T0,
 and the rounds by which the lockstep account exceeds the phases actually
 run go to a final `lockstep` phase.
 
-An evaluation is a fixed function of its index: a repeat charges the
-phases its first initialization charged, delays drawn once, and an inner
-search charges its probes' block, T by one closed form, once per draw, in
-one call; only a probe's value is memoized.  Both searches share one draw
-loop (`_draws`) and one comparison (`_keep_extremum`).  The outer search
-evaluates each draw before the next, since an evaluation draws from the
-leader's stream too; a probe's value is fixed per (index, source), so the
-inner search makes all its draws first and values each distinct drawn
-source once.  A search over one candidate evaluates it once and draws
-nothing, so a one-member skeleton is a one-candidate inner search.
+An evaluation's cost is a fixed function of its index: a repeat charges
+the phases its first initialization charged, delays drawn once, and an
+inner search charges its probes' block, T by one closed form, once per
+draw, in one call.  Both searches share one draw loop (`_draws`) and one
+comparison (`_keep_extremum`).  The outer search evaluates every draw,
+repeats included, since f(i) varies with the inner search's draws.  A
+probe's value is fixed per (index, source) and memoized with the index,
+so the inner search makes all its draws first, values its new distinct
+sources in one `approx_eccentricity` call and compares each distinct
+value once; it keeps that loop of its own, since running it through
+`amplified_max_search`, one evaluation per draw, cost 3-4% of the
+approx-sparse workload's throughput.  A search over one candidate
+evaluates it once and draws nothing, so a one-member skeleton is a
+one-candidate inner search.
 """
 
 from __future__ import annotations
@@ -137,8 +141,7 @@ def _keep_extremum(trace, valued):
     for x, value in valued:
         if value is not None and (trace.value is None
                                   or better(value, trace.value)):
-            trace.value = value
-            trace.found = x
+            trace.found, trace.value = x, value
     if trace.value is None:
         raise LowConfidenceResult(trace)
     return trace
@@ -161,8 +164,7 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
         value, rounds = evaluate(x)
         trace.evaluations += 1
         trace.probes.append((x, value))
-        if rounds > trace.eval_rounds:
-            trace.eval_rounds = rounds
+        trace.eval_rounds = max(trace.eval_rounds, rounds)
     trace.charged_rounds = trace.setup_rounds + trace.evaluations * trace.eval_rounds
     return _keep_extremum(trace, trace.probes)
 
@@ -180,35 +182,38 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     probe pays only its announce and convergecast, and its search is the
     one draw of a one-candidate search.
 
-    `cache` memoizes the initialization, a repeat charging again the
-    phases its first run charged, the probe block built with it, and the
-    probe values (None: within this call only).  It also holds the
-    `LevelTables` every skeleton's tables are read from.  Every probe,
-    first or repeat, costs the same frozen phases, so every inner search
-    of the index charges that one block once per draw, in one call after
-    its last draw; nothing else charges in between.
+    `cache` memoizes, per index, the initialization, a repeat charging
+    again the phases its first run charged, the probe block built with it,
+    and the value of each source probed so far (None: within this call
+    only).  It also holds the one `LevelTables` every skeleton's tables
+    are read from, and the schedule they were built for: a call with
+    another schedule raises ValueError.  Every probe, first or repeat,
+    costs the same frozen phases, so every inner search of the index
+    charges that one block once per draw, in one call after its last
+    draw; nothing else charges in between.
 
     The inner search makes its search_budget draws on the leader's
-    stream first, then values each distinct drawn source once and
-    compares only those, in first-draw order.  Its trace is the per-draw
+    stream first, then values its distinct drawn sources not valued
+    before in one `approx_eccentricity` call, and compares each distinct
+    drawn source once, in first-draw order.  Its trace is the per-draw
     search's: one (source, value) probe per draw, and `found` the first
     drawn source with the extremum.
     """
+    memo = {} if cache is None else cache
+    if memo.setdefault("schedule", schedule) != schedule:
+        raise ValueError("the cache holds another schedule's skeletons")
     members = sorted(set(members))
     if not members:
         return None, 0
     d_g = schedule.unweighted_diameter
-    memo = {} if cache is None else cache
     ledger = network.ledger
     mark = ledger.rounds
     if ("init", index) not in memo:
-        # one LevelTables per (hops, eps) serves every skeleton of the memo
-        levels = ("levels", schedule.hops, schedule.eps)
-        if levels not in memo:
-            memo[levels] = LevelTables(network.graph, schedule.hops,
-                                       schedule.eps)
+        if "levels" not in memo:  # serves every skeleton of the memo
+            memo["levels"] = LevelTables(network.graph, schedule.hops,
+                                         schedule.eps)
         first = len(ledger.phases)
-        state = build_skeleton_state(network, index, members, memo[levels])
+        state = build_skeleton_state(network, index, members, memo["levels"])
         state = embed_overlay(network, state, schedule.k, d_g)
         if len(members) == 1:
             # a lone member announces itself, convergecasts its eccentricity
@@ -223,10 +228,10 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
             # distances, convergecast the extremum
             block = [Phase("setup", d_g + len(members)), Phase("setup", d_g),
                      Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
-        memo["init", index] = state, ledger.phases[first:], block
+        memo["init", index] = state, ledger.phases[first:], block, {}
     else:
-        state, phases, block = memo["init", index]
-        network.charge_block(phases)
+        network.charge_block(memo["init", index][1])
+    state, _, block, values = memo["init", index]
     init_rounds = ledger.rounds - mark
     block_rounds = sum(p.rounds for p in block)
 
@@ -234,19 +239,15 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
                         delta=delta, candidate_count=len(members),
                         setup_rounds=init_rounds)
     draws = list(_draws(trace, members, network.rng_for(network.leader)))
-    values = {}  # each distinct drawn source, valued once, in draw order
-    for s in dict.fromkeys(draws):
-        key = "probe", index, s
-        if key not in memo:
-            memo[key] = approx_eccentricity(state, sssp_on_overlay(state, s))
-        values[s] = memo[key]
-    # the memo keeps the state: not its |S|*n scaled rows, seldom read again
-    state.scaled = None
+    drawn = dict.fromkeys(draws)  # the distinct draws, in draw order
+    new = [s for s in drawn if s not in values]
+    if new:
+        values.update(zip(new, approx_eccentricity(
+            state, [sssp_on_overlay(state, s) for s in new])))
     trace.probes = [(s, values[s]) for s in draws]
-    trace.evaluations = len(trace.probes)
-    trace.eval_rounds = block_rounds
+    trace.evaluations, trace.eval_rounds = len(draws), block_rounds
     trace.charged_rounds = init_rounds + trace.evaluations * block_rounds
-    _keep_extremum(trace, values.items())
+    _keep_extremum(trace, ((s, values[s]) for s in drawn))
     network.charge_block(block, trace.evaluations)
     if trace_sink is not None:
         trace_sink.append(trace)

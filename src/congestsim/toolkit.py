@@ -36,9 +36,10 @@ diameter `d_g` of the communication graph: `embed_overlay` charges steps
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  Every table is
 kept once, as integers in its `LevelTables`' unit: the hop tables in the
-base graph's, the shortcut and overlay weights in that unit too, and each
-probe's table in the overlay's; `approx_eccentricity` scales the hop
-tables to a unit common with the probes once for a run of probes.
+base graph's, the overlay weights (the overlay `LevelTables`' graph) in
+that unit too, and each probe's table in the overlay's;
+`approx_eccentricity` scales the hop tables to a unit common with the
+probes once per call, for a list of probe tables.
 """
 
 from __future__ import annotations
@@ -337,7 +338,6 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
     across calls changes no table, charge or clock.
     Returns {s: levels.source(s).units}, integer tables in `levels.unit`.
     """
-    g = network.graph
     sources = sorted(set(sources))
     if not sources:
         raise ValueError("sources must be nonempty")
@@ -346,9 +346,8 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
     b = len(sources)
     # per-window allowance ceil(log2 n), floored at 2: a copy owes at most
     # one broadcast per window, so two copies must never be able to jam
-    stretch = max(2, math.ceil(math.log2(max(2, g.n))))
+    stretch = max(2, math.ceil(math.log2(max(2, network.n))))
     network.build_bfs_tree()
-    failure = None
     for _attempt in range(retries + 1):
         delays = [network.rng_for(network.leader).randint(0, b * stretch)
                   for _ in range(b)]
@@ -371,32 +370,23 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
 
 @dataclass
 class SkeletonState:
-    """Per-index state of the skeleton pipeline.  Its hop bound, eps and
-    hop tables (integers in `levels.unit`) are those of `levels`; its
-    probe tables (integers in `overlay_levels.unit`) those of
-    `overlay_levels`, which `embed_overlay` builds; `scaled`, which an
-    embedding drops, holds the hop tables in a unit common with both."""
+    """Per-index state of the skeleton pipeline: what its probes read.
+    Its hop bound, eps and hop tables (integers in `levels.unit`) are
+    those of `levels`; its overlay weights and probe tables (integers in
+    `overlay_levels.unit`) those of `overlay_levels`, which
+    `embed_overlay` builds."""
 
     index: int
     members: list                     # sorted skeleton node ids
     # the LevelTables of the base graph the hop tables are read from
     levels: object = field(repr=False, compare=False)
-    shortcut: dict = field(default_factory=dict)  # (u,v) -> integer weight
     # the LevelTables of the overlay, a graph on members' indices 0..|S|-1;
     # None until the state is embedded
     overlay_levels: object = field(default=None, repr=False, compare=False)
-    scaled: tuple = field(default=None, repr=False, compare=False)
 
     def hop_table(self, u):
         """u's per-node hop table, integers in `levels.unit` (read-only)."""
         return self.levels.source(u).units
-
-    def overlay_weight(self, u, v):
-        """Base overlay weight: the approximate bounded-hop distance u-v."""
-        key = (min(u, v), max(u, v))
-        if key in self.shortcut:
-            return self.shortcut[key]
-        return self.hop_table(u)[v]
 
 
 def build_skeleton_state(network, index, members, levels):
@@ -409,17 +399,16 @@ def build_skeleton_state(network, index, members, levels):
     return SkeletonState(index=index, members=members, levels=levels)
 
 
-def _k_nearest(members, k, rows):
-    """{(u, v): w} over each member s's k nearest (w, v), v != s, in its
-    row (aligned with `members`), keeping the least w of each pair."""
+def _k_nearest(k, rows):
+    """{(i, j): w}, i < j, over each row i's k nearest (w, j), j != i,
+    keeping the least w of each pair."""
     pairs = {}
-    for s, row in zip(members, rows):
-        ranked = sorted((w, v) for v, w in zip(members, row)
-                        if v != s and w is not INFINITE)
-        for w, v in ranked[:k]:
-            key = (min(s, v), max(s, v))
-            if key not in pairs or w < pairs[key]:
-                pairs[key] = w
+    for i, row in enumerate(rows):
+        ranked = sorted((w, j) for j, w in enumerate(row)
+                        if j != i and w is not INFINITE)
+        for w, j in ranked[:k]:
+            key = (min(i, j), max(i, j))
+            pairs[key] = min(w, pairs.get(key, w))
     return pairs
 
 
@@ -437,35 +426,30 @@ def embed_overlay(network, state, k, d_g):
 
     Unless S is empty, `state.overlay_levels` is the `LevelTables` of the
     overlay, a `WeightedGraph` on the members' indices (one node for a
-    singleton) with the finite `overlay_weight`s (integers in
-    `levels.unit`, its `weight_unit`) as edges, at hop bound 4|S|/k (the
-    shortcut overlay's hop diameter is below that), or |S| when k <= 0.
-    Embedding again replaces both and drops `state.scaled`, so every
-    later probe reads the new overlay.
+    singleton) whose edges are the finite overlay weights, integers in
+    `levels.unit` (its `weight_unit`): a pair's shortcut distance, else
+    the hop table entry.  Its hop bound is 4|S|/k (the shortcut overlay's
+    hop diameter is below that), or |S| when k <= 0.  Embedding again
+    replaces it, so every later probe reads the new overlay.
     """
     members, size = state.members, len(state.members)
-    state.shortcut, state.overlay_levels, state.scaled = {}, None, None
-    shortcut = size >= 2 and k >= 1
-    if shortcut:
-        announced = _k_nearest(members, k, [
-            [state.hop_table(s)[v] for v in members] for s in members])
-        index = {u: i for i, u in enumerate(members)}
+    rows = [[state.hop_table(s)[v] for v in members] for s in members]
+    shortcuts, shortcut = size >= 2 and k >= 1, {}
+    if shortcuts:
         adj = [[] for _ in members]
-        for (u, v), w in announced.items():
-            adj[index[u]].append((index[v], w))
-            adj[index[v]].append((index[u], w))
-        state.shortcut = _k_nearest(
-            members, k, [dijkstra(adj, i) for i in range(size)])
+        for (i, j), w in _k_nearest(k, rows).items():
+            adj[i].append((j, w))
+            adj[j].append((i, w))
+        shortcut = _k_nearest(k, [dijkstra(adj, i) for i in range(size)])
     if members:
-        base = state.levels
-        edges = [(i, j, w) for i, u in enumerate(members)
+        edges = [(i, j, w) for i, row in enumerate(rows)
                  for j in range(i + 1, size)
-                 if (w := state.overlay_weight(u, members[j])) is not INFINITE]
+                 if (w := shortcut.get((i, j), row[j])) is not INFINITE]
         hop_bound = Fraction(4 * size, k) if k >= 1 else Fraction(size)
         state.overlay_levels = LevelTables(
             WeightedGraph(size, edges, check_connected=False),
-            hop_bound, base.eps, weight_unit=base.unit)
-    network.charge("embed", d_g + size * k if shortcut else d_g)
+            hop_bound, state.levels.eps, weight_unit=state.levels.unit)
+    network.charge("embed", d_g + size * k if shortcuts else d_g)
     return state
 
 
@@ -479,10 +463,9 @@ def sssp_on_overlay(state, s):
     `state.members`.  Raises ValueError for a foreign source or a state
     never embedded.
     """
-    members = state.members
-    if s not in members:
-        raise ValueError(f"source {s} not in skeleton {members}")
-    return _embedded(state).source(members.index(s)).units
+    if s not in state.members:
+        raise ValueError(f"source {s} not in skeleton {state.members}")
+    return _embedded(state).source(state.members.index(s)).units
 
 
 def _embedded(state):
@@ -506,28 +489,28 @@ def approx_distance(state, table, v):
                default=INFINITE)
 
 
-def approx_eccentricity(state, table):
-    """max over physical nodes v of approx_distance(state, table, v).
+def approx_eccentricity(state, tables):
+    """[max over physical nodes v of approx_distance(state, table, v)
+    for each probe table in `tables`].
 
     Computed in integers: with the hop tables' unit e/f, the probe
-    table's unit g/h and L = lcm(f, h), a hop entry a plus a probe entry
-    b is a*e*(L/f) + b*g*(L/h) in units of 1/L.  A call that finds no
-    `state.scaled` keeps the hop rows times e*(L/f) there; each
-    call adds b*g*(L/h) to a row, takes the maximum over v of the rows'
-    minimum, and divides only that by L.
+    tables' unit g/h and L = lcm(f, h), a hop entry a plus a probe entry
+    b is a*e*(L/f) + b*g*(L/h) in units of 1/L.  A call scales the hop
+    rows by e*(L/f) once; each table adds b*g*(L/h) to a row, takes the
+    maximum over v of the rows' minimum, and divides only that by L.
     """
-    probe_unit = _embedded(state).unit
-    if state.scaled is None:
-        hop_unit = state.levels.unit
-        denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
-        a_unit, b_unit = int(hop_unit * denom), int(probe_unit * denom)
-        state.scaled = denom, b_unit, [
-            [a * a_unit for a in state.hop_table(u)] for u in state.members]
-    denom, b_unit, rows = state.scaled
-    # operator.add: int.__add__ of a float INFINITE is NotImplemented
-    shifted = [map(add, row, repeat(b * b_unit))
-               for row, b in zip(rows, table) if b is not INFINITE]
-    # map(min, row) would take each entry's min: one row is its own minimum
-    top = max(map(min, *shifted) if len(shifted) > 1 else chain(*shifted),
-              default=INFINITE)
-    return INFINITE if top == INFINITE else Fraction(top, denom)
+    hop_unit, probe_unit = state.levels.unit, _embedded(state).unit
+    denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
+    a_unit, b_unit = int(hop_unit * denom), int(probe_unit * denom)
+    rows = [[a * a_unit for a in state.hop_table(u)] for u in state.members]
+
+    def top(table):  # in units of 1/L
+        # operator.add: int.__add__ of a float INFINITE is NotImplemented
+        shifted = [map(add, row, repeat(b * b_unit))
+                   for row, b in zip(rows, table) if b is not INFINITE]
+        # map(min, row) would take each entry's min: one row is its own
+        return max(map(min, *shifted) if len(shifted) > 1 else chain(*shifted),
+                   default=INFINITE)
+
+    return [INFINITE if t == INFINITE else Fraction(t, denom)
+            for t in map(top, tables)]

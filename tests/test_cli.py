@@ -1,4 +1,5 @@
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -421,3 +422,41 @@ def test_run_failures_are_one_line_errors(monkeypatch, capsys, failure):
                          capsys)
     assert code == EXIT_FAILURE
     assert out == "" and err == f"error: {failure}\n"
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["approx", "radius"]])
+@pytest.mark.parametrize("via", ["file", "symlink"])
+def test_out_naming_the_graph_input_is_refused(tmp_path, capsys, command,
+                                               via):
+    # the input keeps its bytes: --out is checked before it is opened
+    code, _, _ = run(["gadget", "build", "--h", "2",
+                      "--out", str(tmp_path / "g.txt")], capsys)
+    assert code == EXIT_OK
+    graph = tmp_path / "g.txt"
+    before = graph.read_bytes()
+    out_path = graph
+    if via == "symlink":
+        out_path = tmp_path / "link.txt"
+        out_path.symlink_to(graph)
+    code, out, err = run(command + ["--graph", str(graph),
+                                    "--out", str(out_path)], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert str(out_path) in err
+    assert graph.read_bytes() == before and before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+@pytest.mark.parametrize("command", [
+    ["oracle", "--gen", "cycle", "--n", "4"],
+    ["approx", "radius", "--gen", "cycle", "--n", "6"],
+    ["gadget", "build", "--h", "4"],
+])
+def test_a_failed_report_write_is_one_error_line(capsys, command):
+    # a small report fails when the file is closed, a large one while it
+    # is written: either way one line naming the output, and exit 1
+    code, out, err = run(command + ["--out", "/dev/full"], capsys)
+    assert code == EXIT_FAILURE
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: cannot write /dev/full:")

@@ -32,6 +32,8 @@ from congestsim.search import (
 )
 from congestsim.toolkit import (
     CongestionFailure,
+    LevelTables,
+    SkeletonState,
     approx_eccentricity,
     sssp_on_overlay,
 )
@@ -237,9 +239,9 @@ def test_a_singleton_skeleton_is_a_one_candidate_search(monkeypatch):
     d_g = sch.unweighted_diameter
     valued = []
 
-    def counted(state, table):
+    def counted(state, tables):
         valued.append(state.members)
-        return approx_eccentricity(state, table)
+        return approx_eccentricity(state, tables)
 
     monkeypatch.setattr(search, "approx_eccentricity", counted)
     cache, sink = {}, []
@@ -306,6 +308,56 @@ def test_evaluate_cache_recharges_identically():
     assert v1 == v2
     # same tables, maybe different inner sampling: setup cost identical
     assert ("init", 0) in cache
+
+
+def test_a_memo_serves_one_schedule_only():
+    # skeleton 0 is worth 31 at hop bound 1; a memo that built it at the
+    # default hop bound 12 (where it is worth 24) must refuse hop bound 1
+    # rather than answer with the other schedule's skeleton
+    g = random_connected_graph(12, rng=random.Random(1))
+    sch = ParameterSchedule.for_graph(g)
+    one = dataclasses.replace(sch, hops=1)
+    members = [1, 4, 7, 9]
+    assert evaluate_f_i(Network(g), 0, members, one, cache={})[0] == 31
+    cache = {}
+    assert evaluate_f_i(Network(g), 0, members, sch, cache=cache)[0] == 24
+    with pytest.raises(ValueError, match="another schedule"):
+        evaluate_f_i(Network(g), 0, members, one, cache=cache)
+    with pytest.raises(ValueError, match="another schedule"):
+        evaluate_f_i(Network(g), 1, [], one, cache=cache)
+    # an equal schedule is the same schedule, and one LevelTables serves it
+    again = dataclasses.replace(sch)
+    assert evaluate_f_i(Network(g), 2, [0, 5], again, cache=cache)[0] \
+        is not None
+    levels = [x for x in cache.values() if isinstance(x, LevelTables)]
+    assert len(levels) == 1
+    assert (levels[0].hops, levels[0].eps) == (sch.hops, sch.eps)
+    assert all(record[0].levels is levels[0]
+               for key, record in cache.items() if key[0] == "init")
+
+
+@pytest.mark.parametrize("kind", ["random-connected", "cycle", "grid"])
+def test_memoized_states_hold_only_what_their_probes_read(kind, monkeypatch):
+    # after whole estimator runs every memoized state has exactly its four
+    # fields: no intermediate shortcut, no scaled hop rows
+    memos = []
+
+    def recorded(*args, cache=None, **kwargs):
+        memos.append(cache)
+        return evaluate_f_i(*args, cache=cache, **kwargs)
+
+    monkeypatch.setattr(search, "evaluate_f_i", recorded)
+    g = graphs.make_graph(kind, 16, rng=random.Random(5))
+    for run in (approx_diameter, approx_radius):
+        run(Network(g, seed=5))
+    states = {id(record[0]): record[0] for memo in memos
+              for key, record in memo.items() if key[0] == "init"}
+    assert len(states) > 1
+    for state in states.values():
+        assert list(vars(state)) == ["index", "members", "levels",
+                                     "overlay_levels"]
+    assert [f.name for f in dataclasses.fields(SkeletonState)] == \
+        ["index", "members", "levels", "overlay_levels"]
 
 
 def test_evaluate_memo_replays_what_computing_charged():
@@ -394,7 +446,7 @@ def _per_draw_search(leader, members, state, mode, delta):
     probes = []
     for _ in range(search_budget(Fraction(1, len(members)), delta)):
         s = leader.choice(members)
-        v = approx_eccentricity(state, sssp_on_overlay(state, s))
+        v = approx_eccentricity(state, [sssp_on_overlay(state, s)])[0]
         probes.append((s, v))
         if value is None or better(v, value):
             found, value = s, v

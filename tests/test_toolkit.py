@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from congestsim.engine import Network
 from congestsim.graphs import (
     INFINITE,
+    GraphError,
     WeightedGraph,
     cycle_graph,
     diameter,
@@ -39,6 +40,7 @@ from oracles import (
     bounded_distance_sssp,
     bounded_hop_sssp,
     complete_overlay_distances,
+    edge_weight,
     exact_bounded_hop,
     min_over_levels,
     rounded_weight,
@@ -58,6 +60,21 @@ def in_unit(table, unit):
 def unit_diameter(g):
     """The hop diameter the overlay stages charge by."""
     return diameter(g.unit_weights())
+
+
+def overlay_weight(state, u, v):
+    """The embedded overlay's weight u-v, an integer in the hop tables'
+    unit, read from its graph; INFINITE where it has no edge."""
+    try:
+        return edge_weight(state.overlay_levels.graph,
+                           state.members.index(u), state.members.index(v))
+    except GraphError:
+        return INFINITE
+
+
+def overlay_pairs(members):
+    """Each pair (u, v), u < v, of the sorted `members`."""
+    return [(u, v) for i, u in enumerate(members) for v in members[i + 1:]]
 
 
 # --- parameters ----------------------------------------------------------
@@ -824,9 +841,12 @@ def test_shortcut_in_integer_units_equals_the_fraction_reference(
     reference = shortcut_reference(
         members, k, lambda u: in_unit(state.hop_table(u), unit))
     embed_overlay(net, state, k, unit_diameter(g))
-    assert [(key, w * unit) for key, w in state.shortcut.items()] \
-        == list(reference.items())
-    assert all(type(w) is int for w in state.shortcut.values())
+    # each pair's overlay weight is its shortcut, else its hop entry
+    for u, v in overlay_pairs(members):
+        w = overlay_weight(state, u, v)
+        assert w is INFINITE or type(w) is int
+        assert in_unit([w], unit) == [reference.get(
+            (u, v), in_unit(state.hop_table(u), unit)[v])]
 
 
 # --- overlay stages ------------------------------------------------------
@@ -849,14 +869,15 @@ def test_embed_full_shortcutting():
     for u in members:
         for v in members:
             if u != v:
-                assert state.overlay_weight(u, v) == oracle[(u, v)]
+                assert overlay_weight(state, u, v) == oracle[(u, v)]
 
 
 def test_embed_no_shortcuts():
     g = random_connected_graph(10, rng=random.Random(3))
     net, state = pipeline_state(g, [1, 4, 7], 4, 0)
-    assert state.shortcut == {}
-    assert state.overlay_weight(1, 4) == state.hop_table(1)[4]
+    # no shortcut: every overlay weight is the hop entry
+    for u, v in overlay_pairs([1, 4, 7]):
+        assert overlay_weight(state, u, v) == state.hop_table(u)[v]
 
 
 def test_embed_matches_sequential_oracle():
@@ -866,14 +887,13 @@ def test_embed_matches_sequential_oracle():
         net, state = pipeline_state(g, members, g.n, 2, seed=seed)
         oracle = complete_overlay_distances(
             members, lambda u, v: state.hop_table(u)[v])
-        for (u, v), w in state.shortcut.items():
-            assert w >= oracle[(u, v)]
+        for u, v in overlay_pairs(members):
+            assert overlay_weight(state, u, v) >= oracle[(u, v)]
         # equality on each node's k nearest (distance, id)-ordered targets
         for s in members:
             ranked = sorted((oracle[(s, v)], v) for v in members if v != s)
             for d, v in ranked[:2]:
-                key = (min(s, v), max(s, v))
-                assert state.shortcut.get(key, d) == d
+                assert overlay_weight(state, s, v) == d
 
 
 def test_overlay_sssp_singleton():
@@ -888,7 +908,7 @@ def test_overlay_sssp_large_k_close_to_exact():
     net, state = pipeline_state(g, members, g.n, len(members))
     unit = state.levels.unit
     exact = complete_overlay_distances(
-        members, lambda u, v: state.overlay_weight(u, v) * unit)
+        members, lambda u, v: overlay_weight(state, u, v) * unit)
     eps = state.levels.eps
     for s in members:
         table = in_unit(sssp_on_overlay(state, s),
@@ -914,7 +934,7 @@ def test_overlay_sssp_matches_level_enumeration(k):
     budget = hop_budget(hop_bound, eps)
     # independent recomputation: exact Dijkstra per level on a graph of the
     # rounded overlay weights, nodes renumbered 0..|S|-1
-    edges = [(i, j, state.overlay_weight(u, v) * state.levels.unit)
+    edges = [(i, j, overlay_weight(state, u, v) * state.levels.unit)
              for i, u in enumerate(members)
              for j, v in enumerate(members) if i < j]
     top = scale_levels(len(members), max(w for _, _, w in edges), eps)
@@ -976,7 +996,8 @@ def test_embedding_builds_the_overlay_at_k_zero_too():
     members = [1, 4, 7, 10, 13]
     for k in (0, -1):
         _, state = pipeline_state(g, members, 6, k)
-        assert state.shortcut == {}
+        for u, v in overlay_pairs(members):
+            assert overlay_weight(state, u, v) == state.hop_table(u)[v]
         assert state.overlay_levels.hops == len(members)
 
 
@@ -1001,14 +1022,20 @@ def test_overlay_graph_holds_the_overlay_weights_as_ints(k):
     g = random_connected_graph(14, max_weight=10, rng=random.Random(6))
     members = [1, 4, 7, 10, 13]
     net, state = pipeline_state(g, members, 6, k)
+    unit = state.levels.unit
+    # the overlay weights by the Fraction reference: shortcut, else hop entry
+    shortcut = shortcut_reference(
+        members, k, lambda u: in_unit(state.hop_table(u), unit))
+    expected = {(u, v): shortcut.get((u, v), in_unit(state.hop_table(u),
+                                                     unit)[v])
+                for u, v in overlay_pairs(members)}
     overlay = state.overlay_levels
     assert overlay.graph.edges
     for i, j, w in overlay.graph.edges:
         assert type(w) is int
-        assert w == state.overlay_weight(members[i], members[j])
+        assert w * unit == expected[members[i], members[j]]
     assert len(overlay.graph.edges) == sum(
-        state.overlay_weight(u, v) is not INFINITE
-        for i, u in enumerate(members) for v in members[i + 1:])
+        w is not INFINITE for w in expected.values())
 
 
 def test_overlay_levels_span_the_skeleton_only():
@@ -1094,10 +1121,10 @@ def test_approx_eccentricity():
     g = star_graph(6)
     state, tables = full_pipeline(g)
     slack = (1 + state.levels.eps) ** 2
-    assert 1 <= approx_eccentricity(state, tables[0]) <= slack
+    assert 1 <= approx_eccentricity(state, [tables[0]])[0] <= slack
     for s in range(g.n):
         e = max(exact_sssp(g, s))
-        assert e <= approx_eccentricity(state, tables[s]) <= slack * e
+        assert e <= approx_eccentricity(state, [tables[s]])[0] <= slack * e
 
 
 def test_approx_eccentricity_single_node():
@@ -1107,7 +1134,7 @@ def test_approx_eccentricity_single_node():
     with pytest.raises(ValueError, match="not embedded"):
         sssp_on_overlay(state, 0)
     embed_overlay(net, state, 1, 0)
-    assert approx_eccentricity(state, [0]) == 0
+    assert approx_eccentricity(state, [[0]]) == [0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1130,10 +1157,15 @@ def test_eccentricity_in_integer_units_is_the_approx_distance_max(data):
     for k in sorted(data.draw(st.sets(st.integers(0, len(members) + 1),
                                       min_size=1, max_size=3))):
         embed_overlay(net, state, k, d_g)
-        for s in members:
-            table = sssp_on_overlay(state, s)
-            assert approx_eccentricity(state, table) == max(
-                approx_distance(state, table, v) for v in range(n))
+        tables = [sssp_on_overlay(state, s) for s in members]
+        for table in tables:
+            assert approx_eccentricity(state, [table]) == [max(
+                approx_distance(state, table, v) for v in range(n))]
+        # all of the state's probe tables in one call, in their order
+        assert approx_eccentricity(state, tables) == [
+            max(approx_distance(state, table, v) for v in range(n))
+            for table in tables]
+        assert approx_eccentricity(state, []) == []
 
 
 def test_eccentricity_of_a_state_built_by_hand():
@@ -1143,14 +1175,14 @@ def test_eccentricity_of_a_state_built_by_hand():
     sub = [0, 2, 5, 8]
     restricted, cut = restrict(state, tables, sub)
     for s in sub:
-        assert approx_eccentricity(restricted, cut[s]) == max(
-            approx_distance(restricted, cut[s], v) for v in range(g.n))
+        assert approx_eccentricity(restricted, [cut[s]]) == [max(
+            approx_distance(restricted, cut[s], v) for v in range(g.n))]
     single = SkeletonState(index=2, members=[3], levels=state.levels)
     with pytest.raises(ValueError, match="not embedded"):
         sssp_on_overlay(single, 3)
     embed_overlay(Network(g), single, 1, unit_diameter(g))
-    assert approx_eccentricity(single, [0]) == \
-        max(state.hop_table(3)) * state.levels.unit
+    assert approx_eccentricity(single, [[0]]) == \
+        [max(state.hop_table(3)) * state.levels.unit]
 
 
 def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
@@ -1166,7 +1198,8 @@ def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
         sssp_on_overlay(state, 1)
     table = sssp_on_overlay(state, 0)
     assert approx_distance(state, table, 4) is INFINITE
-    assert approx_eccentricity(state, table) is INFINITE
+    assert approx_eccentricity(state, [table]) == [INFINITE]
+    assert approx_eccentricity(state, [table])[0] is INFINITE
 
 
 def test_probe_readers_of_an_unembedded_state_raise_not_embedded():
@@ -1178,15 +1211,15 @@ def test_probe_readers_of_an_unembedded_state_raise_not_embedded():
         state = build_skeleton_state(net, 0, members, levels)
         table = list(range(len(members)))
         with pytest.raises(ValueError, match="skeleton 0 is not embedded"):
-            approx_eccentricity(state, table)
+            approx_eccentricity(state, [table])
         with pytest.raises(ValueError, match="skeleton 0 is not embedded"):
             approx_distance(state, table, 1)
 
 
 def test_eccentricity_rows_follow_reembedding():
-    # the scaled hop rows are kept per embedding: k = 1 and k = 2 give the
-    # overlay units 1/160 and 1/80 against the hop tables' 1/60, so the
-    # rows' scale L/60 moves from 8 to 4
+    # each call scales the hop rows to the current overlay's unit: k = 1
+    # and k = 2 give the overlay units 1/160 and 1/80 against the hop
+    # tables' 1/60, so the rows' scale L/60 moves from 8 to 4
     g = random_connected_graph(12, max_weight=10, rng=random.Random(8))
     net = Network(g)
     d_g = unit_diameter(g)
@@ -1195,14 +1228,12 @@ def test_eccentricity_rows_follow_reembedding():
     scales = []
     for k in (1, 2):
         embed_overlay(net, state, k, d_g)
-        assert state.scaled is None
         for s in state.members:
             table = sssp_on_overlay(state, s)
-            assert approx_eccentricity(state, table) == max(
-                approx_distance(state, table, v) for v in range(g.n))
+            assert approx_eccentricity(state, [table]) == [max(
+                approx_distance(state, table, v) for v in range(g.n))]
         hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
         denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
-        assert state.scaled[0] == denom
         scales.append(hop_unit.numerator * denom // hop_unit.denominator)
     assert scales == [8, 4]
 
@@ -1216,8 +1247,8 @@ def test_reembedding_drops_the_previous_overlays_probes():
                                  LevelTables(g, 1, Fraction(1, 3)))
     embed_overlay(net, state, 1, d_g)
     first = sssp_on_overlay(state, 0)
-    assert approx_eccentricity(state, first) == Fraction(83, 3)
+    assert approx_eccentricity(state, [first]) == [Fraction(83, 3)]
     embed_overlay(net, state, 6, d_g)
     second = sssp_on_overlay(state, 0)
     assert second is not first
-    assert approx_eccentricity(state, second) == 28
+    assert approx_eccentricity(state, [second]) == [28]
