@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import os
 import random
@@ -54,10 +53,6 @@ MIN_DELTA = Fraction(1, 10 ** 12)
 
 class UsageError(Exception):
     pass
-
-
-class OutputError(Exception):
-    """The report could not be written to --out."""
 
 
 def _parse_fraction(text):
@@ -120,28 +115,30 @@ def _load_graph(args, trial_seed=None):
 
 @contextlib.contextmanager
 def _output(args):
-    """Send the command's stdout to --out, created (and truncated, as a
+    """Send the command's stdout to --out, opened (and truncated, as a
     shell redirection would) before the command runs, so an unwritable
     path, or one naming the --graph input, is refused before any work is
-    done; the output is written there when the command returns."""
+    done.  A failed write raises `OSError` out of the context."""
     if not args.out:
-        yield
+        try:
+            yield
+            sys.stdout.flush()
+        except OSError:
+            # what could not be written stays buffered; let the
+            # interpreter's flush at exit write it to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
         return
     with contextlib.suppress(OSError):  # a graph file that is not there
         if getattr(args, "graph", None) and os.path.samefile(args.graph,
                                                              args.out):
             raise UsageError(f"--out names the --graph input: {args.out}")
     try:
-        open(args.out, "w").close()
+        fh = open(args.out, "w")
     except OSError as exc:
         raise UsageError(f"cannot write output file: {exc}")
-    with contextlib.redirect_stdout(io.StringIO()) as buf:
+    with fh, contextlib.redirect_stdout(fh):
         yield
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        raise OutputError(f"cannot write {args.out}: {exc}")
 
 
 def _num(value):
@@ -159,8 +156,9 @@ def _num(value):
 def cmd_approx(args):
     target = args.quantity
     delta = _parse_fraction(args.delta)
-    if delta < MIN_DELTA:
-        raise UsageError(f"--delta must be at least 1e-12: {args.delta}")
+    if not MIN_DELTA <= delta < 1:
+        raise UsageError(
+            f"--delta must be at least 1e-12 and below 1: {args.delta}")
     eps_floor = (None if args.eps_floor is None
                  else _parse_fraction(args.eps_floor))
     if args.trials < 0:
@@ -366,9 +364,12 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (BandwidthExceeded, CongestionFailure, MaxRoundsExceeded,
-            OutputError) as exc:
+    except (BandwidthExceeded, CongestionFailure, MaxRoundsExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'standard output'}: {exc}",
+              file=sys.stderr)
         return EXIT_FAILURE
 
 

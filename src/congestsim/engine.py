@@ -178,11 +178,12 @@ class Network:
     def _send(self, u, v, payload, bits):
         """Send in the round being processed; it is read in the next one."""
         r, limit = self.round_clock, self.bandwidth_bits
-        if bits > limit:
-            raise BandwidthExceeded((u, v), r, bits, limit)
         total = self._edge_bits.get((u, v), 0) + bits
         if total > limit:
-            raise BandwidthExceeded((u, v), r, total, limit)
+            # a message wider than B is reported alone, else the edge's
+            # total this round
+            raise BandwidthExceeded((u, v), r, bits if bits > limit else total,
+                                    limit)
         self._edge_bits[u, v] = total
         self._messages += 1
         self._bits += bits
@@ -204,7 +205,9 @@ class Network:
         allowed: missing nodes are inert).  With `exact_rounds` the run
         consumes exactly that many rounds (quiet tail included); otherwise
         it stops when all programs have halted and nothing is in flight,
-        or fails with MaxRoundsExceeded at `max_rounds`.
+        or fails with MaxRoundsExceeded at `max_rounds`.  A run takes at
+        most one of the two bounds: both raise `ValueError`, charging
+        nothing.
 
         The run counts its own sends and charges them, with the rounds it
         consumed, through `charge`; it returns those rounds.  When a
@@ -212,6 +215,8 @@ class Network:
         holds 0 rounds and what was sent before, and the clock stays where
         the run stopped.
         """
+        if max_rounds is not None and exact_rounds is not None:
+            raise ValueError("a run takes max_rounds or exact_rounds, not both")
         start = self.round_clock
         self._messages = self._bits = 0
         try:
@@ -226,74 +231,47 @@ class Network:
     def _loop(self, programs, max_rounds, exact_rounds):
         """`run`'s rounds; returns how many it consumed."""
         start = self.round_clock
-        budget_end = None
-        if exact_rounds is not None:
-            budget_end = start + exact_rounds
-        limit_end = None
-        if max_rounds is not None:
-            limit_end = start + max_rounds
-
+        bound = max_rounds if exact_rounds is None else exact_rounds
+        end = math.inf if bound is None else start + bound
         self._last_send_round = None
-        first = True
-        while True:
+        while self.round_clock < end:
             r = self.round_clock
-            if budget_end is not None and r >= budget_end:
-                break
-            if limit_end is not None and r >= limit_end:
-                if budget_end is None and not self._quiescent(programs):
-                    raise MaxRoundsExceeded(f"no halt within {max_rounds} rounds")
-                break
-
             inboxes = self._pending.pop(r, {})
-            active = sorted(programs if first else inboxes)
-            first = False
-            for v in active:
-                prog = programs.get(v)
-                if prog is None:
-                    continue
-                ctx = Context(self, v, r, inboxes.get(v, []), start)
-                prog.on_round(ctx)
-
+            # every program acts in the first round, then only those with
+            # a delivery or a wake
+            for v in sorted(programs if r == start else inboxes):
+                if v in programs:
+                    programs[v].on_round(
+                        Context(self, v, r, inboxes.get(v, []), start))
             self.round_clock += 1
             self._edge_bits.clear()
-
-            if budget_end is None and self._quiescent(programs):
+            if exact_rounds is None and self._quiescent(programs):
                 break
-
             # Fast-forward to the next round on the agenda; the skipped quiet
-            # rounds still count against the budget.
-            if self._pending:
-                nxt = min(self._pending)
-                for end in (budget_end, limit_end):
-                    if end is not None and nxt > end:
-                        nxt = end
-                if nxt > self.round_clock:
-                    self.round_clock = nxt
-            elif budget_end is not None:
-                self.round_clock = budget_end
-            elif limit_end is not None:
-                self.round_clock = limit_end
-            else:
+            # rounds still count against the bound.
+            nxt = min(min(self._pending, default=end), end)
+            if nxt == math.inf:
                 raise MaxRoundsExceeded(
                     "deadlock: nothing in flight but programs have not halted")
+            self.round_clock = max(self.round_clock, nxt)
 
-        # The rounds consumed.  For fixed-budget runs the whole budget counts
-        # (quiet tail included).  Otherwise rounds are counted through the
-        # last round that carried traffic; the final delivery-only round is
-        # local computation and free, and the next run starts in it.
-        if budget_end is not None:
-            # what a budget's last round sent is never read by this run;
-            # the next run's programs must not read it either
+        if exact_rounds is not None:
+            # the whole budget counts, quiet tail included; what its last
+            # round sent is never read by this run, and the next run's
+            # programs must not read it either
             self._pending.clear()
-            return budget_end - start
-        if self._last_send_round is not None:
-            return self._last_send_round - start + 1
-        return 0
+            return exact_rounds
+        if not self._quiescent(programs):
+            raise MaxRoundsExceeded(f"no halt within {max_rounds} rounds")
+        # Rounds count through the last round that carried traffic; the
+        # final delivery-only round is local computation and free, and the
+        # next run starts in it.
+        if self._last_send_round is None:
+            return 0
+        return self._last_send_round - start + 1
 
     def _quiescent(self, programs):
-        if self._pending:
-            return False
-        return all(p.halted for p in programs.values())
+        return not self._pending and all(p.halted for p in programs.values())
 
     # --- tree primitives -------------------------------------------------
 

@@ -16,7 +16,8 @@ diameter and 78 of 448 for the radius.
 There are two shortest-path kernels, for two kinds of adjacency.
 `exact_sssp(g, s)` is behind every exact oracle: `eccentricity`,
 `diameter` and `radius`, the gadgets' all-pairs table of the contraction,
-`congestsim oracle` and the estimators' hop diameter.  It is bit-parallel:
+`congestsim oracle`, the estimators' hop diameter, and the min-hop rows
+of `min_hops_on_shortest_paths` and `hop_diameter`.  It is bit-parallel:
 each node's neighbours are grouped by weight into one int bitmask
 (`WeightedGraph.weight_masks`), and one step settles every node at the
 smallest pending distance and reaches each (node, weight) group with one
@@ -343,22 +344,21 @@ def radius(g):
 
 
 def min_hops_on_shortest_paths(g, s):
-    """For each v: minimum edge count among shortest s-v paths."""
-    _check_node(g, s)
-    # lexicographic Dijkstra on (length, hops)
-    best = [(INFINITE, INFINITE)] * g.n
-    best[s] = (0, 0)
-    heap = [(0, 0, s)]
-    while heap:
-        d, h, u = heapq.heappop(heap)
-        if (d, h) > best[u]:
-            continue
+    """For each v: minimum edge count among shortest s-v paths.
+
+    Read from `exact_sssp`'s row: weights are at least 1, so a shortest
+    path visits its nodes in increasing distance, and one pass in
+    distance order relaxes the hops along the shortest-path edges.
+    """
+    dist = exact_sssp(g, s)
+    hops = [INFINITE] * g.n
+    hops[s] = 0
+    for u in sorted(range(g.n), key=dist.__getitem__):
+        h = hops[u] + 1
         for v, w in g.adj[u]:
-            cand = (d + w, h + 1)
-            if cand < best[v]:
-                best[v] = cand
-                heapq.heappush(heap, (d + w, h + 1, v))
-    return [h for _, h in best]
+            if dist[u] + w == dist[v] and h < hops[v]:
+                hops[v] = h
+    return hops
 
 
 def hop_diameter(g):

@@ -255,6 +255,8 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
 
 
 def _estimate(network, schedule, delta, rng, mode, trace_sink):
+    if not 0 < delta < 1:  # checked here too: a lone node runs no search
+        raise ValueError(f"need 0 < delta < 1: {delta}")
     if schedule is None:
         schedule = ParameterSchedule.for_graph(network.graph)
     if rng is None:

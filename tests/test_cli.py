@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -375,6 +378,20 @@ def test_delta_below_the_floor_is_a_usage_error(capsys):
     assert "--delta" in err and "1e-12" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "4", "--trials", "0", "--delta", "5"],
+    ["--n", "1", "--delta", "7/3"],
+    ["--n", "8", "--delta", "1"],
+])
+def test_delta_of_1_or_more_is_a_usage_error(capsys, argv):
+    # whether or not a search runs
+    code, out, err = run(["approx", "diameter", "--gen", "cycle"] + argv,
+                         capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "--delta" in err
+
+
 @pytest.mark.parametrize("decimal, fraction", [
     ("0.3333333", "3333333/10000000"), ("0.9999999", "9999999/10000000")])
 def test_decimal_eps_floor_is_read_exactly(capsys, decimal, fraction):
@@ -460,3 +477,26 @@ def test_a_failed_report_write_is_one_error_line(capsys, command):
     assert code == EXIT_FAILURE
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: cannot write /dev/full:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+@pytest.mark.parametrize("command", [
+    ["oracle", "--gen", "cycle", "--n", "4"],
+    ["gadget", "build", "--h", "4"],
+    ["approx", "radius", "--gen", "cycle", "--n", "6", "--format", "csv"],
+])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_failed_write_to_stdout_is_one_error_line(command, unbuffered):
+    # a buffered stdout fails when it is flushed, an unbuffered one, or a
+    # large report, while it is written; the interpreter's own flush at
+    # exit must not fail again
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "congestsim.cli"]
+                              + command, stdout=full, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    assert proc.returncode == EXIT_FAILURE
+    assert proc.stderr.startswith("error: cannot write standard output:")
+    assert proc.stderr.count("\n") == 1

@@ -149,13 +149,41 @@ def test_bandwidth_and_ledger_match_plain_model(data):
         scripts[u] = data.draw(st.dictionaries(
             st.integers(0, 5), st.lists(send, max_size=3), max_size=3))
     budget = data.draw(st.sampled_from([None, 6, 9]))
+    # a run takes at most one bound: a cap below, at or past the run's
+    # last round, or 0, only without a budget
+    cap = None if budget is not None else data.draw(
+        st.none() | st.integers(0, 8))
+    bound = {"exact_rounds": budget} if cap is None else {"max_rounds": cap}
     net = Network(g, bandwidth_bits=bandwidth)
     arrivals = []
     programs = {u: Scripted(scripts[u], arrivals) for u in range(n)}
     sends, violation = plain_model(g, scripts, bandwidth)
+    # the last round the run has work in: the violation's, else the last
+    # that holds a wake or a delivery
+    stop = violation[1] if violation is not None else max(
+        [t for script in scripts.values() for t in script]
+        + [r + 1 for *_, r in sends], default=0)
+    if cap is not None and cap <= stop:
+        # a cap of 0 runs no round, and every program starts halted with
+        # nothing pending; a cap that does not reach past `stop` fails
+        early = [(u, v, p, bits, r) for u, v, p, bits, r in sends if r < cap]
+        if cap == 0:
+            assert net.run(programs, "scripted", max_rounds=0) == 0
+        else:
+            with pytest.raises(MaxRoundsExceeded):
+                net.run(programs, "scripted", max_rounds=cap)
+        assert [(p.name, p.rounds, p.messages, p.bits)
+                for p in net.ledger.phases] == [
+            ("scripted", 0, len(early), sum(bits for *_, bits, _ in early))]
+        assert net.ledger.rounds == 0 and net.round_clock == cap
+        assert sorted(arrivals) == sorted((u, v, p, r + 1)
+                                          for u, v, p, _, r in early
+                                          if r + 1 < cap)
+        return
+    # otherwise a cap changes nothing
     if violation is not None:
         with pytest.raises(BandwidthExceeded) as exc:
-            net.run(programs, "scripted", exact_rounds=budget)
+            net.run(programs, "scripted", **bound)
         assert (exc.value.edge, exc.value.round_no, exc.value.bits,
                 exc.value.limit) == violation + (bandwidth,)
         # one phase: what was sent before the violating send, 0 rounds,
@@ -167,7 +195,7 @@ def test_bandwidth_and_ledger_match_plain_model(data):
             0, phase.messages, phase.bits)
         assert net.round_clock == violation[1]
         return
-    used = net.run(programs, "scripted", exact_rounds=budget)
+    used = net.run(programs, "scripted", **bound)
     last = max((r for *_, r in sends), default=None)
     expected = budget if budget is not None else (0 if last is None else last + 1)
     assert used == net.ledger.rounds == expected
@@ -286,6 +314,24 @@ def test_max_rounds_exceeded():
     net = Network(WeightedGraph(2, [(0, 1, 1)]))
     with pytest.raises(MaxRoundsExceeded):
         net.run({0: Restless()}, "restless", max_rounds=10)
+
+
+def test_a_run_takes_at_most_one_bound():
+    class Counted(NodeProgram):
+        calls = 0
+
+        def on_round(self, ctx):
+            Counted.calls += 1
+            ctx.send(1, 1)
+            self.halted = True
+
+    net = Network(WeightedGraph(2, [(0, 1, 1)]))
+    for cap, budget in ((3, 10), (10, 3), (0, 0)):
+        with pytest.raises(ValueError, match="not both"):
+            net.run({0: Counted()}, "both", max_rounds=cap,
+                    exact_rounds=budget)
+    assert Counted.calls == 0 and net.round_clock == 0
+    assert net.ledger.to_dict() == Network(net.graph).ledger.to_dict()
 
 
 def test_wake_must_name_a_later_round():

@@ -118,6 +118,9 @@ def test_bounded_hop_exact_when_hops_suffice():
             for v in range(g.n):
                 d = exact_bounded_hop(g, s, need[v])
                 assert d[v] == full[v]
+                # and minimal: one hop fewer misses every shortest path
+                if need[v] >= 1:
+                    assert exact_bounded_hop(g, s, need[v] - 1)[v] > full[v]
 
 
 def test_star_and_edge_metrics():

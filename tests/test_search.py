@@ -118,6 +118,17 @@ def test_search_budget():
         search_budget(1, 1)
 
 
+@pytest.mark.parametrize("estimate", [approx_diameter, approx_radius])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("delta", [5, 1, 0, Fraction(7, 3)])
+def test_estimators_refuse_a_delta_outside_0_1(estimate, n, delta):
+    # a lone node runs no search, and is refused all the same
+    net = Network(cycle_graph(n))
+    with pytest.raises(ValueError, match="delta"):
+        estimate(net, delta=delta)
+    assert net.ledger.rounds == 0
+
+
 def test_search_budget_of_a_delta_below_every_float():
     # 1/delta = 10**400 is beyond a float, ln(1/delta) is not
     assert search_budget(1, Fraction(1, 10 ** 400)) == \
