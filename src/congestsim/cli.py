@@ -24,9 +24,9 @@ from .gadgets import build_gadget, verify_reduction
 from .graphs import (
     GraphError,
     WeightedGraph,
+    _hops_on_row,
     diameter,
-    eccentricity,
-    hop_diameter,
+    exact_sssp,
     make_graph,
     radius,
 )
@@ -265,14 +265,19 @@ def cmd_gadget(args):
 
 def cmd_oracle(args):
     g = _load_graph(args)
-    eccs = [eccentricity(g, u) for u in range(g.n)]
+    # one row per source gives its eccentricity and its min-hop row
+    eccs, hops = [], 0
+    for u in range(g.n):
+        dist = exact_sssp(g, u)
+        eccs.append(max(dist))
+        hops = max(hops, max(_hops_on_row(g, u, dist)))
     report = {
         "version": __version__,
         "config": _config_dict(args),
         "n": g.n,
         "diameter": _num(max(eccs)),
         "radius": _num(min(eccs)),
-        "hop_diameter": _num(hop_diameter(g)),
+        "hop_diameter": _num(hops),
         "eccentricities": [_num(e) for e in eccs],
     }
     sys.stdout.write(_json_text(report))

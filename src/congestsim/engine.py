@@ -53,10 +53,17 @@ def payload_bits(payload):
 
 @dataclass(slots=True, frozen=True)  # a block's phases recur in the ledger
 class Phase:
+    """A named phase's cost; a negative cost raises `ValueError`, so no
+    block or charge can move the clock or a total backwards."""
+
     name: str
     rounds: int = 0
     messages: int = 0
     bits: int = 0
+
+    def __post_init__(self):
+        if min(self.rounds, self.messages, self.bits) < 0:
+            raise ValueError(f"a phase's costs must be >= 0: {self!r}")
 
 
 @dataclass
@@ -148,7 +155,9 @@ class Network:
         self.tree = None
 
     def charge(self, phase, rounds, messages=0, bits=0):
-        """Charge one complete phase named `phase`: a one-phase block."""
+        """Charge one complete phase named `phase`: a one-phase block.
+        Negative rounds, messages or bits raise `ValueError` (see `Phase`)
+        and charge nothing."""
         self.charge_block([Phase(phase, rounds, messages, bits)])
 
     def charge_block(self, phases, times=1):
@@ -206,8 +215,8 @@ class Network:
         consumes exactly that many rounds (quiet tail included); otherwise
         it stops when all programs have halted and nothing is in flight,
         or fails with MaxRoundsExceeded at `max_rounds`.  A run takes at
-        most one of the two bounds: both raise `ValueError`, charging
-        nothing.
+        most one of the two bounds, and no negative one: both bounds, or a
+        negative one, raise `ValueError`, charging nothing.
 
         The run counts its own sends and charges them, with the rounds it
         consumed, through `charge`; it returns those rounds.  When a
@@ -217,10 +226,13 @@ class Network:
         """
         if max_rounds is not None and exact_rounds is not None:
             raise ValueError("a run takes max_rounds or exact_rounds, not both")
+        bound = max_rounds if exact_rounds is None else exact_rounds
+        if bound is not None and bound < 0:
+            raise ValueError(f"a run's bound must be >= 0: {bound}")
         start = self.round_clock
         self._messages = self._bits = 0
         try:
-            used = self._loop(programs, max_rounds, exact_rounds)
+            used = self._loop(programs, bound, exact_rounds is not None)
         except Exception:
             self.charge(phase, 0, self._messages, self._bits)
             raise
@@ -228,10 +240,10 @@ class Network:
         self.charge(phase, used, self._messages, self._bits)
         return used
 
-    def _loop(self, programs, max_rounds, exact_rounds):
-        """`run`'s rounds; returns how many it consumed."""
+    def _loop(self, programs, bound, exact):
+        """`run`'s rounds under its one `bound` (None: no bound), exact or a
+        cap; returns how many it consumed."""
         start = self.round_clock
-        bound = max_rounds if exact_rounds is None else exact_rounds
         end = math.inf if bound is None else start + bound
         self._last_send_round = None
         while self.round_clock < end:
@@ -245,7 +257,7 @@ class Network:
                         Context(self, v, r, inboxes.get(v, []), start))
             self.round_clock += 1
             self._edge_bits.clear()
-            if exact_rounds is None and self._quiescent(programs):
+            if not exact and self._quiescent(programs):
                 break
             # Fast-forward to the next round on the agenda; the skipped quiet
             # rounds still count against the bound.
@@ -255,14 +267,14 @@ class Network:
                     "deadlock: nothing in flight but programs have not halted")
             self.round_clock = max(self.round_clock, nxt)
 
-        if exact_rounds is not None:
+        if exact:
             # the whole budget counts, quiet tail included; what its last
             # round sent is never read by this run, and the next run's
             # programs must not read it either
             self._pending.clear()
-            return exact_rounds
+            return bound
         if not self._quiescent(programs):
-            raise MaxRoundsExceeded(f"no halt within {max_rounds} rounds")
+            raise MaxRoundsExceeded(f"no halt within {bound} rounds")
         # Rounds count through the last round that carried traffic; the
         # final delivery-only round is local computation and free, and the
         # next run starts in it.

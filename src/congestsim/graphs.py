@@ -350,7 +350,11 @@ def min_hops_on_shortest_paths(g, s):
     path visits its nodes in increasing distance, and one pass in
     distance order relaxes the hops along the shortest-path edges.
     """
-    dist = exact_sssp(g, s)
+    return _hops_on_row(g, s, exact_sssp(g, s))
+
+
+def _hops_on_row(g, s, dist):
+    """`min_hops_on_shortest_paths(g, s)` from `dist = exact_sssp(g, s)`."""
     hops = [INFINITE] * g.n
     hops[s] = 0
     for u in sorted(range(g.n), key=dist.__getitem__):

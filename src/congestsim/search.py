@@ -16,23 +16,22 @@ run go to a final `lockstep` phase.
 An evaluation's cost is a fixed function of its index: a repeat charges
 the phases its first initialization charged, delays drawn once, and an
 inner search charges its probes' block, T by one closed form, once per
-draw, in one call.  Both searches share one draw loop (`_draws`) and one
-comparison (`_keep_extremum`).  The outer search evaluates every draw,
-repeats included, since f(i) varies with the inner search's draws.  A
-probe's value is fixed per (index, source) and memoized with the index,
-so the inner search makes all its draws first, values its new distinct
-sources in one `approx_eccentricity` call and compares each distinct
-value once; it keeps that loop of its own, since running it through
-`amplified_max_search`, one evaluation per draw, cost 3-4% of the
-approx-sparse workload's throughput.  A search over one candidate
-evaluates it once and draws nothing, so a one-member skeleton is a
-one-candidate inner search.
+draw, in one call.
+
+Both searches are one policy, `amplified_max_search`: it makes every
+draw first, has the evaluator value the draws as one batch, and keeps
+the first draw holding the extremum.  The outer batch evaluates every
+draw, repeats included, since f(i) varies with the inner search's draws.
+A probe's value is fixed per (index, source) and memoized with the
+index, so the inner batch values its new distinct sources in one
+`approx_eccentricity` call.  A search over one candidate evaluates it
+once and draws nothing, so a one-member skeleton is a one-candidate
+inner search.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -101,7 +100,7 @@ class SearchTrace:
     candidate_count: int = 0
     evaluations: int = 0
     setup_rounds: int = 0
-    eval_rounds: int = 0     # worst single-evaluation cost observed
+    eval_rounds: int = 0     # T, the rounds the evaluator reports
     charged_rounds: int = 0  # setup + evaluations * eval_rounds
     found: object = None
     value: object = None
@@ -119,54 +118,42 @@ def search_budget(rho, delta):
     return max(1, math.ceil(2 * (math.log(q) - math.log(p)) / rho))
 
 
-def _draws(trace, candidates, rng):
-    """The uniform draws of one search over `candidates`, each made with
-    `rng.choice` as the caller takes it: search_budget(trace.rho,
-    trace.delta) of them, or the one candidate once, with nothing drawn."""
-    if trace.mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min': {trace.mode!r}")
-    if not candidates:
-        raise ValueError("no candidates to search over")
-    budget = search_budget(trace.rho, trace.delta)  # checks rho and delta
-    if len(candidates) == 1:  # its one evaluation finds it
-        return candidates[:1]
-    return (rng.choice(candidates) for _ in range(budget))
-
-
-def _keep_extremum(trace, valued):
-    """Set trace.found and trace.value to the first (candidate, value) of
-    `valued` holding the extremum of its values; a None value marks a
-    degenerate probe.  Raises LowConfidenceResult when every one is."""
-    better = operator.gt if trace.mode == "max" else operator.lt
-    for x, value in valued:
-        if value is not None and (trace.value is None
-                                  or better(value, trace.value)):
-            trace.found, trace.value = x, value
-    if trace.value is None:
-        raise LowConfidenceResult(trace)
-    return trace
-
-
 def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
                          setup_rounds=0):
-    """Evaluate search_budget(rho, delta) random candidates, keep the best.
-    One candidate is evaluated once, with nothing drawn from `rng`.
+    """Draw search_budget(rho, delta) random candidates, value them in one
+    batch, keep the best.  One candidate is valued once, with nothing
+    drawn from `rng`.
 
-    `evaluate(x)` returns (value, rounds); value None marks a degenerate
-    probe that contributes cost but no value.  Each draw is evaluated
-    before the next is made.  Raises LowConfidenceResult when every probe
-    was degenerate.
+    `evaluate(draws)` returns the draws' values in draw order and T, the
+    rounds each evaluation is charged (the costliest one's: evaluations
+    run in lockstep); a value None marks a degenerate probe that
+    contributes cost but no value.  `found` is the first draw holding the
+    extremum.  Raises LowConfidenceResult when every probe was degenerate.
     """
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min': {mode!r}")
+    if not candidates:
+        raise ValueError("no candidates to search over")
+    budget = search_budget(rho, delta)  # checks rho and delta
+    if len(candidates) == 1:  # its one evaluation finds it
+        draws = candidates[:1]
+    else:
+        draws = [rng.choice(candidates) for _ in range(budget)]
+    values, rounds = evaluate(draws)
     trace = SearchTrace(mode=mode, rho=rho, delta=delta,
                         candidate_count=len(candidates),
-                        setup_rounds=setup_rounds)
-    for x in _draws(trace, candidates, rng):
-        value, rounds = evaluate(x)
-        trace.evaluations += 1
-        trace.probes.append((x, value))
-        trace.eval_rounds = max(trace.eval_rounds, rounds)
-    trace.charged_rounds = trace.setup_rounds + trace.evaluations * trace.eval_rounds
-    return _keep_extremum(trace, trace.probes)
+                        evaluations=len(draws), setup_rounds=setup_rounds,
+                        eval_rounds=rounds,
+                        charged_rounds=setup_rounds + len(draws) * rounds,
+                        probes=list(zip(draws, values, strict=True)))
+    # a value object drawn again cannot beat itself, so each is compared
+    # once; max and min keep the first of equal values
+    distinct = {id(v): v for v in values if v is not None}.values()
+    if not distinct:
+        raise LowConfidenceResult(trace)
+    trace.value = (max if mode == "max" else min)(distinct)
+    trace.found = next(x for x, v in trace.probes if v is trace.value)
+    return trace
 
 
 def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
@@ -192,12 +179,9 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     charges that one block once per draw, in one call after its last
     draw; nothing else charges in between.
 
-    The inner search makes its search_budget draws on the leader's
-    stream first, then values its distinct drawn sources not valued
-    before in one `approx_eccentricity` call, and compares each distinct
-    drawn source once, in first-draw order.  Its trace is the per-draw
-    search's: one (source, value) probe per draw, and `found` the first
-    drawn source with the extremum.
+    The inner search is one `amplified_max_search` over the members, drawn
+    on the leader's stream, whose batch values the new distinct drawn
+    sources in one `approx_eccentricity` call.
     """
     memo = {} if cache is None else cache
     if memo.setdefault("schedule", schedule) != schedule:
@@ -232,22 +216,18 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
     else:
         network.charge_block(memo["init", index][1])
     state, _, block, values = memo["init", index]
-    init_rounds = ledger.rounds - mark
     block_rounds = sum(p.rounds for p in block)
 
-    trace = SearchTrace(mode=mode, rho=Fraction(1, len(members)),
-                        delta=delta, candidate_count=len(members),
-                        setup_rounds=init_rounds)
-    draws = list(_draws(trace, members, network.rng_for(network.leader)))
-    drawn = dict.fromkeys(draws)  # the distinct draws, in draw order
-    new = [s for s in drawn if s not in values]
-    if new:
-        values.update(zip(new, approx_eccentricity(
-            state, [sssp_on_overlay(state, s) for s in new])))
-    trace.probes = [(s, values[s]) for s in draws]
-    trace.evaluations, trace.eval_rounds = len(draws), block_rounds
-    trace.charged_rounds = init_rounds + trace.evaluations * block_rounds
-    _keep_extremum(trace, ((s, values[s]) for s in drawn))
+    def probe(draws):
+        new = [s for s in dict.fromkeys(draws) if s not in values]
+        if new:
+            values.update(zip(new, approx_eccentricity(
+                state, [sssp_on_overlay(state, s) for s in new])))
+        return [values[s] for s in draws], block_rounds
+
+    trace = amplified_max_search(members, probe, Fraction(1, len(members)),
+                                 delta, network.rng_for(network.leader), mode,
+                                 ledger.rounds - mark)
     network.charge_block(block, trace.evaluations)
     if trace_sink is not None:
         trace_sink.append(trace)
@@ -255,6 +235,13 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
 
 
 def _estimate(network, schedule, delta, rng, mode, trace_sink):
+    """The outer search over the n skeleton indices, its T0 the BFS tree.
+
+    Drawing every index before evaluating one gives the records that
+    evaluating each draw before the next would: the outer draws come from
+    `rng`, never from the leader's stream (`rng_for(0)`) that feeds the
+    skeleton MSSP delays and the inner draws.
+    """
     if not 0 < delta < 1:  # checked here too: a lone node runs no search
         raise ValueError(f"need 0 < delta < 1: {delta}")
     if schedule is None:
@@ -269,13 +256,15 @@ def _estimate(network, schedule, delta, rng, mode, trace_sink):
         sets = network.sample_skeleton_sets(schedule.r, network.n)
         cache = {}
 
-        def outer(i):
-            return evaluate_f_i(network, i, sets[i], schedule, delta, mode=mode,
-                                trace_sink=trace_sink, cache=cache)
+        def outer(draws):
+            values, rounds = zip(*(evaluate_f_i(
+                network, i, sets[i], schedule, delta, mode=mode,
+                trace_sink=trace_sink, cache=cache) for i in draws))
+            return values, max(rounds)
 
         start = network.ledger.rounds
         network.build_bfs_tree()
-        rho = Fraction(min(schedule.r, network.n), network.n)
+        rho = Fraction(schedule.r, network.n)
         trace = amplified_max_search(list(range(network.n)), outer, rho=rho,
                                      delta=delta, rng=rng, mode=mode,
                                      setup_rounds=network.ledger.rounds - start)

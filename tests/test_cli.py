@@ -42,6 +42,25 @@ def test_oracle_graph_file(tmp_path, capsys):
     assert json.loads(out)["diameter"] == 7
 
 
+def test_oracle_runs_one_exact_sssp_per_node(monkeypatch, capsys):
+    # each source's row gives both its eccentricity and its min-hop row
+    from congestsim import graphs
+    real, calls = graphs.exact_sssp, []
+
+    def counted(g, s):
+        calls.append(s)
+        return real(g, s)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "congestsim"
+                and getattr(module, "exact_sssp", None) is real):
+            monkeypatch.setattr(module, "exact_sssp", counted)
+    code, out, _ = run(["oracle", "--gen", "random-connected", "--n", "16"],
+                       capsys)
+    assert code == EXIT_OK and json.loads(out)["n"] == 16
+    assert sorted(calls) == list(range(16))
+
+
 def test_approx_trials(capsys):
     code, out, _ = run(["approx", "diameter", "--gen", "cycle", "--n", "12",
                         "--trials", "2", "--seed", "5"], capsys)
@@ -195,7 +214,7 @@ def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys):
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                          command, target):
     # the path is checked before any work
-    for name in ("approx_diameter", "approx_radius", "eccentricity",
+    for name in ("approx_diameter", "approx_radius", "exact_sssp",
                  "build_gadget", "verify_reduction"):
         monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs:
                             pytest.fail(f"{name} ran before --out was checked"))

@@ -334,6 +334,39 @@ def test_a_run_takes_at_most_one_bound():
     assert net.ledger.to_dict() == Network(net.graph).ledger.to_dict()
 
 
+@pytest.mark.parametrize("bound", ["max_rounds", "exact_rounds"])
+def test_a_negative_bound_is_refused(bound):
+    # an exact run of -3 rounds returned -3 and moved the clock back to -3
+    class Counted(NodeProgram):
+        calls = 0
+
+        def on_round(self, ctx):
+            Counted.calls += 1
+            self.halted = True
+
+    net = Network(WeightedGraph(2, [(0, 1, 1)]))
+    for value in (-1, -3):
+        with pytest.raises(ValueError, match="bound"):
+            net.run({0: Counted()}, "negative", **{bound: value})
+    assert Counted.calls == 0 and net.round_clock == 0
+    assert net.ledger.to_dict() == Network(net.graph).ledger.to_dict()
+
+
+def test_a_negative_charge_is_refused():
+    # charge("x", -5, -1, -2) moved the clock back to -5; no phase, and so
+    # no block either, holds a negative cost
+    net = Network(WeightedGraph(2, [(0, 1, 1)]))
+    for cost in ((-5, 0, 0), (0, -1, 0), (0, 0, -2), (-5, -1, -2)):
+        with pytest.raises(ValueError, match=">= 0"):
+            net.charge("x", *cost)
+        with pytest.raises(ValueError, match=">= 0"):
+            Phase("x", *cost)
+    assert net.round_clock == 0
+    assert net.ledger.to_dict() == Network(net.graph).ledger.to_dict()
+    net.charge("x", 0)
+    assert net.ledger.phases == [Phase("x", 0)]
+
+
 def test_wake_must_name_a_later_round():
     class Now(NodeProgram):
         def on_round(self, ctx):

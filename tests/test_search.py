@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from congestsim import graphs, search
@@ -137,9 +138,17 @@ def test_search_budget_of_a_delta_below_every_float():
         math.ceil(4 * math.log(1e300))
 
 
+def each(f):
+    """A batch evaluator from a per-draw `f(x) -> (value, rounds)`."""
+    def evaluate(draws):
+        values, rounds = zip(*map(f, draws))
+        return list(values), max(rounds)
+    return evaluate
+
+
 def test_constant_function_runs_the_full_budget():
     trace = amplified_max_search(
-        list(range(10)), lambda x: (7, 3), rho=1, delta=Fraction(1, 12),
+        list(range(10)), each(lambda x: (7, 3)), rho=1, delta=Fraction(1, 12),
         rng=random.Random(0))
     assert trace.evaluations == search_budget(1, Fraction(1, 12))
     assert trace.value == 7
@@ -153,7 +162,7 @@ def test_needle_in_64():
     successes = 0
     for seed in range(500):
         trace = amplified_max_search(
-            list(range(64)), lambda x: (int(x == 17), 5),
+            list(range(64)), each(lambda x: (int(x == 17), 5)),
             rho=Fraction(1, 64), delta=Fraction(1, 8), rng=random.Random(seed))
         successes += trace.value == 1
         assert trace.evaluations <= bound
@@ -169,7 +178,7 @@ def test_linear_good_fraction():
     successes = 0
     for seed in range(300):
         trace = amplified_max_search(
-            list(range(n)), lambda x: (int(x in good), 1),
+            list(range(n)), each(lambda x: (int(x in good), 1)),
             rho=Fraction(r, n), delta=delta, rng=random.Random(seed))
         successes += trace.value == 1
     assert successes >= (1 - delta) * 300
@@ -187,7 +196,7 @@ def test_search_argument_validation():
 
 def test_all_degenerate_probes():
     with pytest.raises(LowConfidenceResult) as exc:
-        amplified_max_search([1, 2], lambda x: (None, 4), rho=1,
+        amplified_max_search([1, 2], each(lambda x: (None, 4)), rho=1,
                              delta=Fraction(1, 2), rng=random.Random(0))
     assert exc.value.trace.evaluations >= 1
 
@@ -195,7 +204,7 @@ def test_all_degenerate_probes():
 def test_min_mode():
     values = {i: (i * 7) % 23 for i in range(23)}
     trace = amplified_max_search(
-        list(range(23)), lambda x: (values[x], 1), rho=Fraction(1, 23),
+        list(range(23)), each(lambda x: (values[x], 1)), rho=Fraction(1, 23),
         delta=Fraction(1, 100), rng=random.Random(1), mode="min")
     assert trace.value == min(values.values())
 
@@ -208,8 +217,8 @@ def test_reference_search():
     # upper-bounds every stochastic trace
     for seed in range(20):
         trace = amplified_max_search(
-            list(range(31)), lambda x: (values[x], 1), rho=Fraction(1, 31),
-            delta=Fraction(1, 4), rng=random.Random(seed))
+            list(range(31)), each(lambda x: (values[x], 1)),
+            rho=Fraction(1, 31), delta=Fraction(1, 4), rng=random.Random(seed))
         assert trace.value <= best
 
 
@@ -234,11 +243,76 @@ def test_a_search_over_one_candidate_evaluates_it_once():
     state = rng.getstate()
     calls = []
     trace = amplified_max_search(
-        [7], lambda x: (calls.append(x) or 5, 3), rho=1,
+        [7], each(lambda x: (calls.append(x) or 5, 3)), rho=1,
         delta=Fraction(1, 12), rng=rng)
     assert calls == [7] and rng.getstate() == state
     assert (trace.evaluations, trace.found, trace.value) == (1, 7, 5)
     assert trace.probes == [(7, 5)] and trace.charged_rounds == 3
+
+
+@pytest.mark.parametrize("candidates", [[3, 1, 4, 1, 5], [7]])
+def test_a_search_values_all_its_draws_in_one_call(candidates):
+    # every draw is made first, then one call values them all; one
+    # candidate is valued once and nothing is drawn
+    rho, delta = Fraction(1, 5), Fraction(1, 12)
+    rng = random.Random(2)
+    clone = random.Random()
+    clone.setstate(rng.getstate())
+    if len(candidates) == 1:
+        expected = candidates
+    else:
+        expected = [clone.choice(candidates)
+                    for _ in range(search_budget(rho, delta))]
+    calls = []
+
+    def evaluate(draws):
+        calls.append(list(draws))
+        return [2 * x for x in draws], 3
+
+    trace = amplified_max_search(candidates, evaluate, rho=rho, delta=delta,
+                                 rng=rng)
+    assert calls == [expected] and rng.getstate() == clone.getstate()
+    assert trace.probes == [(x, 2 * x) for x in expected]
+    assert (trace.evaluations, trace.eval_rounds) == (len(expected), 3)
+
+
+# repeated objects, equal but distinct objects, and degenerate probes
+VALUE_POOL = (None, Fraction(1, 2), Fraction(2, 4), Fraction(1, 3),
+              Fraction(2, 3), 0, 1, Fraction(3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(picks=st.lists(st.integers(0, len(VALUE_POOL) - 1), min_size=1,
+                      max_size=40),
+       k=st.integers(1, 6), seed=st.integers(0, 99),
+       mode=st.sampled_from(["max", "min"]))
+@example(picks=[0], k=4, seed=0, mode="max")
+@example(picks=[0], k=1, seed=0, mode="min")
+def test_comparing_each_value_object_once_keeps_the_per_draw_result(
+        picks, k, seed, mode):
+    # `found` and `value` are those of a per-draw loop of strict comparisons
+    valued = []
+
+    def evaluate(draws):
+        valued.extend((x, VALUE_POOL[picks[j % len(picks)]])
+                      for j, x in enumerate(draws))
+        return [v for _, v in valued], 1
+
+    better = operator.gt if mode == "max" else operator.lt
+    found = best = None
+    try:
+        trace = amplified_max_search(list(range(k)), evaluate,
+                                     Fraction(1, k), DEFAULT_DELTA,
+                                     random.Random(seed), mode)
+    except LowConfidenceResult as exc:
+        assert exc.trace.probes == valued
+        assert all(v is None for _, v in valued)
+        return
+    for x, v in valued:
+        if v is not None and (best is None or better(v, best)):
+            found, best = x, v
+    assert trace.probes == valued
+    assert trace.found == found and trace.value is best
 
 
 def test_a_singleton_skeleton_is_a_one_candidate_search(monkeypatch):
