@@ -42,9 +42,10 @@ print(f"{len(state.overlay_levels.graph.edges)} overlay edges")
 
 # Stage 4: bounded-hop distances on the overlay, one source at a time:
 # each probe's table is integers in the overlay's unit, one per member.
-# Reading a table charges nothing: the estimators charge a probe's rounds
-# (`setup`, `overlay-sssp`, `eval`) in `search.evaluate_f_i`, on every
-# probe, so the ledger printed below has no `overlay-sssp` phase.
+# Reading a table charges nothing: a probe's rounds (`setup`,
+# `overlay-sssp`, `eval`) are the block `search.SkeletonOracle.init`
+# builds, which `search.evaluate_f_i` charges once per draw, so the
+# ledger printed below has no `overlay-sssp` phase.
 tables = {s: sssp_on_overlay(state, s) for s in range(g.n)}
 
 # Stage 5: node-local combination, checked against the exact oracle.

@@ -43,6 +43,7 @@ from .search import (
     LowConfidenceResult,
     ParameterSchedule,
     SearchTrace,
+    SkeletonOracle,
     amplified_max_search,
     approx_diameter,
     approx_radius,

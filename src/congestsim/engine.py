@@ -10,7 +10,8 @@ budget.
 `Network.charge_block` is the ledger's one writer.  Every stage and engine
 run charges one complete, named phase through `charge`, a one-phase
 block; an inner search charges its probes' block once per draw, and a
-memo hit its recorded phases, each in one call.
+repeat `search.SkeletonOracle.init` the phases its first call charged,
+each in one call.
 
 The two tree primitives are charged in closed form, not run:
 `build_bfs_tree` from the leader's hop counts, `broadcast_pipeline` from

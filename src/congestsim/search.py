@@ -22,8 +22,9 @@ Both searches are one policy, `amplified_max_search`: it makes every
 draw first, has the evaluator value the draws as one batch, and keeps
 the first draw holding the extremum.  The outer batch evaluates every
 draw, repeats included, since f(i) varies with the inner search's draws.
-A probe's value is fixed per (index, source) and memoized with the
-index, so the inner batch values its new distinct sources in one
+One `SkeletonOracle` per estimator run builds each index's skeleton
+once and memoizes a probe's value, which is fixed per (index, source),
+so the inner batch values its new distinct sources in one
 `approx_eccentricity` call.  A search over one candidate evaluates it
 once and draws nothing, so a one-member skeleton is a one-candidate
 inner search.
@@ -156,49 +157,38 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
     return trace
 
 
-def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
-                 mode="max", trace_sink=None, cache=None):
-    """f(i): extremum over skeleton sources s of the approximate
-    eccentricity through skeleton i, with its full communication cost.
+class SkeletonOracle:
+    """The value oracle of one estimator run over its skeleton sets.
 
-    Returns (value, rounds); value None when the skeleton is empty.  A
-    repeated member counts once.  Rounds = initialization (multi-source
-    tables + overlay embedding, charged once) + inner amplified search
-    over sources, each probe paying: collect the skeleton, announce s,
-    overlay distances, local combine + convergecast.  A lone member's
-    probe pays only its announce and convergecast, and its search is the
-    one draw of a one-candidate search.
-
-    `cache` memoizes, per index, the initialization, a repeat charging
-    again the phases its first run charged, the probe block built with it,
-    and the value of each source probed so far (None: within this call
-    only).  It also holds the one `LevelTables` every skeleton's tables
-    are read from, and the schedule they were built for: a call with
-    another schedule raises ValueError.  Every probe, first or repeat,
-    costs the same frozen phases, so every inner search of the index
-    charges that one block once per draw, in one call after its last
-    draw; nothing else charges in between.
-
-    The inner search is one `amplified_max_search` over the members, drawn
-    on the leader's stream, whose batch values the new distinct drawn
-    sources in one `approx_eccentricity` call.
+    It holds the one base `LevelTables` every skeleton's tables are read
+    from and each skeleton's distinct sorted `members[i]`.  `init(i)`
+    builds and embeds skeleton i on its first call and returns its probe
+    block, the frozen phases every probe of i costs; every call charges the
+    phases the first one charged (`init_phases[i]`), the delays drawn once.
+    `values(i, sources)` is memoized per (i, source) and charges nothing;
+    it values the new distinct sources in one `approx_eccentricity` call.
+    A schedule built for another graph size raises ValueError up front.
     """
-    memo = {} if cache is None else cache
-    if memo.setdefault("schedule", schedule) != schedule:
-        raise ValueError("the cache holds another schedule's skeletons")
-    members = sorted(set(members))
-    if not members:
-        return None, 0
-    d_g = schedule.unweighted_diameter
-    ledger = network.ledger
-    mark = ledger.rounds
-    if ("init", index) not in memo:
-        if "levels" not in memo:  # serves every skeleton of the memo
-            memo["levels"] = LevelTables(network.graph, schedule.hops,
-                                         schedule.eps)
-        first = len(ledger.phases)
-        state = build_skeleton_state(network, index, members, memo["levels"])
-        state = embed_overlay(network, state, schedule.k, d_g)
+
+    def __init__(self, network, schedule, sets):
+        if schedule.n != network.n:
+            raise ValueError(f"a schedule for n={schedule.n} on n={network.n}")
+        self.network, self.schedule = network, schedule
+        self.members = [sorted(set(s)) for s in sets]
+        self.levels = LevelTables(network.graph, schedule.hops, schedule.eps)
+        # per initialized index: its state, the phases its first init
+        # charged, its probe block and the value of each source probed
+        self.states, self.init_phases, self.blocks, self.memo = {}, {}, {}, {}
+
+    def init(self, i):
+        network = self.network
+        if i in self.states:
+            network.charge_block(self.init_phases[i])
+            return self.blocks[i]
+        members, d_g = self.members[i], self.schedule.unweighted_diameter
+        first = len(network.ledger.phases)
+        state = build_skeleton_state(network, i, members, self.levels)
+        state = embed_overlay(network, state, self.schedule.k, d_g)
         if len(members) == 1:
             # a lone member announces itself, convergecasts its eccentricity
             block = [Phase("eval", 2 * d_g + 1)]
@@ -212,22 +202,52 @@ def evaluate_f_i(network, index, members, schedule, delta=DEFAULT_DELTA,
             # distances, convergecast the extremum
             block = [Phase("setup", d_g + len(members)), Phase("setup", d_g),
                      Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
-        memo["init", index] = state, ledger.phases[first:], block, {}
-    else:
-        network.charge_block(memo["init", index][1])
-    state, _, block, values = memo["init", index]
-    block_rounds = sum(p.rounds for p in block)
+        self.states[i], self.blocks[i], self.memo[i] = state, block, {}
+        self.init_phases[i] = network.ledger.phases[first:]
+        return block
 
-    def probe(draws):
-        new = [s for s in dict.fromkeys(draws) if s not in values]
+    def values(self, i, sources):
+        state, memo = self.states[i], self.memo[i]
+        new = [s for s in dict.fromkeys(sources) if s not in memo]
         if new:
-            values.update(zip(new, approx_eccentricity(
+            memo.update(zip(new, approx_eccentricity(
                 state, [sssp_on_overlay(state, s) for s in new])))
-        return [values[s] for s in draws], block_rounds
+        return [memo[s] for s in sources]
 
-    trace = amplified_max_search(members, probe, Fraction(1, len(members)),
-                                 delta, network.rng_for(network.leader), mode,
-                                 ledger.rounds - mark)
+
+def evaluate_f_i(oracle, index, delta=DEFAULT_DELTA, mode="max",
+                 trace_sink=None):
+    """f(i): extremum over skeleton sources s of the approximate
+    eccentricity through skeleton i, with its full communication cost.
+
+    Returns (value, rounds); value None when the skeleton is empty.
+    Rounds = initialization (multi-source tables + overlay embedding,
+    `oracle.init(index)`) + inner amplified search over sources, each probe
+    paying: collect the skeleton, announce s, overlay distances, local
+    combine + convergecast.  A lone member's probe pays only its announce
+    and convergecast, and its search is the one draw of a one-candidate
+    search.  A bad `delta` or `mode` raises ValueError before anything is
+    charged or drawn.
+
+    Every probe, first or repeat, costs the same frozen phases, so the
+    inner search charges that one block once per draw, in one call after
+    its last draw; nothing else charges in between.  The inner search is
+    one `amplified_max_search` over the members, drawn on the leader's
+    stream after the initialization's delays, whose batch is valued by
+    `oracle.values`.
+    """
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min': {mode!r}")
+    search_budget(1, delta)  # checks delta
+    members = oracle.members[index]
+    if not members:
+        return None, 0
+    network, block = oracle.network, oracle.init(index)
+    rounds = sum(p.rounds for p in block)
+    trace = amplified_max_search(
+        members, lambda draws: (oracle.values(index, draws), rounds),
+        Fraction(1, len(members)), delta, network.rng_for(network.leader),
+        mode, sum(p.rounds for p in oracle.init_phases[index]))
     network.charge_block(block, trace.evaluations)
     if trace_sink is not None:
         trace_sink.append(trace)
@@ -254,12 +274,11 @@ def _estimate(network, schedule, delta, rng, mode, trace_sink):
                             found=0, value=0)
     else:
         sets = network.sample_skeleton_sets(schedule.r, network.n)
-        cache = {}
+        oracle = SkeletonOracle(network, schedule, sets)
 
         def outer(draws):
-            values, rounds = zip(*(evaluate_f_i(
-                network, i, sets[i], schedule, delta, mode=mode,
-                trace_sink=trace_sink, cache=cache) for i in draws))
+            values, rounds = zip(*(evaluate_f_i(oracle, i, delta, mode,
+                                                trace_sink) for i in draws))
             return values, max(rounds)
 
         start = network.ledger.rounds

@@ -30,8 +30,9 @@ a graph on the skeleton whose own `LevelTables` `embed_overlay` builds.
 Steps 2-4 are charged to the ledger by their communication schedules
 (global broadcasts) without simulating each message, in terms of the hop
 diameter `d_g` of the communication graph: `embed_overlay` charges steps
-2-3, and `search.evaluate_f_i` charges step 4 on every probe, so
-`sssp_on_overlay` only reads.
+2-3, and `search.evaluate_f_i` charges step 4 on every probe, as the
+block `search.SkeletonOracle.init` builds, so `sssp_on_overlay` only
+reads.
 
 All approximate distances are exact rationals (`fractions.Fraction`) so
 the sandwich bounds can be asserted with zero tolerance.  Every table is
@@ -455,7 +456,8 @@ def embed_overlay(network, state, k, d_g):
 
 def sssp_on_overlay(state, s):
     """Bounded-hop distances from s on the embedded shortcut overlay, the
-    table every node learns (its rounds are charged per probe by
+    table every node learns (its rounds are in the probe block of
+    `search.SkeletonOracle.init`, charged per draw by
     `search.evaluate_f_i`).
 
     Returns `state.overlay_levels.source(i).units` itself, s = members[i]:

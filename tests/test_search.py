@@ -25,6 +25,7 @@ from congestsim.search import (
     LowConfidenceResult,
     ParameterSchedule,
     SearchTrace,
+    SkeletonOracle,
     amplified_max_search,
     approx_diameter,
     approx_radius,
@@ -230,7 +231,8 @@ def test_evaluate_singleton_skeleton():
     net = Network(g, seed=3)
     sch = ParameterSchedule.for_graph(g)
     sink = []
-    value, rounds = evaluate_f_i(net, 0, [4], sch, trace_sink=sink)
+    value, rounds = evaluate_f_i(SkeletonOracle(net, sch, [[4]]), 0,
+                                 trace_sink=sink)
     assert len(sink) == 1 and sink[0].evaluations == 1
     assert sink[0].charged_rounds == rounds
     e = max(__import__("congestsim").exact_sssp(g, 4))
@@ -316,7 +318,7 @@ def test_comparing_each_value_object_once_keeps_the_per_draw_result(
 
 
 def test_a_singleton_skeleton_is_a_one_candidate_search(monkeypatch):
-    # its probe is valued once per memo, and its trace is one evaluation
+    # its probe is valued once per oracle, and its trace is one evaluation
     # whose block is the lone member's announce and convergecast
     g = random_connected_graph(10, rng=random.Random(3))
     net = Network(g, seed=3)
@@ -329,11 +331,10 @@ def test_a_singleton_skeleton_is_a_one_candidate_search(monkeypatch):
         return approx_eccentricity(state, tables)
 
     monkeypatch.setattr(search, "approx_eccentricity", counted)
-    cache, sink = {}, []
-    results = [evaluate_f_i(net, 0, [4], sch, cache=cache, trace_sink=sink)
-               for _ in range(2)]
+    oracle, sink = SkeletonOracle(net, sch, [[4]]), []
+    results = [evaluate_f_i(oracle, 0, trace_sink=sink) for _ in range(2)]
     assert valued == [[4]]
-    init = sum(p.rounds for p in cache["init", 0][1])
+    init = sum(p.rounds for p in oracle.init_phases[0])
     value = results[0][0]
     expected = SearchTrace(
         mode="max", rho=1, delta=DEFAULT_DELTA, candidate_count=1,
@@ -353,9 +354,11 @@ def test_a_repeated_member_counts_once():
         runs = []
         for members in (repeated, distinct):
             net = Network(g, seed=3)
-            value, rounds = evaluate_f_i(net, 0, members, sch)
+            oracle = SkeletonOracle(net, sch, [members])
+            value, rounds = evaluate_f_i(oracle, 0)
             runs.append((value, rounds, net.ledger.to_json()))
         assert runs[0] == runs[1]
+        assert oracle.members == [distinct]
 
 
 def test_evaluate_full_skeleton_hits_diameter():
@@ -364,7 +367,7 @@ def test_evaluate_full_skeleton_hits_diameter():
     sch = ParameterSchedule.for_graph(g)
     sch.hops = g.n  # deterministic regime
     sink = []
-    value, rounds = evaluate_f_i(net, 0, list(range(g.n)), sch,
+    value, rounds = evaluate_f_i(SkeletonOracle(net, sch, [range(g.n)]), 0,
                                  trace_sink=sink)
     d = diameter(g)
     assert d <= value <= (1 + sch.eps) ** 2 * d
@@ -379,7 +382,7 @@ def test_evaluate_charges_ledger():
     net.build_bfs_tree()
     sch = ParameterSchedule.for_graph(g)
     before = net.ledger.rounds
-    _, rounds = evaluate_f_i(net, 0, [0, 3, 6], sch)
+    _, rounds = evaluate_f_i(SkeletonOracle(net, sch, [[0, 3, 6]]), 0)
     assert net.ledger.rounds - before == rounds
 
 
@@ -387,56 +390,58 @@ def test_evaluate_cache_recharges_identically():
     g = random_connected_graph(10, rng=random.Random(8))
     net = Network(g, seed=8)
     sch = ParameterSchedule.for_graph(g)
-    cache = {}
-    v1, r1 = evaluate_f_i(net, 0, [1, 4, 8], sch, cache=cache)
-    v2, r2 = evaluate_f_i(net, 0, [1, 4, 8], sch, cache=cache)
+    oracle = SkeletonOracle(net, sch, [[1, 4, 8]])
+    v1, r1 = evaluate_f_i(oracle, 0)
+    v2, r2 = evaluate_f_i(oracle, 0)
     assert v1 == v2
     # same tables, maybe different inner sampling: setup cost identical
-    assert ("init", 0) in cache
+    assert list(oracle.states) == [0]
 
 
-def test_a_memo_serves_one_schedule_only():
-    # skeleton 0 is worth 31 at hop bound 1; a memo that built it at the
-    # default hop bound 12 (where it is worth 24) must refuse hop bound 1
-    # rather than answer with the other schedule's skeleton
+def test_a_memo_serves_one_schedule_only(monkeypatch):
+    # skeleton 0 is worth 31 at hop bound 1 and 24 at the default hop
+    # bound 12: each oracle answers with its own schedule's skeletons, all
+    # read from the one base LevelTables it built
+    built = []
+
+    def counted(graph, hops, eps):
+        built.append(LevelTables(graph, hops, eps))
+        return built[-1]
+
+    monkeypatch.setattr(search, "LevelTables", counted)
     g = random_connected_graph(12, rng=random.Random(1))
     sch = ParameterSchedule.for_graph(g)
-    one = dataclasses.replace(sch, hops=1)
-    members = [1, 4, 7, 9]
-    assert evaluate_f_i(Network(g), 0, members, one, cache={})[0] == 31
-    cache = {}
-    assert evaluate_f_i(Network(g), 0, members, sch, cache=cache)[0] == 24
-    with pytest.raises(ValueError, match="another schedule"):
-        evaluate_f_i(Network(g), 0, members, one, cache=cache)
-    with pytest.raises(ValueError, match="another schedule"):
-        evaluate_f_i(Network(g), 1, [], one, cache=cache)
-    # an equal schedule is the same schedule, and one LevelTables serves it
-    again = dataclasses.replace(sch)
-    assert evaluate_f_i(Network(g), 2, [0, 5], again, cache=cache)[0] \
-        is not None
-    levels = [x for x in cache.values() if isinstance(x, LevelTables)]
-    assert len(levels) == 1
-    assert (levels[0].hops, levels[0].eps) == (sch.hops, sch.eps)
-    assert all(record[0].levels is levels[0]
-               for key, record in cache.items() if key[0] == "init")
+    sets = [[1, 4, 7, 9], [], [0, 5]]
+    for schedule, worth in ((dataclasses.replace(sch, hops=1), 31),
+                            (sch, 24)):
+        built.clear()
+        oracle = SkeletonOracle(Network(g), schedule, sets)
+        assert evaluate_f_i(oracle, 0)[0] == worth
+        assert evaluate_f_i(oracle, 1) == (None, 0)
+        assert evaluate_f_i(oracle, 2)[0] is not None
+        assert built == [oracle.levels] and list(oracle.states) == [0, 2]
+        assert (oracle.levels.hops, oracle.levels.eps) == \
+            (schedule.hops, schedule.eps)
+        assert all(state.levels is oracle.levels
+                   for state in oracle.states.values())
 
 
 @pytest.mark.parametrize("kind", ["random-connected", "cycle", "grid"])
 def test_memoized_states_hold_only_what_their_probes_read(kind, monkeypatch):
     # after whole estimator runs every memoized state has exactly its four
     # fields: no intermediate shortcut, no scaled hop rows
-    memos = []
+    seen = []
 
-    def recorded(*args, cache=None, **kwargs):
-        memos.append(cache)
-        return evaluate_f_i(*args, cache=cache, **kwargs)
+    def recorded(oracle, *args, **kwargs):
+        seen.append(oracle)
+        return evaluate_f_i(oracle, *args, **kwargs)
 
     monkeypatch.setattr(search, "evaluate_f_i", recorded)
     g = graphs.make_graph(kind, 16, rng=random.Random(5))
     for run in (approx_diameter, approx_radius):
         run(Network(g, seed=5))
-    states = {id(record[0]): record[0] for memo in memos
-              for key, record in memo.items() if key[0] == "init"}
+    states = {id(state): state for oracle in seen
+              for state in oracle.states.values()}
     assert len(states) > 1
     for state in states.values():
         assert list(vars(state)) == ["index", "members", "levels",
@@ -446,18 +451,21 @@ def test_memoized_states_hold_only_what_their_probes_read(kind, monkeypatch):
 
 
 def test_evaluate_memo_replays_what_computing_charged():
-    # two evaluations of one index, memo kept across them or not: the same
-    # phases are charged and the clock ends in the same round; only
-    # mssp-delays bits may differ, because a re-run draws fresh delays and
-    # the pipeline sizes items by bit length
+    # two evaluations of one index, on one oracle or on a fresh oracle
+    # each: the same phases are charged and the clock ends in the same
+    # round; only mssp-delays bits may differ, because a fresh oracle draws
+    # fresh delays and the pipeline sizes items by bit length
     g = random_connected_graph(12, rng=random.Random(0))
     sch = ParameterSchedule.for_graph(g)
+    sets = [[1, 4, 8, 10]]
     runs = []
-    for cache in ({}, None):
+    for shared in (True, False):
         net = Network(g, seed=0)
         net.build_bfs_tree()
         mark = len(net.ledger.phases)
-        rounds = [evaluate_f_i(net, 0, [1, 4, 8, 10], sch, cache=cache)[1]
+        oracle = SkeletonOracle(net, sch, sets)
+        rounds = [evaluate_f_i(oracle if shared
+                               else SkeletonOracle(net, sch, sets), 0)[1]
                   for _ in range(2)]
         phases = net.ledger.phases[mark:]
         assert "bfs-tree" not in {p.name for p in phases}
@@ -473,11 +481,12 @@ def test_every_probe_charges_its_four_phases():
     g = random_connected_graph(12, rng=random.Random(0))
     sch = ParameterSchedule.for_graph(g)
     d_g, members = sch.unweighted_diameter, [1, 4, 8, 10]
-    net, cache, sink, blocks = Network(g, seed=0), {}, [], []
+    net, sink, blocks = Network(g, seed=0), [], []
+    oracle = SkeletonOracle(net, sch, [members])
     net.build_bfs_tree()
     for _ in range(2):  # the second evaluation's probes all repeat
         mark = len(net.ledger.phases)
-        evaluate_f_i(net, 0, members, sch, cache=cache, trace_sink=sink)
+        evaluate_f_i(oracle, 0, trace_sink=sink)
         phases = net.ledger.phases[mark:]
         init = len(phases) - 4 * sink[-1].evaluations
         assert {p.name for p in phases[:init]} <= {"mssp-delays", "mssp",
@@ -486,7 +495,7 @@ def test_every_probe_charges_its_four_phases():
                          for p in phases[i:i + 4])
                    for i in range(init, len(phases), 4)]
     assert len(blocks) > 2 * len(members)  # repeats within one search too
-    levels = cache["init", 0][0].overlay_levels
+    levels = oracle.states[0].overlay_levels
     overlay = len(levels) * (levels.budget + 1) * (2 * d_g + 1 + len(members))
     assert set(blocks) == {(("setup", d_g + len(members), 0, 0),
                             ("setup", d_g, 0, 0),
@@ -498,17 +507,17 @@ def test_every_probe_charges_its_four_phases():
 
 def test_inner_search_charges_one_block_per_draw():
     # the ledger holds the same four Phase objects once per draw, and a
-    # memo hit re-appends its initialization's recorded objects, so an
+    # repeat init re-appends its first init's recorded objects, so an
     # inner search makes at most four new Phase objects whatever its budget
     g = random_connected_graph(12, rng=random.Random(0))
     sch = ParameterSchedule.for_graph(g)
     members = [1, 4, 8, 10]
-    net, cache, sink = Network(g, seed=0), {}, []
+    net, sink = Network(g, seed=0), []
+    oracle = SkeletonOracle(net, sch, [members])
     net.build_bfs_tree()
     for delta in (DEFAULT_DELTA, Fraction(1, 10**6)):
         mark = len(net.ledger.phases)
-        evaluate_f_i(net, 0, members, sch, delta=delta, cache=cache,
-                     trace_sink=sink)
+        evaluate_f_i(oracle, 0, delta=delta, trace_sink=sink)
         phases = net.ledger.phases[mark:]
         evaluations = sink[-1].evaluations
         init, probes = phases[:-4 * evaluations], phases[-4 * evaluations:]
@@ -516,9 +525,9 @@ def test_inner_search_charges_one_block_per_draw():
         assert [p.name for p in block] == ["setup", "setup", "overlay-sssp",
                                            "eval"]
         assert all(p is block[i % 4] for i, p in enumerate(probes))
-        assert all(p is q for p, q in zip(init, cache["init", 0][1]))
-        assert len(init) == len(cache["init", 0][1])
-        new = {id(p) for p in phases} - {id(p) for p in cache["init", 0][1]}
+        assert all(p is q for p, q in zip(init, oracle.init_phases[0]))
+        assert len(init) == len(oracle.init_phases[0])
+        new = {id(p) for p in phases} - {id(p) for p in oracle.init_phases[0]}
         assert len(new) == 4
     assert sink[-1].evaluations > sink[0].evaluations  # a larger budget
 
@@ -548,7 +557,7 @@ def test_inner_search_equals_a_per_draw_loop(kind, n, seed, mode, delta,
                                              data):
     # the inner search draws first, then values each distinct source once;
     # its trace must be the per-draw loop's on a clone of the leader's
-    # stream, first evaluation and memo-hit repeat alike.  Unit-weight
+    # stream, first evaluation and repeat alike.  Unit-weight
     # cycles and grids tie many sources, where `found` is the first drawn
     if kind == "mixed":
         g = random_connected_graph(n, max_weight=10, rng=random.Random(seed))
@@ -559,7 +568,8 @@ def test_inner_search_equals_a_per_draw_loop(kind, n, seed, mode, delta,
     sch = ParameterSchedule.for_graph(g)
     members = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2,
                                        max_size=8)))
-    net, cache, sink = Network(g, seed=seed), {}, []
+    net, sink = Network(g, seed=seed), []
+    oracle = SkeletonOracle(net, sch, [members])
     net.build_bfs_tree()
     leader = net.rng_for(net.leader)
     clones = []
@@ -575,18 +585,17 @@ def test_inner_search_equals_a_per_draw_loop(kind, n, seed, mode, delta,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "embed_overlay", clone_after_embedding)
         for repeat in (False, True):
-            if repeat:  # a memo hit draws nothing before its inner search
+            if repeat:  # a repeat init draws nothing before the search
                 clones.append(random.Random())
                 clones[-1].setstate(leader.getstate())
             mark = net.ledger.rounds
             try:
-                value, rounds = evaluate_f_i(net, 0, members, sch,
-                                             delta=delta, mode=mode,
-                                             trace_sink=sink, cache=cache)
+                value, rounds = evaluate_f_i(oracle, 0, delta=delta,
+                                             mode=mode, trace_sink=sink)
             except CongestionFailure:
                 reject()
             trace = sink[-1]
-            state = cache["init", 0][0]
+            state = oracle.states[0]
             found, best, probes = _per_draw_search(clones[-1], members,
                                                    state, mode, delta)
             assert clones[-1].getstate() == leader.getstate()
@@ -605,7 +614,7 @@ def test_inner_search_equals_a_per_draw_loop(kind, n, seed, mode, delta,
 @given(st.data())
 def test_evaluate_memo_is_invisible_to_the_ledger(data):
     # the property behind the example above, over graphs, skeletons, hop
-    # bounds and indices.  Without the memo, the second evaluation draws
+    # bounds and indices.  On a fresh oracle, the second evaluation draws
     # fresh delays; an example whose second evaluation then ends its MSSP
     # attempts differently from its first (another count, abort round or
     # message count, or a CongestionFailure) is exempt
@@ -618,17 +627,20 @@ def test_evaluate_memo_is_invisible_to_the_ledger(data):
     members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     index = data.draw(st.integers(0, 3))
     seed = data.draw(st.integers(0, 3))
+    sets = [[]] * index + [members]
     runs = []
-    for cache in ({}, None):
+    for shared in (True, False):
         net = Network(g, seed=seed)
         net.build_bfs_tree()
         mark = len(net.ledger.phases)
+        oracle = SkeletonOracle(net, sch, sets)
         rounds, attempts = [], []
         for _ in range(2):
             start = len(net.ledger.phases)
             try:
-                rounds.append(
-                    evaluate_f_i(net, index, members, sch, cache=cache)[1])
+                rounds.append(evaluate_f_i(
+                    oracle if shared else SkeletonOracle(net, sch, sets),
+                    index)[1])
             except CongestionFailure as failure:
                 rounds.append(str(failure))
                 attempts.append(None)
@@ -640,13 +652,13 @@ def test_evaluate_memo_is_invisible_to_the_ledger(data):
         runs.append((rounds, [(p.name, p.rounds, p.messages) for p in phases],
                      [p.bits for p in phases if p.name != "mssp-delays"],
                      net.round_clock))
-    # `attempts` is the memo-off run's (the loop's last), per evaluation
+    # `attempts` is the fresh-oracle run's (the loop's last), per evaluation
     if attempts == [attempts[0]] * 2 or attempts == [None]:
         assert runs[0] == runs[1]
 
 
 def test_round_clock_is_the_ledger_round_count():
-    # open-ended runs end in their last charged round, and a memo hit
+    # open-ended runs end in their last charged round, and a repeat init
     # advances the clock by the rounds it replays
     g = random_connected_graph(12, rng=random.Random(0))
     net = Network(g, seed=0)
@@ -681,7 +693,91 @@ def test_evaluate_empty_skeleton():
     g = random_connected_graph(8, rng=random.Random(9))
     net = Network(g, seed=9)
     sch = ParameterSchedule.for_graph(g)
-    assert evaluate_f_i(net, 0, [], sch) == (None, 0)
+    assert evaluate_f_i(SkeletonOracle(net, sch, [[]]), 0) == (None, 0)
+
+
+@pytest.mark.parametrize("run", [approx_diameter, approx_radius])
+def test_an_oracle_refuses_a_schedule_for_another_graph_size(run):
+    # a 10-node schedule on a 40-cycle read 24 for a diameter of 20 and
+    # charged rounds at the other graph's hop diameter; it is refused
+    # before anything is charged
+    other = ParameterSchedule.for_graph(random_connected_graph(
+        10, rng=random.Random(1)))
+    net = Network(cycle_graph(40), seed=1)
+    with pytest.raises(ValueError, match="schedule for n=10 on n=40"):
+        run(net, other, rng=random.Random(1))
+    assert (net.ledger.phases, net.ledger.rounds, net.round_clock) == \
+        ([], 0, 0)
+    with pytest.raises(ValueError, match="n=10 on n=40"):
+        SkeletonOracle(net, other, [[0]] * 40)
+
+
+@pytest.mark.parametrize("bad", [{"delta": 2}, {"delta": 0},
+                                 {"delta": Fraction(7, 3)}, {"mode": "mid"}])
+def test_evaluate_refuses_a_bad_delta_or_mode_up_front(bad):
+    # before its initialization charges the MSSP and the embedding or
+    # draws the leader's delays
+    g = random_connected_graph(10, rng=random.Random(1))
+    net = Network(g, seed=1)
+    oracle = SkeletonOracle(net, ParameterSchedule.for_graph(g), [[1, 4, 8]])
+    leader = net.rng_for(net.leader).getstate()
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        evaluate_f_i(oracle, 0, **bad)
+    assert (net.ledger.to_json(), net.round_clock) == \
+        (Network(g).ledger.to_json(), 0)
+    assert net.rng_for(net.leader).getstate() == leader
+    assert oracle.states == {}
+
+
+@pytest.mark.parametrize("kind", ["random-connected", "cycle", "grid"])
+@pytest.mark.parametrize("run", [approx_diameter, approx_radius])
+def test_whole_run_counts_of_the_search_layers(kind, run, monkeypatch):
+    # the per-layer counts a benchmark reads by wrapping the attributes of
+    # `congestsim.search`: one base LevelTables per run, one initialization
+    # per distinct non-empty drawn index, one evaluation per outer draw, one
+    # overlay probe per new (index, source) and one approx_eccentricity
+    # call per inner search that draws a new source
+    g = graphs.make_graph(kind, 16, rng=random.Random(5))
+    calls = {name: [] for name in (
+        "evaluate_f_i", "build_skeleton_state", "embed_overlay",
+        "sssp_on_overlay", "approx_eccentricity", "amplified_max_search")}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
+    base = []
+    init = LevelTables.__init__
+
+    def tables(self, graph, *args, **kwargs):
+        base.extend([graph] if graph is g else [])
+        init(self, graph, *args, **kwargs)
+
+    monkeypatch.setattr(LevelTables, "__init__", tables)
+    sink = []
+    _, outer, _ = run(Network(g, seed=5), rng=random.Random(5),
+                      trace_sink=sink)
+    assert base == [g]
+    evaluations = calls["evaluate_f_i"]
+    assert [index for _, index, *_ in evaluations] == \
+        [draw for draw, _ in outer.probes]
+    oracle = evaluations[0][0]
+    drawn = [i for _, i, *_ in evaluations if oracle.members[i]]
+    assert len(calls["build_skeleton_state"]) == \
+        len(calls["embed_overlay"]) == len(set(drawn)) > 1
+    assert len(calls["amplified_max_search"]) == len(drawn) + 1
+    assert sink[-1] is outer and len(sink) == len(drawn) + 1
+    probed, batches = set(), 0
+    for index, inner in zip(drawn, sink):
+        new = {(index, s) for s, _ in inner.probes} - probed
+        probed |= new
+        batches += bool(new)
+    assert len(calls["sssp_on_overlay"]) == len(probed)
+    assert len(calls["approx_eccentricity"]) == batches
 
 
 # --- end-to-end estimators -----------------------------------------------
