@@ -31,13 +31,14 @@ print(f"n = {g.n}, eps = {eps}, hop diameter = {d_g}")
 # Stage 1: multi-source bounded-hop tables (superposed delayed copies),
 # from the rounded levels of (graph, hops = n, eps).  The pass is charged
 # in closed form, the messages its per-node programs would send, and
-# runs no engine program.
+# runs no engine program; it returns the skeleton's sorted members.
 levels = LevelTables(g, hops=g.n, eps=eps)
-state = build_skeleton_state(net, 0, list(range(g.n)), levels)
+members = build_skeleton_state(net, range(g.n), levels)
 
 # Stage 2+3: the k-shortcut overlay on the skeleton, and the rounded
-# levels of that overlay (a graph on the skeleton) the probes read.
-embed_overlay(net, state, k=4, d_g=d_g)
+# levels of that overlay (a graph on the skeleton) the probes read, in
+# the one frozen SkeletonState every probe reads.
+state = embed_overlay(net, members, levels, k=4, d_g=d_g)
 print(f"{len(state.overlay_levels.graph.edges)} overlay edges")
 
 # Stage 4: bounded-hop distances on the overlay, one source at a time:

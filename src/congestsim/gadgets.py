@@ -17,7 +17,6 @@ round-by-round ownership schedule of the two-party simulation argument.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .graphs import (
@@ -339,40 +338,31 @@ def ownership_schedule(inst, T):
     """Who simulates which node at the end of each round r in [0, T].
 
     The server's share of each path shrinks by one node per round from
-    both ends; tree ownership follows by the index-interval formulas.
-    Requires T < 2^h / 2.
+    both ends, and of each tree level by the same interval: node j of
+    level i is Alice's below ceil((1 + r) / 2^(h-i)), Bob's above
+    ceil((2^h - r) / 2^(h-i)), else the server's.  A path node
+    ("p", i, j) is column j of level h, step 1.  Requires T < 2^h / 2.
     """
     h = inst.h
     width = 2 ** h
     if not (0 <= T < width // 2):
         raise ValueError(f"need 0 <= T < 2^h/2 = {width // 2}: {T}")
+    fixed = [None] * inst.graph.n  # Alice's and Bob's own nodes
+    columns = []  # (id, level, j): ("t", level, j), or ("p", i, j) at level h
+    for name, vid in inst.node_id.items():
+        kind = name[0]
+        if kind in ("p", "t"):
+            columns.append((vid, h if kind == "p" else name[1], name[2]))
+        else:
+            fixed[vid] = ALICE if kind in ("a", "abit", "astar", "a0") else BOB
     owners = []
     for r in range(T + 1):
-        owner = [None] * inst.graph.n
-        for name, vid in inst.node_id.items():
-            kind = name[0]
-            if kind == "p":
-                _, _, j = name
-                if j < 1 + r:
-                    owner[vid] = ALICE
-                elif j > width - r:
-                    owner[vid] = BOB
-                else:
-                    owner[vid] = SERVER
-            elif kind == "t":
-                _, i, j = name
-                low = math.ceil((1 + r) / 2 ** (h - i))
-                high = math.ceil((width - r) / 2 ** (h - i))
-                if j < low:
-                    owner[vid] = ALICE
-                elif j > high:
-                    owner[vid] = BOB
-                else:
-                    owner[vid] = SERVER
-            elif kind in ("a", "abit", "astar", "a0"):
-                owner[vid] = ALICE
-            else:
-                owner[vid] = BOB
+        bounds = [(-(-(1 + r) >> (h - i)), -(-(width - r) >> (h - i)))
+                  for i in range(h + 1)]
+        owner = fixed.copy()
+        for vid, level, j in columns:
+            low, high = bounds[level]
+            owner[vid] = ALICE if j < low else BOB if j > high else SERVER
         owners.append(owner)
     return OwnershipSchedule(instance=inst, rounds=T, owners=owners)
 

@@ -464,7 +464,10 @@ def grid_graph(rows, cols):
 
 
 def make_graph(kind, n, max_weight=10, rng=None):
-    """Named generators used by the CLI."""
+    """Named generators used by the CLI; n < 1 raises one GraphError for
+    every generator."""
+    if n < 1:
+        raise GraphError(f"n must be >= 1: {n}")
     if kind == "random-connected":
         return random_connected_graph(n, max_weight=max_weight, rng=rng)
     if kind == "cycle":

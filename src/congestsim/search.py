@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .engine import Phase
@@ -69,6 +69,9 @@ class ParameterSchedule:
     r: int          # expected skeleton size
     hops: int       # hop bound of the base distance tables
     k: int          # shortcut degree of the overlay
+    # the graph `for_graph` measured: an estimator refuses the schedule on
+    # any other; None on a schedule built by hand
+    graph: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def for_graph(cls, g, eps_floor=None):
@@ -84,11 +87,14 @@ class ParameterSchedule:
         r = min(n, max(1, math.ceil(n ** 0.4 * max(1, d) ** -0.2)))
         hops = min(n, max(1, math.ceil(n * math.log2(max(2, n)) / r)))
         k = max(1, math.ceil(math.sqrt(d)))
-        return cls(n=n, unweighted_diameter=d, eps=eps, r=r, hops=hops, k=k)
+        return cls(n=n, unweighted_diameter=d, eps=eps, r=r, hops=hops, k=k,
+                   graph=g)
 
     def to_dict(self):
-        return {**asdict(self),
-                "eps": f"{self.eps.numerator}/{self.eps.denominator}"}
+        # not asdict: it would deep-copy the graph
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.compare} | {
+            "eps": f"{self.eps.numerator}/{self.eps.denominator}"}
 
 
 @dataclass
@@ -167,12 +173,18 @@ class SkeletonOracle:
     phases the first one charged (`init_phases[i]`), the delays drawn once.
     `values(i, sources)` is memoized per (i, source) and charges nothing;
     it values the new distinct sources in one `approx_eccentricity` call.
-    A schedule built for another graph size raises ValueError up front.
+    `sets` defaults to the network's own draw of n sets of expected size
+    `schedule.r`.  A schedule for another graph size, or measured on
+    another graph, raises ValueError before anything is drawn.
     """
 
-    def __init__(self, network, schedule, sets):
+    def __init__(self, network, schedule, sets=None):
         if schedule.n != network.n:
             raise ValueError(f"a schedule for n={schedule.n} on n={network.n}")
+        if schedule.graph not in (None, network.graph):
+            raise ValueError("a schedule measured on another graph")
+        if sets is None:
+            sets = network.sample_skeleton_sets(schedule.r, network.n)
         self.network, self.schedule = network, schedule
         self.members = [sorted(set(s)) for s in sets]
         self.levels = LevelTables(network.graph, schedule.hops, schedule.eps)
@@ -185,10 +197,11 @@ class SkeletonOracle:
         if i in self.states:
             network.charge_block(self.init_phases[i])
             return self.blocks[i]
-        members, d_g = self.members[i], self.schedule.unweighted_diameter
+        d_g = self.schedule.unweighted_diameter
         first = len(network.ledger.phases)
-        state = build_skeleton_state(network, i, members, self.levels)
-        state = embed_overlay(network, state, self.schedule.k, d_g)
+        members = build_skeleton_state(network, self.members[i], self.levels)
+        state = embed_overlay(network, members, self.levels, self.schedule.k,
+                              d_g)
         if len(members) == 1:
             # a lone member announces itself, convergecasts its eccentricity
             block = [Phase("eval", 2 * d_g + 1)]
@@ -273,8 +286,7 @@ def _estimate(network, schedule, delta, rng, mode, trace_sink):
         trace = SearchTrace(mode=mode, delta=delta, candidate_count=1,
                             found=0, value=0)
     else:
-        sets = network.sample_skeleton_sets(schedule.r, network.n)
-        oracle = SkeletonOracle(network, schedule, sets)
+        oracle = SkeletonOracle(network, schedule)
 
         def outer(draws):
             values, rounds = zip(*(evaluate_f_i(oracle, i, delta, mode,

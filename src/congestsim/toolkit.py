@@ -27,6 +27,9 @@ level whose rounded weights are all one c (every level of a unit-weight
 graph) is never built: it takes c times one breadth-first hop count per
 source in place of a Dijkstra.  Step 4 is the same pass on the overlay,
 a graph on the skeleton whose own `LevelTables` `embed_overlay` builds.
+A skeleton is two stages: `build_skeleton_state` charges step 1 for its
+members, and `embed_overlay` builds steps 2-3 and returns the one frozen
+`SkeletonState` every probe reads.
 Steps 2-4 are charged to the ledger by their communication schedules
 (global broadcasts) without simulating each message, in terms of the hop
 diameter `d_g` of the communication graph: `embed_overlay` charges steps
@@ -369,35 +372,31 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
 # --- overlay stages ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkeletonState:
-    """Per-index state of the skeleton pipeline: what its probes read.
-    Its hop bound, eps and hop tables (integers in `levels.unit`) are
-    those of `levels`; its overlay weights and probe tables (integers in
-    `overlay_levels.unit`) those of `overlay_levels`, which
-    `embed_overlay` builds."""
+    """One embedded skeleton, what its probes read; `embed_overlay` builds
+    it.  Its hop bound, eps and hop tables (integers in `levels.unit`)
+    are those of `levels`; its overlay weights and probe tables (integers
+    in `overlay_levels.unit`) those of `overlay_levels`."""
 
-    index: int
     members: list                     # sorted skeleton node ids
     # the LevelTables of the base graph the hop tables are read from
     levels: object = field(repr=False, compare=False)
-    # the LevelTables of the overlay, a graph on members' indices 0..|S|-1;
-    # None until the state is embedded
-    overlay_levels: object = field(default=None, repr=False, compare=False)
+    # the LevelTables of the overlay, a graph on members' indices 0..|S|-1
+    overlay_levels: object = field(repr=False, compare=False)
 
     def hop_table(self, u):
         """u's per-node hop table, integers in `levels.unit` (read-only)."""
         return self.levels.source(u).units
 
 
-def build_skeleton_state(network, index, members, levels):
-    """Skeleton `index` on `levels`, its distinct members sorted; their
-    hop tables are charged by one `bounded_hop_mssp` pass, and read from
-    `levels`."""
+def build_skeleton_state(network, members, levels):
+    """A skeleton's distinct members, sorted; their hop tables are charged
+    by one `bounded_hop_mssp` pass, which refuses an empty skeleton before
+    it charges anything, and read from `levels`."""
     members = sorted(set(members))
-    if members:
-        bounded_hop_mssp(network, members, levels)
-    return SkeletonState(index=index, members=members, levels=levels)
+    bounded_hop_mssp(network, members, levels)
+    return members
 
 
 def _k_nearest(k, rows):
@@ -413,8 +412,10 @@ def _k_nearest(k, rows):
     return pairs
 
 
-def embed_overlay(network, state, k, d_g):
-    """Embed the k-shortcut overlay and build its `LevelTables`.
+def embed_overlay(network, members, levels, k, d_g):
+    """The `SkeletonState` of the skeleton `members` (distinct, sorted, as
+    `build_skeleton_state` returns them) on `levels`, with its k-shortcut
+    overlay embedded.
 
     Each skeleton node's k nearest overlay neighbors get exact overlay
     distances as direct edges: every member announces its k cheapest
@@ -423,18 +424,20 @@ def embed_overlay(network, state, k, d_g):
     exact distances, integers in the hop tables' unit.  Charged to an
     `embed` phase: d_g + |S|*k rounds (d_g for k <= 0 or |S| < 2), d_g
     the hop diameter of the communication graph
-    (`ParameterSchedule.unweighted_diameter`).
+    (`ParameterSchedule.unweighted_diameter`).  An empty skeleton raises
+    ValueError before anything is charged.
 
-    Unless S is empty, `state.overlay_levels` is the `LevelTables` of the
-    overlay, a `WeightedGraph` on the members' indices (one node for a
-    singleton) whose edges are the finite overlay weights, integers in
-    `levels.unit` (its `weight_unit`): a pair's shortcut distance, else
-    the hop table entry.  Its hop bound is 4|S|/k (the shortcut overlay's
-    hop diameter is below that), or |S| when k <= 0.  Embedding again
-    replaces it, so every later probe reads the new overlay.
+    The state's `overlay_levels` is the `LevelTables` of the overlay, a
+    `WeightedGraph` on the members' indices (one node for a singleton)
+    whose edges are the finite overlay weights, integers in `levels.unit`
+    (its `weight_unit`): a pair's shortcut distance, else the hop table
+    entry.  Its hop bound is 4|S|/k (the shortcut overlay's hop diameter
+    is below that), or |S| when k <= 0.
     """
-    members, size = state.members, len(state.members)
-    rows = [[state.hop_table(s)[v] for v in members] for s in members]
+    if not members:
+        raise ValueError("an empty skeleton has no overlay")
+    size = len(members)
+    rows = [[levels.source(s).units[v] for v in members] for s in members]
     shortcuts, shortcut = size >= 2 and k >= 1, {}
     if shortcuts:
         adj = [[] for _ in members]
@@ -442,39 +445,30 @@ def embed_overlay(network, state, k, d_g):
             adj[i].append((j, w))
             adj[j].append((i, w))
         shortcut = _k_nearest(k, [dijkstra(adj, i) for i in range(size)])
-    if members:
-        edges = [(i, j, w) for i, row in enumerate(rows)
-                 for j in range(i + 1, size)
-                 if (w := shortcut.get((i, j), row[j])) is not INFINITE]
-        hop_bound = Fraction(4 * size, k) if k >= 1 else Fraction(size)
-        state.overlay_levels = LevelTables(
-            WeightedGraph(size, edges, check_connected=False),
-            hop_bound, state.levels.eps, weight_unit=state.levels.unit)
+    edges = [(i, j, w) for i, row in enumerate(rows)
+             for j in range(i + 1, size)
+             if (w := shortcut.get((i, j), row[j])) is not INFINITE]
+    hop_bound = Fraction(4 * size, k) if k >= 1 else Fraction(size)
+    overlay_levels = LevelTables(
+        WeightedGraph(size, edges, check_connected=False),
+        hop_bound, levels.eps, weight_unit=levels.unit)
     network.charge("embed", d_g + size * k if shortcuts else d_g)
-    return state
+    return SkeletonState(members, levels, overlay_levels)
 
 
 def sssp_on_overlay(state, s):
-    """Bounded-hop distances from s on the embedded shortcut overlay, the
-    table every node learns (its rounds are in the probe block of
+    """Bounded-hop distances from s on the shortcut overlay, the table
+    every node learns (its rounds are in the probe block of
     `search.SkeletonOracle.init`, charged per draw by
     `search.evaluate_f_i`).
 
     Returns `state.overlay_levels.source(i).units` itself, s = members[i]:
     a read-only list of integers in `overlay_levels.unit` aligned with
-    `state.members`.  Raises ValueError for a foreign source or a state
-    never embedded.
+    `state.members`.  Raises ValueError for a foreign source.
     """
     if s not in state.members:
         raise ValueError(f"source {s} not in skeleton {state.members}")
-    return _embedded(state).source(state.members.index(s)).units
-
-
-def _embedded(state):
-    """The state's overlay `LevelTables`; ValueError if never embedded."""
-    if state.overlay_levels is None:
-        raise ValueError(f"skeleton {state.index} is not embedded")
-    return state.overlay_levels
+    return state.overlay_levels.source(state.members.index(s)).units
 
 
 def approx_distance(state, table, v):
@@ -484,7 +478,7 @@ def approx_distance(state, table, v):
     Node-local: both summands already live in v's memory.  The `Fraction`
     definition `approx_eccentricity` computes in integer units.
     """
-    hop_unit, probe_unit = state.levels.unit, _embedded(state).unit
+    hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
     return min((a * probe_unit + b * hop_unit
                 for u, a in zip(state.members, table) if a is not INFINITE
                 and (b := state.hop_table(u)[v]) is not INFINITE),
@@ -501,7 +495,7 @@ def approx_eccentricity(state, tables):
     rows by e*(L/f) once; each table adds b*g*(L/h) to a row, takes the
     maximum over v of the rows' minimum, and divides only that by L.
     """
-    hop_unit, probe_unit = state.levels.unit, _embedded(state).unit
+    hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
     denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
     a_unit, b_unit = int(hop_unit * denom), int(probe_unit * denom)
     rows = [[a * a_unit for a in state.hop_table(u)] for u in state.members]

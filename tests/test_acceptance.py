@@ -92,10 +92,10 @@ def test_criterion_02_pipeline_sandwich(announce):
         g = random_connected_graph(n, max_weight=10, rng=random.Random(seed))
         net = Network(g, seed=seed)
         eps = default_eps(n)
-        members = list(range(n))
-        state = build_skeleton_state(net, 0, members, LevelTables(g, n, eps))
+        levels = LevelTables(g, n, eps)
+        members = build_skeleton_state(net, range(n), levels)
         d_g = diameter(g.unit_weights())
-        embed_overlay(net, state, max(1, n // 3), d_g)
+        state = embed_overlay(net, members, levels, max(1, n // 3), d_g)
         slack = (1 + eps) ** 2
         for s in members:
             sssp_on_overlay(state, s)
@@ -205,9 +205,10 @@ def test_criterion_06_shortcut_hop_diameter(announce):
         members = sorted(rng.sample(range(n), size))
         k = rng.randrange(1, 4)
         net = Network(g, seed=t)
-        state = build_skeleton_state(net, 0, members,
-                                     LevelTables(g, n, default_eps(n)))
-        embed_overlay(net, state, k, diameter(g.unit_weights()))
+        levels = LevelTables(g, n, default_eps(n))
+        build_skeleton_state(net, members, levels)
+        state = embed_overlay(net, members, levels, k,
+                              diameter(g.unit_weights()))
         if not hop_diameter(state.overlay_levels.graph) < Fraction(4 * size, k):
             ok = False
     announce(6, "shortcut overlay hop diameter < 4|S|/k (50 instances)", ok)

@@ -123,6 +123,15 @@ def test_gen_requires_n(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("gen", ["cycle", "grid", "random-connected", "star"])
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_every_generator_refuses_a_size_below_one_in_one_line(capsys, gen, n):
+    # a grid of -4 nodes printed isqrt's own error, the others their own
+    code, out, err = run(["oracle", "--gen", gen, "--n", n], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err == f"error: n must be >= 1: {n}\n"
+
+
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"], capsys)[0] == EXIT_USAGE
     assert run(["--help"], capsys)[0] == EXIT_OK

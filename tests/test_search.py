@@ -428,8 +428,8 @@ def test_a_memo_serves_one_schedule_only(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["random-connected", "cycle", "grid"])
 def test_memoized_states_hold_only_what_their_probes_read(kind, monkeypatch):
-    # after whole estimator runs every memoized state has exactly its four
-    # fields: no intermediate shortcut, no scaled hop rows
+    # after whole estimator runs every memoized state has exactly its three
+    # fields: no intermediate shortcut, no scaled hop rows, no index
     seen = []
 
     def recorded(oracle, *args, **kwargs):
@@ -444,10 +444,9 @@ def test_memoized_states_hold_only_what_their_probes_read(kind, monkeypatch):
               for state in oracle.states.values()}
     assert len(states) > 1
     for state in states.values():
-        assert list(vars(state)) == ["index", "members", "levels",
-                                     "overlay_levels"]
+        assert list(vars(state)) == ["members", "levels", "overlay_levels"]
     assert [f.name for f in dataclasses.fields(SkeletonState)] == \
-        ["index", "members", "levels", "overlay_levels"]
+        ["members", "levels", "overlay_levels"]
 
 
 def test_evaluate_memo_replays_what_computing_charged():
@@ -710,6 +709,41 @@ def test_an_oracle_refuses_a_schedule_for_another_graph_size(run):
         ([], 0, 0)
     with pytest.raises(ValueError, match="n=10 on n=40"):
         SkeletonOracle(net, other, [[0]] * 40)
+
+
+@pytest.mark.parametrize("run", [approx_diameter, approx_radius])
+def test_an_oracle_refuses_a_schedule_measured_on_another_graph(run):
+    # a schedule of a 40-node random graph on a 40-cycle charged 76854021
+    # rounds at the other graph's hop diameter 3 (approx_diameter); it is
+    # refused before anything is charged or drawn
+    other = ParameterSchedule.for_graph(random_connected_graph(
+        40, rng=random.Random(1)))
+    net, rng = Network(cycle_graph(40), seed=1), random.Random(1)
+    with pytest.raises(ValueError, match="schedule measured on another graph"):
+        run(net, other, rng=rng)
+    assert (net.ledger.phases, net.ledger.rounds, net.round_clock) == \
+        ([], 0, 0)
+    assert rng.getstate() == random.Random(1).getstate()
+    assert all(net.rng_for(v).getstate() == random.Random(f"1:{v}").getstate()
+               for v in range(40))
+    own = ParameterSchedule.for_graph(net.graph)
+    assert own.graph is net.graph and other.graph is not net.graph
+    # the cycle's own schedule, D = 20, and a copy of it, serve its network
+    _, _, ledger = approx_diameter(Network(net.graph, seed=1), own,
+                                   rng=random.Random(1))
+    assert (own.unweighted_diameter, ledger.rounds) == (20, 73666320)
+    SkeletonOracle(net, dataclasses.replace(own, hops=4), [[0]] * 40)
+
+
+def test_a_schedule_keeps_its_graph_out_of_its_record():
+    g = cycle_graph(12)
+    sch = ParameterSchedule.for_graph(g)
+    assert sch.graph is g
+    assert sch == ParameterSchedule.for_graph(cycle_graph(12))
+    assert "graph" not in repr(sch)
+    assert list(sch.to_dict()) == ["n", "unweighted_diameter", "eps", "r",
+                                   "hops", "k"]
+    assert sch.to_dict()["eps"] == "1/4"
 
 
 @pytest.mark.parametrize("bad", [{"delta": 2}, {"delta": 0},

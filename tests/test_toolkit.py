@@ -832,15 +832,15 @@ def test_shortcut_in_integer_units_equals_the_fraction_reference(
          else _uniform_graph(kind, n, rng))
     members = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
     net = Network(g, seed=seed)
+    levels = LevelTables(g, hops, default_eps(g.n))
     try:
-        state = build_skeleton_state(
-            net, 0, members, LevelTables(g, hops, default_eps(g.n)))
+        build_skeleton_state(net, members, levels)
     except CongestionFailure:
         reject()
-    unit = state.levels.unit
+    unit = levels.unit
     reference = shortcut_reference(
-        members, k, lambda u: in_unit(state.hop_table(u), unit))
-    embed_overlay(net, state, k, unit_diameter(g))
+        members, k, lambda u: in_unit(levels.source(u).units, unit))
+    state = embed_overlay(net, members, levels, k, unit_diameter(g))
     # each pair's overlay weight is its shortcut, else its hop entry
     for u, v in overlay_pairs(members):
         w = overlay_weight(state, u, v)
@@ -854,10 +854,9 @@ def test_shortcut_in_integer_units_equals_the_fraction_reference(
 
 def pipeline_state(g, members, hops, k, seed=0):
     net = Network(g, seed=seed)
-    eps = default_eps(g.n)
-    state = build_skeleton_state(net, 0, members, LevelTables(g, hops, eps))
-    embed_overlay(net, state, k, unit_diameter(g))
-    return net, state
+    levels = LevelTables(g, hops, default_eps(g.n))
+    members = build_skeleton_state(net, members, levels)
+    return net, embed_overlay(net, members, levels, k, unit_diameter(g))
 
 
 def test_embed_full_shortcutting():
@@ -957,37 +956,17 @@ def test_overlay_sssp_matches_level_enumeration(k):
     assert cut  # the distance budget cut some level short
 
 
-def test_overlay_sssp_follows_reembedding():
-    # the rounded overlay is kept on the state across probes; embedding
-    # again with another k must rebuild it
-    g = random_connected_graph(14, rng=random.Random(6))
-    members = [1, 4, 7, 10, 13]
-    d_g = unit_diameter(g)
-    net, state = pipeline_state(g, members, 6, 1)
-    sssp_on_overlay(state, members[0])
-    first = state.overlay_levels
-    embed_overlay(net, state, 4, d_g)
-    assert state.overlay_levels is not first
-    assert state.overlay_levels.hops == Fraction(4 * len(members), 4)
-    fresh_net, fresh = pipeline_state(g, members, 6, 4)
-    assert [sssp_on_overlay(state, s) for s in members] == \
-        [sssp_on_overlay(fresh, s) for s in members]
-
-
-def test_overlay_sssp_of_a_state_never_embedded_raises():
-    g = random_connected_graph(14, rng=random.Random(6))
-    members = [1, 4, 7, 10, 13]
-    net = Network(g)
-    state = build_skeleton_state(net, 0, members,
-                                 LevelTables(g, 6, default_eps(g.n)))
-    with pytest.raises(ValueError, match="not embedded"):
-        sssp_on_overlay(state, members[0])
-    # a singleton is embedded like any other skeleton, on a one-node overlay
-    lone = build_skeleton_state(net, 1, [3], state.levels)
-    with pytest.raises(ValueError, match="not embedded"):
-        sssp_on_overlay(lone, 3)
-    embed_overlay(net, lone, 2, unit_diameter(g))
-    assert sssp_on_overlay(lone, 3) == [0]
+def test_an_empty_skeleton_is_refused_before_anything_is_charged():
+    g = random_connected_graph(8, rng=random.Random(4))
+    net, levels = Network(g), LevelTables(g, 4, default_eps(g.n))
+    for stage, message in (
+            (lambda: build_skeleton_state(net, [], levels), "nonempty"),
+            (lambda: embed_overlay(net, [], levels, 2, unit_diameter(g)),
+             "an empty skeleton has no overlay")):
+        with pytest.raises(ValueError, match=message):
+            stage()
+        assert (net.ledger.phases, net.ledger.rounds, net.round_clock) == \
+            ([], 0, 0)
 
 
 def test_embedding_builds_the_overlay_at_k_zero_too():
@@ -1054,8 +1033,9 @@ def test_skeleton_hop_tables_are_the_level_tables_own():
     # out the LevelTables' integer lists themselves
     g = random_connected_graph(12, max_weight=10, rng=random.Random(3))
     levels = LevelTables(g, 4, default_eps(g.n))
-    members = [0, 3, 7, 11]
-    state = build_skeleton_state(Network(g, seed=1), 0, members, levels)
+    members, net = [0, 3, 7, 11], Network(g, seed=1)
+    assert build_skeleton_state(net, [11, 3, 0, 7, 3], levels) == members
+    state = embed_overlay(net, members, levels, 2, unit_diameter(g))
     tables = bounded_hop_mssp(Network(g, seed=2), members, levels)
     assert sorted(tables) == members
     for u in members:
@@ -1078,10 +1058,10 @@ def full_pipeline(g, seed=0):
                    for s in members}
 
 
-def restrict(state, tables, sub, index=1):
+def restrict(state, tables, sub):
     """A state on the members `sub` of `state`, sharing its overlay, and
     the members' probe tables cut down to `sub`."""
-    restricted = SkeletonState(index=index, members=sub, levels=state.levels,
+    restricted = SkeletonState(members=sub, levels=state.levels,
                                overlay_levels=state.overlay_levels)
     return restricted, {s: [tables[s][state.members.index(u)] for u in sub]
                         for s in sub}
@@ -1129,11 +1109,9 @@ def test_approx_eccentricity():
 
 def test_approx_eccentricity_single_node():
     g = WeightedGraph(1, [])
-    net = Network(g)
-    state = build_skeleton_state(net, 0, [0], LevelTables(g, 1, Fraction(1, 2)))
-    with pytest.raises(ValueError, match="not embedded"):
-        sssp_on_overlay(state, 0)
-    embed_overlay(net, state, 1, 0)
+    net, levels = Network(g), LevelTables(g, 1, Fraction(1, 2))
+    state = embed_overlay(net, build_skeleton_state(net, [0], levels),
+                          levels, 1, 0)
     assert approx_eccentricity(state, [[0]]) == [0]
 
 
@@ -1149,14 +1127,15 @@ def test_eccentricity_in_integer_units_is_the_approx_distance_max(data):
     eps = Fraction(1, data.draw(st.integers(1, 4)))
     members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     net = Network(g, seed=data.draw(st.integers(0, 3)))
+    levels = LevelTables(g, hops, eps)
     try:
-        state = build_skeleton_state(net, 0, members, LevelTables(g, hops, eps))
+        build_skeleton_state(net, members, levels)
     except CongestionFailure:
         reject()
     d_g = unit_diameter(g)
     for k in sorted(data.draw(st.sets(st.integers(0, len(members) + 1),
                                       min_size=1, max_size=3))):
-        embed_overlay(net, state, k, d_g)
+        state = embed_overlay(net, members, levels, k, d_g)
         tables = [sssp_on_overlay(state, s) for s in members]
         for table in tables:
             assert approx_eccentricity(state, [table]) == [max(
@@ -1177,10 +1156,7 @@ def test_eccentricity_of_a_state_built_by_hand():
     for s in sub:
         assert approx_eccentricity(restricted, [cut[s]]) == [max(
             approx_distance(restricted, cut[s], v) for v in range(g.n))]
-    single = SkeletonState(index=2, members=[3], levels=state.levels)
-    with pytest.raises(ValueError, match="not embedded"):
-        sssp_on_overlay(single, 3)
-    embed_overlay(Network(g), single, 1, unit_diameter(g))
+    single = embed_overlay(Network(g), [3], state.levels, 1, unit_diameter(g))
     assert approx_eccentricity(single, [[0]]) == \
         [max(state.hop_table(3)) * state.levels.unit]
 
@@ -1188,12 +1164,9 @@ def test_eccentricity_of_a_state_built_by_hand():
 def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
     # budget floor(3 * 1/2) = 1: one hop from each skeleton node
     g = path_graph(4)
-    net = Network(g)
-    state = build_skeleton_state(net, 0, [0, 2],
-                                 LevelTables(g, Fraction(1, 2), Fraction(1)))
-    with pytest.raises(ValueError, match="not embedded"):
-        sssp_on_overlay(state, 0)  # no overlay yet
-    embed_overlay(net, state, 1, unit_diameter(g))
+    net, levels = Network(g), LevelTables(g, Fraction(1, 2), Fraction(1))
+    state = embed_overlay(net, build_skeleton_state(net, [0, 2], levels),
+                          levels, 1, unit_diameter(g))
     with pytest.raises(ValueError, match="not in skeleton"):
         sssp_on_overlay(state, 1)
     table = sssp_on_overlay(state, 0)
@@ -1202,53 +1175,71 @@ def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
     assert approx_eccentricity(state, [table])[0] is INFINITE
 
 
-def test_probe_readers_of_an_unembedded_state_raise_not_embedded():
-    # they read the overlay's unit, which a state never embedded lacks
-    g = random_connected_graph(8, rng=random.Random(4))
-    net = Network(g)
-    levels = LevelTables(g, 4, default_eps(g.n))
-    for members in ([3], [3, 5]):
-        state = build_skeleton_state(net, 0, members, levels)
-        table = list(range(len(members)))
-        with pytest.raises(ValueError, match="skeleton 0 is not embedded"):
-            approx_eccentricity(state, [table])
-        with pytest.raises(ValueError, match="skeleton 0 is not embedded"):
-            approx_distance(state, table, 1)
+def test_overlay_sssp_follows_reembedding():
+    # a second embedding of one skeleton's tables is a new state that reads
+    # its own overlay; the first state, its overlay and its probes are left
+    # as they were, and no field of either can be reassigned
+    g = random_connected_graph(12, max_weight=10, rng=random.Random(8))
+    net, members = Network(g), [1, 4, 6, 9]
+    d_g = unit_diameter(g)
+    levels = LevelTables(g, 6, Fraction(1, 5))
+    build_skeleton_state(net, members, levels)
+    first = embed_overlay(net, members, levels, 1, d_g)
+    overlay = first.overlay_levels
+    before = [list(sssp_on_overlay(first, s)) for s in members]
+    values = approx_eccentricity(first, before)
+    second = embed_overlay(net, members, levels, 2, d_g)
+    assert second is not first and first.overlay_levels is overlay
+    assert second.overlay_levels is not overlay
+    assert second.overlay_levels.hops == Fraction(4 * len(members), 2)
+    assert first.overlay_levels.hops == Fraction(4 * len(members), 1)
+    # the second state reads as one embedded only once, on fresh tables
+    fresh_net, fresh_levels = Network(g), LevelTables(g, 6, Fraction(1, 5))
+    build_skeleton_state(fresh_net, members, fresh_levels)
+    fresh = embed_overlay(fresh_net, members, fresh_levels, 2, d_g)
+    assert [sssp_on_overlay(second, s) for s in members] == \
+        [sssp_on_overlay(fresh, s) for s in members] != before
+    assert [sssp_on_overlay(first, s) for s in members] == before
+    assert approx_eccentricity(first, before) == values
+    for name in ("members", "levels", "overlay_levels"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, name, getattr(second, name))
+    assert first.overlay_levels is overlay
 
 
 def test_eccentricity_rows_follow_reembedding():
-    # each call scales the hop rows to the current overlay's unit: k = 1
-    # and k = 2 give the overlay units 1/160 and 1/80 against the hop
-    # tables' 1/60, so the rows' scale L/60 moves from 8 to 4
+    # each state scales the hop rows to its own overlay's unit: k = 1 and
+    # k = 2 give the overlay units 1/160 and 1/80 against the hop tables'
+    # 1/60, so the rows' scale L/60 is 8 and 4
     g = random_connected_graph(12, max_weight=10, rng=random.Random(8))
-    net = Network(g)
+    net, members = Network(g), [1, 4, 6, 9]
     d_g = unit_diameter(g)
-    state = build_skeleton_state(net, 0, [1, 4, 6, 9],
-                                 LevelTables(g, 6, Fraction(1, 5)))
+    levels = LevelTables(g, 6, Fraction(1, 5))
+    build_skeleton_state(net, members, levels)
+    states = [embed_overlay(net, members, levels, k, d_g) for k in (1, 2)]
     scales = []
-    for k in (1, 2):
-        embed_overlay(net, state, k, d_g)
-        for s in state.members:
+    for state in states:
+        for s in members:
             table = sssp_on_overlay(state, s)
             assert approx_eccentricity(state, [table]) == [max(
                 approx_distance(state, table, v) for v in range(g.n))]
-        hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
+        hop_unit, probe_unit = levels.unit, state.overlay_levels.unit
         denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
         scales.append(hop_unit.numerator * denom // hop_unit.denominator)
     assert scales == [8, 4]
 
 
 def test_reembedding_drops_the_previous_overlays_probes():
-    # the k = 1 probe gives 83/3 on the k = 6 overlay, whose own probe is 28
+    # the k = 1 probe of 0 reads 83/3 and stays so after the k = 6
+    # embedding, whose own probe of 0 reads 28
     g = random_connected_graph(6, max_weight=20, rng=random.Random(2))
+    levels = LevelTables(g, 1, Fraction(1, 3))
     net = Network(g)
-    d_g = unit_diameter(g)
-    state = build_skeleton_state(net, 0, list(range(6)),
-                                 LevelTables(g, 1, Fraction(1, 3)))
-    embed_overlay(net, state, 1, d_g)
-    first = sssp_on_overlay(state, 0)
-    assert approx_eccentricity(state, [first]) == [Fraction(83, 3)]
-    embed_overlay(net, state, 6, d_g)
-    second = sssp_on_overlay(state, 0)
-    assert second is not first
-    assert approx_eccentricity(state, [second]) == [28]
+    members = build_skeleton_state(net, list(range(6)), levels)
+    first = embed_overlay(net, members, levels, 1, unit_diameter(g))
+    table = sssp_on_overlay(first, 0)
+    assert approx_eccentricity(first, [table]) == [Fraction(83, 3)]
+    second = embed_overlay(net, members, levels, 6, unit_diameter(g))
+    assert sssp_on_overlay(second, 0) is not table
+    assert approx_eccentricity(second, [sssp_on_overlay(second, 0)]) == [28]
+    assert approx_eccentricity(first, [table]) == [Fraction(83, 3)]
