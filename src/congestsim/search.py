@@ -23,10 +23,10 @@ draw first, has the evaluator value the draws as one batch, and keeps
 the first draw holding the extremum.  The outer batch evaluates every
 draw, repeats included, since f(i) varies with the inner search's draws.
 One `SkeletonOracle` per estimator run builds each index's skeleton
-once and memoizes a probe's value, which is fixed per (index, source),
-so the inner batch values its new distinct sources in one
-`approx_eccentricity` call.  A search over one candidate evaluates it
-once and draws nothing, so a one-member skeleton is a one-candidate
+once and values all its members then, in one `approx_eccentricity`
+call: a probe's value is fixed per (index, source), so the inner batch
+reads its draws from that table.  A search over one candidate evaluates
+it once and draws nothing, so a one-member skeleton is a one-candidate
 inner search.
 """
 
@@ -171,11 +171,12 @@ class SkeletonOracle:
     builds and embeds skeleton i on its first call and returns its probe
     block, the frozen phases every probe of i costs; every call charges the
     phases the first one charged (`init_phases[i]`), the delays drawn once.
-    `values(i, sources)` is memoized per (i, source) and charges nothing;
-    it values the new distinct sources in one `approx_eccentricity` call.
-    `sets` defaults to the network's own draw of n sets of expected size
-    `schedule.r`.  A schedule for another graph size, or measured on
-    another graph, raises ValueError before anything is drawn.
+    The first call also values every member in one `approx_eccentricity`
+    call, charging and drawing nothing, keeps the {member: value} table
+    `member_values[i]` and drops the embedded state.  `sets` defaults to
+    the network's own draw of n sets of expected size `schedule.r`.  A
+    schedule for another graph size, or measured on another graph,
+    raises ValueError before anything is drawn.
     """
 
     def __init__(self, network, schedule, sets=None):
@@ -188,13 +189,13 @@ class SkeletonOracle:
         self.network, self.schedule = network, schedule
         self.members = [sorted(set(s)) for s in sets]
         self.levels = LevelTables(network.graph, schedule.hops, schedule.eps)
-        # per initialized index: its state, the phases its first init
-        # charged, its probe block and the value of each source probed
-        self.states, self.init_phases, self.blocks, self.memo = {}, {}, {}, {}
+        # per initialized index: the phases its first init charged, its
+        # probe block and the value of each member
+        self.init_phases, self.blocks, self.member_values = {}, {}, {}
 
     def init(self, i):
         network = self.network
-        if i in self.states:
+        if i in self.blocks:
             network.charge_block(self.init_phases[i])
             return self.blocks[i]
         d_g = self.schedule.unweighted_diameter
@@ -215,17 +216,11 @@ class SkeletonOracle:
             # distances, convergecast the extremum
             block = [Phase("setup", d_g + len(members)), Phase("setup", d_g),
                      Phase("overlay-sssp", overlay_rounds), Phase("eval", d_g)]
-        self.states[i], self.blocks[i], self.memo[i] = state, block, {}
+        self.member_values[i] = dict(zip(members, approx_eccentricity(
+            state, [sssp_on_overlay(state, s) for s in members])))
+        self.blocks[i] = block
         self.init_phases[i] = network.ledger.phases[first:]
         return block
-
-    def values(self, i, sources):
-        state, memo = self.states[i], self.memo[i]
-        new = [s for s in dict.fromkeys(sources) if s not in memo]
-        if new:
-            memo.update(zip(new, approx_eccentricity(
-                state, [sssp_on_overlay(state, s) for s in new])))
-        return [memo[s] for s in sources]
 
 
 def evaluate_f_i(oracle, index, delta=DEFAULT_DELTA, mode="max",
@@ -246,8 +241,8 @@ def evaluate_f_i(oracle, index, delta=DEFAULT_DELTA, mode="max",
     inner search charges that one block once per draw, in one call after
     its last draw; nothing else charges in between.  The inner search is
     one `amplified_max_search` over the members, drawn on the leader's
-    stream after the initialization's delays, whose batch is valued by
-    `oracle.values`.
+    stream after the initialization's delays, whose batch is read from
+    `oracle.member_values[index]`.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min': {mode!r}")
@@ -256,9 +251,9 @@ def evaluate_f_i(oracle, index, delta=DEFAULT_DELTA, mode="max",
     if not members:
         return None, 0
     network, block = oracle.network, oracle.init(index)
-    rounds = sum(p.rounds for p in block)
+    rounds, table = sum(p.rounds for p in block), oracle.member_values[index]
     trace = amplified_max_search(
-        members, lambda draws: (oracle.values(index, draws), rounds),
+        members, lambda draws: ([table[s] for s in draws], rounds),
         Fraction(1, len(members)), delta, network.rng_for(network.leader),
         mode, sum(p.rounds for p in oracle.init_phases[index]))
     network.charge_block(block, trace.evaluations)
@@ -281,13 +276,12 @@ def _estimate(network, schedule, delta, rng, mode, trace_sink):
         schedule = ParameterSchedule.for_graph(network.graph)
     if rng is None:
         rng = random.Random(network.seed)
+    oracle = SkeletonOracle(network, schedule)  # checks the schedule
     if network.n == 1:
         # a lone node is its own farthest and most central node: no messages
         trace = SearchTrace(mode=mode, delta=delta, candidate_count=1,
                             found=0, value=0)
     else:
-        oracle = SkeletonOracle(network, schedule)
-
         def outer(draws):
             values, rounds = zip(*(evaluate_f_i(oracle, i, delta, mode,
                                                 trace_sink) for i in draws))

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import operator
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -226,6 +228,19 @@ def test_reference_search():
 # --- f(i) evaluation -----------------------------------------------------
 
 
+def record_states(monkeypatch):
+    """A list that records every `SkeletonState` `search.embed_overlay`
+    builds from now on, since the oracle keeps none of them."""
+    states, embed = [], search.embed_overlay
+
+    def recorded(*args):
+        states.append(embed(*args))
+        return states[-1]
+
+    monkeypatch.setattr(search, "embed_overlay", recorded)
+    return states
+
+
 def test_evaluate_singleton_skeleton():
     g = random_connected_graph(10, rng=random.Random(3))
     net = Network(g, seed=3)
@@ -386,16 +401,21 @@ def test_evaluate_charges_ledger():
     assert net.ledger.rounds - before == rounds
 
 
-def test_evaluate_cache_recharges_identically():
+def test_evaluate_cache_recharges_identically(monkeypatch):
     g = random_connected_graph(10, rng=random.Random(8))
     net = Network(g, seed=8)
     sch = ParameterSchedule.for_graph(g)
+    states = record_states(monkeypatch)
     oracle = SkeletonOracle(net, sch, [[1, 4, 8]])
     v1, r1 = evaluate_f_i(oracle, 0)
     v2, r2 = evaluate_f_i(oracle, 0)
     assert v1 == v2
-    # same tables, maybe different inner sampling: setup cost identical
-    assert list(oracle.states) == [0]
+    # same tables, maybe different inner sampling: setup cost identical;
+    # the skeleton is embedded and valued once
+    assert len(states) == 1
+    assert list(oracle.init_phases) == list(oracle.blocks) == \
+        list(oracle.member_values) == [0]
+    assert list(oracle.member_values[0]) == [1, 4, 8]
 
 
 def test_a_memo_serves_one_schedule_only(monkeypatch):
@@ -409,41 +429,37 @@ def test_a_memo_serves_one_schedule_only(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(search, "LevelTables", counted)
+    states = record_states(monkeypatch)
     g = random_connected_graph(12, rng=random.Random(1))
     sch = ParameterSchedule.for_graph(g)
     sets = [[1, 4, 7, 9], [], [0, 5]]
     for schedule, worth in ((dataclasses.replace(sch, hops=1), 31),
                             (sch, 24)):
         built.clear()
+        states.clear()
         oracle = SkeletonOracle(Network(g), schedule, sets)
         assert evaluate_f_i(oracle, 0)[0] == worth
         assert evaluate_f_i(oracle, 1) == (None, 0)
         assert evaluate_f_i(oracle, 2)[0] is not None
-        assert built == [oracle.levels] and list(oracle.states) == [0, 2]
+        assert built == [oracle.levels]
+        assert list(oracle.member_values) == list(oracle.blocks) == [0, 2]
+        assert max(oracle.member_values[0].values()) == worth
         assert (oracle.levels.hops, oracle.levels.eps) == \
             (schedule.hops, schedule.eps)
-        assert all(state.levels is oracle.levels
-                   for state in oracle.states.values())
+        assert [state.members for state in states] == [sets[0], sets[2]]
+        assert all(state.levels is oracle.levels for state in states)
 
 
 @pytest.mark.parametrize("kind", ["random-connected", "cycle", "grid"])
 def test_memoized_states_hold_only_what_their_probes_read(kind, monkeypatch):
-    # after whole estimator runs every memoized state has exactly its three
+    # after whole estimator runs every embedded state has exactly its three
     # fields: no intermediate shortcut, no scaled hop rows, no index
-    seen = []
-
-    def recorded(oracle, *args, **kwargs):
-        seen.append(oracle)
-        return evaluate_f_i(oracle, *args, **kwargs)
-
-    monkeypatch.setattr(search, "evaluate_f_i", recorded)
+    states = record_states(monkeypatch)
     g = graphs.make_graph(kind, 16, rng=random.Random(5))
     for run in (approx_diameter, approx_radius):
         run(Network(g, seed=5))
-    states = {id(state): state for oracle in seen
-              for state in oracle.states.values()}
     assert len(states) > 1
-    for state in states.values():
+    for state in states:
         assert list(vars(state)) == ["members", "levels", "overlay_levels"]
     assert [f.name for f in dataclasses.fields(SkeletonState)] == \
         ["members", "levels", "overlay_levels"]
@@ -474,13 +490,14 @@ def test_evaluate_memo_replays_what_computing_charged():
     assert runs[0] == runs[1]
 
 
-def test_every_probe_charges_its_four_phases():
+def test_every_probe_charges_its_four_phases(monkeypatch):
     # first or repeat, every probe of one skeleton appends setup, setup,
     # overlay-sssp, eval with the same rounds, summing to the inner T
     g = random_connected_graph(12, rng=random.Random(0))
     sch = ParameterSchedule.for_graph(g)
     d_g, members = sch.unweighted_diameter, [1, 4, 8, 10]
     net, sink, blocks = Network(g, seed=0), [], []
+    states = record_states(monkeypatch)
     oracle = SkeletonOracle(net, sch, [members])
     net.build_bfs_tree()
     for _ in range(2):  # the second evaluation's probes all repeat
@@ -494,7 +511,8 @@ def test_every_probe_charges_its_four_phases():
                          for p in phases[i:i + 4])
                    for i in range(init, len(phases), 4)]
     assert len(blocks) > 2 * len(members)  # repeats within one search too
-    levels = oracle.states[0].overlay_levels
+    [state] = states
+    levels = state.overlay_levels
     overlay = len(levels) * (levels.budget + 1) * (2 * d_g + 1 + len(members))
     assert set(blocks) == {(("setup", d_g + len(members), 0, 0),
                             ("setup", d_g, 0, 0),
@@ -554,10 +572,11 @@ def _per_draw_search(leader, members, state, mode, delta):
        data=st.data())
 def test_inner_search_equals_a_per_draw_loop(kind, n, seed, mode, delta,
                                              data):
-    # the inner search draws first, then values each distinct source once;
-    # its trace must be the per-draw loop's on a clone of the leader's
-    # stream, first evaluation and repeat alike.  Unit-weight
-    # cycles and grids tie many sources, where `found` is the first drawn
+    # the inner search draws first, then reads each draw from the values
+    # the initialization gave every member; its trace must be the per-draw
+    # loop's on a clone of the leader's stream, first evaluation and repeat
+    # alike.  Unit-weight cycles and grids tie many sources, where `found`
+    # is the first drawn
     if kind == "mixed":
         g = random_connected_graph(n, max_weight=10, rng=random.Random(seed))
     elif kind == "cycle":
@@ -571,15 +590,15 @@ def test_inner_search_equals_a_per_draw_loop(kind, n, seed, mode, delta,
     oracle = SkeletonOracle(net, sch, [members])
     net.build_bfs_tree()
     leader = net.rng_for(net.leader)
-    clones = []
+    clones, states = [], []
     embed = search.embed_overlay
 
     def clone_after_embedding(*args):
         # the inner draws follow the initialization's delay draws
-        state = embed(*args)
+        states.append(embed(*args))
         clones.append(random.Random())
         clones[-1].setstate(leader.getstate())
-        return state
+        return states[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "embed_overlay", clone_after_embedding)
@@ -594,7 +613,7 @@ def test_inner_search_equals_a_per_draw_loop(kind, n, seed, mode, delta,
             except CongestionFailure:
                 reject()
             trace = sink[-1]
-            state = oracle.states[0]
+            [state] = states  # embedded once, by the first evaluation
             found, best, probes = _per_draw_search(clones[-1], members,
                                                    state, mode, delta)
             assert clones[-1].getstate() == leader.getstate()
@@ -735,6 +754,33 @@ def test_an_oracle_refuses_a_schedule_measured_on_another_graph(run):
     SkeletonOracle(net, dataclasses.replace(own, hops=4), [[0]] * 40)
 
 
+@pytest.mark.parametrize("run", [approx_diameter, approx_radius])
+def test_a_lone_node_is_refused_a_schedule_for_another_graph(run):
+    # a one-node network runs no search, but its schedule is checked as any
+    # other's, before anything is charged
+    g = WeightedGraph(1, [])
+    net = Network(g)
+    with pytest.raises(ValueError, match="schedule for n=10 on n=1"):
+        run(net, ParameterSchedule.for_graph(cycle_graph(10)))
+    with pytest.raises(ValueError, match="schedule measured on another graph"):
+        run(net, ParameterSchedule.for_graph(WeightedGraph(1, [])))
+    assert (net.ledger.phases, net.ledger.rounds, net.round_clock) == \
+        ([], 0, 0)
+
+
+@pytest.mark.parametrize("run", [approx_diameter, approx_radius])
+def test_a_lone_node_with_its_own_schedule_is_worth_zero(run):
+    g = WeightedGraph(1, [])
+    mode = "max" if run is approx_diameter else "min"
+    for schedule in (ParameterSchedule.for_graph(g), None):
+        net = Network(g)
+        estimate, trace, ledger = run(net, schedule)
+        assert estimate == 0 and trace == SearchTrace(
+            mode=mode, delta=DEFAULT_DELTA, candidate_count=1, found=0,
+            value=0)
+        assert (ledger.phases, ledger.rounds, net.round_clock) == ([], 0, 0)
+
+
 def test_a_schedule_keeps_its_graph_out_of_its_record():
     g = cycle_graph(12)
     sch = ParameterSchedule.for_graph(g)
@@ -760,7 +806,7 @@ def test_evaluate_refuses_a_bad_delta_or_mode_up_front(bad):
     assert (net.ledger.to_json(), net.round_clock) == \
         (Network(g).ledger.to_json(), 0)
     assert net.rng_for(net.leader).getstate() == leader
-    assert oracle.states == {}
+    assert oracle.init_phases == oracle.blocks == oracle.member_values == {}
 
 
 @pytest.mark.parametrize("kind", ["random-connected", "cycle", "grid"])
@@ -768,9 +814,9 @@ def test_evaluate_refuses_a_bad_delta_or_mode_up_front(bad):
 def test_whole_run_counts_of_the_search_layers(kind, run, monkeypatch):
     # the per-layer counts a benchmark reads by wrapping the attributes of
     # `congestsim.search`: one base LevelTables per run, one initialization
-    # per distinct non-empty drawn index, one evaluation per outer draw, one
-    # overlay probe per new (index, source) and one approx_eccentricity
-    # call per inner search that draws a new source
+    # per distinct non-empty drawn index, one evaluation per outer draw, and
+    # per initialization one overlay probe per member, in member order, and
+    # one approx_eccentricity call over all of them
     g = graphs.make_graph(kind, 16, rng=random.Random(5))
     calls = {name: [] for name in (
         "evaluate_f_i", "build_skeleton_state", "embed_overlay",
@@ -805,13 +851,44 @@ def test_whole_run_counts_of_the_search_layers(kind, run, monkeypatch):
         len(calls["embed_overlay"]) == len(set(drawn)) > 1
     assert len(calls["amplified_max_search"]) == len(drawn) + 1
     assert sink[-1] is outer and len(sink) == len(drawn) + 1
-    probed, batches = set(), 0
-    for index, inner in zip(drawn, sink):
-        new = {(index, s) for s, _ in inner.probes} - probed
-        probed |= new
-        batches += bool(new)
-    assert len(calls["sssp_on_overlay"]) == len(probed)
-    assert len(calls["approx_eccentricity"]) == batches
+    initialized = list(dict.fromkeys(drawn))
+    assert [s for _, s in calls["sssp_on_overlay"]] == \
+        [s for i in initialized for s in oracle.members[i]]
+    assert [(state.members, len(tables)) for state, tables in
+            calls["approx_eccentricity"]] == \
+        [(oracle.members[i], len(oracle.members[i])) for i in initialized]
+    assert list(oracle.member_values) == initialized
+
+
+@pytest.mark.parametrize("run", [approx_diameter, approx_radius])
+def test_no_embedded_state_outlives_its_init(run, monkeypatch):
+    # the oracle keeps each index's member values, not the SkeletonState
+    # or the overlay LevelTables they were read from, while it lives on
+    embedded, oracles_seen = [], []
+    embed, evaluate = search.embed_overlay, search.evaluate_f_i
+
+    def watched(*args):
+        state = embed(*args)
+        embedded.append((weakref.ref(state),
+                         weakref.ref(state.overlay_levels)))
+        return state
+
+    def recorded(oracle, *args, **kwargs):
+        oracles_seen.append(oracle)
+        return evaluate(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(search, "embed_overlay", watched)
+    monkeypatch.setattr(search, "evaluate_f_i", recorded)
+    g = random_connected_graph(16, rng=random.Random(5))
+    run(Network(g, seed=5), rng=random.Random(5))
+    oracle = SkeletonOracle(Network(g, seed=5), ParameterSchedule.for_graph(g),
+                            [[1, 4, 8], [2], [0, 3, 5, 9]])
+    for i in (0, 1, 2, 0):
+        evaluate_f_i(oracle, i)
+    gc.collect()
+    assert len(embedded) == len(oracles_seen[0].member_values) + 3
+    assert all(ref() is None for refs in embedded for ref in refs)
+    assert list(oracle.member_values) == [0, 1, 2]
 
 
 # --- end-to-end estimators -----------------------------------------------
@@ -913,6 +990,53 @@ def test_estimators_take_the_hop_diameter_from_the_schedule(
     calls.clear()
     estimate, _, _ = run(Network(g, seed=3), schedule, rng=random.Random(3))
     assert estimate is not None and calls == []
+
+
+def test_the_seed_1_op_13_underestimate_is_a_search_miss(monkeypatch):
+    # the benchmark's approx-dense op 13 at seed 1 (graph seed "1:13")
+    # estimates 20 for a diameter of 21.  Every member's value lies in its
+    # source's sandwich, and 3 of the 31 non-empty skeletons (1, 3 and 4)
+    # hold a source valued 21, but the 40 outer draws hit 22 distinct
+    # indices and none of those three: a search miss, not a table miss,
+    # with probability (29/32)**40, about 0.019, inside delta = 1/12.  The
+    # density 3/32 of good indices is below the rho = r/n = 4/32 the
+    # budget assumes
+    seed = "1:13"
+    g = graphs.make_graph("random-connected", 32, max_weight=10,
+                          rng=random.Random(seed))
+    sch = ParameterSchedule.for_graph(g)
+    seen, evaluate = [], search.evaluate_f_i
+
+    def recorded(oracle, *args, **kwargs):
+        seen.append(oracle)
+        return evaluate(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(search, "evaluate_f_i", recorded)
+    estimate, outer, _ = approx_diameter(Network(g, seed=seed), sch,
+                                         rng=random.Random(seed))
+    assert (diameter(g), estimate) == (21, 20)
+    # every index initialized on a separate network: the same sets, and the
+    # same values for the indices the run initialized
+    oracle = SkeletonOracle(Network(g, seed=seed), sch)
+    assert oracle.members == seen[0].members
+    filled = [i for i, members in enumerate(oracle.members) if members]
+    for i in filled:
+        oracle.init(i)
+    assert all(oracle.member_values[i] == values
+               for i, values in seen[0].member_values.items())
+    slack = (1 + sch.eps) ** 2
+    for i in filled:
+        for s, value in oracle.member_values[i].items():
+            ecc = max(graphs.exact_sssp(g, s))
+            assert ecc <= value <= slack * ecc
+    good = [i for i in filled if max(oracle.member_values[i].values()) >= 21]
+    drawn = {i for i, _ in outer.probes}
+    assert (len(filled), good, outer.evaluations, len(drawn)) == \
+        (31, [1, 3, 4], 40, 22)
+    assert drawn.isdisjoint(good)
+    assert Fraction(len(good), g.n) < Fraction(sch.r, g.n) == Fraction(4, 32)
+    miss = (1 - Fraction(len(good), g.n)) ** outer.evaluations
+    assert round(float(miss), 3) == 0.019 and miss < DEFAULT_DELTA
 
 
 def test_estimator_determinism():
