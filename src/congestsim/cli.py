@@ -228,22 +228,23 @@ def cmd_approx(args):
 # --- gadget --------------------------------------------------------------
 
 
-def _gadget_inputs(args, size):
-    if args.input_seed is not None:
-        rng = random.Random(args.input_seed)
-        x = tuple(rng.randint(0, 1) for _ in range(size))
-        y = tuple(rng.randint(0, 1) for _ in range(size))
-        return x, y
-    return (1,) * size, (1,) * size  # all-ones default
+def _gadget_inputs(args):
+    """x, y drawn from --input-seed; without one, None, None: build_gadget's
+    all-ones default."""
+    if args.input_seed is None:
+        return None, None
+    size = 2 ** (3 * args.h // 2) * 2 ** (args.h // 2)  # 2^s rows of l bits
+    rng = random.Random(args.input_seed)
+    x = tuple(rng.randint(0, 1) for _ in range(size))
+    y = tuple(rng.randint(0, 1) for _ in range(size))
+    return x, y
 
 
 def cmd_gadget(args):
     if args.h % 2 or not 2 <= args.h <= MAX_GADGET_H:
         raise UsageError(
             f"h must be an even number from 2 to {MAX_GADGET_H}: {args.h}")
-    s = 3 * args.h // 2
-    size = 2 ** s * 2 ** (s - args.h)
-    x, y = _gadget_inputs(args, size)
+    x, y = _gadget_inputs(args)
     inst = build_gadget(args.h, x=x, y=y, variant=args.variant,
                         alpha=args.alpha, beta=args.beta)
     if args.action == "build":

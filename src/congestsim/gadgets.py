@@ -184,66 +184,46 @@ def build_gadget(h, x=None, y=None, variant="diameter", alpha=None, beta=None):
 # --- exact verification --------------------------------------------------
 
 
-def _contracted_handles(inst, mapping):
-    """Contracted-graph ids for the named node classes."""
-    cid = lambda *name: mapping[inst.node_id[name]]
-    handles = {
-        "t": cid("t", 0, 1),
-        "a": {i: cid("a", i) for i in range(1, inst.selectors + 1)},
-        "b": {i: cid("b", i) for i in range(1, inst.selectors + 1)},
-        # path 2j-1 merges with abit0_j/bbit1_j; path 2j with abit1_j/bbit0_j
-        "abit": {(bit, j): cid("abit", bit, j)
-                 for j in range(1, inst.s + 1) for bit in (0, 1)},
-        "astar": {j: cid("astar", j) for j in range(1, inst.l + 1)},
-        "routers": sorted({mapping[inst.node_id[("p", i, 1)]]
-                           for i in range(1, 2 * inst.s + inst.l + 1)}),
-    }
-    if inst.variant == "radius":
-        handles["a0"] = cid("a0")
-    return handles
-
-
-def check_table2(inst, mapping=None, dist=None):
+def check_table2(inst, mapping, dist):
     """Every tabulated distance upper bound, checked on the contracted graph.
 
-    `mapping` and `dist` are the contraction's node map and its all-pairs
-    table dist[u][v]; both are computed when not given.  Returns
-    (rows_checked, failures) where failures lists
+    `mapping` is the weight-1 contraction's node map and `dist` its
+    all-pairs table dist[u][v], both as `verify_reduction` builds them.
+    Returns (rows_checked, failures) where failures lists
     (description, u, v, distance, bound).
     """
-    if dist is None:
-        contracted, mapping = contract_unit_edges(inst.graph)
-        dist = [exact_sssp(contracted, u) for u in range(contracted.n)]
-    hd = _contracted_handles(inst, mapping)
+    cid = lambda *name: mapping[inst.node_id[name]]
     a, b = inst.alpha, inst.beta
     sel, s, l = inst.selectors, inst.s, inst.l
+    t = cid("t", 0, 1)
+    routers = sorted({cid("p", i, 1) for i in range(1, 2 * s + l + 1)})
+    a_ids = {i: cid("a", i) for i in range(1, sel + 1)}
+    b_ids = {i: cid("b", i) for i in range(1, sel + 1)}
 
-    rows = []
-    t = hd["t"]
-    for p in hd["routers"]:
-        rows.append(("t-router", t, p, a))
+    rows = [("t-router", t, p, a) for p in routers]
     for i in range(1, sel + 1):
-        ai, bi = hd["a"][i], hd["b"][i]
+        ai, bi = a_ids[i], b_ids[i]
         rows.append(("t-a", t, ai, 2 * a))
         rows.append(("t-b", t, bi, 2 * a))
         for i2 in range(1, sel + 1):
             if i2 == i:
                 continue
-            rows.append(("a-a", ai, hd["a"][i2], a))
-            rows.append(("b-b", bi, hd["b"][i2], a))
-            rows.append(("a-b", ai, hd["b"][i2], 2 * a))
+            rows.append(("a-a", ai, a_ids[i2], a))
+            rows.append(("b-b", bi, b_ids[i2], a))
+            rows.append(("a-b", ai, b_ids[i2], 2 * a))
+        # path 2j-1 merges with abit0_j/bbit1_j; path 2j with abit1_j/bbit0_j
         for j in range(1, s + 1):
-            same = hd["abit"][(bin_bit(i, j), j)]
-            flip = hd["abit"][(bin_bit(i, j) ^ 1, j)]
+            same = cid("abit", bin_bit(i, j), j)
+            flip = cid("abit", bin_bit(i, j) ^ 1, j)
             rows.append(("a-ownbit", ai, same, a))
             rows.append(("a-otherbit", ai, flip, 2 * a))
             rows.append(("b-ownbit", bi, flip, a))
             rows.append(("b-otherbit", bi, same, 2 * a))
         for j in range(1, l + 1):
-            rows.append(("a-star", ai, hd["astar"][j], b))
-            rows.append(("b-star", bi, hd["astar"][j], b))
-    for u in hd["routers"]:
-        for v in hd["routers"]:
+            rows.append(("a-star", ai, cid("astar", j), b))
+            rows.append(("b-star", bi, cid("astar", j), b))
+    for u in routers:
+        for v in routers:
             if u != v:
                 rows.append(("router-router", u, v, 2 * a))
 
@@ -256,9 +236,10 @@ def verify_reduction(inst):
     """Exact check of the gap lemma, the contraction sandwich, and Table 2.
 
     Computes the exact diameter (or radius) of the full graph from
-    eccentricity bounds (`graphs.diameter` / `graphs.radius`) and the
-    contraction's all-pairs table, which Table 2 and the radius floor read
-    row by row; any violated inequality lands in report["counterexamples"].
+    eccentricity bounds (`graphs.diameter` / `graphs.radius`), and builds
+    the one weight-1 contraction and its all-pairs table, which it hands
+    to `check_table2` and which the radius floor reads row by row; any
+    violated inequality lands in report["counterexamples"].
     """
     g = inst.graph
     n = g.n
@@ -296,8 +277,7 @@ def verify_reduction(inst):
              "detail": f"d'({u},{v}) = {d} > {bound}"})
 
     if inst.variant == "radius":
-        hd = _contracted_handles(inst, mapping)
-        sel_ids = set(hd["a"].values())
+        sel_ids = {mapping[inst.id("a", i)] for i in range(1, sel + 1)}
         for v in range(contracted.n):
             if v not in sel_ids and eccs_c[v] < 3 * inst.alpha:
                 counterexamples.append(

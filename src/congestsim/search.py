@@ -153,12 +153,11 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
                         eval_rounds=rounds,
                         charged_rounds=setup_rounds + len(draws) * rounds,
                         probes=list(zip(draws, values, strict=True)))
-    # a value object drawn again cannot beat itself, so each is compared
-    # once; max and min keep the first of equal values
-    distinct = {id(v): v for v in values if v is not None}.values()
-    if not distinct:
+    # max and min keep the first of equal values
+    usable = [v for v in values if v is not None]
+    if not usable:
         raise LowConfidenceResult(trace)
-    trace.value = (max if mode == "max" else min)(distinct)
+    trace.value = (max if mode == "max" else min)(usable)
     trace.found = next(x for x, v in trace.probes if v is trace.value)
     return trace
 
@@ -171,6 +170,8 @@ class SkeletonOracle:
     builds and embeds skeleton i on its first call and returns its probe
     block, the frozen phases every probe of i costs; every call charges the
     phases the first one charged (`init_phases[i]`), the delays drawn once.
+    The BFS tree is built before those phases, so it is charged once per
+    network, never again by a repeat.
     The first call also values every member in one `approx_eccentricity`
     call, charging and drawing nothing, keeps the {member: value} table
     `member_values[i]` and drops the embedded state.  `sets` defaults to
@@ -199,6 +200,7 @@ class SkeletonOracle:
             network.charge_block(self.init_phases[i])
             return self.blocks[i]
         d_g = self.schedule.unweighted_diameter
+        network.build_bfs_tree()
         first = len(network.ledger.phases)
         members = build_skeleton_state(network, self.members[i], self.levels)
         state = embed_overlay(network, members, self.levels, self.schedule.k,

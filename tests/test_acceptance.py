@@ -17,7 +17,6 @@ from congestsim.cli import EXIT_OK, main as cli_main
 from congestsim.engine import Network
 from congestsim.gadgets import (
     build_gadget,
-    check_table2,
     ownership_schedule,
     validate_schedule,
     verify_reduction,
@@ -249,8 +248,10 @@ def test_criterion_08_table2(announce):
         for x, y in (((1,) * size, (1,) * size),
                      (tuple(rng.randint(0, 1) for _ in range(size)),
                       tuple(rng.randint(0, 1) for _ in range(size)))):
-            rows, fails = check_table2(build_gadget(h, x=x, y=y))
-            if rows == 0 or fails:
+            report = verify_reduction(build_gadget(h, x=x, y=y))
+            fails = [c for c in report["counterexamples"]
+                     if c["check"].startswith("table2-")]
+            if report["table2_rows"] == 0 or fails:
                 ok = False
     announce(8, "contracted-graph distance table (h=2,4)", ok)
     assert ok

@@ -9,7 +9,6 @@ from congestsim.gadgets import (
     SERVER,
     bin_bit,
     build_gadget,
-    check_table2,
     eval_F,
     eval_F_prime,
     gadget_node_count,
@@ -233,9 +232,11 @@ def test_verify_report_matches_brute_force_extremum(monkeypatch, h, variant,
 
 
 def test_table2_clean_at_h2():
-    rows, failures = check_table2(build_gadget(2, x=random_bits(16, 5),
-                                               y=random_bits(16, 6)))
-    assert rows > 0 and failures == []
+    report = verify_reduction(build_gadget(2, x=random_bits(16, 5),
+                                           y=random_bits(16, 6)))
+    failures = [c for c in report["counterexamples"]
+                if c["check"].startswith("table2-")]
+    assert report["table2_rows"] > 0 and failures == []
 
 
 # --- ownership schedule --------------------------------------------------

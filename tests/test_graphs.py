@@ -55,10 +55,10 @@ def test_sssp_matches_relaxation_oracle():
 
 
 @st.composite
-def small_graphs(draw):
-    """A random spanning tree on 1-9 nodes plus random extra edges."""
-    n = draw(st.integers(1, 9))
-    weights = st.integers(1, 12)
+def small_graphs(draw, nodes=st.integers(1, 9), weights=st.integers(1, 12)):
+    """A random spanning tree on `nodes` nodes (1-9 by default) plus random
+    extra edges."""
+    n = draw(nodes)
     edges = {(draw(st.integers(0, v - 1)), v): draw(weights)
              for v in range(1, n)}
     for u, v, w in draw(st.lists(st.tuples(st.integers(0, n - 1),
@@ -273,6 +273,41 @@ def test_contract_parallel_edges_keep_minimum():
     c, mapping = contract_unit_edges(g)
     assert c.n == 2
     assert c.edges == [(0, 1, 3)]
+
+
+def assert_contraction_matches_unit_classes(g):
+    c, mapping = contract_unit_edges(g)
+    unit = all_pairs_relaxation(WeightedGraph(
+        g.n, [e for e in g.edges if e[2] == 1], check_connected=False))
+    for u in range(g.n):
+        for v in range(g.n):
+            assert (mapping[u] == mapping[v]) == (unit[u][v] < INFINITE)
+    # classes are numbered in the order of their least nodes
+    least = {}
+    for v in range(g.n):
+        least.setdefault(mapping[v], v)
+    assert list(least) == list(range(c.n))
+    # one edge per pair of classes joined in g, at its least weight
+    lightest = {}
+    for u, v, w in g.edges:
+        cu, cv = sorted((mapping[u], mapping[v]))
+        if cu != cv:
+            lightest[cu, cv] = min(w, lightest.get((cu, cv), w))
+    assert all(u != v for u, v, _ in c.edges)
+    assert {(min(u, v), max(u, v)): w for u, v, w in c.edges} == lightest
+    assert len(c.edges) == len(lightest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(st.integers(1, 40), st.integers(1, 3)))
+def test_contraction_classes_match_unit_subgraph_reachability(g):
+    assert_contraction_matches_unit_classes(g)
+
+
+@pytest.mark.parametrize("variant", ["diameter", "radius"])
+def test_contraction_classes_of_h2_gadgets(variant):
+    assert_contraction_matches_unit_classes(
+        build_gadget(2, variant=variant).graph)
 
 
 def test_contraction_sandwich():

@@ -305,7 +305,7 @@ VALUE_POOL = (None, Fraction(1, 2), Fraction(2, 4), Fraction(1, 3),
        mode=st.sampled_from(["max", "min"]))
 @example(picks=[0], k=4, seed=0, mode="max")
 @example(picks=[0], k=1, seed=0, mode="min")
-def test_comparing_each_value_object_once_keeps_the_per_draw_result(
+def test_the_batch_extremum_keeps_the_per_draw_result(
         picks, k, seed, mode):
     # `found` and `value` are those of a per-draw loop of strict comparisons
     valued = []
@@ -416,6 +416,20 @@ def test_evaluate_cache_recharges_identically(monkeypatch):
     assert list(oracle.init_phases) == list(oracle.blocks) == \
         list(oracle.member_values) == [0]
     assert list(oracle.member_values[0]) == [1, 4, 8]
+
+
+def test_a_repeat_never_charges_the_bfs_tree_again():
+    # no tree is built before the first init: the tree is still charged
+    # once, outside the phases every repeat charges again
+    g = random_connected_graph(16, rng=random.Random(1))
+    net = Network(g, seed=1)
+    oracle = SkeletonOracle(net, ParameterSchedule.for_graph(g),
+                            [[0, 3, 5]] * 16)
+    first, again = evaluate_f_i(oracle, 0), evaluate_f_i(oracle, 0)
+    assert first == again == (21, 106253)
+    assert [p.name for p in oracle.init_phases[0]] == \
+        ["mssp-delays", "mssp", "embed"]
+    assert [p.name for p in net.ledger.phases].count("bfs-tree") == 1
 
 
 def test_a_memo_serves_one_schedule_only(monkeypatch):
