@@ -189,8 +189,9 @@ def check_table2(inst, mapping, dist):
 
     `mapping` is the weight-1 contraction's node map and `dist` its
     all-pairs table dist[u][v], both as `verify_reduction` builds them.
-    Returns (rows_checked, failures) where failures lists
-    (description, u, v, distance, bound).
+    Returns (rows_checked, counterexamples): each violated bound, in row
+    order, is already the report's entry {"check": "table2-<row>",
+    "detail": "d'(u,v) = d > bound"}.
     """
     cid = lambda *name: mapping[inst.node_id[name]]
     a, b = inst.alpha, inst.beta
@@ -227,34 +228,37 @@ def check_table2(inst, mapping, dist):
             if u != v:
                 rows.append(("router-router", u, v, 2 * a))
 
-    failures = [(desc, u, v, dist[u][v], bound)
-                for desc, u, v, bound in rows if dist[u][v] > bound]
-    return len(rows), failures
+    return len(rows), [{"check": f"table2-{desc}",
+                        "detail": f"d'({u},{v}) = {dist[u][v]} > {bound}"}
+                       for desc, u, v, bound in rows if dist[u][v] > bound]
 
 
 def verify_reduction(inst):
     """Exact check of the gap lemma, the contraction sandwich, and Table 2.
 
-    Computes the exact diameter (or radius) of the full graph from
-    eccentricity bounds (`graphs.diameter` / `graphs.radius`), and builds
-    the one weight-1 contraction and its all-pairs table, which it hands
-    to `check_table2` and which the radius floor reads row by row; any
-    violated inequality lands in report["counterexamples"].
+    The variant picks the quantity and its Boolean function: the diameter
+    (max eccentricity) with F, or the radius (min eccentricity) with F'.
+    Computes it exactly on the full graph from eccentricity bounds
+    (`graphs.diameter` / `graphs.radius`), and builds the one weight-1
+    contraction and its all-pairs table, which it hands to `check_table2`
+    and which the radius floor reads row by row.  Every violated
+    inequality is an entry of report["counterexamples"], in the order
+    sandwich, gap, Table 2, radius floor.
     """
+    if inst.variant == "diameter":
+        exact_of, extremum, embedded = diameter, max, eval_F
+    else:
+        exact_of, extremum, embedded = radius, min, eval_F_prime
     g = inst.graph
     n = g.n
     contracted, mapping = contract_unit_edges(g)
-    sel, l = inst.selectors, inst.l
+    sel = inst.selectors
 
-    exact = diameter(g) if inst.variant == "diameter" else radius(g)
+    exact = exact_of(g)
     dist_c = [exact_sssp(contracted, u) for u in range(contracted.n)]
     eccs_c = [max(row) for row in dist_c]
-    exact_c = max(eccs_c) if inst.variant == "diameter" else min(eccs_c)
-
-    if inst.variant == "diameter":
-        fval = eval_F(inst.x, inst.y, sel, l)
-    else:
-        fval = eval_F_prime(inst.x, inst.y, sel, l)
+    exact_c = extremum(eccs_c)
+    fval = embedded(inst.x, inst.y, sel, inst.l)
     upper = max(2 * inst.alpha, inst.beta) + n
     lower = min(inst.alpha + inst.beta, 3 * inst.alpha)
 
@@ -270,11 +274,8 @@ def verify_reduction(inst):
         counterexamples.append(
             {"check": "gap-lower", "detail": f"{exact} < {lower} with F=0"})
 
-    table_rows, table_failures = check_table2(inst, mapping, dist_c)
-    for desc, u, v, d, bound in table_failures:
-        counterexamples.append(
-            {"check": f"table2-{desc}",
-             "detail": f"d'({u},{v}) = {d} > {bound}"})
+    table_rows, table_counterexamples = check_table2(inst, mapping, dist_c)
+    counterexamples += table_counterexamples
 
     if inst.variant == "radius":
         sel_ids = {mapping[inst.id("a", i)] for i in range(1, sel + 1)}

@@ -10,7 +10,7 @@ import pytest
 
 from congestsim import cli
 from congestsim.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from congestsim.engine import MaxRoundsExceeded
+from congestsim.engine import MaxRoundsExceeded, Network
 from congestsim.graphs import WeightedGraph
 from congestsim.toolkit import CongestionFailure
 
@@ -118,6 +118,14 @@ def test_graph_file_declaring_too_few_edges_is_refused_at_once(
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+def test_graph_file_of_zero_nodes_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("0 0")
+    code, out, err = run(["oracle", "--graph", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err == "error: node_count must be >= 1: 0\n"
+
+
 def test_gen_requires_n(capsys):
     code, _, _ = run(["oracle", "--gen", "cycle"], capsys)
     assert code == EXIT_USAGE
@@ -163,6 +171,16 @@ def test_gadget_verify(capsys):
     assert report["h"] == 2 and report["variant"] == "diameter"
     assert report["F"] in (0, 1)
     assert "seed" not in report["config"]
+
+
+def test_gadget_verify_that_fails_exits_1(capsys):
+    code, out, err = run(["gadget", "verify", "--h", "2", "--variant",
+                          "radius", "--alpha", "1", "--beta", "2"], capsys)
+    assert code == EXIT_FAILURE and err == ""
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["counterexamples"] == [
+        {"check": "radius-ecc-floor", "detail": "e'(1) = 2 < 3"}]
 
 
 def test_gadget_verify_ignores_format(capsys):
@@ -316,6 +334,14 @@ def test_max_weight_below_one_is_a_usage_error(capsys):
     assert "max_weight" in err
 
 
+def test_max_weight_that_is_not_a_number_is_a_usage_error(capsys):
+    code, out, err = run(["approx", "diameter", "--gen", "random-connected",
+                          "--n", "8", "--max-weight", "x"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: argument --max-weight: not an integer: 'x'\n"
+
+
 @pytest.mark.parametrize("command", [["approx", "diameter"], ["oracle"]])
 @pytest.mark.parametrize("source", ["cycle", "graph"])
 @pytest.mark.parametrize("max_weight", ["0", "-3"])
@@ -339,6 +365,20 @@ def test_negative_trials_is_a_usage_error(capsys):
                           "--trials", "-2"], capsys)
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error:")
+
+
+def test_a_search_without_a_usable_value_is_reported_as_failed(
+        monkeypatch, capsys):
+    # empty skeletons leave every probe degenerate: LowConfidenceResult
+    monkeypatch.setattr(Network, "sample_skeleton_sets",
+                        lambda self, r, count: [set() for _ in range(count)])
+    code, out, err = run(["approx", "diameter", "--gen", "cycle", "--n", "6"],
+                         capsys)
+    assert code == EXIT_OK and err == ""
+    [trial] = json.loads(out)["trials"]
+    assert trial["estimate"] is None and trial["ratio"] is None
+    assert trial["success"] is False and trial["true_value"] == 3
+    assert (trial["evaluations"], trial["rounds"]) == (15, 4)
 
 
 def test_bandwidth_exceeded_is_a_one_line_error(capsys):

@@ -316,6 +316,18 @@ def test_max_rounds_exceeded():
         net.run({0: Restless()}, "restless", max_rounds=10)
 
 
+def test_a_run_without_a_bound_that_cannot_halt_is_a_deadlock():
+    class Idle(NodeProgram):  # never halts, never sends, never wakes
+        def on_round(self, ctx):
+            pass
+
+    net = Network(path_graph(3))
+    with pytest.raises(MaxRoundsExceeded, match="^deadlock: "):
+        net.run({v: Idle() for v in range(4)}, "idle")
+    assert net.ledger.phases == [Phase("idle", 0, 0, 0)]
+    assert net.round_clock == 1
+
+
 def test_a_run_takes_at_most_one_bound():
     class Counted(NodeProgram):
         calls = 0

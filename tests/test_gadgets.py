@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +18,12 @@ from congestsim.gadgets import (
     validate_schedule,
     verify_reduction,
 )
-from congestsim.graphs import contract_unit_edges, eccentricity
+from congestsim.graphs import (
+    WeightedGraph,
+    contract_unit_edges,
+    diameter,
+    eccentricity,
+)
 
 from oracles import (
     VER_X_PROMISE,
@@ -163,6 +170,17 @@ def test_contracted_shape():
         assert contracted.n == 1 + m + 2 * inst.selectors + extra
 
 
+@pytest.mark.parametrize("h, hops", [(2, 7), (4, 14), (6, 18)])
+def test_hop_diameter_and_simulated_rounds_fit_the_bound(h, hops):
+    # the lower bound needs D = O(log n): here at most 4h hops
+    g = build_gadget(h).graph
+    assert diameter(g.unit_weights()) == hops <= 4 * h
+    # T_max = 2^h/2 - 1 simulated rounds are Theta(n^(2/3)): n tends to
+    # 3 * 2^(3h/2), so the ratio climbs to 1 / (2 * 3^(2/3)) = 0.2404
+    t_max = 2 ** h // 2 - 1
+    assert 1 / 20 < t_max / g.n ** (2 / 3) < 1 / 4
+
+
 def test_two_edge_cross_paths_use_star_columns():
     inst = build_gadget(2)
     contracted, mapping = contract_unit_edges(inst.graph)
@@ -239,6 +257,64 @@ def test_table2_clean_at_h2():
     assert report["table2_rows"] > 0 and failures == []
 
 
+# every check of verify_reduction, made to fire by a broken construction
+
+
+def reweighed(inst, old, new):
+    """`inst` with every edge of weight `old` given weight `new`."""
+    g = inst.graph
+    return dataclasses.replace(inst, graph=WeightedGraph(
+        g.n, [(u, v, new if w == old else w) for u, v, w in g.edges]))
+
+
+def test_verify_flags_radius_ecc_floor():
+    # alpha = 1 makes 3 * alpha a floor the weight-1 contraction breaks
+    report = verify_reduction(build_gadget(2, variant="radius", alpha=1,
+                                           beta=2))
+    assert report["counterexamples"] == [
+        {"check": "radius-ecc-floor", "detail": "e'(1) = 2 < 3"}]
+    assert not report["pass"]
+
+
+def test_verify_flags_every_table2_row_and_gap_upper():
+    # alpha edges at 3 * alpha break every upper bound of Table 2
+    inst = build_gadget(2)
+    report = verify_reduction(reweighed(inst, inst.alpha, 3 * inst.alpha))
+    assert Counter(c["check"] for c in report["counterexamples"]) == {
+        "gap-upper": 1,
+        "table2-t-router": 8, "table2-t-a": 8, "table2-t-b": 8,
+        "table2-a-a": 56, "table2-b-b": 56, "table2-a-b": 56,
+        "table2-a-ownbit": 24, "table2-a-otherbit": 24,
+        "table2-b-ownbit": 24, "table2-b-otherbit": 24,
+        "table2-a-star": 16, "table2-b-star": 16,
+        "table2-router-router": 56}
+    assert report["counterexamples"][:2] == [
+        {"check": "gap-upper", "detail": "30251 > 10153 with F=1"},
+        {"check": "table2-t-router", "detail": "d'(24,8) = 15123 > 5041"}]
+    assert report["table2_rows"] == 376
+
+
+def test_verify_flags_gap_lower():
+    # F = 0, yet with beta edges at alpha the diameter stays small
+    zeros = (0,) * 16
+    inst = build_gadget(2, x=zeros, y=zeros)
+    report = verify_reduction(reweighed(inst, inst.beta, inst.alpha))
+    assert report["F"] == 0
+    assert report["counterexamples"] == [
+        {"check": "gap-lower", "detail": "10087 < 15123 with F=0"}]
+
+
+def test_verify_flags_contraction_sandwich(monkeypatch):
+    # contracting weight-1 edges shortens a path by at most n - 1, so only
+    # a wrong exact value breaks the sandwich
+    monkeypatch.setattr(gadgets, "diameter", lambda g: 10 ** 12)
+    report = verify_reduction(build_gadget(2))
+    assert report["counterexamples"] == [
+        {"check": "contraction-sandwich",
+         "detail": "10082 <= 1000000000000 <= 10082 + 71 fails"},
+        {"check": "gap-upper", "detail": "1000000000000 > 10153 with F=1"}]
+
+
 # --- ownership schedule --------------------------------------------------
 
 
@@ -276,8 +352,26 @@ def test_ownership_validates_at_h4():
 
 def test_validate_flags_corrupted_schedule():
     inst = build_gadget(2)
-    schedule = ownership_schedule(inst, 1)
+    paths = [vid for name, vid in inst.node_id.items() if name[0] == "p"]
+
+    def corrupted(*changes):
+        schedule = ownership_schedule(inst, 1)
+        for r, vid, owner in changes:
+            schedule.owners[r][vid] = owner
+        crossings, violations = validate_schedule(schedule)
+        return crossings, Counter(desc for _, _, desc in violations)
+
     # hand an Alice-side node straight to Bob (no server round in between)
-    schedule.owners[1][inst.id("a", 1)] = BOB
-    _, violations = validate_schedule(schedule)
-    assert violations
+    _, found = corrupted((1, inst.id("a", 1), BOB))
+    assert found == {"node handed directly between Alice and Bob": 1,
+                     "neighbor on the far side in the previous round": 12}
+    _, found = corrupted((1, inst.id("a", 1), None))
+    assert found == {"node without an owner": 1,
+                     "node handed directly between Alice and Bob": 1,
+                     "neighbor on the far side in the previous round": 12}
+    # the server keeps every path node: each crossing lands off the tree
+    crossings, found = corrupted(*[(r, vid, SERVER)
+                                   for r in (0, 1) for vid in paths])
+    assert crossings == [16]
+    assert found == {"crossing at a non-tree node": 16,
+                     "16 crossings > 2h = 4": 1}

@@ -328,14 +328,16 @@ def test_text_roundtrip(g):
     assert again.n == g.n and sorted(again.edges) == sorted(g.edges)
 
 
-# every example overwrites the same file, so sharing tmp_path is harmless
+# every example writes a file of its own name, so sharing tmp_path is
+# harmless; truncating and rewriting one non-empty file instead makes ext4
+# flush it first, which took up to 1.8 s over the 100 examples
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(small_graphs())
 def test_json_roundtrip(tmp_path, g):
     again = WeightedGraph.from_json_dict(g.to_json_dict())
     assert again.n == g.n and sorted(again.edges) == sorted(g.edges)
-    path = tmp_path / "g.txt"
+    path = tmp_path / f"g{len(list(tmp_path.iterdir()))}.txt"
     path.write_text(g.to_text())
     again = WeightedGraph.from_file(path)
     assert again.n == g.n and sorted(again.edges) == sorted(g.edges)
@@ -355,6 +357,26 @@ def test_rejects_bad_input():
         WeightedGraph(2, [(0, 1, 1), (1, 0, 2)])
     with pytest.raises(GraphError):
         exact_sssp(WeightedGraph(2, [(0, 1, 1)]), 5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WeightedGraph(0, []), "node_count must be >= 1: 0"),
+    (lambda: WeightedGraph(2, [(0, 2, 1)]), "edge (0,2) out of range for n=2"),
+    (lambda: WeightedGraph.from_text("5"), "graph text must start with 'n m'"),
+    (lambda: WeightedGraph.from_text("2 1\n0 1"),
+     "expected 3 edge tokens, got 2"),
+    (lambda: make_graph("nope", 3), "unknown generator 'nope'"),
+    (lambda: random_connected_graph(0), "n must be >= 1"),
+])
+def test_each_bad_input_is_one_graph_error(build, message):
+    with pytest.raises(GraphError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_make_graph_builds_a_star():
+    g = make_graph("star", 5)
+    assert g.n == 5 and sorted(g.edges) == [(0, v, 1) for v in range(1, 5)]
 
 
 @pytest.mark.parametrize("weight", [Fraction(5, 2), Fraction(3), 2.0, True])
