@@ -348,42 +348,81 @@ def ownership_schedule(inst, T):
     return OwnershipSchedule(instance=inst, rounds=T, owners=owners)
 
 
+def _bits(mask):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def validate_schedule(schedule):
     """Partition, hand-off locality, and crossing-count checks.
 
     Returns (per-round crossing counts, violations); a violation is a
-    (round, node-or-edge, description) triple.
+    (round, node-or-edge, description) triple.  Each round is checked over
+    int bitmasks, not edge by edge: one mask per party (bit v when v is
+    that party's), and per node the mask of its neighbours, the OR of its
+    `weight_masks` groups.  A node whose owner is not ALICE, BOB or SERVER
+    makes the round report "node without an owner" once, and belongs to
+    no party.  From round 1 on, with the previous round's masks:
+
+    - a hand-off is a node of one of Alice and Bob that the other held;
+    - a far-side neighbour of a node `a` of Alice or Bob is a neighbour
+      that the other held;
+    - a crossing is an edge (a, b) with `a` the server's in both rounds
+      and `b` not the server's in the previous one; off the tree it is a
+      violation, given as (b, a).
+
+    A round's violations come in this order: the unowned node, hand-offs
+    by node, far-side neighbours by (a, b), crossings at non-tree nodes by
+    server node, then a crossing count above 2h.
     """
     inst = schedule.instance
     g = inst.graph
-    tree_ids = {vid for name, vid in inst.node_id.items() if name[0] == "t"}
+    # distinct ids, and disjoint weight groups: each sum is an OR
+    tree = sum(1 << vid for name, vid in inst.node_id.items()
+               if name[0] == "t")
+    neighbours = [sum(mask for _, mask in groups)
+                  for groups in g.weight_masks]
     violations = []
     crossings = []
     prev = None
     for r, owner in enumerate(schedule.owners):
-        if any(o is None for o in owner):
+        party = {ALICE: 0, BOB: 0, SERVER: 0}
+        unowned = False
+        for v, o in enumerate(owner):
+            if o in party:
+                party[o] |= 1 << v
+            else:
+                unowned = True
+        if unowned:
             violations.append((r, None, "node without an owner"))
+        alice, bob, server = party[ALICE], party[BOB], party[SERVER]
         if prev is not None:
-            for v in range(g.n):
-                if owner[v] != SERVER and prev[v] not in (owner[v], SERVER):
+            alice_prev, bob_prev, server_prev = prev
+            for v in _bits(alice & bob_prev | bob & alice_prev):
+                violations.append(
+                    (r, v, "node handed directly between Alice and Bob"))
+            for a in _bits(alice | bob):
+                far = neighbours[a] & (bob_prev if owner[a] == ALICE
+                                       else alice_prev)
+                for b in _bits(far):
                     violations.append(
-                        (r, v, "node handed directly between Alice and Bob"))
+                        (r, (a, b),
+                         "neighbor on the far side in the previous round"))
             count = 0
-            for u, v, _ in g.edges:
-                for a, bnode in ((u, v), (v, u)):
-                    if owner[a] != SERVER and prev[bnode] not in (owner[a], SERVER):
-                        violations.append(
-                            (r, (a, bnode),
-                             "neighbor on the far side in the previous round"))
-                    if (prev[a] == SERVER and owner[a] == SERVER
-                            and prev[bnode] != SERVER):
-                        count += 1
-                        if a not in tree_ids:
+            for a in _bits(server_prev & server):
+                outside = neighbours[a] & ~server_prev
+                if outside:
+                    count += outside.bit_count()
+                    if not tree >> a & 1:
+                        for b in _bits(outside):
                             violations.append(
-                                (r, (bnode, a), "crossing at a non-tree node"))
+                                (r, (b, a), "crossing at a non-tree node"))
             crossings.append(count)
             if count > 2 * inst.h:
                 violations.append(
                     (r, None, f"{count} crossings > 2h = {2 * inst.h}"))
-        prev = owner
+        prev = alice, bob, server
     return crossings, violations

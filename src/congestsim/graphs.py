@@ -95,8 +95,9 @@ class WeightedGraph:
                 raise GraphError(f"edge ({u},{v}) out of range for n={node_count}")
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
-            _check_weight(w)
-            key = (min(u, v), max(u, v))
+            if type(w) is not int or w < 1:
+                _check_weight(w)
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise GraphError(f"duplicate edge {key}")
             seen.add(key)
@@ -399,8 +400,8 @@ def contract_unit_edges(g):
         cu, cv = mapping[u], mapping[v]
         if cu == cv:
             continue
-        key = (min(cu, cv), max(cu, cv))
-        if key not in best or w < best[key]:
+        key = (cu, cv) if cu < cv else (cv, cu)
+        if w < best.get(key, INFINITE):
             best[key] = w
     contracted = WeightedGraph(len(roots),
                                [(u, v, w) for (u, v), w in best.items()],

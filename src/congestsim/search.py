@@ -153,11 +153,13 @@ def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
                         eval_rounds=rounds,
                         charged_rounds=setup_rounds + len(draws) * rounds,
                         probes=list(zip(draws, values, strict=True)))
-    # max and min keep the first of equal values
-    usable = [v for v in values if v is not None]
+    # A candidate drawn again repeats its value object, so each object is
+    # compared once; the dict keeps its first draw, and max and min keep
+    # the first of equal values.
+    usable = {id(v): v for v in values if v is not None}
     if not usable:
         raise LowConfidenceResult(trace)
-    trace.value = (max if mode == "max" else min)(usable)
+    trace.value = (max if mode == "max" else min)(usable.values())
     trace.found = next(x for x, v in trace.probes if v is trace.value)
     return trace
 

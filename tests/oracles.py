@@ -13,7 +13,10 @@ levels by their minimum, `min_over_levels`.  `tree_program` and
 the rounding's definition), and `shortcut_reference` computes
 `toolkit.embed_overlay`'s shortcuts over Fraction hop tables.
 `reference_search` evaluates every candidate of an extremum search: the
-reference of `search.amplified_max_search`.  The gadgets' index helpers
+reference of `search.amplified_max_search`.  `reference_validate_schedule`
+checks an ownership schedule edge by edge, in both directions of every
+edge: the reference of `gadgets.validate_schedule`'s bitmasks.  The
+gadgets' index helpers
 `adj_index` / `ind_index`, the ver/gdt promise functions and `edge_weight`
 are the paper's definitions that only the tests read.
 """
@@ -27,7 +30,7 @@ from congestsim.engine import (
     NodeProgram,
     payload_bits,
 )
-from congestsim.gadgets import bin_bit
+from congestsim.gadgets import ALICE, BOB, SERVER, bin_bit
 from congestsim.graphs import INFINITE, GraphError
 from congestsim.toolkit import CongestionFailure, LevelTables
 
@@ -439,6 +442,52 @@ def reference_search(candidates, evaluate, mode="max"):
         if value is not None and (best_v is None or better(value, best_v)):
             best_x, best_v = x, value
     return best_x, best_v
+
+
+def reference_validate_schedule(schedule):
+    """`gadgets.validate_schedule`'s checks, one directed edge at a time.
+
+    An owner other than ALICE, BOB or SERVER makes its round report "node
+    without an owner" once and belongs to no party.  Returns the same
+    crossing counts and violation triples; only their order within a
+    round may differ.
+    """
+    inst = schedule.instance
+    g = inst.graph
+    sides = (ALICE, BOB)
+    tree_ids = {vid for name, vid in inst.node_id.items() if name[0] == "t"}
+    violations = []
+    crossings = []
+    prev = None
+    for r, owner in enumerate(schedule.owners):
+        if any(o not in (ALICE, BOB, SERVER) for o in owner):
+            violations.append((r, None, "node without an owner"))
+        if prev is not None:
+            for v in range(g.n):
+                if (owner[v] in sides and prev[v] in sides
+                        and prev[v] != owner[v]):
+                    violations.append(
+                        (r, v, "node handed directly between Alice and Bob"))
+            count = 0
+            for u, v, _ in g.edges:
+                for a, b in ((u, v), (v, u)):
+                    if (owner[a] in sides and prev[b] in sides
+                            and prev[b] != owner[a]):
+                        violations.append(
+                            (r, (a, b),
+                             "neighbor on the far side in the previous round"))
+                    if (prev[a] == SERVER and owner[a] == SERVER
+                            and prev[b] != SERVER):
+                        count += 1
+                        if a not in tree_ids:
+                            violations.append(
+                                (r, (b, a), "crossing at a non-tree node"))
+            crossings.append(count)
+            if count > 2 * inst.h:
+                violations.append(
+                    (r, None, f"{count} crossings > 2h = {2 * inst.h}"))
+        prev = owner
+    return crossings, violations
 
 
 def edge_weight(g, u, v):

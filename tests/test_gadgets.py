@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congestsim import gadgets
 from congestsim.gadgets import (
@@ -35,6 +37,7 @@ from oracles import (
     gdt,
     gdt_promise,
     ind_index,
+    reference_validate_schedule,
     ver,
 )
 
@@ -365,13 +368,40 @@ def test_validate_flags_corrupted_schedule():
     _, found = corrupted((1, inst.id("a", 1), BOB))
     assert found == {"node handed directly between Alice and Bob": 1,
                      "neighbor on the far side in the previous round": 12}
+    # an unowned node belongs to no party, so it hands nothing to Bob
     _, found = corrupted((1, inst.id("a", 1), None))
-    assert found == {"node without an owner": 1,
-                     "node handed directly between Alice and Bob": 1,
-                     "neighbor on the far side in the previous round": 12}
+    assert found == {"node without an owner": 1}
     # the server keeps every path node: each crossing lands off the tree
     crossings, found = corrupted(*[(r, vid, SERVER)
                                    for r in (0, 1) for vid in paths])
     assert crossings == [16]
     assert found == {"crossing at a non-tree node": 16,
                      "16 crossings > 2h = 4": 1}
+
+
+@pytest.mark.parametrize("h", [2, 4, 6])
+def test_validate_matches_the_edge_by_edge_reference_on_clean_schedules(h):
+    schedule = ownership_schedule(build_gadget(h), 2 ** h // 2 - 1)
+    assert validate_schedule(schedule) == reference_validate_schedule(schedule)
+
+
+GADGETS = {h: build_gadget(h) for h in (2, 4)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_validate_matches_the_edge_by_edge_reference_on_corrupted_schedules(
+        data):
+    h = data.draw(st.sampled_from(sorted(GADGETS)))
+    inst = GADGETS[h]
+    schedule = ownership_schedule(
+        inst, data.draw(st.integers(0, 2 ** h // 2 - 1)))
+    cells = st.tuples(st.integers(0, schedule.rounds),
+                      st.integers(0, inst.graph.n - 1),
+                      st.sampled_from([ALICE, BOB, SERVER, None]))
+    for r, vid, owner in data.draw(st.lists(cells, min_size=1, max_size=20)):
+        schedule.owners[r][vid] = owner
+    crossings, violations = validate_schedule(schedule)
+    ref_crossings, ref_violations = reference_validate_schedule(schedule)
+    assert crossings == ref_crossings
+    assert Counter(violations) == Counter(ref_violations)

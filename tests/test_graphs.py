@@ -374,6 +374,19 @@ def test_each_bad_input_is_one_graph_error(build, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("node_count, edges, message", [
+    (2, [(1, 1, 0)], "self-loop at node 1"),
+    (2, [(0, 3, 1.5)], "edge (0,3) out of range for n=2"),
+    (3, [(0, 2, 1), (2, 0, 5)], "duplicate edge (0, 2)"),
+])
+def test_an_edge_with_two_faults_reports_the_first_check(node_count, edges,
+                                                         message):
+    # endpoints, range, self-loop, weight, duplicate: in that order
+    with pytest.raises(GraphError) as exc:
+        WeightedGraph(node_count, edges, check_connected=False)
+    assert str(exc.value) == message
+
+
 def test_make_graph_builds_a_star():
     g = make_graph("star", 5)
     assert g.n == 5 and sorted(g.edges) == [(0, v, 1) for v in range(1, 5)]
