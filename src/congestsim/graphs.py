@@ -189,7 +189,12 @@ class WeightedGraph:
             text = fh.read()
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return cls.from_json_dict(json.loads(text))
+            try:
+                d = json.loads(text)
+            except RecursionError as exc:  # nested deeper than the stack
+                raise GraphError(
+                    "malformed JSON graph: nested too deeply") from exc
+            return cls.from_json_dict(d)
         return cls.from_text(text)
 
 

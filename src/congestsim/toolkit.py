@@ -13,7 +13,14 @@ The pipeline, per skeleton set S:
 Step 1 is evaluated in closed form once its random delays are drawn and
 charged the exact cost of its per-node programs, up to the round it aborts
 in when an attempt congests; the message-level program is the reference in
-`tests/oracles.py`.  The delays go out down the BFS tree through
+`tests/oracles.py`.  A node sends the broadcasts it owes in a window in
+increasing copy index, one per round.  The random delays bound only how
+many it owes per window, not their order, so the order moves no bound;
+with this one an aborted attempt's cost is a sum over the congestion keys
+it counted.  Weights are at least 1, so a node holds all it owes in a window
+when the window starts: every earlier window sent all its broadcasts, and
+in the aborting round each lower-id node sent its least copy (see
+`_superposed_closed_form`).  The delays go out down the BFS tree through
 `Network.broadcast_pipeline`, and the tree and the pipeline are charged in
 closed form too (their references are in `tests/oracles.py`), so no
 engine run is on the estimators' path.  Step 1's rounded levels and each
@@ -253,22 +260,24 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     `levels` is the attempt's `LevelTables`.  Each (copy, level) pass is
     the source's `level_pass` on the level's rounded weights, and a node
     broadcasts its final distance d once, in window delays[copy] +
-    level*(levels.budget+1) + d of `stretch` rounds, one broadcast per
-    round in queue order.  So the attempt only counts the broadcasts owed at
-    delays[copy]*n + key over each source's `levels.keys`, and only with
-    more copies than `stretch` (with no more, no window can be over it,
-    and no key is built); best[copy] is the source's `units` table, and
-    its messages are the source's `sent`.
+    level*(levels.budget+1) + d of `stretch` rounds.  It sends what it owes
+    in a window one per round in increasing copy index (a copy owes at
+    most one broadcast per window).  So the attempt only counts the
+    broadcasts owed at the key delays[copy]*n + key over each source's
+    `levels.keys`, and only with more copies than `stretch` (with no more,
+    no window can be over it, and no key is built); best[copy] is the
+    source's `units` table, and its messages are the source's `sent`.
 
     The attempt aborts (best None, failure the CongestionFailure) in the
-    first round of the window of the smallest window*n + node owing more
-    than `stretch` broadcasts.  By then it sent every broadcast due in an
-    earlier window and, nodes acting in id order, the first in queue order
-    of each lower-id node due in that window.  An entry is queued when the
-    first message with its final distance arrives, one round after the
-    predecessor's send in round window*stretch + queue position (ties to
-    the lower sender id); a source queues its own d = 0 entries first.
-    The abort path takes the per-level passes it needs again.
+    first round of the window of the jam, the smallest key window*n + node
+    owing more than `stretch` broadcasts; the counted keys give its cost
+    exactly.  Weights are at least 1, so a broadcast's first message with
+    its final distance arrives by the first round of its window: a node
+    holds all it owes in a window when the window starts.  So every window
+    before the jam's sends all its broadcasts, each of degree[v] messages
+    of the copy's bit width.  In the jam's first round, nodes acting in id
+    order, each node below `node` owing a broadcast there sends one, its
+    least copy, and then `node` raises.
     """
     n = levels.graph.n
     span = levels.budget + 1
@@ -276,11 +285,13 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     # copies than `stretch` no key can be over it and none is counted
     counted = len(sources) > stretch
     owed = Counter()  # window * n + node -> broadcasts due
+    kept = []  # each counted copy's `levels.keys`
     best = []
     messages = bits = 0
     for copy, s in enumerate(sources):
         if counted:  # first, so a new source's walk fills `source` too
-            owed.update(map((delays[copy] * n).__add__, levels.keys(s)))
+            kept.append(levels.keys(s))
+            owed.update(map((delays[copy] * n).__add__, kept[-1]))
         sent, units = levels.source(s)
         best.append(units)
         messages += sent
@@ -291,36 +302,21 @@ def _superposed_closed_form(levels, sources, delays, stretch):
 
     degree = levels.degree
     jam = min(key for key, count in owed.items() if count > stretch)
-    passes = [[levels.level_pass(s, level) for level in range(len(levels))]
-              for s in sources]
     window, node = divmod(jam, n)
-    due = {}  # window * n + node -> [(copy, level, d)], before the abort
-    for copy, per_level in enumerate(passes):
-        for level, dist in enumerate(per_level):
-            base = delays[copy] + level * span
-            for v, d in enumerate(dist):
-                key = (base + d) * n + v  # INFINITE where v is unreached
-                if key < jam:
-                    due.setdefault(key, []).append((copy, level, d))
-    sent_in = {}  # (copy, level, v) -> round v broadcast in that pass
+    least = {}  # key in the jam's window below it -> least copy owing it
     messages = bits = 0
-    # predecessors are due in earlier windows, so their keys come first
-    for key in sorted(due):
-        w, v = divmod(key, n)
-        queue = []
-        for copy, level, d in due[key]:
-            dist = passes[copy][level]
-            # (round, sender) of the first message carrying d
-            arrival = (0, -1) if d == 0 else min(
-                (sent_in[copy, level, u] + 1, u)
-                for u, weight in levels[level][v] if dist[u] + weight == d)
-            queue.append((arrival, copy, level))
-        queue.sort()
-        for position, (_, copy, level) in enumerate(
-                queue if w < window else queue[:1]):
-            sent_in[copy, level, v] = w * stretch + position
-            messages += degree[v]
-            bits += degree[v] * max(1, copy.bit_length())
+    for copy, keys in enumerate(kept):
+        sent = 0
+        for key in map((delays[copy] * n).__add__, keys):
+            if key < window * n:
+                sent += degree[key % n]
+            elif key < jam:
+                least.setdefault(key, copy)
+        messages += sent
+        bits += sent * max(1, copy.bit_length())
+    for key, copy in least.items():
+        messages += degree[key % n]
+        bits += degree[key % n] * max(1, copy.bit_length())
     failure = CongestionFailure(f"node {node}: {owed[jam]} broadcasts due "
                                 f"in window {window} (limit {stretch})")
     return None, window * stretch, messages, bits, failure

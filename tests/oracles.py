@@ -4,7 +4,10 @@ These deliberately avoid the package's own shortest-path code so the two
 implementations cross-check each other.  `superposed_program` runs the
 superposed multi-source pass message by message on the engine: it is the
 reference for `toolkit._superposed_closed_form`, and combines each node's
-levels by their minimum, `min_over_levels`.  `tree_program` and
+levels by their minimum, `min_over_levels`.  A node sends the broadcasts
+it owes in a window in copy order; `arrival_order=True` keeps the order
+their entries were queued in, a variant that differs only in an aborted
+run's bits, which the tests hold against the copy order.  `tree_program` and
 `pipeline_program` do the same for the closed forms of
 `Network.build_bfs_tree` and `Network.broadcast_pipeline`.
 `exact_bounded_hop` is the Bellman-Ford hop-bounded distance, and
@@ -245,12 +248,20 @@ class _SuperposedProgram(NodeProgram):
 
     Logical rounds are stretched into windows of `stretch` engine rounds;
     a node may owe at most `stretch` broadcasts per window, else the run
-    fails with CongestionFailure.  Copy and level of a message are
-    inferred from its arrival window and the (globally known) delays.
+    fails with CongestionFailure.  It sends the broadcasts it owes in a
+    window one per round, in increasing copy index (a copy owes at most
+    one per window), or with `arrival_order` in the order their entries
+    were queued: the first message carrying the final distance, a
+    source's own d = 0 entries first.  The two orders differ only in an
+    aborted run's bits.  Copy and level of a message are inferred from its
+    arrival window and the (globally known) delays.  An entry is always
+    queued by the first round of its window (weights are at least 1), so
+    a node holds all it owes in a window when the window starts; `_queue`
+    asserts it.
     """
 
     def __init__(self, node, sources, delays, budget, levels, weights_by_level,
-                 stretch):
+                 stretch, arrival_order):
         self.node = node
         self.sources = sources
         self.delays = delays
@@ -258,6 +269,7 @@ class _SuperposedProgram(NodeProgram):
         self.levels = levels
         self.weights_by_level = weights_by_level  # level -> {neighbor: w}
         self.stretch = stretch
+        self.arrival_order = arrival_order
         self.span = budget + 1  # windows per level
         self.dist = [[INFINITE] * levels for _ in sources]
         self.due = {}     # window -> list of (copy, level, dist when queued)
@@ -271,6 +283,8 @@ class _SuperposedProgram(NodeProgram):
         window = self._window_of(copy, level, d)
         self.due.setdefault(window, []).append((copy, level, d))
         wake = t0 + window * self.stretch
+        assert wake >= ctx.round, (
+            f"node {self.node}: copy {copy} queued after its window began")
         if wake > ctx.round:
             ctx.wake_at(wake)
         # wake == current round: the end-of-round flush picks it up
@@ -279,7 +293,8 @@ class _SuperposedProgram(NodeProgram):
         window = ctx.local_round // self.stretch
         entries = self.due.pop(window, None)
         if entries:
-            for copy, level, d in entries:
+            for copy, level, d in (entries if self.arrival_order
+                                   else sorted(entries)):
                 if self.dist[copy][level] == d:  # stale if improved since
                     self.outbox.append((copy, d))
             if len(self.outbox) > self.stretch:
@@ -312,9 +327,11 @@ class _SuperposedProgram(NodeProgram):
         self._flush(ctx, t0)
 
 
-def superposed_program(levels, sources, delays, stretch):
+def superposed_program(levels, sources, delays, stretch, arrival_order=False):
     """`_superposed_closed_form`'s outcome, by running the superposed
-    program message by message on a fresh Network(levels.graph).
+    program message by message on a fresh Network(levels.graph).  With
+    `arrival_order` a node sends a window's broadcasts in arrival order,
+    not copy order (see `_SuperposedProgram`).
 
     Returns (best, rounds, messages, bits, failure): best is None and
     failure the CongestionFailure when the run aborts.
@@ -324,7 +341,7 @@ def superposed_program(levels, sources, delays, stretch):
     programs = {
         v: _SuperposedProgram(v, sources, delays, budget, len(levels),
                               [dict(level_adj[v]) for level_adj in levels],
-                              stretch)
+                              stretch, arrival_order)
         for v in range(graph.n)
     }
     windows = len(levels) * (budget + 1) + len(sources) * stretch + 1

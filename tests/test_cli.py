@@ -231,6 +231,16 @@ def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_a_json_graph_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"edges": ' + "[" * 100000 + "]" * 100000
+                    + ', "node_count": 2}')
+    code, out, err = run(["oracle", "--graph", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: malformed JSON graph:")
+
+
 @pytest.mark.parametrize("command", [
     ["approx", "diameter", "--gen", "cycle", "--n", "4"],
     ["oracle", "--gen", "cycle", "--n", "4"],
