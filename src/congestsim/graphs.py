@@ -26,9 +26,12 @@ entries in 816 groups on the radius gadget, 10784 in 210 on its
 contraction), so their all-pairs tables take a third of a heap's time on
 the full graph and a seventh on the contraction.
 `dijkstra(adj, s, bound)`, a heap over adjacency lists cut at a distance
-bound, is the kernel of the toolkit's rounded levels and of the overlay
-embedding, whose weights are nearly all distinct per node at n = 32 but
-not at n = 256; see its docstring.
+bound, is the kernel of the overlay embedding and of the toolkit's
+non-uniform rounded levels from `LevelTables.scaled` up (a level below
+it reads level `scaled`'s pass): on the estimators' random-connected
+graphs, 6 of the 12 non-uniform levels at n = 32 and 4 of 16 at
+n = 256.  Few of a node's neighbours share a rounded weight there at
+n = 32, but many do at n = 256; see its docstring.
 """
 
 from __future__ import annotations
@@ -207,15 +210,19 @@ def dijkstra(adj, source, bound=INFINITE):
     """Distances from `source` over adjacency lists adj[u] = [(v, w)].
 
     Nodes farther than `bound` (or unreachable) stay INFINITE.  The kernel
-    of `toolkit.LevelTables`' bounded level passes, `embed_overlay` and the
-    overlay.  At n = 32 their rounded weights are nearly all distinct per
-    node (16304 (node, weight) groups for 23616 entries over the
-    non-uniform levels of ten random graphs), so grouping neighbours by
-    weight saves nothing there: `exact_sssp`'s bitmask kernel, with a
-    bound and its masks built per level, took 1.04-1.11x this heap's time
-    on them.  The degree grows with n and the weights do not: at
-    n = 256, weights 1-10, a level up to 12 has about 4 entries per
-    (node, weight) group (2516 groups for 10240 entries).
+    of `embed_overlay`, the overlay and the bounded passes of
+    `toolkit.LevelTables`' non-uniform levels from `scaled` up (a level
+    below it reads level `scaled`'s pass, shifted).  At n = 32 few of a
+    node's neighbours share a rounded weight: on ten random graphs
+    (seeds 0-9, weights 1-10, hops 32, eps 1/5, so `scaled` is 6) levels
+    6-11 hold 7396 (node, weight) groups for 12444 entries.  Over every
+    non-uniform level of ten such graphs (16304 groups for 23616
+    entries), `exact_sssp`'s bitmask kernel, with a bound and its masks
+    built per level, took 1.04-1.11x this heap's time, so grouping
+    neighbours by weight saved nothing there.  The degree grows with n
+    and the weights do not: at n = 256 (`scaled` 12) level 12 has about
+    4 entries per (node, weight) group (2496 groups for 10230 entries)
+    and levels 13-15 have 8-20.
     """
     dist = [INFINITE] * len(adj)
     dist[source] = 0

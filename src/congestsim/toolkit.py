@@ -32,8 +32,17 @@ level's only for the congestion keys of an attempt that counts them.  A
 level's adjacency lists are built on the first pass that reads them.  A
 level whose rounded weights are all one c (every level of a unit-weight
 graph) is never built: it takes c times one breadth-first hop count per
-source in place of a Dijkstra.  Step 4 is the same pass on the overlay,
-a graph on the skeleton whose own `LevelTables` `embed_overlay` builds.
+source in place of a Dijkstra.  Nor is a level below `scaled`, the
+highest level L (up to the top) such that 2^L divides every edge's
+weight rounded up in the tables' unit.  That weight is w * 2*hops/eps
+when that is an integer, so L is the top or at least the 2-adic
+valuation of 2*hops/eps.  Below L each rounding is exact, level l's
+weights are 2^(L-l) times level L's, and its pass is level L's with its
+distances shifted left by L - l.  At n = 32 (hops 32, eps 1/5, so
+every weight is w * 320) levels 0-6 share one Dijkstra on level 6; at
+n = 256 levels 0-12 share one on level 12.  Step 4 is the same pass on
+the overlay, a graph on the skeleton whose own `LevelTables`
+`embed_overlay` builds.
 A skeleton is two stages: `build_skeleton_state` charges step 1 for its
 members, and `embed_overlay` builds steps 2-3 and returns the one frozen
 `SkeletonState` every probe reads.
@@ -118,15 +127,27 @@ class LevelTables(Sequence):
     node without edges or a budget of 0); level l's adjacency lists are
     built on the first read of `self[l]` and kept.  Of the passes only a
     Dijkstra reads them, so a pass never builds a uniform level, nor one
-    above the levels its walk takes.
+    above both `scaled` and the levels its walk takes.
 
     `common[level]` is the one rounded weight c every edge of the level
     has, or None.  Rounding is monotone, so c is the rounding of both the
     lightest and the heaviest edge when the two agree (1 on a graph
-    without edges).  `level_pass(s, level)` is s's budget-bounded
-    distances on one level: a Dijkstra, or on a uniform level c times the
-    edge counts of one breadth-first search from s, which every uniform
-    level shares (all of them on a unit-weight graph).
+    without edges).  `scaled` is the highest level L <= the top such that
+    2^L divides every edge's rounded-up weight x (the top on a graph
+    without edges).  At a level l <= L each ceil(x/2^l) is exactly
+    x >> l, 2^(L-l) times level L's, so every path at l is 2^(L-l) times
+    as long as at L.  A Dijkstra bounded by the budget is exact within
+    it, so s's distance at l is d_L << (L-l), and INFINITE where
+    d_L > budget >> (L-l).  When level L is uniform so is every level
+    below it.
+    `level_pass(s, level)` is s's budget-bounded distances on one level,
+    a multiple of one base pass that every level it serves shares: on a
+    uniform level c times the edge counts of one breadth-first search
+    from s (all levels of a unit-weight graph); on a non-uniform level up
+    to L, 2^(L-level) times the Dijkstra on level L, which it builds in
+    place of its own; above L, the Dijkstra on its own level, which is
+    not kept.  A base keeps its pass of the last source it served, so a
+    walk over one source's levels takes each base pass once.
 
     `source(s)` keeps, as (sent, units), the messages s's passes send
     (v's degree per finite entry) and each node's d << level at the
@@ -175,11 +196,13 @@ class LevelTables(Sequence):
                       .bit_length() if nbrs and budget else None
                       for nbrs in graph.adj]
         self._adj = [None] * (top + 1)  # level -> adjacency, once read
+        g = math.gcd(*self._ceils)  # 0 without edges: every level divides
+        self.scaled = min(top, (g & -g).bit_length() - 1) if g else top
         self.common = [c if c == d else None for c, d in zip(
             _rounded(min(self._ceils, default=1), top + 1),
             _rounded(max(self._ceils, default=1), top + 1))]
         self.degree = [len(nbrs) for nbrs in graph.adj]
-        self._bfs = None, None  # (s, bfs_hops of s), for the uniform levels
+        self._bases = {}  # base level (None: hop counts) -> (s, its pass)
         self._passes = {}  # s -> _Passes
         self._keys = {}  # s -> keys(s)
 
@@ -200,13 +223,18 @@ class LevelTables(Sequence):
 
     def level_pass(self, s, level):
         """s's distances on `level`, INFINITE beyond the budget."""
-        c = self.common[level]
-        if c is None:
+        c, scaled = self.common[level], self.scaled
+        if c is None and level > scaled:
             return dijkstra(self[level], s, self.budget)
-        if self._bfs[0] != s:  # callers take one source's levels in a row
-            self._bfs = s, bfs_hops(self.graph.adj, s)
-        cap = self.budget // c  # c*h <= budget
-        return [c * h if h <= cap else INFINITE for h in self._bfs[1]]
+        base = None if c else scaled
+        held, dist = self._bases.get(base, (None, None))
+        if held != s:  # callers take one source's levels in a row
+            dist = (bfs_hops(self.graph.adj, s) if c else
+                    dijkstra(self[scaled], s, self.budget))
+            self._bases[base] = s, dist
+        c = c or 1 << (scaled - level)
+        cap = self.budget // c  # c*d <= budget
+        return [c * d if d <= cap else INFINITE for d in dist]
 
     def source(self, s):
         if s not in self._passes:

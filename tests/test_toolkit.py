@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from congestsim.engine import Network
@@ -607,19 +607,81 @@ def test_lazy_levels_equal_the_eager_rounding(kind, n, seed, hops, eps, data):
             levels[past]
 
 
-def test_a_level_pass_builds_only_its_own_nonuniform_level(monkeypatch):
+class _DijkstraTables(LevelTables):
+    """A `LevelTables` whose every pass is a Dijkstra on its own level."""
+
+    def level_pass(self, s, level):
+        return dijkstra(self[level], s, self.budget)
+
+
+def _scaled_case(kind, n, shift, rng):
+    """(graph, weight_unit) of one kind, its weights shifted left by
+    `shift`, so every one is a multiple of 2^shift."""
+    unit = 1
+    if kind == "unit":
+        g = random_connected_graph(n, rng=rng).unit_weights()
+    elif kind == "fraction":
+        g, unit = _fraction_graph(n, rng)
+    else:
+        g = random_connected_graph(n, max_weight=rng.choice([3, 10, 1000]),
+                                   rng=rng)
+    return WeightedGraph(n, [(u, v, w << shift) for u, v, w in g.edges],
+                         check_connected=False), unit
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["random", "unit", "fraction"]),
+       n=st.integers(1, 10), seed=st.integers(0, 99), shift=st.integers(0, 6),
+       hops=st.one_of(st.integers(1, 40),
+                      st.integers(0, 6).map(lambda k: 2 ** k),
+                      st.integers(0, 40).map(lambda x: x + Fraction(1, 2))),
+       eps=st.integers(1, 8).map(lambda k: Fraction(1, k)), data=st.data())
+@example(kind="random", n=6, seed=1, shift=0, hops=Fraction(3, 2),
+         eps=Fraction(1, 3), data=None)  # scaled 0
+@example(kind="random", n=6, seed=1, shift=6, hops=64,
+         eps=Fraction(1, 8), data=None)  # scaled is the top level
+def test_a_scaled_pass_equals_its_levels_dijkstra(kind, n, seed, shift, hops,
+                                                  eps, data):
+    # every rounded weight of a level below `scaled` is 2^(scaled - level)
+    # times level scaled's, so its pass is level scaled's, shifted
+    g, unit = _scaled_case(kind, n, shift, random.Random(seed))
+    levels = LevelTables(g, hops, eps, unit)
+    eager = _eager_levels(g, hops, eps, unit)
+    assert 0 <= levels.scaled < len(eager)
+    assert all(w % 2 ** levels.scaled == 0
+               for nbrs in eager[0] for _, w in nbrs)
+    # any order of (source, level): the kept base pass follows the source
+    order = [(s, level) for s in range(g.n) for level in range(len(eager))]
+    if data is not None:
+        order = data.draw(st.permutations(order))
+    for s, level in order:
+        assert levels.level_pass(s, level) == dijkstra(eager[level], s,
+                                                       levels.budget)
+    reference = _DijkstraTables(g, hops, eps, unit)
+    for s in range(g.n):
+        assert LevelTables(g, hops, eps, unit).source(s) == reference.source(s)
+        assert LevelTables(g, hops, eps, unit).keys(s) == reference.keys(s)
+        assert levels.source(s) == reference.source(s)
+        assert levels.keys(s) == reference.keys(s)
+
+
+def test_a_level_pass_builds_only_its_base_level(monkeypatch):
+    # a non-uniform level's pass reads level max(level, scaled); a uniform
+    # level's reads no level
     built = _levels_built(monkeypatch)
     mixed = random_connected_graph(12, max_weight=10, rng=random.Random(3))
     kinds = set()
     for g in (mixed, cycle_graph(8)):
+        scaled = LevelTables(g, 4, Fraction(1, 4)).scaled
+        assert scaled == 5  # every rounded-up weight is w * 2*4 / (1/4)
         for level, c in enumerate(LevelTables(g, 4, Fraction(1, 4)).common):
             levels = LevelTables(g, 4, Fraction(1, 4))
             levels.level_pass(0, level)
             levels.level_pass(5, level)
             assert built.pop(levels, set()) == (
-                {level} if c is None else set())
-            kinds.add(c is None)
-    assert kinds == {True, False}
+                {max(level, scaled)} if c is None else set())
+            kinds.add((c is None, c is None and level < scaled))
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_overlay_tables_build_no_level_above_their_walks(monkeypatch):
@@ -645,9 +707,11 @@ def test_overlay_tables_build_no_level_above_their_walks(monkeypatch):
     skipped = 0
     for table, read in overlays:
         levels = built.get(table, set())
-        assert levels <= {level for level in read
+        # a non-uniform level below `scaled` reads level scaled
+        assert levels <= {max(level, table.scaled) for level in read
                           if table.common[level] is None}
-        assert max(levels, default=-1) <= max(read)
+        assert all(table.common[level] is None for level in levels)
+        assert max(levels, default=-1) <= max(max(read), table.scaled)
         skipped += len(table) - len(levels)
     assert skipped > 0
 
