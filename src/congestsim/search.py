@@ -211,10 +211,10 @@ class SkeletonOracle:
             # a lone member announces itself, convergecasts its eccentricity
             block = [Phase("eval", 2 * d_g + 1)]
         else:
-            # per overlay round: count senders (D_G), broadcast (D_G + a); a
-            # is charged at its bound |S| so every probe costs the same
-            overlay = state.overlay_levels
-            overlay_rounds = len(overlay) * (overlay.budget + 1) * (
+            # per window of the overlay's levels: count senders (D_G),
+            # broadcast (D_G + a); a is charged at its bound |S| so every
+            # probe costs the same
+            overlay_rounds = state.overlay_levels.windows * (
                 2 * d_g + 1 + len(members))
             # collect the skeleton at the prober, announce s, overlay
             # distances, convergecast the extremum

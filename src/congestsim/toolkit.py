@@ -29,10 +29,13 @@ so a `LevelTables` computes them once for all the skeletons of an
 estimator, in integers: a source's passes from the first level that
 reaches past it up to the first that reaches every node, and every
 level's only for the congestion keys of an attempt that counts them.  A
-level's adjacency lists are built on the first pass that reads them.  A
-level whose rounded weights are all one c (every level of a unit-weight
-graph) is never built: it takes c times one breadth-first hop count per
-source in place of a Dijkstra.  Nor is a level below `scaled`, the
+level's adjacency lists are private to `LevelTables.level_pass`, which
+builds them on the first pass that reads them, and `LevelTables.windows`,
+a window per (level, distance), is the one count of a pass's windows that
+the closed form and the overlay probe block read.  A level whose rounded
+weights are all one c (every level of a unit-weight graph) is never
+built: it takes c times one breadth-first hop count per source in place
+of a Dijkstra.  Nor is a level below `scaled`, the
 highest level L (up to the top) such that 2^L divides every edge's
 weight rounded up in the tables' unit.  That weight is w * 2*hops/eps
 when that is an integer, so L is the top or at least the 2-adic
@@ -67,7 +70,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
@@ -116,18 +118,22 @@ def _rounded(r, levels):
     return [-(-r >> level) for level in range(levels)]
 
 
-class LevelTables(Sequence):
-    """The rounded levels of one (graph, hops, eps), adj[level][v] =
-    [(u, rounded weight)], and what each source's passes over them give.
-    The graph's weights are integers in `weight_unit` (an int or Fraction
-    > 0; an overlay's is the hop tables' unit).  The constructor takes the
-    budget, the top level and each edge's weight rounded up in `unit` from
-    the integer ratios of eps, hops and weight_unit, and `first[v]`, the
-    lowest level at which v's lightest edge fits the budget (None for a
-    node without edges or a budget of 0); level l's adjacency lists are
-    built on the first read of `self[l]` and kept.  Of the passes only a
-    Dijkstra reads them, so a pass never builds a uniform level, nor one
-    above both `scaled` and the levels its walk takes.
+class LevelTables:
+    """The rounded levels of one (graph, hops, eps) and what each source's
+    passes over them give.  The graph's weights are integers in
+    `weight_unit` (an int or Fraction > 0; an overlay's is the hop tables'
+    unit).  The constructor takes the budget, the top level and each
+    edge's weight rounded up in `unit` from the integer ratios of eps,
+    hops and weight_unit, and `first[v]`, the lowest level at which v's
+    lightest edge fits the budget (None for a node without edges or a
+    budget of 0).  `len(self)` is the number of levels, and `windows` the
+    windows of a pass over all of them, one per (level, distance), so
+    budget + 1 per level: the one definition of that count.
+    A level's format is private: `_level(l)` builds level l's adjacency
+    lists, [(u, rounded weight)] per node, on their first read and keeps
+    them, and only a Dijkstra in `level_pass` reads them, so a pass never
+    builds a uniform level, nor one above both `scaled` and the levels its
+    walk takes.
 
     `common[level]` is the one rounded weight c every edge of the level
     has, or None.  Rounding is monotone, so c is the rounding of both the
@@ -196,6 +202,7 @@ class LevelTables(Sequence):
                       .bit_length() if nbrs and budget else None
                       for nbrs in graph.adj]
         self._adj = [None] * (top + 1)  # level -> adjacency, once read
+        self.windows = (top + 1) * (budget + 1)
         g = math.gcd(*self._ceils)  # 0 without edges: every level divides
         self.scaled = min(top, (g & -g).bit_length() - 1) if g else top
         self.common = [c if c == d else None for c, d in zip(
@@ -209,9 +216,8 @@ class LevelTables(Sequence):
     def __len__(self):
         return len(self._adj)
 
-    def __getitem__(self, level):
+    def _level(self, level):
         """The level's adjacency lists, built on the first read."""
-        level = range(len(self._adj))[level]  # IndexError past the top
         adj = self._adj[level]
         if adj is None:
             adj = self._adj[level] = [[] for _ in range(self.graph.n)]
@@ -225,12 +231,12 @@ class LevelTables(Sequence):
         """s's distances on `level`, INFINITE beyond the budget."""
         c, scaled = self.common[level], self.scaled
         if c is None and level > scaled:
-            return dijkstra(self[level], s, self.budget)
+            return dijkstra(self._level(level), s, self.budget)
         base = None if c else scaled
         held, dist = self._bases.get(base, (None, None))
         if held != s:  # callers take one source's levels in a row
             dist = (bfs_hops(self.graph.adj, s) if c else
-                    dijkstra(self[scaled], s, self.budget))
+                    dijkstra(self._level(scaled), s, self.budget))
             self._bases[base] = s, dist
         c = c or 1 << (scaled - level)
         cap = self.budget // c  # c*d <= budget
@@ -294,7 +300,9 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     broadcasts owed at the key delays[copy]*n + key over each source's
     `levels.keys`, and only with more copies than `stretch` (with no more,
     no window can be over it, and no key is built); best[copy] is the
-    source's `units` table, and its messages are the source's `sent`.
+    source's `units` table, and its messages are the source's `sent`.  It
+    runs for `levels.windows` windows after the largest delay, at most
+    len(sources)*stretch, and one more.
 
     The attempt aborts (best None, failure the CongestionFailure) in the
     first round of the window of the jam, the smallest key window*n + node
@@ -308,9 +316,8 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     least copy, and then `node` raises.
     """
     n = levels.graph.n
-    span = levels.budget + 1
-    # a copy owes at most one broadcast per key (d < span), so with no more
-    # copies than `stretch` no key can be over it and none is counted
+    # a copy owes at most one broadcast per key (d <= budget), so with no
+    # more copies than `stretch` no key can be over it and none is counted
     counted = len(sources) > stretch
     owed = Counter()  # window * n + node -> broadcasts due
     kept = []  # each counted copy's `levels.keys`
@@ -325,7 +332,7 @@ def _superposed_closed_form(levels, sources, delays, stretch):
         messages += sent
         bits += sent * max(1, copy.bit_length())
     if not counted or max(owed.values()) <= stretch:
-        windows = len(levels) * span + len(sources) * stretch + 1
+        windows = levels.windows + len(sources) * stretch + 1
         return best, windows * stretch, messages, bits, None
 
     degree = levels.degree
@@ -363,12 +370,16 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
     and is charged, in an `mssp` phase, what its per-node programs send
     up to its end or abort.  Neither runs the engine.  The delays are
     drawn and the rounds charged per call, so sharing one `levels`
-    across calls changes no table, charge or clock.
+    across calls changes no table, charge or clock.  `levels` of a graph
+    other than network.graph, no sources, a source outside 0..n-1 or
+    retries < 0 raise ValueError before anything is charged.
     Returns {s: levels.source(s).units}, integer tables in `levels.unit`.
     """
     sources = sorted(set(sources))
-    if not sources:
-        raise ValueError("sources must be nonempty")
+    if levels.graph is not network.graph:
+        raise ValueError("levels of another graph than the network's")
+    if not (sources and 0 <= sources[0] and sources[-1] < network.n):
+        raise ValueError(f"sources must be nonempty, in 0..{network.n - 1}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0: {retries}")
     b = len(sources)

@@ -5,15 +5,16 @@ implementations cross-check each other.  `superposed_program` runs the
 superposed multi-source pass message by message on the engine: it is the
 reference for `toolkit._superposed_closed_form`, and combines each node's
 levels by their minimum, `min_over_levels`.  A node sends the broadcasts
-it owes in a window in copy order; `arrival_order=True` keeps the order
-their entries were queued in, a variant that differs only in an aborted
-run's bits, which the tests hold against the copy order.  `tree_program` and
+it owes in a window in copy order.  `tree_program` and
 `pipeline_program` do the same for the closed forms of
 `Network.build_bfs_tree` and `Network.broadcast_pipeline`.
 `exact_bounded_hop` is the Bellman-Ford hop-bounded distance, and
 `bounded_hop_sssp` the message-level single-source pass, one
-`bounded_distance_sssp` engine run per rounded level (`rounded_weight` is
-the rounding's definition), and `shortcut_reference` computes
+`bounded_distance_sssp` engine run per rounded level.  `rounded_weight`
+is the rounding's definition and `eager_levels` every level's adjacency
+lists by it, the one rounding reference: the reference programs read
+their levels from it, never from a `LevelTables`, whose level format is
+its own.  `shortcut_reference` computes
 `toolkit.embed_overlay`'s shortcuts over Fraction hop tables.
 `reference_search` evaluates every candidate of an extremum search: the
 reference of `search.amplified_max_search`.  `reference_validate_schedule`
@@ -35,7 +36,7 @@ from congestsim.engine import (
 )
 from congestsim.gadgets import ALICE, BOB, SERVER, bin_bit
 from congestsim.graphs import INFINITE, GraphError
-from congestsim.toolkit import CongestionFailure, LevelTables
+from congestsim.toolkit import CongestionFailure, LevelTables, scale_levels
 
 INF = float("inf")
 
@@ -177,6 +178,21 @@ def rounded_weight(w, hops, eps, level):
     return max(1, math.ceil(2 * Fraction(hops) * Fraction(w) / (eps * 2 ** level)))
 
 
+def eager_levels(g, hops, eps, weight_unit=1):
+    """Every level's adjacency lists [(u, rounded weight)] per node, on the
+    weights w * weight_unit rounded by `rounded_weight`, in the graph's
+    edge order."""
+    levels = []
+    for level in range(scale_levels(g.n, g.max_weight * weight_unit, eps) + 1):
+        adj = [[] for _ in range(g.n)]
+        for u, v, w in g.edges:
+            rw = rounded_weight(w * weight_unit, hops, eps, level)
+            adj[u].append((v, rw))
+            adj[v].append((u, rw))
+        levels.append(adj)
+    return levels
+
+
 def min_over_levels(dists):
     """min over levels of d << level (INFINITE if no level reached the node):
     one node's combined entry in units of eps / (2*hops), of which
@@ -232,13 +248,14 @@ def bounded_distance_sssp(network, s, budget, adj=None):
 def bounded_hop_sssp(network, s, hops, eps):
     """Approximate `hops`-bounded distances from s, via all scale levels.
 
-    Each level is one `bounded_distance_sssp` pass.  Returns a per-node
-    list of Fractions (INFINITE where no level stayed within budget).
-    Guarantee: d <= result <= (1+eps) * d_hops.
+    Each level of `eager_levels` is one `bounded_distance_sssp` pass, the
+    budget and unit those of `LevelTables`, which checks hops and eps.
+    Returns a per-node list of Fractions (INFINITE where no level stayed
+    within budget).  Guarantee: d <= result <= (1+eps) * d_hops.
     """
     levels = LevelTables(network.graph, hops, eps)
     per_level = [bounded_distance_sssp(network, s, levels.budget, adj=adj)
-                 for adj in levels]
+                 for adj in eager_levels(network.graph, hops, eps)]
     return [x if x is INFINITE else x * levels.unit
             for x in map(min_over_levels, zip(*per_level))]
 
@@ -250,10 +267,7 @@ class _SuperposedProgram(NodeProgram):
     a node may owe at most `stretch` broadcasts per window, else the run
     fails with CongestionFailure.  It sends the broadcasts it owes in a
     window one per round, in increasing copy index (a copy owes at most
-    one per window), or with `arrival_order` in the order their entries
-    were queued: the first message carrying the final distance, a
-    source's own d = 0 entries first.  The two orders differ only in an
-    aborted run's bits.  Copy and level of a message are inferred from its
+    one per window).  Copy and level of a message are inferred from its
     arrival window and the (globally known) delays.  An entry is always
     queued by the first round of its window (weights are at least 1), so
     a node holds all it owes in a window when the window starts; `_queue`
@@ -261,7 +275,7 @@ class _SuperposedProgram(NodeProgram):
     """
 
     def __init__(self, node, sources, delays, budget, levels, weights_by_level,
-                 stretch, arrival_order):
+                 stretch):
         self.node = node
         self.sources = sources
         self.delays = delays
@@ -269,7 +283,6 @@ class _SuperposedProgram(NodeProgram):
         self.levels = levels
         self.weights_by_level = weights_by_level  # level -> {neighbor: w}
         self.stretch = stretch
-        self.arrival_order = arrival_order
         self.span = budget + 1  # windows per level
         self.dist = [[INFINITE] * levels for _ in sources]
         self.due = {}     # window -> list of (copy, level, dist when queued)
@@ -293,8 +306,7 @@ class _SuperposedProgram(NodeProgram):
         window = ctx.local_round // self.stretch
         entries = self.due.pop(window, None)
         if entries:
-            for copy, level, d in (entries if self.arrival_order
-                                   else sorted(entries)):
+            for copy, level, d in sorted(entries):
                 if self.dist[copy][level] == d:  # stale if improved since
                     self.outbox.append((copy, d))
             if len(self.outbox) > self.stretch:
@@ -327,24 +339,25 @@ class _SuperposedProgram(NodeProgram):
         self._flush(ctx, t0)
 
 
-def superposed_program(levels, sources, delays, stretch, arrival_order=False):
+def superposed_program(levels, sources, delays, stretch):
     """`_superposed_closed_form`'s outcome, by running the superposed
-    program message by message on a fresh Network(levels.graph).  With
-    `arrival_order` a node sends a window's broadcasts in arrival order,
-    not copy order (see `_SuperposedProgram`).
+    program message by message on a fresh Network(levels.graph), over the
+    `eager_levels` of the graph, hop bound and eps of `levels`, a base
+    graph's tables (weight unit 1).
 
     Returns (best, rounds, messages, bits, failure): best is None and
     failure the CongestionFailure when the run aborts.
     """
     graph, budget = levels.graph, levels.budget
+    eager = eager_levels(graph, levels.hops, levels.eps)
     network = Network(graph)
     programs = {
-        v: _SuperposedProgram(v, sources, delays, budget, len(levels),
-                              [dict(level_adj[v]) for level_adj in levels],
-                              stretch, arrival_order)
+        v: _SuperposedProgram(v, sources, delays, budget, len(eager),
+                              [dict(level_adj[v]) for level_adj in eager],
+                              stretch)
         for v in range(graph.n)
     }
-    windows = len(levels) * (budget + 1) + len(sources) * stretch + 1
+    windows = len(eager) * (budget + 1) + len(sources) * stretch + 1
     ledger = network.ledger
     try:
         network.run(programs, "mssp", exact_rounds=windows * stretch)

@@ -3,9 +3,7 @@
 Random configurations rarely congest, so these force it: at least three
 sources, `stretch` = 2 and delays drawn from 0..|S|.  A node sends the
 broadcasts it owes in a window in copy order, and `_superposed_closed_form`
-charges an aborted attempt from the congestion keys it counted.  The
-reference's arrival-order variant shows that the order moves nothing but
-an aborted attempt's bits.
+charges an aborted attempt from the congestion keys it counted.
 """
 
 import random
@@ -29,26 +27,18 @@ def _forced_congestion(seed):
 
 
 def test_aborted_attempts_match_the_copy_order_reference():
-    aborted, jams, bits_differ = 0, set(), 0
+    aborted, jams = 0, set()
     for seed in range(240):
         args = _forced_congestion(seed)
         fast = _superposed_closed_form(*args)
         reference = oracles.superposed_program(*args)
         assert fast[:4] == reference[:4], f"seed {seed}"
         assert str(fast[4]) == str(reference[4]), f"seed {seed}"
-        # arrival order: the same tables, rounds, messages and failure text
-        arrival = oracles.superposed_program(*args, arrival_order=True)
-        assert arrival[:3] == reference[:3], f"seed {seed}"
-        assert str(arrival[4]) == str(reference[4]), f"seed {seed}"
-        if reference[4] is None:
-            assert arrival[3] == reference[3], f"seed {seed}"
-            continue
-        aborted += 1
-        jams.add(str(reference[4]).startswith("node 0:"))
-        bits_differ += arrival[3] != reference[3]
+        if reference[4] is not None:
+            aborted += 1
+            jams.add(str(reference[4]).startswith("node 0:"))
     assert aborted >= 100
     assert jams == {True, False}  # jams at node 0 and above it
-    assert bits_differ >= 1
 
 
 def test_an_aborted_attempt_makes_no_level_pass_once_its_keys_are_built(
@@ -61,7 +51,7 @@ def test_an_aborted_attempt_makes_no_level_pass_once_its_keys_are_built(
     args = (levels, sources, delays, 2)
     assert _superposed_closed_form(*args)[4] is not None
     calls = []
-    for name in ("level_pass", "__getitem__"):
+    for name in ("level_pass", "_level"):
         method = getattr(LevelTables, name)
         monkeypatch.setattr(
             LevelTables, name, lambda self, *a, name=name, method=method:

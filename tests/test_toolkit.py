@@ -40,6 +40,7 @@ from oracles import (
     bounded_distance_sssp,
     bounded_hop_sssp,
     complete_overlay_distances,
+    eager_levels,
     edge_weight,
     exact_bounded_hop,
     min_over_levels,
@@ -169,8 +170,10 @@ def test_integer_setup_equals_the_fraction_definitions(hops, eps, unit, n,
     assert levels.unit == table_unit and levels.budget == budget
     target = 2 * g.n * Fraction(g.max_weight * unit) / eps
     assert len(levels) == max(0, math.ceil(target) - 1).bit_length() + 1
+    assert levels.windows == len(levels) * (budget + 1)
     # level 0 keeps each edge's weight rounded up in the tables' unit
-    ceils = {(u, v): w for u, nbrs in enumerate(levels[0]) for v, w in nbrs}
+    level_0 = eager_levels(g, hops, eps, unit)[0]
+    ceils = {(u, v): w for u, nbrs in enumerate(level_0) for v, w in nbrs}
     for u, v, w in g.edges:
         assert ceils[u, v] == ceils[v, u] == math.ceil(w * unit / table_unit)
 
@@ -324,6 +327,23 @@ def test_mssp_rejects_negative_retries():
     assert net.ledger.rounds == 0 and net.ledger.phases == []
 
 
+@pytest.mark.parametrize("tables_of, sources, match", [
+    (random_connected_graph(20, rng=random.Random(1)), [0, 15],
+     "another graph"),
+    (None, [-1], "in 0..7"),
+    (None, [99], "in 0..7"),
+], ids=["foreign-tables", "negative-source", "source-past-n"])
+def test_mssp_rejects_nonsense_before_it_charges(tables_of, sources, match):
+    # on the 8-cycle: the tables of a 20-node graph, a negative source and
+    # a source past the last node are refused before any round is charged
+    net = Network(cycle_graph(8), seed=1)
+    levels = LevelTables(tables_of or net.graph, 8, Fraction(1, 3))
+    with pytest.raises(ValueError, match=match):
+        bounded_hop_mssp(net, sources, levels)
+    assert net.ledger.rounds == net.round_clock == 0
+    assert net.ledger.phases == [] and net.tree is None
+
+
 # --- multi-source pass ---------------------------------------------------
 
 
@@ -409,28 +429,13 @@ def test_shared_level_tables_are_invisible():
 # --- level passes: breadth-first on uniform levels ----------------------
 
 
-def _eager_levels(g, hops, eps, weight_unit=1):
-    """Every level's adjacency lists, on weights w * weight_unit rounded by
-    `rounded_weight`, in the graph's edge order."""
-    levels = []
-    for level in range(scale_levels(g.n, g.max_weight * weight_unit, eps) + 1):
-        adj = [[] for _ in range(g.n)]
-        for u, v, w in g.edges:
-            rw = rounded_weight(w * weight_unit, hops, eps, level)
-            adj[u].append((v, rw))
-            adj[v].append((u, rw))
-        levels.append(adj)
-    return levels
-
-
-def _reference_passes(g, hops, eps, s, weight_unit=1):
+def _reference_passes(g, eager, budget, s):
     """(keys, sent, units, per-level distances) of s, from one Dijkstra per
-    level of `_eager_levels`."""
-    budget = hop_budget(hops, eps)
+    level of `eager`, the graph's `eager_levels`."""
     span = budget + 1
     degree = [len(nbrs) for nbrs in g.adj]
     keys, sent, per_level = [], 0, []
-    for level, adj in enumerate(_eager_levels(g, hops, eps, weight_unit)):
+    for level, adj in enumerate(eager):
         dist = dijkstra(adj, s, budget)
         per_level.append(dist)
         for v, d in enumerate(dist):
@@ -463,7 +468,9 @@ def _fraction_graph(n, rng):
 
 def _check_level_passes(g, hops, eps, weight_unit=1):
     levels = LevelTables(g, hops, eps, weight_unit)
-    for level, adj in enumerate(levels):
+    eager = eager_levels(g, hops, eps, weight_unit)
+    assert len(levels) == len(eager)
+    for level, adj in enumerate(eager):
         weights = {w for nbrs in adj for _, w in nbrs}
         if len(weights) == 1:
             assert levels.common[level] == weights.pop()
@@ -472,8 +479,8 @@ def _check_level_passes(g, hops, eps, weight_unit=1):
         else:  # no edges: every pass is {s: 0}
             assert levels.common[level] is not None
     for s in range(g.n):
-        keys, sent, units, per_level = _reference_passes(g, hops, eps, s,
-                                                         weight_unit)
+        keys, sent, units, per_level = _reference_passes(g, eager,
+                                                         levels.budget, s)
         assert [levels.level_pass(s, level) for level in range(len(levels))] \
             == per_level
         assert tuple(levels.source(s)) == (sent, units)
@@ -563,16 +570,16 @@ def test_level_passes_on_a_disconnected_overlay_and_one_node():
 
 
 def _levels_built(monkeypatch):
-    """{table: levels read by indexing}, which are the levels each
-    `LevelTables` built: a level is built on its first read."""
+    """{table: levels read by its private builder}, which are the levels
+    each `LevelTables` built: a level is built on its first read."""
     built = {}
-    getitem = LevelTables.__getitem__
+    read = LevelTables._level
 
-    def recording_getitem(self, level):
-        built.setdefault(self, set()).add(range(len(self))[level])
-        return getitem(self, level)
+    def recording_read(self, level):
+        built.setdefault(self, set()).add(level)
+        return read(self, level)
 
-    monkeypatch.setattr(LevelTables, "__getitem__", recording_getitem)
+    monkeypatch.setattr(LevelTables, "_level", recording_read)
     return built
 
 
@@ -593,25 +600,28 @@ def test_lazy_levels_equal_the_eager_rounding(kind, n, seed, hops, eps, data):
         g, unit = _fraction_graph(n, rng)
     else:
         g = _uniform_graph(kind, n, rng)
-    eager = _eager_levels(g, hops, eps, unit)
-    assert list(LevelTables(g, hops, eps, unit)) == eager
+    eager = eager_levels(g, hops, eps, unit)
     levels = LevelTables(g, hops, eps, unit)
     assert len(levels) == len(eager)
-    # read in any order, by negative index too, and again once built
+    # read in any order, and again once built: the builder keeps a level
     order = data.draw(st.permutations(range(len(eager))))
+    built = {}
     for level in order + order:
-        assert levels[level] == eager[level]
-        assert levels[level - len(eager)] is levels[level]
-    for past in (len(eager), -len(eager) - 1):
-        with pytest.raises(IndexError):
-            levels[past]
+        adj = levels._level(level)
+        assert adj == eager[level]
+        assert built.setdefault(level, adj) is adj
 
 
 class _DijkstraTables(LevelTables):
-    """A `LevelTables` whose every pass is a Dijkstra on its own level."""
+    """A `LevelTables` whose every pass is a Dijkstra on its level of
+    `eager_levels`."""
+
+    def __init__(self, g, hops, eps, weight_unit=1):
+        super().__init__(g, hops, eps, weight_unit)
+        self.eager = eager_levels(g, hops, eps, weight_unit)
 
     def level_pass(self, s, level):
-        return dijkstra(self[level], s, self.budget)
+        return dijkstra(self.eager[level], s, self.budget)
 
 
 def _scaled_case(kind, n, shift, rng):
@@ -646,7 +656,7 @@ def test_a_scaled_pass_equals_its_levels_dijkstra(kind, n, seed, shift, hops,
     # times level scaled's, so its pass is level scaled's, shifted
     g, unit = _scaled_case(kind, n, shift, random.Random(seed))
     levels = LevelTables(g, hops, eps, unit)
-    eager = _eager_levels(g, hops, eps, unit)
+    eager = eager_levels(g, hops, eps, unit)
     assert 0 <= levels.scaled < len(eager)
     assert all(w % 2 ** levels.scaled == 0
                for nbrs in eager[0] for _, w in nbrs)
@@ -808,9 +818,10 @@ def _skip_cases():
 def test_walks_start_at_each_sources_first_reachable_level():
     firsts = []
     for g, hops, eps, unit in _skip_cases():
+        eager = eager_levels(g, hops, eps, unit)
         for s in range(g.n):
-            keys, sent, units, per_level = _reference_passes(g, hops, eps, s,
-                                                             unit)
+            keys, sent, units, per_level = _reference_passes(
+                g, eager, hop_budget(hops, eps), s)
             first = next((level for level, dist in enumerate(per_level)
                           if dist.count(INFINITE) < g.n - 1), None)
             # every level below the first reaches s alone
@@ -1088,8 +1099,10 @@ def test_overlay_levels_span_the_skeleton_only():
     for k in (0, 2):
         net, state = pipeline_state(g, members, 6, k)
         sssp_on_overlay(state, members[0])
-        assert len(state.overlay_levels) > 1
-        assert all(len(adj) == len(members) for adj in state.overlay_levels)
+        overlay = state.overlay_levels
+        assert len(overlay) > 1 and overlay.graph.n == len(members)
+        assert all(len(overlay.level_pass(0, level)) == len(members)
+                   for level in range(len(overlay)))
 
 
 def test_skeleton_hop_tables_are_the_level_tables_own():
