@@ -31,7 +31,6 @@ from .toolkit import (
     CongestionFailure,
     LevelTables,
     SkeletonState,
-    approx_distance,
     approx_eccentricity,
     bounded_hop_mssp,
     build_skeleton_state,

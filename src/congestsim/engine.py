@@ -152,7 +152,7 @@ class Network:
         self._last_send_round = None
         # messages and bits sent by the current run
         self._messages = self._bits = 0
-        # BFS tree cache: (parent, children, depth) lists
+        # BFS tree cache: (parent, depth) lists
         self.tree = None
 
     def charge(self, phase, rounds, messages=0, bits=0):
@@ -289,8 +289,8 @@ class Network:
     # --- tree primitives -------------------------------------------------
 
     def build_bfs_tree(self):
-        """The BFS tree rooted at the leader, as (parent, children, depth)
-        lists; built and charged, in a `bfs-tree` phase, on the first call
+        """The BFS tree rooted at the leader, as (parent, depth) lists;
+        built and charged, in a `bfs-tree` phase, on the first call
         and returned from the cache after.
 
         Charged in closed form from the leader's hop counts, without
@@ -338,21 +338,17 @@ class Network:
         e = max(h for h in depth if h is not None)
         self.charge("bfs-tree", e + 1 if adj[self.leader] else 0,
                     messages, bits)
-        children = [[] for _ in range(self.n)]
-        for v, up in enumerate(parent):
-            if up is not None:
-                children[up].append(v)
-        self.tree = (parent, children, depth)
+        self.tree = (parent, depth)
         return self.tree
 
     def broadcast_pipeline(self, items, phase="broadcast"):
         """Leader pipelines `items` down the BFS tree; all nodes learn all items.
 
-        Each item must fit in B bits.  Returns the per-node item lists
-        (identical everywhere).  Charged in closed form, without running
-        the per-node programs: each item crosses each tree edge once, one
-        item per round behind the last, so k items on a tree of height d
-        take k + d - 1 rounds (0 when k or d is 0).  A node the leader
+        Each item must fit in B bits.  Charged in closed form, without
+        running the per-node programs, and returns nothing: each item
+        crosses each tree edge once, one item per round behind the last,
+        so k items on a tree of height d take k + d - 1 rounds (0 when k
+        or d is 0), and k messages per tree edge.  A node the leader
         cannot reach never halts, so the run fails with MaxRoundsExceeded
         at its round limit n + k + 2.  The message-level program is the
         reference in `tests/oracles.py`.
@@ -362,7 +358,7 @@ class Network:
             if bits > self.bandwidth_bits:
                 raise BandwidthExceeded(("item",), self.round_clock, bits,
                                         self.bandwidth_bits)
-        parent, children, depth = self.build_bfs_tree()
+        parent, depth = self.build_bfs_tree()
         k, edges = len(items), self.n - parent.count(None)
         messages, bits = k * edges, sum(sizes) * edges
         if k and edges < self.n - 1:
@@ -371,7 +367,6 @@ class Network:
             raise MaxRoundsExceeded(f"no halt within {self.n + k + 2} rounds")
         self.charge(phase, k + max(depth) - 1 if k and edges else 0,
                     messages, bits)
-        return {v: list(items) for v in range(self.n)}
 
     # --- skeleton sampling -----------------------------------------------
 

@@ -8,7 +8,7 @@ The pipeline, per skeleton set S:
 3. the k-shortcut overlay (exact overlay distances to each node's k
    nearest overlay neighbors),
 4. bounded-hop distances on the shortcut overlay from a chosen source,
-5. node-local combination into approximate distances / eccentricities.
+5. node-local combination into approximate eccentricities.
 
 Step 1 is evaluated in closed form once its random delays are drawn and
 charged the exact cost of its per-node programs, up to the round it aborts
@@ -288,7 +288,7 @@ class LevelTables:
 
 
 def _superposed_closed_form(levels, sources, delays, stretch):
-    """Outcome (best, rounds, messages, bits, failure) of one superposed
+    """Cost and outcome (rounds, messages, bits, failure) of one superposed
     attempt, computed without sending its messages.
 
     `levels` is the attempt's `LevelTables`.  Each (copy, level) pass is
@@ -299,12 +299,13 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     most one broadcast per window).  So the attempt only counts the
     broadcasts owed at the key delays[copy]*n + key over each source's
     `levels.keys`, and only with more copies than `stretch` (with no more,
-    no window can be over it, and no key is built); best[copy] is the
-    source's `units` table, and its messages are the source's `sent`.  It
-    runs for `levels.windows` windows after the largest delay, at most
-    len(sources)*stretch, and one more.
+    no window can be over it, and no key is built); a copy's messages are
+    its source's `sent`, and its table, which the attempt does not return,
+    is the source's `units`.  It runs for `levels.windows` windows after
+    the largest delay, at most len(sources)*stretch, and one more; failure
+    is None then.
 
-    The attempt aborts (best None, failure the CongestionFailure) in the
+    The attempt aborts (failure the CongestionFailure) in the
     first round of the window of the jam, the smallest key window*n + node
     owing more than `stretch` broadcasts; the counted keys give its cost
     exactly.  Weights are at least 1, so a broadcast's first message with
@@ -321,19 +322,17 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     counted = len(sources) > stretch
     owed = Counter()  # window * n + node -> broadcasts due
     kept = []  # each counted copy's `levels.keys`
-    best = []
     messages = bits = 0
     for copy, s in enumerate(sources):
         if counted:  # first, so a new source's walk fills `source` too
             kept.append(levels.keys(s))
             owed.update(map((delays[copy] * n).__add__, kept[-1]))
-        sent, units = levels.source(s)
-        best.append(units)
+        sent = levels.source(s).sent
         messages += sent
         bits += sent * max(1, copy.bit_length())
     if not counted or max(owed.values()) <= stretch:
         windows = levels.windows + len(sources) * stretch + 1
-        return best, windows * stretch, messages, bits, None
+        return windows * stretch, messages, bits, None
 
     degree = levels.degree
     jam = min(key for key, count in owed.items() if count > stretch)
@@ -354,7 +353,20 @@ def _superposed_closed_form(levels, sources, delays, stretch):
         bits += degree[key % n] * max(1, copy.bit_length())
     failure = CongestionFailure(f"node {node}: {owed[jam]} broadcasts due "
                                 f"in window {window} (limit {stretch})")
-    return None, window * stretch, messages, bits, failure
+    return window * stretch, messages, bits, failure
+
+
+def _skeleton(network, members, levels):
+    """`members` distinct and sorted, once they are checked: `levels` of a
+    graph other than network.graph, no members or a member outside
+    0..n-1 raise ValueError, so a stage that calls this first charges
+    nothing for them."""
+    if levels.graph is not network.graph:
+        raise ValueError("levels of another graph than the network's")
+    members = sorted(set(members))
+    if not (members and 0 <= members[0] and members[-1] < network.n):
+        raise ValueError(f"a skeleton must be nonempty, in 0..{network.n - 1}")
+    return members
 
 
 def bounded_hop_mssp(network, sources, levels, retries=3):
@@ -370,16 +382,13 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
     and is charged, in an `mssp` phase, what its per-node programs send
     up to its end or abort.  Neither runs the engine.  The delays are
     drawn and the rounds charged per call, so sharing one `levels`
-    across calls changes no table, charge or clock.  `levels` of a graph
-    other than network.graph, no sources, a source outside 0..n-1 or
-    retries < 0 raise ValueError before anything is charged.
-    Returns {s: levels.source(s).units}, integer tables in `levels.unit`.
+    across calls changes no table, charge or clock.  The sources are a
+    skeleton's members, checked by `_skeleton`, and retries < 0 raises
+    ValueError, before anything is charged.
+    Returns {s: levels.source(s).units} in increasing s, integer tables in
+    `levels.unit`.
     """
-    sources = sorted(set(sources))
-    if levels.graph is not network.graph:
-        raise ValueError("levels of another graph than the network's")
-    if not (sources and 0 <= sources[0] and sources[-1] < network.n):
-        raise ValueError(f"sources must be nonempty, in 0..{network.n - 1}")
+    sources = _skeleton(network, sources, levels)
     if retries < 0:
         raise ValueError(f"retries must be >= 0: {retries}")
     b = len(sources)
@@ -394,9 +403,7 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
         # fits the bandwidth and the closed form needs no bandwidth check
         network.broadcast_pipeline(
             [(i, delays[i]) for i in range(b)], phase="mssp-delays")
-        # a successful attempt's tables are its sources' `levels.source`
-        # tables, so only its cost is read here
-        _, rounds, messages, bits, failure = _superposed_closed_form(
+        rounds, messages, bits, failure = _superposed_closed_form(
             levels, sources, delays, stretch)
         network.charge("mssp", rounds, messages, bits)
         if failure is None:
@@ -410,9 +417,10 @@ def bounded_hop_mssp(network, sources, levels, retries=3):
 @dataclass(frozen=True)
 class SkeletonState:
     """One embedded skeleton, what its probes read; `embed_overlay` builds
-    it.  Its hop bound, eps and hop tables (integers in `levels.unit`)
-    are those of `levels`; its overlay weights and probe tables (integers
-    in `overlay_levels.unit`) those of `overlay_levels`."""
+    it.  Its hop bound, eps and hop tables (member u's is
+    `levels.source(u).units`, integers in `levels.unit`) are those of
+    `levels`; its overlay weights and probe tables (integers in
+    `overlay_levels.unit`) those of `overlay_levels`."""
 
     members: list                     # sorted skeleton node ids
     # the LevelTables of the base graph the hop tables are read from
@@ -420,18 +428,12 @@ class SkeletonState:
     # the LevelTables of the overlay, a graph on members' indices 0..|S|-1
     overlay_levels: object = field(repr=False, compare=False)
 
-    def hop_table(self, u):
-        """u's per-node hop table, integers in `levels.unit` (read-only)."""
-        return self.levels.source(u).units
-
 
 def build_skeleton_state(network, members, levels):
     """A skeleton's distinct members, sorted; their hop tables are charged
-    by one `bounded_hop_mssp` pass, which refuses an empty skeleton before
-    it charges anything, and read from `levels`."""
-    members = sorted(set(members))
-    bounded_hop_mssp(network, members, levels)
-    return members
+    by one `bounded_hop_mssp` pass, which checks the members before it
+    charges anything, and read from `levels`."""
+    return list(bounded_hop_mssp(network, members, levels))
 
 
 def _k_nearest(k, rows):
@@ -448,9 +450,10 @@ def _k_nearest(k, rows):
 
 
 def embed_overlay(network, members, levels, k, d_g):
-    """The `SkeletonState` of the skeleton `members` (distinct, sorted, as
-    `build_skeleton_state` returns them) on `levels`, with its k-shortcut
-    overlay embedded.
+    """The `SkeletonState` of the skeleton `members` on `levels`, with its
+    k-shortcut overlay embedded.  The members are checked by `_skeleton`
+    before anything is charged, and the state holds them distinct and
+    sorted.
 
     Each skeleton node's k nearest overlay neighbors get exact overlay
     distances as direct edges: every member announces its k cheapest
@@ -459,8 +462,7 @@ def embed_overlay(network, members, levels, k, d_g):
     exact distances, integers in the hop tables' unit.  Charged to an
     `embed` phase: d_g + |S|*k rounds (d_g for k <= 0 or |S| < 2), d_g
     the hop diameter of the communication graph
-    (`ParameterSchedule.unweighted_diameter`).  An empty skeleton raises
-    ValueError before anything is charged.
+    (`ParameterSchedule.unweighted_diameter`).
 
     The state's `overlay_levels` is the `LevelTables` of the overlay, a
     `WeightedGraph` on the members' indices (one node for a singleton)
@@ -469,8 +471,7 @@ def embed_overlay(network, members, levels, k, d_g):
     entry.  Its hop bound is 4|S|/k (the shortcut overlay's hop diameter
     is below that), or |S| when k <= 0.
     """
-    if not members:
-        raise ValueError("an empty skeleton has no overlay")
+    members = _skeleton(network, members, levels)
     size = len(members)
     rows = [[levels.source(s).units[v] for v in members] for s in members]
     shortcuts, shortcut = size >= 2 and k >= 1, {}
@@ -506,23 +507,10 @@ def sssp_on_overlay(state, s):
     return state.overlay_levels.source(state.members.index(s)).units
 
 
-def approx_distance(state, table, v):
-    """min over skeleton u of (overlay distance s->u) + (hop table u->v),
-    for the probe `table` of s (`sssp_on_overlay`).
-
-    Node-local: both summands already live in v's memory.  The `Fraction`
-    definition `approx_eccentricity` computes in integer units.
-    """
-    hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
-    return min((a * probe_unit + b * hop_unit
-                for u, a in zip(state.members, table) if a is not INFINITE
-                and (b := state.hop_table(u)[v]) is not INFINITE),
-               default=INFINITE)
-
-
 def approx_eccentricity(state, tables):
-    """[max over physical nodes v of approx_distance(state, table, v)
-    for each probe table in `tables`].
+    """[max over physical nodes v of the min over skeleton u of (overlay
+    distance s->u) + (hop table u->v), for each probe table of a source s
+    in `tables`].  Node-local: both summands already live in v's memory.
 
     Computed in integers: with the hop tables' unit e/f, the probe
     tables' unit g/h and L = lcm(f, h), a hop entry a plus a probe entry
@@ -533,7 +521,8 @@ def approx_eccentricity(state, tables):
     hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
     denom = math.lcm(hop_unit.denominator, probe_unit.denominator)
     a_unit, b_unit = int(hop_unit * denom), int(probe_unit * denom)
-    rows = [[a * a_unit for a in state.hop_table(u)] for u in state.members]
+    rows = [[a * a_unit for a in state.levels.source(u).units]
+            for u in state.members]
 
     def top(table):  # in units of 1/L
         # operator.add: int.__add__ of a float INFINITE is NotImplemented

@@ -31,6 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 Mutant = namedtuple("Mutant", "name path old new tests origin")
 
 TOOLKIT = "src/congestsim/toolkit.py"
+ENGINE = "src/congestsim/engine.py"
+GRAPHS = "src/congestsim/graphs.py"
 LEVEL_PASS = "One level pass serves every lower level that is a " \
              "power-of-two multiple of it"
 COPY_ORDER = "Send a window's broadcasts in copy order; charge an aborted " \
@@ -44,6 +46,26 @@ BFS_LEVELS = "Take uniform-weight levels from one breadth-first table, and " \
 EARLY_STOP = "Stop each source's level passes at the first level that " \
              "reaches every node, and build congestion keys only for " \
              "attempts that count them"
+BORN_EMBEDDED = "A skeleton state is born embedded: `embed_overlay` " \
+                "returns the one frozen `SkeletonState`, and the " \
+                "unembedded state, its guard and in-place re-embedding go"
+TREE = "Charge the BFS tree in closed form; no engine run on the " \
+       "estimators' path"
+PIPELINE = "Charge the broadcast pipeline in closed form"
+MSSP = "Compute the superposed multi-source pass in closed form instead of " \
+       "simulating every message"
+ONE_PATH = "One path for the superposed pass: the closed form computes " \
+           "congestion aborts too, and the message-level program moves to " \
+           "tests/oracles.py"
+CONTRACTION = "One contraction table, read once: check_table2 takes the " \
+              "verifier's contraction and handles"
+EMBED = "Build the overlay when it is embedded; probes return its integer " \
+        "tables"
+
+CONTRACTION_TESTS = [
+    "tests/test_graphs.py::"
+    "test_contraction_classes_match_unit_subgraph_reachability",
+    "tests/test_graphs.py::test_contraction_classes_of_h2_gadgets"]
 
 MUTANTS = [
     Mutant("scaled-one-level-high", TOOLKIT,
@@ -80,14 +102,29 @@ MUTANTS = [
            "network's\")\n",
            "",
            ["tests/test_toolkit.py::"
-            "test_mssp_rejects_nonsense_before_it_charges[foreign-tables]"],
+            "test_mssp_rejects_nonsense_before_it_charges[foreign-tables]",
+            "tests/test_toolkit.py::"
+            "test_embed_overlay_rejects_nonsense_before_it_charges"
+            "[foreign-tables]"],
            PRIVATE_LEVELS),
     Mutant("mssp-takes-negative-sources", TOOLKIT,
-           "sources and 0 <= sources[0] and sources[-1] < network.n",
-           "sources and sources[-1] < network.n",
+           "members and 0 <= members[0] and members[-1] < network.n",
+           "members and members[-1] < network.n",
            ["tests/test_toolkit.py::"
-            "test_mssp_rejects_nonsense_before_it_charges[negative-source]"],
+            "test_mssp_rejects_nonsense_before_it_charges[negative-source]",
+            "tests/test_toolkit.py::"
+            "test_embed_overlay_rejects_nonsense_before_it_charges"
+            "[negative-member]"],
            PRIVATE_LEVELS),
+    Mutant("skeleton-takes-no-members", TOOLKIT,
+           "if not (members and 0 <= members[0]",
+           "if not (0 <= members[0]",
+           ["tests/test_toolkit.py::"
+            "test_an_empty_skeleton_is_refused_before_anything_is_charged",
+            "tests/test_toolkit.py::"
+            "test_embed_overlay_rejects_nonsense_before_it_charges"
+            "[empty-skeleton]"],
+           BORN_EMBEDDED),
     Mutant("bfs-base-ignores-the-source", TOOLKIT,
            "if held != s:",
            "if held is None:",
@@ -110,6 +147,72 @@ MUTANTS = [
             "tests/test_mssp_closed_form.py::"
             "test_closed_form_matches_reference_on_random_configs"],
            EARLY_STOP),
+    Mutant("tree-one-round-short", ENGINE,
+           "e + 1 if adj[self.leader] else 0",
+           "e if adj[self.leader] else 0",
+           ["tests/test_tree_closed_form.py::test_star",
+            "tests/test_tree_closed_form.py::test_paths",
+            "tests/test_engine.py::test_bfs_tree_rounds_match_eccentricity"],
+           TREE),
+    Mutant("tree-offer-without-its-kind-bit", ENGINE,
+           "offer = parent[v], 1 + max(1, h.bit_length())",
+           "offer = parent[v], max(1, h.bit_length())",
+           ["tests/test_tree_closed_form.py::test_star",
+            "tests/test_tree_closed_form.py::"
+            "test_the_parent_edge_carries_the_accept_and_an_offer"],
+           TREE),
+    Mutant("pipeline-one-round-long", ENGINE,
+           "k + max(depth) - 1 if k and edges else 0",
+           "k + max(depth) if k and edges else 0",
+           ["tests/test_pipeline_closed_form.py::test_paths",
+            "tests/test_pipeline_closed_form.py::test_families",
+            "tests/test_engine.py::test_broadcast_pipeline_path"],
+           PIPELINE),
+    Mutant("pipeline-unreached-node-stops-early", ENGINE,
+           "self.round_clock += self.n + k + 2",
+           "self.round_clock += self.n + k + 1",
+           ["tests/test_pipeline_closed_form.py::"
+            "test_node_the_leader_cannot_reach"],
+           PIPELINE),
+    Mutant("mssp-without-its-last-window", TOOLKIT,
+           "windows = levels.windows + len(sources) * stretch + 1",
+           "windows = levels.windows + len(sources) * stretch",
+           ["tests/test_mssp_closed_form.py::"
+            "test_closed_form_tables_match_reference"],
+           ONE_PATH),
+    Mutant("mssp-copy-zero-in-no-bits", TOOLKIT,
+           "messages += sent\n        bits += sent * max(1, copy.bit_length())"
+           "\n    if not counted",
+           "messages += sent\n        bits += sent * copy.bit_length()"
+           "\n    if not counted",
+           ["tests/test_mssp_closed_form.py::"
+            "test_closed_form_tables_match_reference"],
+           MSSP),
+    Mutant("embed-announces-one-edge-per-member", TOOLKIT,
+           "d_g + size * k if shortcuts else d_g",
+           "d_g + size if shortcuts else d_g",
+           ["tests/test_toolkit.py::"
+            "test_embedding_is_charged_d_g_plus_one_round_per_announced_edge"],
+           EMBED),
+    Mutant("overlay-hop-bound-halved", TOOLKIT,
+           "Fraction(4 * size, k) if k >= 1 else Fraction(size)",
+           "Fraction(2 * size, k) if k >= 1 else Fraction(size)",
+           ["tests/test_toolkit.py::"
+            "test_overlay_sssp_matches_level_enumeration[2]",
+            "tests/test_toolkit.py::test_overlay_sssp_follows_reembedding"],
+           EMBED),
+    Mutant("contraction-classes-numbered-down", GRAPHS,
+           "roots = sorted({find(v) for v in range(g.n)})",
+           "roots = sorted({find(v) for v in range(g.n)}, reverse=True)",
+           CONTRACTION_TESTS, CONTRACTION),
+    Mutant("contraction-keeps-the-heaviest-edge", GRAPHS,
+           "if w < best.get(key, INFINITE):",
+           "if w > best.get(key, 0):",
+           ["tests/test_graphs.py::test_contraction_sandwich"], CONTRACTION),
+    Mutant("contraction-skips-a-unit-edge", GRAPHS,
+           "for u, v, w in g.edges:\n        if w == 1:",
+           "for u, v, w in g.edges[1:]:\n        if w == 1:",
+           CONTRACTION_TESTS, CONTRACTION),
 ]
 
 

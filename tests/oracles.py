@@ -7,7 +7,9 @@ reference for `toolkit._superposed_closed_form`, and combines each node's
 levels by their minimum, `min_over_levels`.  A node sends the broadcasts
 it owes in a window in copy order.  `tree_program` and
 `pipeline_program` do the same for the closed forms of
-`Network.build_bfs_tree` and `Network.broadcast_pipeline`.
+`Network.build_bfs_tree` and `Network.broadcast_pipeline`, and return
+what the closed forms do not: the tables each copy settles and the items
+each node receives.
 `exact_bounded_hop` is the Bellman-Ford hop-bounded distance, and
 `bounded_hop_sssp` the message-level single-source pass, one
 `bounded_distance_sssp` engine run per rounded level.  `rounded_weight`
@@ -15,7 +17,9 @@ is the rounding's definition and `eager_levels` every level's adjacency
 lists by it, the one rounding reference: the reference programs read
 their levels from it, never from a `LevelTables`, whose level format is
 its own.  `shortcut_reference` computes
-`toolkit.embed_overlay`'s shortcuts over Fraction hop tables.
+`toolkit.embed_overlay`'s shortcuts over Fraction hop tables, and
+`approx_distance` the `Fraction` definition of one node's approximate
+distance that `toolkit.approx_eccentricity` computes in integer units.
 `reference_search` evaluates every candidate of an extremum search: the
 reference of `search.amplified_max_search`.  `reference_validate_schedule`
 checks an ownership schedule edge by edge, in both directions of every
@@ -345,8 +349,10 @@ def superposed_program(levels, sources, delays, stretch):
     `eager_levels` of the graph, hop bound and eps of `levels`, a base
     graph's tables (weight unit 1).
 
-    Returns (best, rounds, messages, bits, failure): best is None and
-    failure the CongestionFailure when the run aborts.
+    Returns (rounds, messages, bits, failure, best): the closed form's
+    four values, and best[copy] the table each node settled for the copy,
+    in units of eps / (2*hops); best is None and failure the
+    CongestionFailure when the run aborts.
     """
     graph, budget = levels.graph, levels.budget
     eager = eager_levels(graph, levels.hops, levels.eps)
@@ -364,10 +370,10 @@ def superposed_program(levels, sources, delays, stretch):
     except CongestionFailure as failure:
         # aborted in the round being processed: the run charged what was
         # sent before it, and 0 rounds, so the clock is that round
-        return None, network.round_clock, ledger.messages, ledger.bits, failure
+        return network.round_clock, ledger.messages, ledger.bits, failure, None
     best = [[min_over_levels(programs[v].dist[copy]) for v in range(graph.n)]
             for copy in range(len(sources))]
-    return best, network.round_clock, ledger.messages, ledger.bits, None
+    return network.round_clock, ledger.messages, ledger.bits, None, best
 
 
 class _PipelineProgram(NodeProgram):
@@ -435,29 +441,46 @@ def tree_program(network):
     n = network.n
     programs = {v: _TreeBuildProgram(v, network.leader) for v in range(n)}
     network.run(programs, "bfs-tree", max_rounds=2 * n + 2)
-    parent = [programs[v].parent for v in range(n)]
-    children = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] is not None:
-            children[parent[v]].append(v)
-    network.tree = (parent, children, [programs[v].depth for v in range(n)])
+    network.tree = ([programs[v].parent for v in range(n)],
+                    [programs[v].depth for v in range(n)])
     return network.tree
+
+
+def tree_children(parent):
+    """Each node's children, in increasing id, of the tree `parent`."""
+    children = [[] for _ in parent]
+    for v, up in enumerate(parent):
+        if up is not None:
+            children[up].append(v)
+    return children
 
 
 def pipeline_program(network, items, phase="broadcast"):
     """`network.broadcast_pipeline(items, phase)`, by running the pipeline
-    message by message on the engine down the network's BFS tree."""
+    message by message on the engine down the network's BFS tree.
+
+    Returns the items each node received, {node: list}."""
     for it in items:
         if payload_bits(it) > network.bandwidth_bits:
             raise BandwidthExceeded(("item",), network.round_clock,
                                     payload_bits(it), network.bandwidth_bits)
-    parent, children, depth = network.build_bfs_tree()
+    children = tree_children(network.build_bfs_tree()[0])
     programs = {v: _PipelineProgram(v, network.leader, children[v],
                                     list(items) if v == network.leader else None,
                                     len(items))
                 for v in range(network.n)}
     network.run(programs, phase, max_rounds=network.n + len(items) + 2)
     return {v: programs[v].received for v in range(network.n)}
+
+
+def approx_distance(state, table, v):
+    """min over skeleton u of (overlay distance s->u) + (hop table u->v),
+    for the probe `table` of s (`toolkit.sssp_on_overlay`), a Fraction."""
+    hop_unit, probe_unit = state.levels.unit, state.overlay_levels.unit
+    return min((a * probe_unit + b * hop_unit
+                for u, a in zip(state.members, table) if a is not INFINITE
+                and (b := state.levels.source(u).units[v]) is not INFINITE),
+               default=INFINITE)
 
 
 def reference_search(candidates, evaluate, mode="max"):

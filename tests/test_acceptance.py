@@ -42,11 +42,11 @@ from congestsim.toolkit import (
     default_eps,
     embed_overlay,
     sssp_on_overlay,
-    approx_distance,
 )
 
 from oracles import (
     SEARCH_COST_CONSTANT,
+    approx_distance,
     bounded_distance_sssp,
     bounded_hop_sssp,
     exact_bounded_hop,

@@ -3,7 +3,8 @@
 Random configurations rarely congest, so these force it: at least three
 sources, `stretch` = 2 and delays drawn from 0..|S|.  A node sends the
 broadcasts it owes in a window in copy order, and `_superposed_closed_form`
-charges an aborted attempt from the congestion keys it counted.
+charges an aborted attempt from the congestion keys it counted.  An
+attempt that does not abort settles its sources' `levels.source(s).units`.
 """
 
 import random
@@ -32,11 +33,14 @@ def test_aborted_attempts_match_the_copy_order_reference():
         args = _forced_congestion(seed)
         fast = _superposed_closed_form(*args)
         reference = oracles.superposed_program(*args)
-        assert fast[:4] == reference[:4], f"seed {seed}"
-        assert str(fast[4]) == str(reference[4]), f"seed {seed}"
-        if reference[4] is not None:
+        assert fast[:3] == reference[:3], f"seed {seed}"
+        assert str(fast[3]) == str(reference[3]), f"seed {seed}"
+        levels, sources = args[:2]
+        assert reference[4] == (None if reference[3] else
+                                [levels.source(s).units for s in sources])
+        if reference[3] is not None:
             aborted += 1
-            jams.add(str(reference[4]).startswith("node 0:"))
+            jams.add(str(reference[3]).startswith("node 0:"))
     assert aborted >= 100
     assert jams == {True, False}  # jams at node 0 and above it
 
@@ -49,7 +53,7 @@ def test_an_aborted_attempt_makes_no_level_pass_once_its_keys_are_built(
     rng = random.Random(49)
     delays = [rng.randint(0, 32) for _ in sources]
     args = (levels, sources, delays, 2)
-    assert _superposed_closed_form(*args)[4] is not None
+    assert _superposed_closed_form(*args)[3] is not None
     calls = []
     for name in ("level_pass", "_level"):
         method = getattr(LevelTables, name)
@@ -57,4 +61,4 @@ def test_an_aborted_attempt_makes_no_level_pass_once_its_keys_are_built(
             LevelTables, name, lambda self, *a, name=name, method=method:
             calls.append(name) or method(self, *a))
     again = _superposed_closed_form(*args)
-    assert again[4] is not None and calls == []
+    assert again[3] is not None and calls == []

@@ -4,7 +4,9 @@
 `_superposed_closed_form`.  Patching the helper with
 `oracles.superposed_program` runs every attempt message by message on the
 engine instead, the reference.  Both must agree on the tables (or the
-raised exception), the ledger and the round clock.
+raised exception), the ledger and the round clock, and every table a
+successful reference attempt settles must be its source's
+`levels.source(s).units`, the tables `bounded_hop_mssp` returns.
 """
 
 import math
@@ -36,6 +38,16 @@ def _mssp_outcome(g, seed, sources, hops, eps, retries):
     return result, net.ledger.to_dict(), net.round_clock
 
 
+def _reference_attempt(levels, sources, delays, stretch):
+    """The reference's cost and outcome of one attempt, after checking its
+    tables against `levels` when it succeeds."""
+    *outcome, best = oracles.superposed_program(levels, sources, delays,
+                                                stretch)
+    if best is not None:
+        assert best == [levels.source(s).units for s in sources]
+    return tuple(outcome)
+
+
 def _compare(monkeypatch, run):
     """(closed-form outcome, reference outcome, which attempts congested)."""
     congested = []
@@ -43,15 +55,14 @@ def _compare(monkeypatch, run):
 
     def recording(*args):
         outcome = closed_form(*args)
-        congested.append(outcome[4] is not None)
+        congested.append(outcome[3] is not None)
         return outcome
 
     with monkeypatch.context() as m:
         m.setattr(toolkit, "_superposed_closed_form", recording)
         fast = run()
     with monkeypatch.context() as m:
-        m.setattr(toolkit, "_superposed_closed_form",
-                  oracles.superposed_program)
+        m.setattr(toolkit, "_superposed_closed_form", _reference_attempt)
         reference = run()
     return fast, reference, congested
 
@@ -92,8 +103,8 @@ def test_closed_form_matches_reference_on_random_configs(monkeypatch):
 
 def test_closed_form_tables_match_reference():
     # bounded_hop_mssp returns its sources' `levels.source(s).units` tables
-    # and reads only the cost of an attempt, so the tables of the closed form
-    # and of the message-level program are compared here, attempt by attempt
+    # and the closed form only the cost of an attempt, so the tables of the
+    # message-level program are compared with them here, attempt by attempt
     outcomes = set()
     for seed in range(100):
         rng = random.Random(f"mssp-tables:{seed}")
@@ -108,11 +119,12 @@ def test_closed_form_tables_match_reference():
         args = (levels, sources, delays, stretch)
         fast = toolkit._superposed_closed_form(*args)
         reference = oracles.superposed_program(*args)
-        assert fast[:4] == reference[:4], f"seed {seed}"
-        assert str(fast[4]) == str(reference[4]), f"seed {seed}"
-        if fast[0] is not None:
-            assert fast[0] == [levels.source(s).units for s in sources]
-        outcomes.add(fast[4] is None)
+        assert fast[:3] == reference[:3], f"seed {seed}"
+        assert str(fast[3]) == str(reference[3]), f"seed {seed}"
+        # the reference settles tables exactly when it does not abort
+        assert reference[4] == (None if reference[3] else [
+            levels.source(s).units for s in sources]), f"seed {seed}"
+        outcomes.add(fast[3] is None)
     assert outcomes == {True, False}
 
 

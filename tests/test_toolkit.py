@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from congestsim.engine import Network
+from congestsim.engine import Network, Phase
 from congestsim.graphs import (
     INFINITE,
     GraphError,
@@ -24,7 +24,6 @@ from congestsim.search import ParameterSchedule, approx_diameter
 from congestsim.toolkit import (
     CongestionFailure,
     LevelTables,
-    approx_distance,
     approx_eccentricity,
     bounded_hop_mssp,
     build_skeleton_state,
@@ -37,6 +36,7 @@ from congestsim.toolkit import (
 )
 
 from oracles import (
+    approx_distance,
     bounded_distance_sssp,
     bounded_hop_sssp,
     complete_overlay_distances,
@@ -921,7 +921,7 @@ def test_shortcut_in_integer_units_equals_the_fraction_reference(
         w = overlay_weight(state, u, v)
         assert w is INFINITE or type(w) is int
         assert in_unit([w], unit) == [reference.get(
-            (u, v), in_unit(state.hop_table(u), unit)[v])]
+            (u, v), in_unit(state.levels.source(u).units, unit)[v])]
 
 
 # --- overlay stages ------------------------------------------------------
@@ -939,7 +939,7 @@ def test_embed_full_shortcutting():
     members = [0, 2, 4, 6, 8]
     net, state = pipeline_state(g, members, g.n, len(members) - 1)
     oracle = complete_overlay_distances(
-        members, lambda u, v: state.hop_table(u)[v])
+        members, lambda u, v: state.levels.source(u).units[v])
     for u in members:
         for v in members:
             if u != v:
@@ -951,7 +951,7 @@ def test_embed_no_shortcuts():
     net, state = pipeline_state(g, [1, 4, 7], 4, 0)
     # no shortcut: every overlay weight is the hop entry
     for u, v in overlay_pairs([1, 4, 7]):
-        assert overlay_weight(state, u, v) == state.hop_table(u)[v]
+        assert overlay_weight(state, u, v) == state.levels.source(u).units[v]
 
 
 def test_embed_matches_sequential_oracle():
@@ -960,7 +960,7 @@ def test_embed_matches_sequential_oracle():
         members = sorted(random.Random(seed).sample(range(g.n), 6))
         net, state = pipeline_state(g, members, g.n, 2, seed=seed)
         oracle = complete_overlay_distances(
-            members, lambda u, v: state.hop_table(u)[v])
+            members, lambda u, v: state.levels.source(u).units[v])
         for u, v in overlay_pairs(members):
             assert overlay_weight(state, u, v) >= oracle[(u, v)]
         # equality on each node's k nearest (distance, id)-ordered targets
@@ -1034,14 +1034,58 @@ def test_overlay_sssp_matches_level_enumeration(k):
 def test_an_empty_skeleton_is_refused_before_anything_is_charged():
     g = random_connected_graph(8, rng=random.Random(4))
     net, levels = Network(g), LevelTables(g, 4, default_eps(g.n))
-    for stage, message in (
-            (lambda: build_skeleton_state(net, [], levels), "nonempty"),
-            (lambda: embed_overlay(net, [], levels, 2, unit_diameter(g)),
-             "an empty skeleton has no overlay")):
-        with pytest.raises(ValueError, match=message):
+    # both stages check their members with one helper, so one message
+    for stage in (lambda: build_skeleton_state(net, [], levels),
+                  lambda: embed_overlay(net, [], levels, 2, unit_diameter(g))):
+        with pytest.raises(ValueError, match="a skeleton must be nonempty"):
             stage()
         assert (net.ledger.phases, net.ledger.rounds, net.round_clock) == \
             ([], 0, 0)
+
+
+@pytest.mark.parametrize("tables_of, members, match", [
+    (random_connected_graph(20, rng=random.Random(1)), [0, 15],
+     "another graph"),
+    (None, [-1, 2], "in 0..7"),
+    (None, [], "nonempty"),
+], ids=["foreign-tables", "negative-member", "empty-skeleton"])
+def test_embed_overlay_rejects_nonsense_before_it_charges(tables_of, members,
+                                                          match):
+    # on the 8-cycle: the tables of a 20-node graph, a negative member and
+    # an empty skeleton are refused before any round is charged
+    net = Network(cycle_graph(8), seed=1)
+    levels = LevelTables(tables_of or net.graph, 8, Fraction(1, 3))
+    with pytest.raises(ValueError, match=match):
+        embed_overlay(net, members, levels, 1, 4)
+    assert net.ledger.rounds == net.round_clock == 0
+    assert net.ledger.phases == [] and net.tree is None
+
+
+def test_embed_overlay_takes_a_skeletons_distinct_members():
+    # a repeated member is one member, not a second overlay node at 0
+    net = Network(cycle_graph(8), seed=1)
+    levels = LevelTables(net.graph, 8, Fraction(1, 3))
+    state = embed_overlay(net, [5, 2, 2], levels, 1, 4)
+    assert state.members == [2, 5] and state.overlay_levels.graph.n == 2
+    once = embed_overlay(net, [2, 5], levels, 1, 4)
+    assert state.overlay_levels.graph.edges == once.overlay_levels.graph.edges
+
+
+def test_embedding_is_charged_d_g_plus_one_round_per_announced_edge():
+    # each of |S| members announces its k cheapest overlay edges, one per
+    # round, after a d_g-round broadcast; no announcement without shortcuts
+    g = random_connected_graph(14, rng=random.Random(6))
+    d_g = unit_diameter(g)
+    for members, k, rounds in (([1, 4, 7, 10, 13], 2, d_g + 10),
+                               ([1, 4, 7, 10, 13], 1, d_g + 5),
+                               ([1, 4, 7, 10, 13], 0, d_g),
+                               ([1, 4, 7, 10, 13], -1, d_g),
+                               ([4], 3, d_g)):
+        net = Network(g)
+        embed_overlay(net, members, LevelTables(g, 6, default_eps(g.n)), k,
+                      d_g)
+        assert net.ledger.phases == [Phase("embed", rounds)]
+        assert net.round_clock == rounds
 
 
 def test_embedding_builds_the_overlay_at_k_zero_too():
@@ -1051,7 +1095,8 @@ def test_embedding_builds_the_overlay_at_k_zero_too():
     for k in (0, -1):
         _, state = pipeline_state(g, members, 6, k)
         for u, v in overlay_pairs(members):
-            assert overlay_weight(state, u, v) == state.hop_table(u)[v]
+            assert overlay_weight(state, u, v) == \
+                state.levels.source(u).units[v]
         assert state.overlay_levels.hops == len(members)
 
 
@@ -1079,9 +1124,9 @@ def test_overlay_graph_holds_the_overlay_weights_as_ints(k):
     unit = state.levels.unit
     # the overlay weights by the Fraction reference: shortcut, else hop entry
     shortcut = shortcut_reference(
-        members, k, lambda u: in_unit(state.hop_table(u), unit))
-    expected = {(u, v): shortcut.get((u, v), in_unit(state.hop_table(u),
-                                                     unit)[v])
+        members, k, lambda u: in_unit(state.levels.source(u).units, unit))
+    expected = {(u, v): shortcut.get(
+                    (u, v), in_unit(state.levels.source(u).units, unit)[v])
                 for u, v in overlay_pairs(members)}
     overlay = state.overlay_levels
     assert overlay.graph.edges
@@ -1106,17 +1151,17 @@ def test_overlay_levels_span_the_skeleton_only():
 
 
 def test_skeleton_hop_tables_are_the_level_tables_own():
-    # one copy of each hop table: the state and the multi-source pass hand
-    # out the LevelTables' integer lists themselves
+    # one copy of each hop table: the state reads them from its
+    # LevelTables, and the multi-source pass hands out the LevelTables'
+    # integer lists themselves, in increasing source
     g = random_connected_graph(12, max_weight=10, rng=random.Random(3))
     levels = LevelTables(g, 4, default_eps(g.n))
     members, net = [0, 3, 7, 11], Network(g, seed=1)
     assert build_skeleton_state(net, [11, 3, 0, 7, 3], levels) == members
     state = embed_overlay(net, members, levels, 2, unit_diameter(g))
     tables = bounded_hop_mssp(Network(g, seed=2), members, levels)
-    assert sorted(tables) == members
+    assert list(tables) == members and state.levels is levels
     for u in members:
-        assert state.hop_table(u) is levels.source(u).units
         assert tables[u] is levels.source(u).units
         assert all(x is INFINITE or type(x) is int for x in tables[u])
     fields = {f.name for f in dataclasses.fields(SkeletonState)}
@@ -1235,7 +1280,7 @@ def test_eccentricity_of_a_state_built_by_hand():
             approx_distance(restricted, cut[s], v) for v in range(g.n))]
     single = embed_overlay(Network(g), [3], state.levels, 1, unit_diameter(g))
     assert approx_eccentricity(single, [[0]]) == \
-        [max(state.hop_table(3)) * state.levels.unit]
+        [max(state.levels.source(3).units) * state.levels.unit]
 
 
 def test_eccentricity_in_integer_units_keeps_infinite_and_missing_tables():
