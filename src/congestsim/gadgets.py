@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .graphs import (
     WeightedGraph,
+    _bits,
     contract_unit_edges,
     diameter,
     exact_sssp,
@@ -189,6 +190,8 @@ def check_table2(inst, mapping, dist):
 
     `mapping` is the weight-1 contraction's node map and `dist` its
     all-pairs table dist[u][v], both as `verify_reduction` builds them.
+    The rows (desc, u, v, bound) are generated one at a time, checked and
+    counted, never held in a list (376 rows at h = 2, 14,528 at h = 4).
     Returns (rows_checked, counterexamples): each violated bound, in row
     order, is already the report's entry {"check": "table2-<row>",
     "detail": "d'(u,v) = d > bound"}.
@@ -201,36 +204,45 @@ def check_table2(inst, mapping, dist):
     a_ids = {i: cid("a", i) for i in range(1, sel + 1)}
     b_ids = {i: cid("b", i) for i in range(1, sel + 1)}
 
-    rows = [("t-router", t, p, a) for p in routers]
-    for i in range(1, sel + 1):
-        ai, bi = a_ids[i], b_ids[i]
-        rows.append(("t-a", t, ai, 2 * a))
-        rows.append(("t-b", t, bi, 2 * a))
-        for i2 in range(1, sel + 1):
-            if i2 == i:
-                continue
-            rows.append(("a-a", ai, a_ids[i2], a))
-            rows.append(("b-b", bi, b_ids[i2], a))
-            rows.append(("a-b", ai, b_ids[i2], 2 * a))
-        # path 2j-1 merges with abit0_j/bbit1_j; path 2j with abit1_j/bbit0_j
-        for j in range(1, s + 1):
-            same = cid("abit", bin_bit(i, j), j)
-            flip = cid("abit", bin_bit(i, j) ^ 1, j)
-            rows.append(("a-ownbit", ai, same, a))
-            rows.append(("a-otherbit", ai, flip, 2 * a))
-            rows.append(("b-ownbit", bi, flip, a))
-            rows.append(("b-otherbit", bi, same, 2 * a))
-        for j in range(1, l + 1):
-            rows.append(("a-star", ai, cid("astar", j), b))
-            rows.append(("b-star", bi, cid("astar", j), b))
-    for u in routers:
-        for v in routers:
-            if u != v:
-                rows.append(("router-router", u, v, 2 * a))
+    def rows():
+        for p in routers:
+            yield "t-router", t, p, a
+        for i in range(1, sel + 1):
+            ai, bi = a_ids[i], b_ids[i]
+            yield "t-a", t, ai, 2 * a
+            yield "t-b", t, bi, 2 * a
+            for i2 in range(1, sel + 1):
+                if i2 == i:
+                    continue
+                yield "a-a", ai, a_ids[i2], a
+                yield "b-b", bi, b_ids[i2], a
+                yield "a-b", ai, b_ids[i2], 2 * a
+            # path 2j-1 merges with abit0_j/bbit1_j; path 2j with
+            # abit1_j/bbit0_j
+            for j in range(1, s + 1):
+                same = cid("abit", bin_bit(i, j), j)
+                flip = cid("abit", bin_bit(i, j) ^ 1, j)
+                yield "a-ownbit", ai, same, a
+                yield "a-otherbit", ai, flip, 2 * a
+                yield "b-ownbit", bi, flip, a
+                yield "b-otherbit", bi, same, 2 * a
+            for j in range(1, l + 1):
+                yield "a-star", ai, cid("astar", j), b
+                yield "b-star", bi, cid("astar", j), b
+        for u in routers:
+            for v in routers:
+                if u != v:
+                    yield "router-router", u, v, 2 * a
 
-    return len(rows), [{"check": f"table2-{desc}",
-                        "detail": f"d'({u},{v}) = {dist[u][v]} > {bound}"}
-                       for desc, u, v, bound in rows if dist[u][v] > bound]
+    count = 0
+    counterexamples = []
+    for desc, u, v, bound in rows():
+        count += 1
+        if dist[u][v] > bound:
+            counterexamples.append(
+                {"check": f"table2-{desc}",
+                 "detail": f"d'({u},{v}) = {dist[u][v]} > {bound}"})
+    return count, counterexamples
 
 
 def verify_reduction(inst):
@@ -346,14 +358,6 @@ def ownership_schedule(inst, T):
             owner[vid] = ALICE if j < low else BOB if j > high else SERVER
         owners.append(owner)
     return OwnershipSchedule(instance=inst, rounds=T, owners=owners)
-
-
-def _bits(mask):
-    """The set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def validate_schedule(schedule):

@@ -2,7 +2,14 @@
 
 Graphs are undirected, connected, with positive integer weights.
 Unreachable / over-budget distances are the saturating sentinel
-``INFINITE`` (``math.inf``).
+``INFINITE`` (``math.inf``).  A `WeightedGraph` stores one form, its
+validated edge list `edges`; its adjacency lists `adj` and its weight
+bitmasks `weight_masks` are views of that list, each built on first
+read.  The gadget path (construction, contraction, exact distances,
+schedule check) reads only `weight_masks`, which the connectivity check
+reads too, and never builds `adj`: the h = 4 radius gadget and its
+contraction would hold 11,868 and 10,784 adjacency tuples.  The
+estimators read `adj`.
 
 ``diameter`` and ``radius`` are exact without a Dijkstra run from every
 node.  A run from v with eccentricity e bounds each node's eccentricity
@@ -82,15 +89,23 @@ def _check_weight(w):
 
 
 class WeightedGraph:
-    """Undirected connected graph with node ids 0..n-1 and weights >= 1."""
+    """Undirected connected graph with node ids 0..n-1 and weights >= 1.
+
+    `edges` is the one stored form: the validated edges in input order,
+    each as (u, v, w) with u < v.  `adj` and `weight_masks` are views of
+    it, each built on first read, so a graph holds only the views its
+    readers use (the gadget path reads `weight_masks`, the estimators
+    `adj`).  The connectivity check reads `weight_masks`.  A graph is not
+    changed after `__init__`.
+    """
 
     def __init__(self, node_count, edges, check_connected=True):
         _check_node_count(node_count)
         self.n = node_count
-        self.adj = [[] for _ in range(node_count)]
-        self.edges = []
+        self.edges = kept = []
         seen = set()
-        for u, v, w in edges:
+        for edge in edges:
+            u, v, w = edge
             if type(u) is not int or type(v) is not int:
                 raise GraphError(
                     f"edge endpoint must be an int: ({u!r},{v!r})")
@@ -100,13 +115,17 @@ class WeightedGraph:
                 raise GraphError(f"self-loop at node {u}")
             if type(w) is not int or w < 1:
                 _check_weight(w)
-            key = (u, v) if u < v else (v, u)
+            # a tuple already in (u, v, w), u < v form is kept as it is
+            if u > v:
+                u, v = v, u
+                edge = u, v, w
+            elif type(edge) is not tuple:
+                edge = u, v, w
+            key = u * node_count + v
             if key in seen:
-                raise GraphError(f"duplicate edge {key}")
+                raise GraphError(f"duplicate edge {(u, v)}")
             seen.add(key)
-            self.edges.append((key[0], key[1], w))
-            self.adj[u].append((v, w))
-            self.adj[v].append((u, w))
+            kept.append(edge)
         if check_connected:
             comps = self.components()
             if len(comps) > 1:
@@ -116,36 +135,47 @@ class WeightedGraph:
     def max_weight(self):
         return max((w for _, _, w in self.edges), default=1)
 
-    def components(self):
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v, _ in self.adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(comp)
-        return comps
+    @functools.cached_property
+    def adj(self):
+        """Per node, [(v, w)]: its neighbours in edge order."""
+        adj = [[] for _ in range(self.n)]
+        for u, v, w in self.edges:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        return adj
 
     @functools.cached_property
     def weight_masks(self):
         """Per node, [(w, mask)]: its neighbours grouped by edge weight,
-        each group one int bitmask (bit v for neighbour v).  Built on
-        first use; a graph is not changed after `__init__`."""
-        masks = []
-        for nbrs in self.adj:
-            groups = {}
-            for v, w in nbrs:
-                groups[w] = groups.get(w, 0) | 1 << v
-            masks.append(list(groups.items()))
-        return masks
+        each group one int bitmask (bit v for neighbour v), the groups in
+        the order their first edge comes in `edges`."""
+        groups = [{} for _ in range(self.n)]
+        for u, v, w in self.edges:
+            at = groups[u]
+            at[w] = at.get(w, 0) | 1 << v
+            at = groups[v]
+            at[w] = at.get(w, 0) | 1 << u
+        return [list(at.items()) for at in groups]
+
+    def components(self):
+        """The connected components, each in increasing node order, ordered
+        by their least node; a search over `weight_masks`."""
+        # disjoint weight groups: each sum is an OR
+        neighbours = [sum(mask for _, mask in groups)
+                      for groups in self.weight_masks]
+        unseen = (1 << self.n) - 1
+        comps = []
+        while unseen:
+            comp = frontier = unseen & -unseen
+            while frontier:
+                reached = 0
+                for u in _bits(frontier):
+                    reached |= neighbours[u]
+                frontier = reached & ~comp
+                comp |= frontier
+            unseen ^= comp
+            comps.append(list(_bits(comp)))
+        return comps
 
     def unit_weights(self):
         """Same topology, every weight 1 (the communication graph's metric)."""
@@ -199,6 +229,14 @@ class WeightedGraph:
                     "malformed JSON graph: nested too deeply") from exc
             return cls.from_json_dict(d)
         return cls.from_text(text)
+
+
+def _bits(mask):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_node(g, s):
@@ -407,17 +445,18 @@ def contract_unit_edges(g):
     new_id = {r: i for i, r in enumerate(roots)}
     mapping = [new_id[find(v)] for v in range(g.n)]
 
-    best = {}
+    k = len(roots)
+    best = {}  # class pair (cu, cv), cu < cv, as cu * k + cv -> least weight
     for u, v, w in g.edges:
         cu, cv = mapping[u], mapping[v]
         if cu == cv:
             continue
-        key = (cu, cv) if cu < cv else (cv, cu)
+        key = cu * k + cv if cu < cv else cv * k + cu
         if w < best.get(key, INFINITE):
             best[key] = w
-    contracted = WeightedGraph(len(roots),
-                               [(u, v, w) for (u, v), w in best.items()],
-                               check_connected=False)
+    contracted = WeightedGraph(
+        k, [(key // k, key % k, w) for key, w in best.items()],
+        check_connected=False)
     return contracted, mapping
 
 

@@ -33,6 +33,7 @@ Mutant = namedtuple("Mutant", "name path old new tests origin")
 TOOLKIT = "src/congestsim/toolkit.py"
 ENGINE = "src/congestsim/engine.py"
 GRAPHS = "src/congestsim/graphs.py"
+GADGETS = "src/congestsim/gadgets.py"
 LEVEL_PASS = "One level pass serves every lower level that is a " \
              "power-of-two multiple of it"
 COPY_ORDER = "Send a window's broadcasts in copy order; charge an aborted " \
@@ -61,11 +62,28 @@ CONTRACTION = "One contraction table, read once: check_table2 takes the " \
               "verifier's contraction and handles"
 EMBED = "Build the overlay when it is embedded; probes return its integer " \
         "tables"
+SCHEDULE_MASKS = "Check the gadget ownership schedule over neighbour bitmasks"
+VIEWS = "Gadget verification builds only the graph views it reads: one " \
+        "stored edge list, adjacency and weight masks on first read"
 
 CONTRACTION_TESTS = [
     "tests/test_graphs.py::"
     "test_contraction_classes_match_unit_subgraph_reachability",
     "tests/test_graphs.py::test_contraction_classes_of_h2_gadgets"]
+VIEW_TESTS = [
+    "tests/test_graphs.py::test_views_of_a_graph_given_in_both_orientations",
+    "tests/test_graphs.py::"
+    "test_views_equal_the_eager_build_in_either_orientation"]
+MASK_TESTS = [
+    "tests/test_graphs.py::test_views_of_a_graph_given_in_both_orientations",
+    "tests/test_graphs.py::test_exact_sssp_matches_heap_dijkstra_on_h2_gadgets"]
+COMPONENT_TESTS = [
+    "tests/test_graphs.py::"
+    "test_components_are_sorted_and_ordered_by_least_node"]
+CLEAN_SCHEDULE_TESTS = [
+    "tests/test_gadgets.py::test_ownership_validates_at_h4",
+    "tests/test_gadgets.py::"
+    "test_validate_matches_the_edge_by_edge_reference_on_clean_schedules"]
 
 MUTANTS = [
     Mutant("scaled-one-level-high", TOOLKIT,
@@ -208,11 +226,74 @@ MUTANTS = [
     Mutant("contraction-keeps-the-heaviest-edge", GRAPHS,
            "if w < best.get(key, INFINITE):",
            "if w > best.get(key, 0):",
-           ["tests/test_graphs.py::test_contraction_sandwich"], CONTRACTION),
+           ["tests/test_graphs.py::test_contraction_sandwich",
+            "tests/test_graphs.py::"
+            "test_contraction_keeps_the_lighter_parallel_edge"], CONTRACTION),
     Mutant("contraction-skips-a-unit-edge", GRAPHS,
            "for u, v, w in g.edges:\n        if w == 1:",
            "for u, v, w in g.edges[1:]:\n        if w == 1:",
            CONTRACTION_TESTS, CONTRACTION),
+    Mutant("duplicate-key-of-the-endpoint-sum", GRAPHS,
+           "key = u * node_count + v",
+           "key = u + v",
+           ["tests/test_graphs.py::"
+            "test_edges_with_equal_endpoint_sums_are_not_duplicates",
+            "tests/test_graphs.py::test_generators_connected"],
+           VIEWS),
+    Mutant("adj-view-first-end-points-at-itself", GRAPHS,
+           "adj[u].append((v, w))",
+           "adj[u].append((u, w))",
+           VIEW_TESTS, VIEWS),
+    Mutant("adj-view-second-end-points-at-itself", GRAPHS,
+           "adj[v].append((u, w))",
+           "adj[v].append((v, w))",
+           VIEW_TESTS, VIEWS),
+    Mutant("masks-view-first-end-points-at-itself", GRAPHS,
+           "at[w] = at.get(w, 0) | 1 << v",
+           "at[w] = at.get(w, 0) | 1 << u",
+           MASK_TESTS, VIEWS),
+    Mutant("masks-view-second-end-points-at-itself", GRAPHS,
+           "at[w] = at.get(w, 0) | 1 << u",
+           "at[w] = at.get(w, 0) | 1 << v",
+           MASK_TESTS, VIEWS),
+    Mutant("components-expand-one-node-per-layer", GRAPHS,
+           "for u in _bits(frontier):",
+           "for u in _bits(frontier & -frontier):",
+           COMPONENT_TESTS, VIEWS),
+    Mutant("components-list-nodes-downward", GRAPHS,
+           "comps.append(list(_bits(comp)))",
+           "comps.append(sorted(_bits(comp), reverse=True))",
+           COMPONENT_TESTS, VIEWS),
+    Mutant("table2-counts-only-violations", GADGETS,
+           "        count += 1\n        if dist[u][v] > bound:\n",
+           "        if dist[u][v] > bound:\n            count += 1\n",
+           ["tests/test_gadgets.py::test_table2_clean_at_h2"], VIEWS),
+    Mutant("table2-count-starts-at-one", GADGETS,
+           "count = 0\n    counterexamples = []",
+           "count = 1\n    counterexamples = []",
+           ["tests/test_gadgets.py::"
+            "test_verify_flags_every_table2_row_and_gap_upper"], VIEWS),
+    Mutant("schedule-far-side-reads-its-own-party", GADGETS,
+           "(bob_prev if owner[a] == ALICE",
+           "(alice_prev if owner[a] == ALICE",
+           ["tests/test_gadgets.py::test_ownership_validates_at_h4",
+            "tests/test_gadgets.py::test_validate_flags_corrupted_schedule"],
+           SCHEDULE_MASKS),
+    Mutant("schedule-crossings-read-the-current-server", GADGETS,
+           "outside = neighbours[a] & ~server_prev",
+           "outside = neighbours[a] & ~server",
+           CLEAN_SCHEDULE_TESTS, SCHEDULE_MASKS),
+    Mutant("schedule-misses-bob-to-alice-hand-offs", GADGETS,
+           "_bits(alice & bob_prev | bob & alice_prev)",
+           "_bits(bob & alice_prev)",
+           ["tests/test_gadgets.py::"
+            "test_validate_flags_a_hand_off_from_bob_to_alice"],
+           SCHEDULE_MASKS),
+    Mutant("schedule-tree-test-inverted", GADGETS,
+           "if not tree >> a & 1:",
+           "if tree >> a & 1:",
+           ["tests/test_gadgets.py::test_validate_flags_corrupted_schedule"],
+           SCHEDULE_MASKS),
 ]
 
 

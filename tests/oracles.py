@@ -26,7 +26,9 @@ checks an ownership schedule edge by edge, in both directions of every
 edge: the reference of `gadgets.validate_schedule`'s bitmasks.  The
 gadgets' index helpers
 `adj_index` / `ind_index`, the ver/gdt promise functions and `edge_weight`
-are the paper's definitions that only the tests read.
+are the paper's definitions that only the tests read.  `eager_views`
+builds a `WeightedGraph`'s `adj` from the edges as given, and its
+`weight_masks` from that `adj`: the reference of the graph's views.
 """
 
 import math
@@ -49,6 +51,23 @@ INF = float("inf")
 # single global constant C with evaluations <= C * sqrt(log(1/delta) /
 # rho_measured) for every configuration the tests exercise.
 SEARCH_COST_CONSTANT = 60
+
+
+def eager_views(node_count, edges):
+    """(adj, weight_masks) of `WeightedGraph(node_count, edges)`: adjacency
+    lists appended edge by edge in the given orientation, then each node's
+    neighbours grouped by weight in adjacency order."""
+    adj = [[] for _ in range(node_count)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    masks = []
+    for nbrs in adj:
+        groups = {}
+        for v, w in nbrs:
+            groups[w] = groups.get(w, 0) | 1 << v
+        masks.append(list(groups.items()))
+    return adj, masks
 
 
 def all_pairs_relaxation(g):

@@ -379,6 +379,37 @@ def test_validate_flags_corrupted_schedule():
                      "16 crossings > 2h = 4": 1}
 
 
+def test_validate_flags_a_hand_off_from_bob_to_alice():
+    inst = build_gadget(2)
+    schedule = ownership_schedule(inst, 1)
+    b1 = inst.id("b", 1)
+    schedule.owners[1][b1] = ALICE
+    _, violations = validate_schedule(schedule)
+    assert violations[0] == (
+        1, b1, "node handed directly between Alice and Bob")
+    assert Counter(desc for _, _, desc in violations) == {
+        "node handed directly between Alice and Bob": 1,
+        "neighbor on the far side in the previous round": 12}
+
+
+@pytest.mark.parametrize("variant", ["diameter", "radius"])
+def test_a_gadget_run_never_builds_adjacency_lists(monkeypatch, variant):
+    contractions = []
+
+    def recorded(g):
+        contractions.append(contract_unit_edges(g))
+        return contractions[-1]
+
+    monkeypatch.setattr(gadgets, "contract_unit_edges", recorded)
+    inst = build_gadget(2, variant=variant)
+    report = verify_reduction(inst)
+    _, violations = validate_schedule(ownership_schedule(inst, 1))
+    assert report["pass"] and violations == []
+    [(contracted, _)] = contractions
+    for g in (inst.graph, contracted):
+        assert "weight_masks" in vars(g) and "adj" not in vars(g)
+
+
 @pytest.mark.parametrize("h", [2, 4, 6])
 def test_validate_matches_the_edge_by_edge_reference_on_clean_schedules(h):
     schedule = ownership_schedule(build_gadget(h), 2 ** h // 2 - 1)

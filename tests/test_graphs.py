@@ -30,6 +30,7 @@ from congestsim.graphs import (
 
 from oracles import (
     all_pairs_relaxation,
+    eager_views,
     exact_bounded_hop,
     three_hop_enumeration,
 )
@@ -275,6 +276,17 @@ def test_contract_parallel_edges_keep_minimum():
     assert c.edges == [(0, 1, 3)]
 
 
+@pytest.mark.parametrize("first, second", [(2, 7), (7, 2)],
+                         ids=["light-first", "heavy-first"])
+def test_contraction_keeps_the_lighter_parallel_edge(first, second):
+    # weight-1 classes {0, 1} and {2, 3}, joined by 0-2 and 1-3
+    g = WeightedGraph(4, [(0, 1, 1), (2, 3, 1), (0, 2, first),
+                          (3, 1, second)])
+    c, mapping = contract_unit_edges(g)
+    assert mapping == [0, 0, 1, 1]
+    assert c.edges == [(0, 1, 2)]
+
+
 def assert_contraction_matches_unit_classes(g):
     c, mapping = contract_unit_edges(g)
     unit = all_pairs_relaxation(WeightedGraph(
@@ -385,6 +397,47 @@ def test_an_edge_with_two_faults_reports_the_first_check(node_count, edges,
     with pytest.raises(GraphError) as exc:
         WeightedGraph(node_count, edges, check_connected=False)
     assert str(exc.value) == message
+
+
+def test_edges_with_equal_endpoint_sums_are_not_duplicates():
+    g = WeightedGraph(4, [(0, 3, 1), (2, 1, 4), (2, 0, 1)])
+    assert g.edges == [(0, 3, 1), (1, 2, 4), (0, 2, 1)]
+
+
+def test_views_of_a_graph_given_in_both_orientations():
+    g = WeightedGraph(4, [(0, 1, 2), (2, 0, 2), (3, 0, 5), (1, 3, 2)])
+    assert g.edges == [(0, 1, 2), (0, 2, 2), (0, 3, 5), (1, 3, 2)]
+    assert g.weight_masks == [[(2, 0b0110), (5, 0b1000)], [(2, 0b1001)],
+                              [(2, 0b0001)], [(5, 0b0001), (2, 0b0010)]]
+    assert "adj" not in vars(g)  # the connectivity check reads the masks
+    assert g.adj == [[(1, 2), (2, 2), (3, 5)], [(0, 2), (3, 2)], [(0, 2)],
+                     [(0, 5), (1, 2)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(st.integers(1, 12), st.integers(1, 3)), st.data())
+def test_views_equal_the_eager_build_in_either_orientation(g, data):
+    flips = data.draw(st.lists(st.booleans(), min_size=len(g.edges),
+                               max_size=len(g.edges)))
+    edges = [(v, u, w) if flip else (u, v, w)
+             for (u, v, w), flip in zip(g.edges, flips)]
+    again = WeightedGraph(g.n, edges)
+    adj, masks = eager_views(g.n, edges)
+    assert again.edges == g.edges
+    assert again.weight_masks == masks
+    assert again.adj == adj
+
+
+def test_components_are_sorted_and_ordered_by_least_node():
+    # from 1, nodes 3 and 5 lead on to 6 and to 8
+    edges = [(5, 1, 1), (4, 0, 2), (6, 3, 1), (1, 3, 1), (8, 5, 3)]
+    comps = [[0, 4], [1, 3, 5, 6, 8], [2], [7]]
+    assert WeightedGraph(9, edges, check_connected=False).components() == comps
+    with pytest.raises(DisconnectedGraphError) as exc:
+        WeightedGraph(9, edges)
+    assert exc.value.components == comps
+    assert str(exc.value) == ("graph is disconnected (4 components): "
+                              "[0, 4], [1, 3, 5, 6, 8], [2], [7]")
 
 
 def test_make_graph_builds_a_star():
