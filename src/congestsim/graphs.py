@@ -1,15 +1,23 @@
 """Exact weighted-graph primitives: the ground truth everything else is tested against.
 
-Graphs are undirected, connected, with positive integer weights.
+Graphs are undirected, with positive integer weights.
 Unreachable / over-budget distances are the saturating sentinel
 ``INFINITE`` (``math.inf``).  A `WeightedGraph` stores one form, its
-validated edge list `edges`; its adjacency lists `adj` and its weight
-bitmasks `weight_masks` are views of that list, each built on first
-read.  The gadget path (construction, contraction, exact distances,
-schedule check) reads only `weight_masks`, which the connectivity check
-reads too, and never builds `adj`: the h = 4 radius gadget and its
+validated edge list `edges`, and builds nothing else when it is made;
+its adjacency lists `adj` and its weight bitmasks `weight_masks` are
+views of that list, each built on first read.  The gadget path
+(construction, contraction, exact distances, schedule check) reads only
+`weight_masks` and never builds `adj`: the h = 4 radius gadget and its
 contraction would hold 11,868 and 10,784 adjacency tuples.  The
 estimators read `adj`.
+
+A graph may be disconnected; the exact oracles then give ``INFINITE``.
+Connectivity is checked where a graph comes in: the graph readers
+(`WeightedGraph.from_text`, `from_json_dict`, `from_file`) refuse a
+disconnected graph with `DisconnectedGraphError`, and so does the
+estimators' entry, `search.ParameterSchedule.for_graph`.  The
+generators here and `gadgets.build_gadget` are connected by
+construction.
 
 ``diameter`` and ``radius`` are exact without a Dijkstra run from every
 node.  A run from v with eccentricity e bounds each node's eccentricity
@@ -89,23 +97,28 @@ def _check_weight(w):
 
 
 class WeightedGraph:
-    """Undirected connected graph with node ids 0..n-1 and weights >= 1.
+    """Undirected graph with node ids 0..n-1 and weights >= 1.
 
     `edges` is the one stored form: the validated edges in input order,
-    each as (u, v, w) with u < v.  `adj` and `weight_masks` are views of
-    it, each built on first read, so a graph holds only the views its
-    readers use (the gadget path reads `weight_masks`, the estimators
-    `adj`).  The connectivity check reads `weight_masks`.  A graph is not
-    changed after `__init__`.
+    each as (u, v, w) with u < v.  Nothing else is built in `__init__`:
+    `adj` and `weight_masks` are views of `edges`, each built on first
+    read, so a graph holds only the views its readers use (the gadget
+    path reads `weight_masks`, the estimators `adj`).  `__init__` does
+    not check connectivity; the graph readers do.  A graph is not changed
+    after `__init__`.
     """
 
-    def __init__(self, node_count, edges, check_connected=True):
+    def __init__(self, node_count, edges):
         _check_node_count(node_count)
         self.n = node_count
         self.edges = kept = []
         seen = set()
         for edge in edges:
-            u, v, w = edge
+            try:
+                u, v, w = edge
+            except (TypeError, ValueError):  # not iterable, or not 3 long
+                raise GraphError(
+                    f"edge must be a (u, v, w) triple: {edge!r}") from None
             if type(u) is not int or type(v) is not int:
                 raise GraphError(
                     f"edge endpoint must be an int: ({u!r},{v!r})")
@@ -126,10 +139,6 @@ class WeightedGraph:
                 raise GraphError(f"duplicate edge {(u, v)}")
             seen.add(key)
             kept.append(edge)
-        if check_connected:
-            comps = self.components()
-            if len(comps) > 1:
-                raise DisconnectedGraphError(comps)
 
     @property
     def max_weight(self):
@@ -179,8 +188,7 @@ class WeightedGraph:
 
     def unit_weights(self):
         """Same topology, every weight 1 (the communication graph's metric)."""
-        return WeightedGraph(self.n, [(u, v, 1) for u, v, _ in self.edges],
-                             check_connected=False)
+        return WeightedGraph(self.n, [(u, v, 1) for u, v, _ in self.edges])
 
     # --- serialization ---------------------------------------------------
 
@@ -202,7 +210,7 @@ class WeightedGraph:
             raise GraphError(f"expected {3 * m} edge tokens, got {len(body)}")
         edges = [(int(body[3 * i]), int(body[3 * i + 1]), int(body[3 * i + 2]))
                  for i in range(m)]
-        return cls(n, edges)
+        return _connected(cls(n, edges))
 
     def to_json_dict(self):
         return {"node_count": self.n,
@@ -212,7 +220,7 @@ class WeightedGraph:
     def from_json_dict(cls, d):
         try:
             _check_edge_count(d["node_count"], len(d["edges"]))
-            return cls(d["node_count"], [tuple(e) for e in d["edges"]])
+            return _connected(cls(d["node_count"], d["edges"]))
         except (KeyError, TypeError) as exc:  # a missing or mistyped field
             raise GraphError(f"malformed JSON graph: {exc!r}") from exc
 
@@ -229,6 +237,14 @@ class WeightedGraph:
                     "malformed JSON graph: nested too deeply") from exc
             return cls.from_json_dict(d)
         return cls.from_text(text)
+
+
+def _connected(g):
+    """`g`, if it is connected: the graph readers' check."""
+    comps = g.components()
+    if len(comps) > 1:
+        raise DisconnectedGraphError(comps)
+    return g
 
 
 def _bits(mask):
@@ -455,8 +471,7 @@ def contract_unit_edges(g):
         if w < best.get(key, INFINITE):
             best[key] = w
     contracted = WeightedGraph(
-        k, [(key // k, key % k, w) for key, w in best.items()],
-        check_connected=False)
+        k, [(key // k, key % k, w) for key, w in best.items()])
     return contracted, mapping
 
 

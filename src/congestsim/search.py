@@ -75,6 +75,13 @@ class ParameterSchedule:
 
     @classmethod
     def for_graph(cls, g, eps_floor=None):
+        """The schedule of `g`, from n and its unweighted diameter D.
+
+        This is the estimators' connectivity check: a `WeightedGraph` may
+        be disconnected, and an infinite D raises `DisconnectedGraphError`
+        with `g`'s components, so `approx_diameter` and `approx_radius`
+        refuse such a graph before anything is charged.
+        """
         if eps_floor is not None and not 0 < eps_floor <= 1:  # NaN fails too
             raise ValueError(f"eps_floor must be in (0, 1]: {eps_floor!r}")
         n = g.n

@@ -485,9 +485,8 @@ def embed_overlay(network, members, levels, k, d_g):
              for j in range(i + 1, size)
              if (w := shortcut.get((i, j), row[j])) is not INFINITE]
     hop_bound = Fraction(4 * size, k) if k >= 1 else Fraction(size)
-    overlay_levels = LevelTables(
-        WeightedGraph(size, edges, check_connected=False),
-        hop_bound, levels.eps, weight_unit=levels.unit)
+    overlay_levels = LevelTables(WeightedGraph(size, edges), hop_bound,
+                                 levels.eps, weight_unit=levels.unit)
     network.charge("embed", d_g + size * k if shortcuts else d_g)
     return SkeletonState(members, levels, overlay_levels)
 

@@ -34,6 +34,7 @@ TOOLKIT = "src/congestsim/toolkit.py"
 ENGINE = "src/congestsim/engine.py"
 GRAPHS = "src/congestsim/graphs.py"
 GADGETS = "src/congestsim/gadgets.py"
+SEARCH = "src/congestsim/search.py"
 LEVEL_PASS = "One level pass serves every lower level that is a " \
              "power-of-two multiple of it"
 COPY_ORDER = "Send a window's broadcasts in copy order; charge an aborted " \
@@ -65,6 +66,9 @@ EMBED = "Build the overlay when it is embedded; probes return its integer " \
 SCHEDULE_MASKS = "Check the gadget ownership schedule over neighbour bitmasks"
 VIEWS = "Gadget verification builds only the graph views it reads: one " \
         "stored edge list, adjacency and weight masks on first read"
+READERS = "A graph is its checked edge list: `WeightedGraph` loses its " \
+          "`check_connected` switch, and connectivity is checked where " \
+          "graphs are read"
 
 CONTRACTION_TESTS = [
     "tests/test_graphs.py::"
@@ -78,6 +82,10 @@ MASK_TESTS = [
     "tests/test_graphs.py::test_views_of_a_graph_given_in_both_orientations",
     "tests/test_graphs.py::test_exact_sssp_matches_heap_dijkstra_on_h2_gadgets"]
 COMPONENT_TESTS = [
+    "tests/test_graphs.py::"
+    "test_components_are_sorted_and_ordered_by_least_node"]
+READER_TESTS = [
+    "tests/test_graphs.py::test_rejects_bad_input",
     "tests/test_graphs.py::"
     "test_components_are_sorted_and_ordered_by_least_node"]
 CLEAN_SCHEDULE_TESTS = [
@@ -294,6 +302,51 @@ MUTANTS = [
            "if tree >> a & 1:",
            ["tests/test_gadgets.py::test_validate_flags_corrupted_schedule"],
            SCHEDULE_MASKS),
+    Mutant("oracle-takes-a-schedule-of-another-graph", SEARCH,
+           "        if schedule.graph not in (None, network.graph):\n"
+           "            raise ValueError(\"a schedule measured on another "
+           "graph\")\n",
+           "",
+           ["tests/test_search.py::"
+            "test_an_oracle_refuses_a_schedule_measured_on_another_graph",
+            "tests/test_search.py::"
+            "test_a_lone_node_is_refused_a_schedule_for_another_graph"],
+           BORN_EMBEDDED),
+    Mutant("path-nodes-at-level-h-minus-one", GADGETS,
+           "columns.append((vid, h if kind == \"p\" else name[1], name[2]))",
+           "columns.append((vid, h - 1 if kind == \"p\" else name[1], "
+           "name[2]))",
+           CLEAN_SCHEDULE_TESTS, BORN_EMBEDDED),
+    Mutant("make-graph-takes-a-size-below-one", GRAPHS,
+           "    if n < 1:\n        raise GraphError(f\"n must be >= 1: {n}\")\n",
+           "",
+           ["tests/test_cli.py::"
+            "test_every_generator_refuses_a_size_below_one_in_one_line"],
+           BORN_EMBEDDED),
+    Mutant("text-reader-takes-a-disconnected-graph", GRAPHS,
+           "return _connected(cls(n, edges))",
+           "return cls(n, edges)",
+           READER_TESTS + [
+               "tests/test_cli.py::"
+               "test_a_disconnected_graph_file_is_a_usage_error[text]"],
+           READERS),
+    Mutant("json-reader-takes-a-disconnected-graph", GRAPHS,
+           "return _connected(cls(d[\"node_count\"], d[\"edges\"]))",
+           "return cls(d[\"node_count\"], d[\"edges\"])",
+           READER_TESTS + [
+               "tests/test_cli.py::"
+               "test_a_disconnected_graph_file_is_a_usage_error[json]"],
+           READERS),
+    Mutant("edge-shape-unchecked", GRAPHS,
+           "            try:\n                u, v, w = edge\n"
+           "            except (TypeError, ValueError):",
+           "            u, v, w = edge\n"
+           "            if False:",
+           ["tests/test_graphs.py::"
+            "test_an_edge_that_is_not_a_triple_is_one_graph_error",
+            "tests/test_cli.py::"
+            "test_a_json_edge_that_is_not_a_triple_is_a_usage_error"],
+           READERS),
 ]
 
 

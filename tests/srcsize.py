@@ -1,13 +1,20 @@
-"""Count the code lines of `src/`, per module and in total.
+"""Count the code lines and the defaulted parameters of `src/`, per
+module and in total.
 
 A code line is a non-blank line outside docstrings and comments.  A
 docstring is the string literal that opens a module, class or function
-body; a comment line holds nothing but a comment.  Stdlib only:
+body; a comment line holds nothing but a comment.  A defaulted parameter
+is a parameter with a default value, each one an option a caller may
+leave out or set: one of a `def` or `lambda`, or a field of a
+`@dataclass` class given a value, a parameter of its generated
+`__init__` (a `field(...)` only with `default=` or `default_factory=`).
+Stdlib only:
 
     python tests/srcsize.py [root]
 
-prints one line per module of `root/src` (this checkout's by default)
-and the total.  The test suite does not collect this file.
+prints one line per module of `root/src` (this checkout's by default),
+its code lines and its defaulted parameters, and the totals.  The test
+suite does not collect this file.
 """
 
 import ast
@@ -42,13 +49,46 @@ def code_lines(text):
     return len(code - _docstring_lines(ast.parse(text)))
 
 
+def _is_dataclass(decorator):
+    """Whether `decorator` is `@dataclass` or `@dataclass(...)`."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def _has_default(value):
+    """Whether a dataclass field's `value` gives it a default."""
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"):
+        return any(k.arg in ("default", "default_factory")
+                   for k in value.keywords)
+    return value is not None
+
+
+def defaulted_parameters(text):
+    """The number of defaulted parameters of the Python source `text`."""
+    count = 0
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.arguments):
+            count += len(node.defaults) + sum(
+                d is not None for d in node.kw_defaults)
+        elif (isinstance(node, ast.ClassDef)
+              and any(map(_is_dataclass, node.decorator_list))):
+            count += sum(isinstance(s, ast.AnnAssign) and _has_default(s.value)
+                         for s in node.body)
+    return count
+
+
 def main(root):
-    total = 0
+    lines = options = 0
+    print(f"{'lines':>6} {'opts':>6} module")
     for path in sorted(Path(root, "src").rglob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6} {path.relative_to(root).as_posix()}")
-    print(f"{total:6} total")
+        text = path.read_text()
+        count, defaulted = code_lines(text), defaulted_parameters(text)
+        lines += count
+        options += defaulted
+        print(f"{count:6} {defaulted:6} {path.relative_to(root).as_posix()}")
+    print(f"{lines:6} {options:6} total")
 
 
 if __name__ == "__main__":

@@ -241,6 +241,34 @@ def test_a_json_graph_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: malformed JSON graph:")
 
 
+@pytest.mark.parametrize("edges, shown", [
+    ([[0, 1]], "[0, 1]"),
+    ({"a": 1}, "'a'"),
+    ([None], "None"),
+    ([[0, 1, 1, 1]], "[0, 1, 1, 1]"),
+])
+def test_a_json_edge_that_is_not_a_triple_is_a_usage_error(tmp_path, capsys,
+                                                           edges, shown):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"node_count": 2, "edges": edges}))
+    code, out, err = run(["oracle", "--graph", str(path)], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: edge must be a (u, v, w) triple: {shown}\n"
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_a_disconnected_graph_file_is_a_usage_error(tmp_path, capsys, form):
+    g = WeightedGraph(5, [(0, 1, 1), (2, 3, 1), (3, 4, 1), (2, 4, 1)])
+    path = tmp_path / "g"
+    path.write_text(g.to_text() if form == "text"
+                    else json.dumps(g.to_json_dict()))
+    for command in (["oracle"], ["approx", "diameter"], ["approx", "radius"]):
+        code, out, err = run(command + ["--graph", str(path)], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: graph is disconnected (2 components): "
+                       "[0, 1], [2, 3, 4]\n")
+
+
 @pytest.mark.parametrize("command", [
     ["approx", "diameter", "--gen", "cycle", "--n", "4"],
     ["oracle", "--gen", "cycle", "--n", "4"],

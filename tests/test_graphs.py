@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -153,7 +154,7 @@ def disconnected_graphs(draw):
     """Two small graphs side by side, with no edge between them."""
     a, b = draw(small_graphs()), draw(small_graphs())
     edges = a.edges + [(u + a.n, v + a.n, w) for u, v, w in b.edges]
-    return WeightedGraph(a.n + b.n, edges, check_connected=False)
+    return WeightedGraph(a.n + b.n, edges)
 
 
 shaped_graphs = st.one_of(
@@ -201,8 +202,7 @@ def repeated_weight_graphs(draw):
                                    st.integers(0, n - 1)), max_size=40))
     edges = {(min(u, v), max(u, v)): draw(st.sampled_from(pool))
              for u, v in pairs if u != v}
-    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()],
-                         check_connected=False)
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,7 +290,7 @@ def test_contraction_keeps_the_lighter_parallel_edge(first, second):
 def assert_contraction_matches_unit_classes(g):
     c, mapping = contract_unit_edges(g)
     unit = all_pairs_relaxation(WeightedGraph(
-        g.n, [e for e in g.edges if e[2] == 1], check_connected=False))
+        g.n, [e for e in g.edges if e[2] == 1]))
     for u in range(g.n):
         for v in range(g.n):
             assert (mapping[u] == mapping[v]) == (unit[u][v] < INFINITE)
@@ -356,9 +356,12 @@ def test_json_roundtrip(tmp_path, g):
 
 
 def test_rejects_bad_input():
-    with pytest.raises(DisconnectedGraphError) as exc:
-        WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])
-    assert len(exc.value.components) == 2
+    two_parts = WeightedGraph(5, [(0, 1, 1), (2, 3, 1), (3, 4, 1), (2, 4, 1)])
+    for read in (lambda: WeightedGraph.from_text(two_parts.to_text()),
+                 lambda: WeightedGraph.from_json_dict(two_parts.to_json_dict())):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            read()
+        assert len(exc.value.components) == 2
     with pytest.raises(GraphError):
         WeightedGraph(2, [(0, 1, 0)])
     with pytest.raises(GraphError):
@@ -395,7 +398,7 @@ def test_an_edge_with_two_faults_reports_the_first_check(node_count, edges,
                                                          message):
     # endpoints, range, self-loop, weight, duplicate: in that order
     with pytest.raises(GraphError) as exc:
-        WeightedGraph(node_count, edges, check_connected=False)
+        WeightedGraph(node_count, edges)
     assert str(exc.value) == message
 
 
@@ -428,16 +431,39 @@ def test_views_equal_the_eager_build_in_either_orientation(g, data):
     assert again.adj == adj
 
 
+# from 1, nodes 3 and 5 lead on to 6 and to 8
+FOUR_PARTS = [(5, 1, 1), (4, 0, 2), (6, 3, 1), (1, 3, 1), (8, 5, 3)]
+FOUR_COMPONENTS = [[0, 4], [1, 3, 5, 6, 8], [2], [7]]
+
+
 def test_components_are_sorted_and_ordered_by_least_node():
-    # from 1, nodes 3 and 5 lead on to 6 and to 8
-    edges = [(5, 1, 1), (4, 0, 2), (6, 3, 1), (1, 3, 1), (8, 5, 3)]
-    comps = [[0, 4], [1, 3, 5, 6, 8], [2], [7]]
-    assert WeightedGraph(9, edges, check_connected=False).components() == comps
-    with pytest.raises(DisconnectedGraphError) as exc:
-        WeightedGraph(9, edges)
-    assert exc.value.components == comps
-    assert str(exc.value) == ("graph is disconnected (4 components): "
-                              "[0, 4], [1, 3, 5, 6, 8], [2], [7]")
+    assert WeightedGraph(9, FOUR_PARTS).components() == FOUR_COMPONENTS
+    # n - 1 edges, so the readers get past their edge count
+    g = WeightedGraph(9, FOUR_PARTS + [(3, 5, 2), (6, 8, 1), (1, 6, 4)])
+    assert g.components() == FOUR_COMPONENTS
+    for read in (lambda: WeightedGraph.from_text(g.to_text()),
+                 lambda: WeightedGraph.from_json_dict(g.to_json_dict())):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            read()
+        assert exc.value.components == FOUR_COMPONENTS
+        assert str(exc.value) == ("graph is disconnected (4 components): "
+                                  "[0, 4], [1, 3, 5, 6, 8], [2], [7]")
+
+
+def test_a_graph_is_its_checked_edges_connected_or_not():
+    g = WeightedGraph(9, FOUR_PARTS)
+    # neither `adj` nor `weight_masks` is built yet
+    assert sorted(vars(g)) == ["edges", "n"]
+    assert g.components() == FOUR_COMPONENTS
+
+
+@pytest.mark.parametrize("edge", [(0, 1), [0, 1], None, 5, (0, 1, 1, 1),
+                                  (0, 7)])
+def test_an_edge_that_is_not_a_triple_is_one_graph_error(edge):
+    # checked before the endpoints: (0, 7) is not reported out of range
+    with pytest.raises(GraphError) as exc:
+        WeightedGraph(2, [(0, 1, 1), edge])
+    assert str(exc.value) == f"edge must be a (u, v, w) triple: {edge!r}"
 
 
 def test_make_graph_builds_a_star():
@@ -458,7 +484,7 @@ def test_weights_are_ints_only(weight):
 def test_node_count_and_endpoints_are_ints_only(node_count, edge):
     edges = [] if edge is None else [edge]
     with pytest.raises(GraphError, match="must be an int"):
-        WeightedGraph(node_count, edges, check_connected=False)
+        WeightedGraph(node_count, edges)
     with pytest.raises(GraphError, match="must be an int"):
         WeightedGraph.from_json_dict({"node_count": node_count,
                                       "edges": [list(e) for e in edges]})
@@ -499,10 +525,16 @@ def test_grid_generator_refuses_an_n_it_cannot_build(n):
 
 
 def test_generators_connected():
-    for n in (1, 2, 5, 12):
-        for gen in (lambda m: random_connected_graph(m, rng=random.Random(n)),
-                    cycle_graph, star_graph):
-            if gen is star_graph and n < 2:
-                continue
-            g = gen(n)
-            assert len(g.components()) == 1
+    # no builder checks connectivity: each is connected by construction
+    built = 0
+    for n in range(1, 41):
+        for kind in ("random-connected", "cycle", "star", "grid"):
+            if kind == "grid" and n % math.isqrt(n):
+                continue  # make_graph refuses it
+            g = make_graph(kind, n, rng=random.Random(n))
+            assert g.n == n and len(g.components()) == 1, (kind, n)
+            built += 1
+    assert built == 3 * 40 + 16
+    for h in (2, 4):
+        for variant in ("diameter", "radius"):
+            assert len(build_gadget(h, variant=variant).graph.components()) == 1

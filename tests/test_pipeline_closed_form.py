@@ -129,7 +129,7 @@ def test_item_wider_than_bandwidth():
 
 def test_node_the_leader_cannot_reach():
     # node 3 has no edge: the BFS tree misses it and it never halts
-    g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1)], check_connected=False)
+    g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1)])
     results, ledger, clock = _check(g, [([5, 6], "broadcast")])
     assert results[-1] == ("MaxRoundsExceeded", "no halt within 8 rounds")
     assert ledger["phases"][-1]["messages"] == 4

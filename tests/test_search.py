@@ -91,7 +91,7 @@ def test_schedule_rejects_eps_floor_outside_the_unit_interval(eps_floor):
 
 def test_schedule_rejects_a_disconnected_graph():
     # before r, hops and k: sqrt of an infinite hop diameter has no ceiling
-    g = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)], check_connected=False)
+    g = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])
     for call in (lambda: ParameterSchedule.for_graph(g),
                  lambda: approx_diameter(Network(g))):
         with pytest.raises(DisconnectedGraphError) as info:

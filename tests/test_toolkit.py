@@ -158,7 +158,7 @@ def test_integer_setup_equals_the_fraction_definitions(hops, eps, unit, n,
     rng = random.Random(seed)
     g = WeightedGraph(n, [(u, v, rng.randint(1, max_weight))
                           for u in range(n) for v in range(u + 1, n)
-                          if rng.random() < 0.5], check_connected=False)
+                          if rng.random() < 0.5])
     budget = math.floor((1 + 2 / Fraction(eps)) * Fraction(hops))
     assert hop_budget(hops, eps) == budget
     for weight in (max_weight, g.max_weight * unit):
@@ -463,7 +463,7 @@ def _fraction_graph(n, rng):
     unit = Fraction(rng.randint(1, 3), rng.randint(1, 64))
     edges = [(u, v, rng.randint(2, 40))
              for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-    return WeightedGraph(n, edges, check_connected=False), unit
+    return WeightedGraph(n, edges), unit
 
 
 def _check_level_passes(g, hops, eps, weight_unit=1):
@@ -564,11 +564,10 @@ def test_units_are_the_lowest_level_that_reaches_a_node(kind, n, seed, hops,
 def test_level_passes_on_a_disconnected_overlay_and_one_node():
     # weights 7/2, 5/2 and 3 as integers counting halves
     half = Fraction(1, 2)
-    two_parts = WeightedGraph(5, [(0, 1, 7), (1, 2, 5), (3, 4, 6)],
-                              check_connected=False)
+    two_parts = WeightedGraph(5, [(0, 1, 7), (1, 2, 5), (3, 4, 6)])
     levels = _check_level_passes(two_parts, Fraction(5, 2), half, half)
     assert levels.source(0).units[3:] == [INFINITE, INFINITE]
-    uniform = WeightedGraph(4, [(0, 1, 5), (2, 3, 5)], check_connected=False)
+    uniform = WeightedGraph(4, [(0, 1, 5), (2, 3, 5)])
     assert None not in _check_level_passes(uniform, 2, half, half).common
     lone = _check_level_passes(WeightedGraph(1, []), 1, Fraction(1, 2))
     assert lone.source(0).units == [0]
@@ -640,8 +639,7 @@ def _scaled_case(kind, n, shift, rng):
     else:
         g = random_connected_graph(n, max_weight=rng.choice([3, 10, 1000]),
                                    rng=rng)
-    return WeightedGraph(n, [(u, v, w << shift) for u, v, w in g.edges],
-                         check_connected=False), unit
+    return WeightedGraph(n, [(u, v, w << shift) for u, v, w in g.edges]), unit
 
 
 @settings(max_examples=100, deadline=None)
@@ -780,8 +778,7 @@ def test_source_stops_at_the_first_level_that_reaches_every_node():
     assert len(stops) > 1 and len(firsts) > 1
     # a node no level reaches: every level from first[s] is taken
     half = Fraction(1, 2)
-    two_parts = WeightedGraph(5, [(0, 1, 7), (1, 2, 5), (3, 4, 6)],
-                              check_connected=False)
+    two_parts = WeightedGraph(5, [(0, 1, 7), (1, 2, 5), (3, 4, 6)])
     for s in range(two_parts.n):
         levels = LevelTables(two_parts, Fraction(5, 2), half, half)
         assert _levels_source_takes(levels, s) == list(
@@ -811,11 +808,10 @@ def _skip_cases():
         # lightest edge first fits the budget at level 2 or above
         edges = [(u, v, rng.randint(25, 60)) for u in range(n)
                  for v in range(u + 1, n) if rng.random() < 0.7]
-        yield (WeightedGraph(n, edges, check_connected=False),
-               Fraction(4 * n, 2), Fraction(1, 3), unit)
+        yield WeightedGraph(n, edges), Fraction(4 * n, 2), Fraction(1, 3), unit
     # node 3 has no edge
-    yield (WeightedGraph(5, [(0, 1, 3), (1, 2, 5), (2, 4, 2)],
-                         check_connected=False), 2, Fraction(1, 2), 1)
+    yield (WeightedGraph(5, [(0, 1, 3), (1, 2, 5), (2, 4, 2)]), 2,
+           Fraction(1, 2), 1)
     # a budget of floor(3 * 1/4) = 0 reaches no neighbour at any level
     yield random_connected_graph(6, rng=random.Random(2)), Fraction(1, 4), 1, 1
 

@@ -133,8 +133,7 @@ def test_families(make):
 
 
 def test_nodes_the_leader_cannot_reach():
-    g = WeightedGraph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1)],
-                      check_connected=False)
+    g = WeightedGraph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1)])
     for bits in BANDWIDTHS:
         _check(g, bits)
     (parent, depth), ledger, _ = _check(g)
@@ -142,7 +141,7 @@ def test_nodes_the_leader_cannot_reach():
     assert depth == [0, 1, 1, None, None, None]
     assert _tree_phase(ledger)["messages"] == 2 * 3 + 2
     # a leader with no neighbour sends nothing and takes no round
-    lone = WeightedGraph(3, [(1, 2, 1)], check_connected=False)
+    lone = WeightedGraph(3, [(1, 2, 1)])
     tree, ledger, clock = _check(lone, 1)
     assert tree == ([None] * 3, [0, None, None])
     assert tree_children(tree[0]) == [[], [], []]
