@@ -142,9 +142,15 @@ def _output(args):
 
 
 def _num(value):
-    """JSON-safe number: exact ints stay ints, Fractions become floats."""
+    """JSON-safe number: exact ints stay ints, Fractions become floats.  A
+    Fraction beyond every float stays exact, as its "p/q" text."""
     if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else float(value)
+        if value.denominator == 1:
+            return int(value)
+        try:
+            return float(value)
+        except OverflowError:
+            return f"{value.numerator}/{value.denominator}"
     if value == float("inf"):
         return None
     return value

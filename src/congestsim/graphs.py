@@ -15,7 +15,9 @@ A graph may be disconnected; the exact oracles then give ``INFINITE``.
 Connectivity is checked where a graph comes in: the graph readers
 (`WeightedGraph.from_text`, `from_json_dict`, `from_file`) refuse a
 disconnected graph with `DisconnectedGraphError`, and so does the
-estimators' entry, `search.ParameterSchedule.for_graph`.  The
+estimators' entry, `search.ParameterSchedule.for_graph` (or, for a
+schedule built by hand, `search.SkeletonOracle`).  The check,
+`WeightedGraph.components`, reads `edges` and builds no view.  The
 generators here and `gadgets.build_gadget` are connected by
 construction.
 
@@ -168,10 +170,12 @@ class WeightedGraph:
 
     def components(self):
         """The connected components, each in increasing node order, ordered
-        by their least node; a search over `weight_masks`."""
-        # disjoint weight groups: each sum is an OR
-        neighbours = [sum(mask for _, mask in groups)
-                      for groups in self.weight_masks]
+        by their least node; a search over each node's neighbour bitmask,
+        ORed from `edges` and not kept, so the check builds no view."""
+        neighbours = [0] * self.n
+        for u, v, _ in self.edges:
+            neighbours[u] |= 1 << v
+            neighbours[v] |= 1 << u
         unseen = (1 << self.n) - 1
         comps = []
         while unseen:

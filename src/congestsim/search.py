@@ -121,15 +121,29 @@ class SearchTrace:
     probes: list = field(default_factory=list)  # (candidate, value) sampled
 
 
+def _ratio(x):
+    """x's integer ratio (numerator, denominator > 0); (0, 1) for a NaN,
+    an infinity or a value without one, which every range check refuses."""
+    try:
+        return x.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        return 0, 1
+
+
 def search_budget(rho, delta):
-    """Evaluations of one amplified search: ceil(2 ln(1/delta) / rho)."""
-    if not (0 < rho <= 1):
+    """Evaluations of one amplified search: ceil(2 ln(1/delta) / rho).
+
+    Computed from the integer ratios a/b of rho and p/q of delta, so no
+    `Fraction` is built or compared: ln(1/delta) is ln q - ln p (1/delta
+    may be beyond a float), and dividing by a / b divides by float(rho),
+    the float a `Fraction` or float rho divides by.
+    """
+    (a, b), (p, q) = _ratio(rho), _ratio(delta)
+    if not 0 < a <= b:
         raise ValueError(f"need 0 < rho <= 1: {rho}")
-    if not (0 < delta < 1):
+    if not 0 < p < q:
         raise ValueError(f"need 0 < delta < 1: {delta}")
-    # ln(1/delta) from delta's integer ratio: 1/delta may be beyond a float
-    p, q = Fraction(delta).as_integer_ratio()
-    return max(1, math.ceil(2 * (math.log(q) - math.log(p)) / rho))
+    return max(1, math.ceil(2 * (math.log(q) - math.log(p)) / (a / b)))
 
 
 def amplified_max_search(candidates, evaluate, rho, delta, rng, mode="max",
@@ -186,7 +200,8 @@ class SkeletonOracle:
     `member_values[i]` and drops the embedded state.  `sets` defaults to
     the network's own draw of n sets of expected size `schedule.r`.  A
     schedule for another graph size, or measured on another graph,
-    raises ValueError before anything is drawn.
+    raises ValueError before anything is drawn, and a hand-built one
+    (`graph` None) on a disconnected graph `DisconnectedGraphError`.
     """
 
     def __init__(self, network, schedule, sets=None):
@@ -194,6 +209,11 @@ class SkeletonOracle:
             raise ValueError(f"a schedule for n={schedule.n} on n={network.n}")
         if schedule.graph not in (None, network.graph):
             raise ValueError("a schedule measured on another graph")
+        # `for_graph` checked its graph's connectivity; a hand-built
+        # schedule measured none
+        if schedule.graph is None and len(
+                parts := network.graph.components()) > 1:
+            raise DisconnectedGraphError(parts)
         if sets is None:
             sets = network.sample_skeleton_sets(schedule.r, network.n)
         self.network, self.schedule = network, schedule

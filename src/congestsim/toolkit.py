@@ -20,7 +20,12 @@ with this one an aborted attempt's cost is a sum over the congestion keys
 it counted.  Weights are at least 1, so a node holds all it owes in a window
 when the window starts: every earlier window sent all its broadcasts, and
 in the aborting round each lower-id node sent its least copy (see
-`_superposed_closed_form`).  The delays go out down the BFS tree through
+`_superposed_closed_form`).  Of b copies only keys owed more than
+`stretch` times can jam, and by pigeonhole any b - stretch + 1 copies owe
+each such key at least twice (at most stretch - 1 copies are left out),
+so an attempt counts its first b - stretch + 1 copies on every key and
+the later ones only on the keys those owe twice: every key that can jam
+keeps its exact count.  The delays go out down the BFS tree through
 `Network.broadcast_pipeline`, and the tree and the pipeline are charged in
 closed form too (their references are in `tests/oracles.py`), so no
 engine run is on the estimators' path.  Step 1's rounded levels and each
@@ -29,7 +34,8 @@ so a `LevelTables` computes them once for all the skeletons of an
 estimator, in integers: a source's passes from the first level that
 reaches past it up to the first that reaches every node, and every
 level's only for the congestion keys of an attempt that counts them.  A
-level's adjacency lists are private to `LevelTables.level_pass`, which
+level's adjacency lists are private to `LevelTables._pass`, the one
+definition of a level's pass that `level_pass` and the walks read, which
 builds them on the first pass that reads them, and `LevelTables.windows`,
 a window per (level, distance), is the one count of a pass's windows that
 the closed form and the overlay probe block read.  A level whose rounded
@@ -43,7 +49,13 @@ valuation of 2*hops/eps.  Below L each rounding is exact, level l's
 weights are 2^(L-l) times level L's, and its pass is level L's with its
 distances shifted left by L - l.  At n = 32 (hops 32, eps 1/5, so
 every weight is w * 320) levels 0-6 share one Dijkstra on level 6; at
-n = 256 levels 0-12 share one on level 12.  Step 4 is the same pass on
+n = 256 levels 0-12 share one on level 12.  A walk reads such a shared
+level straight from its base pass, with no list per level: the base
+pass orders the nodes by distance once, and a level's entries are the
+prefix whose c * d fits the budget.  Within one base c falls as the
+level rises, so that cap, budget // c, only rises, and the walk fills a
+source's tables from each base pass once, in base-distance order.
+Step 4 is the same pass on
 the overlay, a graph on the skeleton whose own `LevelTables`
 `embed_overlay` builds.
 A skeleton is two stages: `build_skeleton_state` charges step 1 for its
@@ -69,6 +81,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,7 +144,7 @@ class LevelTables:
     budget + 1 per level: the one definition of that count.
     A level's format is private: `_level(l)` builds level l's adjacency
     lists, [(u, rounded weight)] per node, on their first read and keeps
-    them, and only a Dijkstra in `level_pass` reads them, so a pass never
+    them, and only a Dijkstra in `_pass` reads them, so a pass never
     builds a uniform level, nor one above both `scaled` and the levels its
     walk takes.
 
@@ -146,14 +159,25 @@ class LevelTables:
     it, so s's distance at l is d_L << (L-l), and INFINITE where
     d_L > budget >> (L-l).  When level L is uniform so is every level
     below it.
-    `level_pass(s, level)` is s's budget-bounded distances on one level,
-    a multiple of one base pass that every level it serves shares: on a
-    uniform level c times the edge counts of one breadth-first search
-    from s (all levels of a unit-weight graph); on a non-uniform level up
-    to L, 2^(L-level) times the Dijkstra on level L, which it builds in
-    place of its own; above L, the Dijkstra on its own level, which is
-    not kept.  A base keeps its pass of the last source it served, so a
-    walk over one source's levels takes each base pass once.
+    `_pass(s, level)` is the one definition of s's budget-bounded pass on
+    a level, which `level_pass(s, level)` (the distances as a list) and
+    the walks read.  A shared level's pass is c times one base pass that
+    every level it serves shares: on a uniform level c times the edge
+    counts of one breadth-first search from s (all levels of a
+    unit-weight graph); on a non-uniform level up to L, c = 2^(L-level)
+    times the Dijkstra on level L, which it builds in place of its own.
+    Above L a non-uniform level takes the Dijkstra on its own level,
+    which is not kept.  A base keeps its pass of the last source it
+    served, with every node ordered by (distance, node), so a walk over
+    one source's levels takes each base pass once.  A shared level's
+    entries are the prefix of that order with d <= budget // c, counted
+    by bisection, and the walk reads them there: no list per level.
+    Within one base c only falls as the level rises (2^(L-level) halves;
+    a uniform c is the rounding of one weight), so the cap
+    budget // c only rises, each level's prefix holds the one below it,
+    and the walk fills the tables from each base pass once, taking each
+    node once, in base-distance order, from where the level below
+    stopped.
 
     `source(s)` keeps, as (sent, units), the messages s's passes send
     (v's degree per finite entry) and each node's d << level at the
@@ -170,11 +194,14 @@ class LevelTables:
     a pass below it reaches s alone.
     `keys(s)` is the int64 array of the keys (level*(budget+1) + d)*n + v
     of the finite entries of every level's pass, which only an attempt
-    that counts its broadcasts reads.  It is built once per source, in
-    the walk over the levels that also fills `source(s)` if that is not
-    kept yet.  None of it depends on the skeleton or the delays, so an
-    estimator shares one object across all its skeletons; the tables it
-    hands out are shared too, and read-only.
+    that counts its broadcasts reads: on a shared level
+    (level*(budget+1) + c*d)*n + v for each base distance d <= budget //
+    c, in base-distance order, so their order within a level is not the
+    node order.  It is built once per source, in the walk over the levels
+    that also fills `source(s)` if that is not kept yet.  None of it
+    depends on the skeleton or the delays, so an estimator shares one
+    object across all its skeletons; the tables it hands out are shared
+    too, and read-only.
     """
 
     def __init__(self, graph, hops, eps, weight_unit=1):
@@ -227,20 +254,38 @@ class LevelTables:
                 adj[v].append((u, rw))
         return adj
 
-    def level_pass(self, s, level):
-        """s's distances on `level`, INFINITE beyond the budget."""
+    def _pass(self, s, level):
+        """(c, count, dist, order) of s's pass on `level`.  On a shared
+        level the pass is c * dist[v] at the first `count` nodes v of
+        `order`, those with c * dist[v] <= budget, and INFINITE elsewhere:
+        dist is its base pass, kept for the last source, and order every
+        node by (dist[v], v).  On its own level dist is its Dijkstra, the
+        pass itself, with c 1, count n and order None."""
         c, scaled = self.common[level], self.scaled
         if c is None and level > scaled:
-            return dijkstra(self._level(level), s, self.budget)
+            dist = dijkstra(self._level(level), s, self.budget)
+            return 1, len(dist), dist, None
         base = None if c else scaled
-        held, dist = self._bases.get(base, (None, None))
+        held, dist, order = self._bases.get(base, (None, None, None))
         if held != s:  # callers take one source's levels in a row
             dist = (bfs_hops(self.graph.adj, s) if c else
                     dijkstra(self._level(scaled), s, self.budget))
-            self._bases[base] = s, dist
+            order = sorted(range(len(dist)), key=dist.__getitem__)
+            self._bases[base] = s, dist, order
         c = c or 1 << (scaled - level)
-        cap = self.budget // c  # c*d <= budget
-        return [c * d if d <= cap else INFINITE for d in dist]
+        # the nodes with c * dist[v] <= budget, a prefix of order
+        return (c, bisect_right(order, self.budget // c, key=dist.__getitem__),
+                dist, order)
+
+    def level_pass(self, s, level):
+        """s's distances on `level`, INFINITE beyond the budget."""
+        c, count, dist, order = self._pass(s, level)
+        if order is None:
+            return dist
+        out = [INFINITE] * self.graph.n
+        for v in order[:count]:
+            out[v] = c * dist[v]
+        return out
 
     def source(self, s):
         if s not in self._passes:
@@ -258,7 +303,12 @@ class LevelTables:
         """Walk s's levels up: into `source(s)` unless it is kept, and with
         an array `keys` every level's keys into it; returns it.  Below
         first[s] (every level when s has none) a pass reaches s alone, at
-        0, so those levels take no pass."""
+        0, so those levels take no pass.  Each level reads its entries
+        straight from `_pass`: a shared level from its base pass, an own
+        level from its Dijkstra in node order.  The tables' fill takes a
+        base pass's nodes once, in base-distance order: within one base
+        the cap budget // c rises with the level, so a level's newly
+        reached nodes follow the ones the levels below it reached."""
         n, top, degree = self.graph.n, len(self), self.degree
         span, tables = self.budget + 1, s not in self._passes
         low = top if self.first[s] is None else self.first[s]
@@ -266,20 +316,28 @@ class LevelTables:
         units[s] = 0  # reached at level 0, so it sends at every level
         sent, unreached = degree[s] * top, n - 1
         if keys is not None:
-            keys.extend(level * span * n + s for level in range(low))
+            keys.fromlist([level * span * n + s for level in range(low)])
+        filled, done = None, 0  # the pass `order` filled from, how far
         for level in range(low, top):
-            dist = self.level_pass(s, level)
+            c, count, dist, order = self._pass(s, level)
             if keys is not None:
-                base = level * span
-                keys.extend((base + d) * n + v
-                            for v, d in enumerate(dist) if d is not INFINITE)
+                base, cn = level * span * n, c * n
+                # fromlist: about twice as fast as extend from a list
+                keys.fromlist(
+                    [base + n * d + v for v, d in enumerate(dist)
+                     if d is not INFINITE] if order is None else
+                    [base + cn * dist[v] + v for v in order[:count]])
             if tables and unreached:
-                for v, d in enumerate(dist):
-                    if d is not INFINITE and units[v] is INFINITE:
-                        units[v] = d << level
+                # an own level's nodes in id order: the test also skips
+                # the ones it does not reach (dist[v] INFINITE)
+                for v in (range(n) if order is None else
+                          order[done if order is filled else 0:count]):
+                    if units[v] is INFINITE is not dist[v]:
+                        units[v] = c * dist[v] << level
                         # v is reached at every level from here up
                         sent += degree[v] * (top - level)
                         unreached -= 1
+                filled, done = order, count
             if keys is None and not unreached:
                 break
         if tables:
@@ -305,6 +363,18 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     the largest delay, at most len(sources)*stretch, and one more; failure
     is None then.
 
+    Only a key owed more than `stretch` times can jam, so of b copies
+    the attempt counts the first b - stretch + 1 on every key, keeps the
+    keys they owe at least twice, and counts the later copies only on
+    the kept keys.  The argument holds for any b - stretch + 1 copies: a
+    key owed more than `stretch` times is owed by at most stretch - 1
+    copies outside them, so at least twice by them (pigeonhole).  So
+    every key that can jam keeps its exact count, and the jam, its
+    window, its count in the failure's message and the cost are those
+    of counting every copy on every key (`oracles.unfiltered_closed_form`).
+    A later copy's owed kept keys are found among its own keys by
+    shifting the few kept keys back, not by shifting all of its keys.
+
     The attempt aborts (failure the CongestionFailure) in the
     first round of the window of the jam, the smallest key window*n + node
     owing more than `stretch` broadcasts; the counted keys give its cost
@@ -320,17 +390,30 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     # a copy owes at most one broadcast per key (d <= budget), so with no
     # more copies than `stretch` no key can be over it and none is counted
     counted = len(sources) > stretch
+    # a key owed more than `stretch` times is owed at least twice by any
+    # len(sources) - stretch + 1 copies: only those keys can jam
+    full = len(sources) - stretch + 1  # copies counted on every key
     owed = Counter()  # window * n + node -> broadcasts due
     kept = []  # each counted copy's `levels.keys`
     messages = bits = 0
     for copy, s in enumerate(sources):
         if counted:  # first, so a new source's walk fills `source` too
-            kept.append(levels.keys(s))
-            owed.update(map((delays[copy] * n).__add__, kept[-1]))
+            keys, shift = levels.keys(s), delays[copy] * n
+            kept.append(keys)
+            if copy < full:
+                owed.update(map(add, keys, repeat(shift)))
+            else:
+                if copy == full:
+                    owed = Counter({key: count for key, count in owed.items()
+                                    if count > 1})
+                # the kept keys this copy owes, found among its own keys
+                # unshifted, so only the few kept keys are shifted
+                owed.update(key + shift for key in {
+                    key - shift for key in owed}.intersection(keys))
         sent = levels.source(s).sent
         messages += sent
         bits += sent * max(1, copy.bit_length())
-    if not counted or max(owed.values()) <= stretch:
+    if not counted or max(owed.values(), default=0) <= stretch:
         windows = levels.windows + len(sources) * stretch + 1
         return windows * stretch, messages, bits, None
 

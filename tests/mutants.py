@@ -66,6 +66,8 @@ EMBED = "Build the overlay when it is embedded; probes return its integer " \
 SCHEDULE_MASKS = "Check the gadget ownership schedule over neighbour bitmasks"
 VIEWS = "Gadget verification builds only the graph views it reads: one " \
         "stored edge list, adjacency and weight masks on first read"
+ONE_READ = "Congestion keys from one read of each shared level pass, " \
+           "counted only where they can jam"
 READERS = "A graph is its checked edge list: `WeightedGraph` loses its " \
           "`check_connected` switch, and connectivity is checked where " \
           "graphs are read"
@@ -159,12 +161,40 @@ MUTANTS = [
             "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra"],
            BFS_LEVELS),
     Mutant("level-cap-one-over-the-budget", TOOLKIT,
-           "cap = self.budget // c",
-           "cap = self.budget // c + 1",
+           "bisect_right(order, self.budget // c,",
+           "bisect_right(order, self.budget // c + 1,",
            ["tests/test_toolkit.py::"
             "test_level_passes_on_uniform_graphs_match_dijkstra",
             "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra"],
            LEVEL_PASS),
+    Mutant("shared-level-cap-strict", TOOLKIT,
+           "self.budget // c, key=dist.__getitem__",
+           "self.budget // c - 1, key=dist.__getitem__",
+           ["tests/test_toolkit.py::"
+            "test_level_passes_on_uniform_graphs_match_dijkstra",
+            "tests/test_toolkit.py::"
+            "test_level_passes_on_mixed_weights_match_dijkstra",
+            "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra"],
+           ONE_READ),
+    Mutant("fill-resumes-another-pass", TOOLKIT,
+           "order[done if order is filled else 0:count]",
+           "order[done:count]",
+           ["tests/test_toolkit.py::"
+            "test_level_passes_on_mixed_weights_match_dijkstra",
+            "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra"],
+           ONE_READ),
+    Mutant("pigeonhole-one-copy-fewer-in-full", TOOLKIT,
+           "full = len(sources) - stretch + 1",
+           "full = len(sources) - stretch",
+           ["tests/test_mssp_pigeonhole.py::"
+            "test_forced_jams_match_the_unfiltered_and_the_message_level_count"],
+           ONE_READ),
+    Mutant("pigeonhole-keeps-keys-owed-thrice", TOOLKIT,
+           "if count > 1})",
+           "if count > 2})",
+           ["tests/test_mssp_pigeonhole.py::"
+            "test_forced_jams_match_the_unfiltered_and_the_message_level_count"],
+           ONE_READ),
     Mutant("keys-walk-stops-early", TOOLKIT,
            "if keys is None and not unreached:",
            "if not unreached:",
@@ -337,6 +367,20 @@ MUTANTS = [
                "tests/test_cli.py::"
                "test_a_disconnected_graph_file_is_a_usage_error[json]"],
            READERS),
+    Mutant("components-miss-the-second-end", GRAPHS,
+           "neighbours[v] |= 1 << u",
+           "neighbours[v] |= 0",
+           ["tests/test_graphs.py::"
+            "test_the_readers_check_connectivity_without_keeping_a_view"],
+           ONE_READ),
+    Mutant("hand-built-schedule-unchecked", SEARCH,
+           "        if schedule.graph is None and len(\n"
+           "                parts := network.graph.components()) > 1:\n"
+           "            raise DisconnectedGraphError(parts)\n",
+           "",
+           ["tests/test_search.py::"
+            "test_a_hand_built_schedule_on_a_disconnected_graph_is_refused"],
+           ONE_READ),
     Mutant("edge-shape-unchecked", GRAPHS,
            "            try:\n                u, v, w = edge\n"
            "            except (TypeError, ValueError):",

@@ -10,6 +10,10 @@ it owes in a window in copy order.  `tree_program` and
 `Network.build_bfs_tree` and `Network.broadcast_pipeline`, and return
 what the closed forms do not: the tables each copy settles and the items
 each node receives.
+`unfiltered_closed_form` is the closed form that counts every copy's
+congestion keys in full, the reference of the pigeonhole filter in
+`_superposed_closed_form`, which counts later copies only on the keys
+that can jam.
 `exact_bounded_hop` is the Bellman-Ford hop-bounded distance, and
 `bounded_hop_sssp` the message-level single-source pass, one
 `bounded_distance_sssp` engine run per rounded level.  `rounded_weight`
@@ -32,6 +36,7 @@ builds a `WeightedGraph`'s `adj` from the edges as given, and its
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from congestsim.engine import (
@@ -393,6 +398,46 @@ def superposed_program(levels, sources, delays, stretch):
     best = [[min_over_levels(programs[v].dist[copy]) for v in range(graph.n)]
             for copy in range(len(sources))]
     return network.round_clock, ledger.messages, ledger.bits, None, best
+
+
+def unfiltered_closed_form(levels, sources, delays, stretch):
+    """`_superposed_closed_form`'s (rounds, messages, bits, failure), with
+    every copy's `levels.keys` counted in full on every key.
+
+    A window counts each copy owing a broadcast at a key (window * n +
+    node); the attempt aborts at the least key owed more than `stretch`
+    times, in the first round of its window, having sent every broadcast
+    of the windows before it and, in that round, the least copy of each
+    key of the window below the jam.
+    """
+    n, degree = levels.graph.n, levels.degree
+    owed = Counter()
+    for copy, s in enumerate(sources):
+        owed.update(key + delays[copy] * n for key in levels.keys(s))
+    jams = [key for key, count in owed.items() if count > stretch]
+    if not jams:
+        messages = sum(levels.source(s).sent for s in sources)
+        bits = sum(levels.source(s).sent * max(1, copy.bit_length())
+                   for copy, s in enumerate(sources))
+        windows = levels.windows + len(sources) * stretch + 1
+        return windows * stretch, messages, bits, None
+    jam = min(jams)
+    window, node = divmod(jam, n)
+    messages = bits = 0
+    least = {}
+    for copy, s in enumerate(sources):
+        for key in sorted(key + delays[copy] * n for key in levels.keys(s)):
+            if key < window * n:
+                messages += degree[key % n]
+                bits += degree[key % n] * max(1, copy.bit_length())
+            elif key < jam and key not in least:
+                least[key] = copy
+    for key, copy in least.items():
+        messages += degree[key % n]
+        bits += degree[key % n] * max(1, copy.bit_length())
+    failure = CongestionFailure(f"node {node}: {owed[jam]} broadcasts due "
+                                f"in window {window} (limit {stretch})")
+    return window * stretch, messages, bits, failure
 
 
 class _PipelineProgram(NodeProgram):

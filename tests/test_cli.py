@@ -269,6 +269,30 @@ def test_a_disconnected_graph_file_is_a_usage_error(tmp_path, capsys, form):
                        "[0, 1], [2, 3, 4]\n")
 
 
+def test_an_estimate_beyond_every_float_is_reported_exact(tmp_path, capsys):
+    # a weight of 10^310 made the non-integer estimate overflow a float, so
+    # the run ended in an OverflowError traceback; it is kept as "p/q"
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 2\n0 1 {10 ** 310}\n1 2 1\n")
+    for fmt in ("json", "csv"):
+        code, out, err = run(["approx", "diameter", "--graph", str(path),
+                              "--format", fmt], capsys)
+        assert code == EXIT_OK and err == ""
+    trial = json.loads(run(["approx", "diameter", "--graph", str(path)],
+                           capsys)[1])["trials"][0]
+    assert trial["true_value"] == 10 ** 310 + 1 and trial["success"]
+    estimate = Fraction(trial["estimate"])
+    assert trial["estimate"] == f"{estimate.numerator}/{estimate.denominator}"
+    assert estimate.denominator > 1 and estimate > 10 ** 310
+    assert trial["ratio"] == float(estimate / trial["true_value"])
+    # an estimate that fits a float is still a JSON number
+    for weight in (10 ** 300, 10 ** 30):
+        path.write_text(f"3 2\n0 1 {weight}\n1 2 1\n")
+        trial = json.loads(run(["approx", "diameter", "--graph", str(path)],
+                               capsys)[1])["trials"][0]
+        assert isinstance(trial["estimate"], (int, float))
+
+
 @pytest.mark.parametrize("command", [
     ["approx", "diameter", "--gen", "cycle", "--n", "4"],
     ["oracle", "--gen", "cycle", "--n", "4"],

@@ -457,6 +457,47 @@ def test_a_graph_is_its_checked_edges_connected_or_not():
     assert g.components() == FOUR_COMPONENTS
 
 
+def _union_find_components(n, edges):
+    """The components of (n, edges) by union-find, each sorted, ordered by
+    their least node."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v, _ in edges:
+        root[find(u)] = find(v)
+    parts = {}
+    for v in range(n):
+        parts.setdefault(find(v), []).append(v)
+    return sorted(parts.values())
+
+
+def test_the_readers_check_connectivity_without_keeping_a_view():
+    # the readers' check kept the `weight_masks` that `components()` built,
+    # 168,360 bytes on the seeded n = 256 graph, which the estimators
+    # never read; it now ORs each node's neighbour mask from `edges`
+    g = random_connected_graph(64, rng=random.Random(3))
+    for read in (WeightedGraph.from_text(g.to_text()),
+                 WeightedGraph.from_json_dict(g.to_json_dict())):
+        assert sorted(vars(read)) == ["edges", "n"]
+        assert read.components() == [list(range(64))]
+        assert sorted(vars(read)) == ["edges", "n"]
+    rng = random.Random(5)
+    split = 0
+    for _ in range(200):
+        n = rng.randint(1, 24)
+        edges = [(u, v, rng.randint(1, 9)) for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < 0.12]
+        g = WeightedGraph(n, edges)
+        assert g.components() == _union_find_components(n, edges)
+        assert sorted(vars(g)) == ["edges", "n"]
+        split += len(g.components()) > 1
+    assert split > 20
+
+
 @pytest.mark.parametrize("edge", [(0, 1), [0, 1], None, 5, (0, 1, 1, 1),
                                   (0, 7)])
 def test_an_edge_that_is_not_a_triple_is_one_graph_error(edge):

@@ -769,6 +769,37 @@ def test_an_oracle_refuses_a_schedule_measured_on_another_graph(run):
 
 
 @pytest.mark.parametrize("run", [approx_diameter, approx_radius])
+def test_a_hand_built_schedule_on_a_disconnected_graph_is_refused(
+        run, monkeypatch):
+    # it charged the BFS tree (2 rounds) and then raised MaxRoundsExceeded
+    # from the delays' pipeline; now it is refused before anything is
+    # charged or drawn
+    g = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])
+    schedule = ParameterSchedule(n=4, unweighted_diameter=1,
+                                 eps=Fraction(1, 2), r=2, hops=4, k=1)
+    net, rng = Network(g, seed=1), random.Random(1)
+    with pytest.raises(DisconnectedGraphError, match=r"\[0, 1\], \[2, 3\]"):
+        run(net, schedule, rng=rng)
+    assert (net.ledger.phases, net.ledger.rounds, net.round_clock) == \
+        ([], 0, 0)
+    assert rng.getstate() == random.Random(1).getstate()
+    # a schedule from `for_graph` checked its graph already: the estimator
+    # does not look for components again
+    calls = []
+    components = WeightedGraph.components
+    monkeypatch.setattr(WeightedGraph, "components", lambda self: (
+        calls.append(self) or components(self)))
+    connected = cycle_graph(6)
+    schedule = ParameterSchedule.for_graph(connected)
+    run(Network(connected, seed=1), schedule, rng=random.Random(1))
+    assert calls == []
+    # a hand-built schedule on a connected graph runs
+    run(Network(connected, seed=1), dataclasses.replace(schedule, graph=None),
+        rng=random.Random(1))
+    assert calls == [connected]
+
+
+@pytest.mark.parametrize("run", [approx_diameter, approx_radius])
 def test_a_lone_node_is_refused_a_schedule_for_another_graph(run):
     # a one-node network runs no search, but its schedule is checked as any
     # other's, before anything is charged
