@@ -313,7 +313,7 @@ class Network:
         adj, limit = self.graph.adj, self.bandwidth_bits
         start = self.round_clock
         depth = [None if h is INFINITE else h
-                 for h in bfs_hops(adj, self.leader)]
+                 for h in bfs_hops(adj, self.leader)[0]]
         parent = [min((u for u, _ in nbrs if depth[u] == h - 1), default=None)
                   if h else None for nbrs, h in zip(adj, depth)]
         messages = bits = 0

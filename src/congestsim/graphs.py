@@ -48,7 +48,10 @@ non-uniform rounded levels from `LevelTables.scaled` up (a level below
 it reads level `scaled`'s pass): on the estimators' random-connected
 graphs, 6 of the 12 non-uniform levels at n = 32 and 4 of 16 at
 n = 256.  Few of a node's neighbours share a rounded weight there at
-n = 32, but many do at n = 256; see its docstring.
+n = 32, but many do at n = 256; see its docstring.  It and `bfs_hops`
+return the nodes they reached in the order they settled them with the
+distances, nearest first, so a `LevelTables` level reads its entries as
+a prefix of that order and sorts nothing.
 """
 
 from __future__ import annotations
@@ -265,7 +268,9 @@ def _check_node(g, s):
 
 
 def dijkstra(adj, source, bound=INFINITE):
-    """Distances from `source` over adjacency lists adj[u] = [(v, w)].
+    """(dist, order): distances from `source` over adjacency lists
+    adj[u] = [(v, w)], weights > 0, and the nodes it reached in the order
+    it settled them, which is (dist[v], v) order.
 
     Nodes farther than `bound` (or unreachable) stay INFINITE.  The kernel
     of `embed_overlay`, the overlay and the bounded passes of
@@ -284,28 +289,31 @@ def dijkstra(adj, source, bound=INFINITE):
     """
     dist = [INFINITE] * len(adj)
     dist[source] = 0
-    heap = [(0, source)]
+    heap, order = [(0, source)], []
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
+        order.append(u)
         for v, w in adj[u]:
             nd = d + w
             if nd < dist[v] and nd <= bound:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
+    return dist, order
 
 
 def bfs_hops(adj, source):
-    """Edge counts from `source` over adjacency lists adj[u] = [(v, w)],
-    weights ignored; unreachable nodes stay INFINITE.
+    """(hops, order): edge counts from `source` over adjacency lists
+    adj[u] = [(v, w)], weights ignored, and the nodes it reached in the
+    order it reached them, non-decreasing in hops; unreachable nodes stay
+    INFINITE.
 
     With every weight equal to c, c times these counts are `dijkstra`'s
     distances."""
     hops = [INFINITE] * len(adj)
     hops[source] = 0
-    frontier, h = [source], 0
+    frontier, order, h = [source], [source], 0
     while frontier:
         h += 1
         reached = []
@@ -314,8 +322,9 @@ def bfs_hops(adj, source):
                 if hops[v] is INFINITE:
                     hops[v] = h
                     reached.append(v)
+        order += reached
         frontier = reached
-    return hops
+    return hops, order
 
 
 def exact_sssp(g, s):

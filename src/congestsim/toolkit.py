@@ -33,28 +33,24 @@ source's per-level passes depend on neither the skeleton nor the delays,
 so a `LevelTables` computes them once for all the skeletons of an
 estimator, in integers: a source's passes from the first level that
 reaches past it up to the first that reaches every node, and every
-level's only for the congestion keys of an attempt that counts them.  A
-level's adjacency lists are private to `LevelTables._pass`, the one
-definition of a level's pass that `level_pass` and the walks read, which
-builds them on the first pass that reads them, and `LevelTables.windows`,
-a window per (level, distance), is the one count of a pass's windows that
-the closed form and the overlay probe block read.  A level whose rounded
-weights are all one c (every level of a unit-weight graph) is never
-built: it takes c times one breadth-first hop count per source in place
-of a Dijkstra.  Nor is a level below `scaled`, the
-highest level L (up to the top) such that 2^L divides every edge's
-weight rounded up in the tables' unit.  That weight is w * 2*hops/eps
-when that is an integer, so L is the top or at least the 2-adic
-valuation of 2*hops/eps.  Below L each rounding is exact, level l's
-weights are 2^(L-l) times level L's, and its pass is level L's with its
-distances shifted left by L - l.  At n = 32 (hops 32, eps 1/5, so
-every weight is w * 320) levels 0-6 share one Dijkstra on level 6; at
-n = 256 levels 0-12 share one on level 12.  A walk reads such a shared
-level straight from its base pass, with no list per level: the base
-pass orders the nodes by distance once, and a level's entries are the
-prefix whose c * d fits the budget.  Within one base c falls as the
-level rises, so that cap, budget // c, only rises, and the walk fills a
-source's tables from each base pass once, in base-distance order.
+level's only for the congestion keys of an attempt that counts them.
+Every level's pass is c times a base pass, and `LevelTables` plans each
+level's (base, c) once: a uniform level (all rounded weights one c,
+every level of a unit-weight graph) takes c times one breadth-first hop
+count; a non-uniform level l up to `scaled`, the highest level L such
+that 2^L divides every edge's weight rounded up in the tables' unit,
+takes 2^(L-l) times the Dijkstra on level L, since below L each rounding
+is exact; a level above L takes its own Dijkstra.  That weight is
+w * 2*hops/eps when that is an integer, so L is the top or at least the
+2-adic valuation of 2*hops/eps: at n = 32 (hops 32, eps 1/5) levels 0-6
+share one Dijkstra on level 6, at n = 256 levels 0-12 one on level 12.
+A walk runs each base pass once, and the kernels hand back the order
+they settled the nodes in, so a level's entries are the prefix of that
+order whose c * d fits the budget.  A level's adjacency lists are
+private to `LevelTables`, built on the first base pass that reads them,
+and `LevelTables.windows`, a window per (level, distance), is the one
+count of a pass's windows that the closed form and the overlay probe
+block read.
 Step 4 is the same pass on
 the overlay, a graph on the skeleton whose own `LevelTables`
 `embed_overlay` builds.
@@ -135,49 +131,37 @@ class LevelTables:
     """The rounded levels of one (graph, hops, eps) and what each source's
     passes over them give.  The graph's weights are integers in
     `weight_unit` (an int or Fraction > 0; an overlay's is the hop tables'
-    unit).  The constructor takes the budget, the top level and each
-    edge's weight rounded up in `unit` from the integer ratios of eps,
-    hops and weight_unit, and `first[v]`, the lowest level at which v's
-    lightest edge fits the budget (None for a node without edges or a
-    budget of 0).  `len(self)` is the number of levels, and `windows` the
-    windows of a pass over all of them, one per (level, distance), so
-    budget + 1 per level: the one definition of that count.
-    A level's format is private: `_level(l)` builds level l's adjacency
-    lists, [(u, rounded weight)] per node, on their first read and keeps
-    them, and only a Dijkstra in `_pass` reads them, so a pass never
-    builds a uniform level, nor one above both `scaled` and the levels its
-    walk takes.
+    unit), and the hop bound is an int or Fraction > 0.  The constructor
+    takes the budget, the top level and each edge's weight rounded up in
+    `unit` from the integer ratios of eps, hops and weight_unit, and
+    `first[v]`, the lowest level at which v's lightest edge fits the
+    budget (None for a node without edges or a budget of 0).  `len(self)`
+    is the number of levels, and `windows` the windows of a pass over all
+    of them, one per (level, distance), so budget + 1 per level: the one
+    definition of that count.
 
-    `common[level]` is the one rounded weight c every edge of the level
-    has, or None.  Rounding is monotone, so c is the rounding of both the
-    lightest and the heaviest edge when the two agree (1 on a graph
-    without edges).  `scaled` is the highest level L <= the top such that
-    2^L divides every edge's rounded-up weight x (the top on a graph
-    without edges).  At a level l <= L each ceil(x/2^l) is exactly
-    x >> l, 2^(L-l) times level L's, so every path at l is 2^(L-l) times
-    as long as at L.  A Dijkstra bounded by the budget is exact within
-    it, so s's distance at l is d_L << (L-l), and INFINITE where
-    d_L > budget >> (L-l).  When level L is uniform so is every level
-    below it.
-    `_pass(s, level)` is the one definition of s's budget-bounded pass on
-    a level, which `level_pass(s, level)` (the distances as a list) and
-    the walks read.  A shared level's pass is c times one base pass that
-    every level it serves shares: on a uniform level c times the edge
-    counts of one breadth-first search from s (all levels of a
-    unit-weight graph); on a non-uniform level up to L, c = 2^(L-level)
-    times the Dijkstra on level L, which it builds in place of its own.
-    Above L a non-uniform level takes the Dijkstra on its own level,
-    which is not kept.  A base keeps its pass of the last source it
-    served, with every node ordered by (distance, node), so a walk over
-    one source's levels takes each base pass once.  A shared level's
-    entries are the prefix of that order with d <= budget // c, counted
-    by bisection, and the walk reads them there: no list per level.
-    Within one base c only falls as the level rises (2^(L-level) halves;
-    a uniform c is the rounding of one weight), so the cap
-    budget // c only rises, each level's prefix holds the one below it,
-    and the walk fills the tables from each base pass once, taking each
-    node once, in base-distance order, from where the level below
-    stopped.
+    Every level's pass is c times the pass of a base, and the constructor
+    plans each level's (base, c) once.  `common[level]` is the one
+    rounded weight c every edge of the level has, or None; rounding is
+    monotone, so c is the rounding of both the lightest and the heaviest
+    edge when the two agree (1 on a graph without edges).  `scaled` is the
+    highest level L <= the top such that 2^L divides every edge's
+    rounded-up weight x (the top on a graph without edges): at a level
+    l <= L each ceil(x/2^l) is exactly x >> l, 2^(L-l) times level L's.
+    So a level's (base, c) is
+      (None, common[level]) on a uniform level: c times the hop counts of
+      one breadth-first search (every level of a unit-weight graph);
+      (L, 2^(L-level)) on a non-uniform level up to L; and
+      (level, 1) on a non-uniform level above L.
+    A base's pass is the breadth-first search or the Dijkstra on the base
+    level bounded by the budget, exact within it, as (dist, order), order
+    the nodes it reached in non-decreasing distance, the order the kernel
+    settled them in.  A level's entries are the prefix of order with
+    c * dist[v] <= budget, counted by bisection.  A level's format is
+    private: `_level(l)` builds level l's adjacency lists, [(u, rounded
+    weight)] per node, on their first read and keeps them, and only the
+    base-pass reader `_read_base` reads them, so no uniform level is ever
+    built, nor one above both `scaled` and the levels a walk takes.
 
     `source(s)` keeps, as (sent, units), the messages s's passes send
     (v's degree per finite entry) and each node's d << level at the
@@ -192,21 +176,21 @@ class LevelTables:
     stops after the first level that reaches every node (it takes every
     level when some node is never reached); it starts at first[s], since
     a pass below it reaches s alone.
-    `keys(s)` is the int64 array of the keys (level*(budget+1) + d)*n + v
-    of the finite entries of every level's pass, which only an attempt
-    that counts its broadcasts reads: on a shared level
-    (level*(budget+1) + c*d)*n + v for each base distance d <= budget //
-    c, in base-distance order, so their order within a level is not the
-    node order.  It is built once per source, in the walk over the levels
-    that also fills `source(s)` if that is not kept yet.  None of it
-    depends on the skeleton or the delays, so an estimator shares one
-    object across all its skeletons; the tables it hands out are shared
-    too, and read-only.
+    `keys(s)` is the int64 array of the keys (level*(budget+1) + c*d)*n + v
+    of the finite entries of every level's pass, base distance d, in
+    base-distance order within a level, which only an attempt that
+    counts its broadcasts reads.  It is built once per source, in the
+    walk over the levels that also fills `source(s)` if that is not kept
+    yet.  None of it depends on the skeleton or the delays, so an
+    estimator shares one object across all its skeletons; the tables it
+    hands out are shared too, and read-only.
     """
 
     def __init__(self, graph, hops, eps, weight_unit=1):
-        if hops <= 0:
-            raise ValueError(f"hop bound must be > 0: {hops}")
+        # inf, NaN, a str or a bool would fail later, or pass as a number
+        if not (_exact(hops) and hops > 0):
+            raise ValueError(f"hop bound must be an int or Fraction > 0: "
+                             f"{hops!r}")
         # a float eps or unit would make the tables' unit a float, which
         # the integer tables cannot be exactly scaled by
         if not (_exact(eps) and 0 < eps <= 1):
@@ -231,12 +215,15 @@ class LevelTables:
         self._adj = [None] * (top + 1)  # level -> adjacency, once read
         self.windows = (top + 1) * (budget + 1)
         g = math.gcd(*self._ceils)  # 0 without edges: every level divides
-        self.scaled = min(top, (g & -g).bit_length() - 1) if g else top
+        scaled = min(top, (g & -g).bit_length() - 1) if g else top
+        self.scaled = scaled
         self.common = [c if c == d else None for c, d in zip(
             _rounded(min(self._ceils, default=1), top + 1),
             _rounded(max(self._ceils, default=1), top + 1))]
+        self._plan = [(None, c) if c else (scaled, 1 << (scaled - level))
+                      if level <= scaled else (level, 1)
+                      for level, c in enumerate(self.common)]
         self.degree = [len(nbrs) for nbrs in graph.adj]
-        self._bases = {}  # base level (None: hop counts) -> (s, its pass)
         self._passes = {}  # s -> _Passes
         self._keys = {}  # s -> keys(s)
 
@@ -254,38 +241,11 @@ class LevelTables:
                 adj[v].append((u, rw))
         return adj
 
-    def _pass(self, s, level):
-        """(c, count, dist, order) of s's pass on `level`.  On a shared
-        level the pass is c * dist[v] at the first `count` nodes v of
-        `order`, those with c * dist[v] <= budget, and INFINITE elsewhere:
-        dist is its base pass, kept for the last source, and order every
-        node by (dist[v], v).  On its own level dist is its Dijkstra, the
-        pass itself, with c 1, count n and order None."""
-        c, scaled = self.common[level], self.scaled
-        if c is None and level > scaled:
-            dist = dijkstra(self._level(level), s, self.budget)
-            return 1, len(dist), dist, None
-        base = None if c else scaled
-        held, dist, order = self._bases.get(base, (None, None, None))
-        if held != s:  # callers take one source's levels in a row
-            dist = (bfs_hops(self.graph.adj, s) if c else
-                    dijkstra(self._level(scaled), s, self.budget))
-            order = sorted(range(len(dist)), key=dist.__getitem__)
-            self._bases[base] = s, dist, order
-        c = c or 1 << (scaled - level)
-        # the nodes with c * dist[v] <= budget, a prefix of order
-        return (c, bisect_right(order, self.budget // c, key=dist.__getitem__),
-                dist, order)
-
-    def level_pass(self, s, level):
-        """s's distances on `level`, INFINITE beyond the budget."""
-        c, count, dist, order = self._pass(s, level)
-        if order is None:
-            return dist
-        out = [INFINITE] * self.graph.n
-        for v in order[:count]:
-            out[v] = c * dist[v]
-        return out
+    def _read_base(self, s, base):
+        """(dist, order) of s's pass on `base`: its breadth-first search
+        when base is None, else its Dijkstra on level base."""
+        return (bfs_hops(self.graph.adj, s) if base is None else
+                dijkstra(self._level(base), s, self.budget))
 
     def source(self, s):
         if s not in self._passes:
@@ -303,41 +263,37 @@ class LevelTables:
         """Walk s's levels up: into `source(s)` unless it is kept, and with
         an array `keys` every level's keys into it; returns it.  Below
         first[s] (every level when s has none) a pass reaches s alone, at
-        0, so those levels take no pass.  Each level reads its entries
-        straight from `_pass`: a shared level from its base pass, an own
-        level from its Dijkstra in node order.  The tables' fill takes a
-        base pass's nodes once, in base-distance order: within one base
-        the cap budget // c rises with the level, so a level's newly
-        reached nodes follow the ones the levels below it reached."""
+        0, so those levels take no pass.  Each base pass the walk reads is
+        run once, on the first level that reads it."""
         n, top, degree = self.graph.n, len(self), self.degree
-        span, tables = self.budget + 1, s not in self._passes
+        budget, tables = self.budget, s not in self._passes
         low = top if self.first[s] is None else self.first[s]
         units = [INFINITE] * n
         units[s] = 0  # reached at level 0, so it sends at every level
         sent, unreached = degree[s] * top, n - 1
         if keys is not None:
-            keys.fromlist([level * span * n + s for level in range(low)])
-        filled, done = None, 0  # the pass `order` filled from, how far
+            keys.fromlist([level * (budget + 1) * n + s
+                           for level in range(low)])
+        passes = {}  # base -> (dist, order) of s
         for level in range(low, top):
-            c, count, dist, order = self._pass(s, level)
+            base, c = self._plan[level]
+            if base not in passes:
+                passes[base] = self._read_base(s, base)
+            dist, order = passes[base]
+            # the nodes with c * dist[v] <= budget, a prefix of order
+            count = bisect_right(order, budget // c, key=dist.__getitem__)
             if keys is not None:
-                base, cn = level * span * n, c * n
+                start, cn = level * (budget + 1) * n, c * n
                 # fromlist: about twice as fast as extend from a list
-                keys.fromlist(
-                    [base + n * d + v for v, d in enumerate(dist)
-                     if d is not INFINITE] if order is None else
-                    [base + cn * dist[v] + v for v in order[:count]])
+                keys.fromlist([start + cn * dist[v] + v
+                               for v in order[:count]])
             if tables and unreached:
-                # an own level's nodes in id order: the test also skips
-                # the ones it does not reach (dist[v] INFINITE)
-                for v in (range(n) if order is None else
-                          order[done if order is filled else 0:count]):
-                    if units[v] is INFINITE is not dist[v]:
+                for v in order[:count]:
+                    if units[v] is INFINITE:
                         units[v] = c * dist[v] << level
                         # v is reached at every level from here up
                         sent += degree[v] * (top - level)
                         unreached -= 1
-                filled, done = order, count
             if keys is None and not unreached:
                 break
         if tables:
@@ -350,7 +306,7 @@ def _superposed_closed_form(levels, sources, delays, stretch):
     attempt, computed without sending its messages.
 
     `levels` is the attempt's `LevelTables`.  Each (copy, level) pass is
-    the source's `level_pass` on the level's rounded weights, and a node
+    the source's pass on the level's rounded weights, and a node
     broadcasts its final distance d once, in window delays[copy] +
     level*(levels.budget+1) + d of `stretch` rounds.  It sends what it owes
     in a window one per round in increasing copy index (a copy owes at
@@ -563,7 +519,7 @@ def embed_overlay(network, members, levels, k, d_g):
         for (i, j), w in _k_nearest(k, rows).items():
             adj[i].append((j, w))
             adj[j].append((i, w))
-        shortcut = _k_nearest(k, [dijkstra(adj, i) for i in range(size)])
+        shortcut = _k_nearest(k, [dijkstra(adj, i)[0] for i in range(size)])
     edges = [(i, j, w) for i, row in enumerate(rows)
              for j in range(i + 1, size)
              if (w := shortcut.get((i, j), row[j])) is not INFINITE]

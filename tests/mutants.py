@@ -71,6 +71,8 @@ ONE_READ = "Congestion keys from one read of each shared level pass, " \
 READERS = "A graph is its checked edge list: `WeightedGraph` loses its " \
           "`check_connected` switch, and connectivity is checked where " \
           "graphs are read"
+PLANNED = "One level pass, planned once: every level reads c times a base " \
+          "pass, and the kernels hand back their settle order"
 
 CONTRACTION_TESTS = [
     "tests/test_graphs.py::"
@@ -154,35 +156,67 @@ MUTANTS = [
             "[empty-skeleton]"],
            BORN_EMBEDDED),
     Mutant("bfs-base-ignores-the-source", TOOLKIT,
-           "if held != s:",
-           "if held is None:",
+           "bfs_hops(self.graph.adj, s)",
+           "bfs_hops(self.graph.adj, 0)",
            ["tests/test_toolkit.py::"
             "test_level_passes_on_uniform_graphs_match_dijkstra",
             "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra"],
            BFS_LEVELS),
     Mutant("level-cap-one-over-the-budget", TOOLKIT,
-           "bisect_right(order, self.budget // c,",
-           "bisect_right(order, self.budget // c + 1,",
+           "bisect_right(order, budget // c,",
+           "bisect_right(order, budget // c + 1,",
            ["tests/test_toolkit.py::"
             "test_level_passes_on_uniform_graphs_match_dijkstra",
             "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra"],
            LEVEL_PASS),
     Mutant("shared-level-cap-strict", TOOLKIT,
-           "self.budget // c, key=dist.__getitem__",
-           "self.budget // c - 1, key=dist.__getitem__",
+           "budget // c, key=dist.__getitem__",
+           "budget // c - 1, key=dist.__getitem__",
            ["tests/test_toolkit.py::"
             "test_level_passes_on_uniform_graphs_match_dijkstra",
             "tests/test_toolkit.py::"
             "test_level_passes_on_mixed_weights_match_dijkstra",
             "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra"],
            ONE_READ),
-    Mutant("fill-resumes-another-pass", TOOLKIT,
-           "order[done if order is filled else 0:count]",
-           "order[done:count]",
+    Mutant("fill-refills-a-reached-node", TOOLKIT,
+           "if units[v] is INFINITE:",
+           "if True:",
+           ["tests/test_toolkit.py::"
+            "test_level_passes_on_mixed_weights_match_dijkstra",
+            "tests/test_toolkit.py::"
+            "test_units_are_the_lowest_level_that_reaches_a_node"],
+           PLANNED),
+    Mutant("own-level-on-the-scaled-base", TOOLKIT,
+           "else (level, 1)",
+           "else (scaled, 1)",
+           ["tests/test_toolkit.py::"
+            "test_level_passes_on_mixed_weights_match_dijkstra",
+            "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra",
+            "tests/test_toolkit.py::test_a_level_pass_builds_only_its_base_level"],
+           PLANNED),
+    Mutant("walk-reuses-another-base", TOOLKIT,
+           "dist, order = passes[base]",
+           "dist, order = next(iter(passes.values()))",
            ["tests/test_toolkit.py::"
             "test_level_passes_on_mixed_weights_match_dijkstra",
             "tests/test_toolkit.py::test_a_scaled_pass_equals_its_levels_dijkstra"],
-           ONE_READ),
+           PLANNED),
+    Mutant("dijkstra-settles-stale-entries", GRAPHS,
+           "        if d > dist[u]:\n            continue\n"
+           "        order.append(u)\n",
+           "        order.append(u)\n"
+           "        if d > dist[u]:\n            continue\n",
+           ["tests/test_graphs.py::test_dijkstra_matches_relaxation_oracle",
+            "tests/test_toolkit.py::"
+            "test_level_passes_on_mixed_weights_match_dijkstra"],
+           PLANNED),
+    Mutant("hop-bound-type-unchecked", TOOLKIT,
+           "if not (_exact(hops) and hops > 0):",
+           "if not hops > 0:",
+           [f"tests/test_toolkit.py::"
+            f"test_a_hop_bound_must_be_a_positive_int_or_fraction[{case}]"
+            for case in ("inf", "float", "str", "bool")],
+           PLANNED),
     Mutant("pigeonhole-one-copy-fewer-in-full", TOOLKIT,
            "full = len(sources) - stretch + 1",
            "full = len(sources) - stretch",

@@ -13,7 +13,8 @@ each node receives.
 `unfiltered_closed_form` is the closed form that counts every copy's
 congestion keys in full, the reference of the pigeonhole filter in
 `_superposed_closed_form`, which counts later copies only on the keys
-that can jam.
+that can jam.  `keyed_passes` decodes a source's per-level passes from
+its congestion keys.
 `exact_bounded_hop` is the Bellman-Ford hop-bounded distance, and
 `bounded_hop_sssp` the message-level single-source pass, one
 `bounded_distance_sssp` engine run per rounded level.  `rounded_weight`
@@ -398,6 +399,21 @@ def superposed_program(levels, sources, delays, stretch):
     best = [[min_over_levels(programs[v].dist[copy]) for v in range(graph.n)]
             for copy in range(len(sources))]
     return network.round_clock, ledger.messages, ledger.bits, None, best
+
+
+def keyed_passes(levels, s):
+    """s's distance on every level of a `LevelTables`, INFINITE beyond
+    the budget, decoded from `levels.keys(s)`: each key (level*(budget+1)
+    + d)*n + v is one finite entry.  It reads no level or base pass, so
+    the tests compare it with a Dijkstra on each level of
+    `eager_levels`."""
+    n, span = levels.graph.n, levels.budget + 1
+    passes = [[INFINITE] * n for _ in range(len(levels))]
+    for key in levels.keys(s):
+        window, v = divmod(key, n)
+        level, d = divmod(window, span)
+        passes[level][v] = d
+    return passes
 
 
 def unfiltered_closed_form(levels, sources, delays, stretch):

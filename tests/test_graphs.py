@@ -77,8 +77,12 @@ def test_dijkstra_matches_relaxation_oracle(g, data):
     s = data.draw(st.integers(0, g.n - 1))
     row = all_pairs_relaxation(g)[s]
     for bound in (0, max(row) // 2, INFINITE):
-        assert dijkstra(g.adj, s, bound) == [
-            d if d <= bound else INFINITE for d in row]
+        dist, order = dijkstra(g.adj, s, bound)
+        assert dist == [d if d <= bound else INFINITE for d in row]
+        # the settle order is the finite nodes in (dist, node) order
+        assert order == sorted(
+            (v for v, d in enumerate(dist) if d is not INFINITE),
+            key=lambda v: (dist[v], v))
 
 
 def test_bounded_hop_triangle():
@@ -188,7 +192,11 @@ def test_extrema_of_disconnected_graph_are_infinite(g):
 def test_bfs_hops_match_relaxation_on_unit_weights(g, data):
     s = data.draw(st.integers(0, g.n - 1))
     row = all_pairs_relaxation(g.unit_weights())[s]
-    assert bfs_hops(g.adj, s) == row
+    hops, order = bfs_hops(g.adj, s)
+    assert hops == row
+    # the reach order covers exactly the reached nodes, nearest first
+    assert sorted(order) == [v for v, h in enumerate(row) if h != INFINITE]
+    assert all(hops[u] <= hops[v] for u, v in zip(order, order[1:]))
 
 
 @st.composite
@@ -210,7 +218,7 @@ def repeated_weight_graphs(draw):
                  disconnected_graphs(), random_graphs, shaped_graphs))
 def test_exact_sssp_matches_heap_dijkstra(g):
     for s in range(g.n):
-        assert exact_sssp(g, s) == dijkstra(g.adj, s)
+        assert exact_sssp(g, s) == dijkstra(g.adj, s)[0]
 
 
 @pytest.mark.parametrize("alpha, beta", [(None, None), (3, 5)])
@@ -222,7 +230,7 @@ def test_exact_sssp_matches_heap_dijkstra_on_h2_gadgets(variant, alpha, beta):
     contracted, _ = contract_unit_edges(inst.graph)
     for g in (inst.graph, contracted):
         for s in range(g.n):
-            assert exact_sssp(g, s) == dijkstra(g.adj, s)
+            assert exact_sssp(g, s) == dijkstra(g.adj, s)[0]
 
 
 @settings(max_examples=12, deadline=None)

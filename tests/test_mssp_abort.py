@@ -43,22 +43,3 @@ def test_aborted_attempts_match_the_copy_order_reference():
             jams.add(str(reference[3]).startswith("node 0:"))
     assert aborted >= 100
     assert jams == {True, False}  # jams at node 0 and above it
-
-
-def test_an_aborted_attempt_makes_no_level_pass_once_its_keys_are_built(
-        monkeypatch):
-    g = random_connected_graph(16, rng=random.Random(49))
-    levels = LevelTables(g, 16, Fraction(1, 4))
-    sources = list(range(16))
-    rng = random.Random(49)
-    delays = [rng.randint(0, 32) for _ in sources]
-    args = (levels, sources, delays, 2)
-    assert _superposed_closed_form(*args)[3] is not None
-    calls = []
-    for name in ("level_pass", "_level"):
-        method = getattr(LevelTables, name)
-        monkeypatch.setattr(
-            LevelTables, name, lambda self, *a, name=name, method=method:
-            calls.append(name) or method(self, *a))
-    again = _superposed_closed_form(*args)
-    assert again[3] is not None and calls == []

@@ -32,13 +32,15 @@ def _forced_jam(seed):
     g = random_connected_graph(n, max_weight=rng.choice([1, 3, 10]), rng=rng)
     # a budget of at least 3 * hops >= n - 1 at the top level, where every
     # weight rounds to 1: every source reaches every node there
-    levels = LevelTables(g, rng.randrange(max(1, n // 3), n + 1),
-                         Fraction(1, rng.randrange(1, 5)))
+    hops = rng.randrange(max(1, n // 3), n + 1)
+    eps = Fraction(1, rng.randrange(1, 5))
+    levels = LevelTables(g, hops, eps)
     sources = sorted(rng.sample(range(n), b))
     delays = [rng.randint(0, b * stretch) for _ in sources]
     aligned = rng.sample(range(b), stretch + 1)
-    passes = [[levels.level_pass(sources[copy], level)
-               for level in range(len(levels))] for copy in aligned]
+    # the passes from separate tables, so the attempt walks its own
+    passes = [oracles.keyed_passes(LevelTables(g, hops, eps), sources[copy])
+              for copy in aligned]
     shared = [(level, v) for level in range(len(levels)) for v in range(n)
               if all(dists[level][v] is not INFINITE for dists in passes)]
     level, v = rng.choice(shared)
@@ -71,11 +73,11 @@ def test_forced_jams_match_the_unfiltered_and_the_message_level_count():
 def test_an_aborted_attempt_reads_no_pass_once_its_keys_are_built(
         monkeypatch):
     # the keys and the tables are kept per source, so a repeat of an
-    # attempt reads no level pass and builds no level
+    # attempt reads no base pass and builds no level
     args = _forced_jam(7)
     assert _superposed_closed_form(*args)[3] is not None
     calls = []
-    for name in ("_pass", "_level"):
+    for name in ("_read_base", "_level"):
         method = getattr(LevelTables, name)
         monkeypatch.setattr(
             LevelTables, name, lambda self, *a, name=name, method=method:

@@ -43,6 +43,7 @@ from oracles import (
     eager_levels,
     edge_weight,
     exact_bounded_hop,
+    keyed_passes,
     min_over_levels,
     rounded_weight,
     shortcut_reference,
@@ -436,7 +437,7 @@ def _reference_passes(g, eager, budget, s):
     degree = [len(nbrs) for nbrs in g.adj]
     keys, sent, per_level = [], 0, []
     for level, adj in enumerate(eager):
-        dist = dijkstra(adj, s, budget)
+        dist = dijkstra(adj, s, budget)[0]
         per_level.append(dist)
         for v, d in enumerate(dist):
             if d is not INFINITE:
@@ -480,7 +481,7 @@ def _check_level_passes(g, hops, eps, weight_unit=1):
             assert levels.common[level] is not None
     # each source starts with `keys` on one table and with `source` on the
     # other, so a first walk builds its keys and its tables at once or
-    # one after the other, with the base passes of the source before it
+    # one after the other
     keys_first = LevelTables(g, hops, eps, weight_unit)
     source_first = LevelTables(g, hops, eps, weight_unit)
     for s in range(g.n):
@@ -492,8 +493,7 @@ def _check_level_passes(g, hops, eps, weight_unit=1):
         assert tuple(keys_first.source(s)) == (sent, units)
         assert tuple(source_first.source(s)) == (sent, units)
         assert sorted(source_first.keys(s)) == keys
-        assert [levels.level_pass(s, level) for level in range(len(levels))] \
-            == per_level
+        assert keyed_passes(levels, s) == per_level
         assert tuple(levels.source(s)) == (sent, units)
         assert sorted(levels.keys(s)) == keys
     return levels
@@ -504,8 +504,9 @@ def _check_level_passes(g, hops, eps, weight_unit=1):
        n=st.integers(1, 16), seed=st.integers(0, 99),
        hops=st.integers(1, 32).map(lambda x: Fraction(x, 2)),
        eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]))
-# a small explicit case fails at once, with no shrinking, when a base pass
-# is reused for another source or a level keeps a distance over the budget
+# a small explicit case fails at once, with no shrinking, when the
+# breadth-first base ignores the source or a level keeps a distance over
+# the budget
 @example(kind="cycle", n=4, seed=0, hops=Fraction(1, 2), eps=Fraction(1))
 def test_level_passes_on_uniform_graphs_match_dijkstra(kind, n, seed, hops,
                                                        eps):
@@ -558,8 +559,7 @@ def test_units_are_the_lowest_level_that_reaches_a_node(kind, n, seed, hops,
         g = _uniform_graph(kind, n, rng)
     levels = LevelTables(g, hops, eps, unit)
     for s in range(g.n):
-        per_level = [levels.level_pass(s, level)
-                     for level in range(len(levels))]
+        per_level = keyed_passes(LevelTables(g, hops, eps, unit), s)
         assert levels.source(s).units == [
             min_over_levels(dists) for dists in zip(*per_level)]
         for dists in zip(*per_level):
@@ -624,17 +624,17 @@ def test_lazy_levels_equal_the_eager_rounding(kind, n, seed, hops, eps, data):
 
 
 class _DijkstraTables(LevelTables):
-    """A `LevelTables` whose every pass, the one its walks and
-    `level_pass` read, is a Dijkstra on its level of `eager_levels`."""
+    """A `LevelTables` whose every level's pass, the one its walks read,
+    is a Dijkstra on its level of `eager_levels`: each level is its own
+    base, with c 1."""
 
     def __init__(self, g, hops, eps, weight_unit=1):
         super().__init__(g, hops, eps, weight_unit)
         self.eager = eager_levels(g, hops, eps, weight_unit)
+        self._plan = [(level, 1) for level in range(len(self))]
 
-    def _pass(self, s, level):
-        dist = dijkstra(self.eager[level], s, self.budget)
-        reached = [v for v, d in enumerate(dist) if d is not INFINITE]
-        return 1, len(reached), dist, reached
+    def _read_base(self, s, base):
+        return dijkstra(self.eager[base], s, self.budget)
 
 
 def _scaled_case(kind, n, shift, rng):
@@ -672,13 +672,13 @@ def test_a_scaled_pass_equals_its_levels_dijkstra(kind, n, seed, shift, hops,
     assert 0 <= levels.scaled < len(eager)
     assert all(w % 2 ** levels.scaled == 0
                for nbrs in eager[0] for _, w in nbrs)
-    # any order of (source, level): the kept base pass follows the source
-    order = [(s, level) for s in range(g.n) for level in range(len(eager))]
+    # any order of the sources: a walk reads no other source's pass
+    order = list(range(g.n))
     if data is not None:
         order = data.draw(st.permutations(order))
-    for s, level in order:
-        assert levels.level_pass(s, level) == dijkstra(eager[level], s,
-                                                       levels.budget)
+    for s in order:
+        assert keyed_passes(levels, s) == [
+            dijkstra(adj, s, levels.budget)[0] for adj in eager]
     reference = _DijkstraTables(g, hops, eps, unit)
     for s in range(g.n):
         keys = sorted(reference.keys(s))
@@ -689,8 +689,9 @@ def test_a_scaled_pass_equals_its_levels_dijkstra(kind, n, seed, shift, hops,
 
 
 def test_a_level_pass_builds_only_its_base_level(monkeypatch):
-    # a non-uniform level's pass reads level max(level, scaled); a uniform
-    # level's reads no level
+    # a non-uniform level's pass is c times level max(level, scaled)'s, c
+    # 2^(scaled - level) below scaled and 1 above; a uniform level's is
+    # its c times the hop counts, and builds no level
     built = _levels_built(monkeypatch)
     mixed = random_connected_graph(12, max_weight=10, rng=random.Random(3))
     kinds = set()
@@ -699,8 +700,13 @@ def test_a_level_pass_builds_only_its_base_level(monkeypatch):
         assert scaled == 5  # every rounded-up weight is w * 2*4 / (1/4)
         for level, c in enumerate(LevelTables(g, 4, Fraction(1, 4)).common):
             levels = LevelTables(g, 4, Fraction(1, 4))
-            levels.level_pass(0, level)
-            levels.level_pass(5, level)
+            base, factor = levels._plan[level]
+            assert (base, factor) == (
+                (None, c) if c is not None else
+                (scaled, 2 ** (scaled - level)) if level <= scaled else
+                (level, 1))
+            levels._read_base(0, base)
+            levels._read_base(5, base)
             assert built.pop(levels, set()) == (
                 {max(level, scaled)} if c is None else set())
             kinds.add((c is None, c is None and level < scaled))
@@ -713,19 +719,19 @@ def test_overlay_tables_build_no_level_above_their_walks(monkeypatch):
     # above the highest its walks read are never built
     built = _levels_built(monkeypatch)
     walked = {}  # table -> levels its walks read
-    read_pass = LevelTables._pass
+    init = LevelTables.__init__
 
-    def recording_pass(self, s, level):
-        walked.setdefault(self, set()).add(level)
-        return read_pass(self, s, level)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        walked[self] = _recorded_passes(self)
 
-    monkeypatch.setattr(LevelTables, "_pass", recording_pass)
+    monkeypatch.setattr(LevelTables, "__init__", recording_init)
     g = random_connected_graph(32, max_weight=10, rng=random.Random("7:0"))
     net = Network(g, seed="7:0")
     approx_diameter(net, ParameterSchedule.for_graph(g),
                     rng=random.Random("7:0"))
-    overlays = [(table, read) for table, read in walked.items()
-                if table.graph is not g]
+    overlays = [(table, set(read)) for table, read in walked.items()
+                if table.graph is not g and read]
     assert len(overlays) > 1
     skipped = 0
     for table, read in overlays:
@@ -757,21 +763,47 @@ def test_eps_and_weight_unit_must_be_a_positive_int_or_fraction():
     assert LevelTables(g, 2, 1).unit == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("hops", [float("inf"), float("nan"), 2.0, "3", True],
+                         ids=["inf", "nan", "float", "str", "bool"])
+def test_a_hop_bound_must_be_a_positive_int_or_fraction(hops):
+    # a hand-built schedule's infinite hop bound raised OverflowError in
+    # the budget, NaN an unrelated ValueError and "3" a TypeError, and
+    # True was taken as 1; each is refused before anything is charged
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match="hop bound"):
+        LevelTables(g, hops, Fraction(1, 2))
+    schedule = ParameterSchedule(n=4, unweighted_diameter=2,
+                                 eps=Fraction(1, 2), r=2, hops=hops, k=1)
+    net = Network(g, seed=1)
+    with pytest.raises(ValueError, match="hop bound"):
+        approx_diameter(net, schedule, rng=random.Random(1))
+    assert net.ledger.rounds == 0 and net.ledger.phases == []
+
+
+class _RecordedPlan(list):
+    """A `LevelTables._plan` that records each level read from it."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.taken = []
+
+    def __getitem__(self, level):
+        self.taken.append(level)
+        return super().__getitem__(level)
+
+
 def _recorded_passes(levels):
-    """The levels of every pass the `levels` object takes: its walks and
-    `level_pass` read each one from `_pass`."""
-    taken = []
-    read_pass = levels._pass
-    levels._pass = lambda s, level: taken.append(level) or read_pass(
-        s, level)
-    return taken
+    """The levels of every pass the `levels` object takes from here on: a
+    walk reads each level's (base, c) from the plan."""
+    levels._plan = _RecordedPlan(levels._plan)
+    return levels._plan.taken
 
 
 def _levels_source_takes(levels, s):
     """The levels whose pass `levels.source(s)` takes, in order."""
     taken = _recorded_passes(levels)
     levels.source(s)
-    del levels._pass
+    levels._plan = list(levels._plan)
     return taken
 
 
@@ -783,8 +815,8 @@ def test_source_stops_at_the_first_level_that_reaches_every_node():
     reference = LevelTables(g, 3, Fraction(1, 4))
     stops, firsts = set(), set()
     for s in range(g.n):
-        stop = next(level for level in range(len(reference))
-                    if INFINITE not in reference.level_pass(s, level))
+        stop = next(level for level, dist in enumerate(
+            keyed_passes(reference, s)) if INFINITE not in dist)
         assert stop < len(reference) - 1
         stops.add(stop)
         first = reference.first[s]
@@ -1155,8 +1187,12 @@ def test_overlay_levels_span_the_skeleton_only():
         sssp_on_overlay(state, members[0])
         overlay = state.overlay_levels
         assert len(overlay) > 1 and overlay.graph.n == len(members)
-        assert all(len(overlay.level_pass(0, level)) == len(members)
-                   for level in range(len(overlay)))
+        eager = eager_levels(overlay.graph, overlay.hops, overlay.eps,
+                             state.levels.unit)
+        passes = keyed_passes(overlay, 0)
+        assert passes == [dijkstra(adj, 0, overlay.budget)[0]
+                          for adj in eager]
+        assert all(len(dist) == len(members) for dist in passes)
 
 
 def test_skeleton_hop_tables_are_the_level_tables_own():
